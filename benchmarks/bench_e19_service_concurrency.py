@@ -14,7 +14,7 @@ Two claims about the production-shaped front end (``repro.service``):
 
 from conftest import once, record
 
-from repro import DBService, LSMConfig, ServiceConfig, encode_uint_key
+from repro import DBService, LSMConfig, LSMTree, ServiceConfig, encode_uint_key
 from repro.bench.harness import run_concurrent_workload
 from repro.service import CompactionScheduler, RateLimiter
 
@@ -43,8 +43,6 @@ def _base_config(**overrides):
 
 def _inline_commit_row():
     """One thread, one WAL sync per put: the 1-record-per-frame baseline."""
-    from repro.core.lsm_tree import LSMTree
-
     tree = LSMTree(_base_config())
     n = N_WRITERS * OPS_PER_WRITER
     for i in range(n):
@@ -57,7 +55,7 @@ def _inline_commit_row():
 def _service_commit_row():
     """Eight writers through the batcher: one frame per write group."""
     service = DBService(
-        _base_config(),
+        LSMTree(_base_config()),
         ServiceConfig(max_batch=32, max_batch_wait_s=0.002),
     )
     metrics = run_concurrent_workload(
@@ -101,8 +99,6 @@ STOP_RUNS = 10
 
 def _inline_burst_row():
     """Maintenance disabled: every flush parks a run at level 1 forever."""
-    from repro.core.lsm_tree import LSMTree
-
     tree = LSMTree(_base_config(lazy_compaction=True, compaction_steps_per_op=0))
     max_backlog = 0
     for i in range(BURST_PUTS):
@@ -124,7 +120,7 @@ def _service_burst_row():
     limiter = RateLimiter(bytes_per_second=512 << 10, burst_bytes=64 << 10)
     scheduler = CompactionScheduler(num_workers=1, rate_limiter=limiter)
     service = DBService(
-        _base_config(),
+        LSMTree(_base_config()),
         ServiceConfig(
             max_batch=32,
             max_batch_wait_s=0.001,
@@ -175,7 +171,7 @@ def test_e19_concurrent_reads_during_burst(benchmark):
 
     def run():
         service = DBService(
-            _base_config(),
+            LSMTree(_base_config()),
             ServiceConfig(max_batch=16, max_batch_wait_s=0.001),
         )
         metrics = run_concurrent_workload(

@@ -64,11 +64,16 @@ def _build_overlapping_runs(device, n_runs, entries_per_run):
     return runs
 
 
+def _newest_live(group):
+    """Bottom-level fold: keep each key's newest version unless it is a tombstone."""
+    return None if group[0].is_tombstone else group[0]
+
+
 def _timed_merge(device, inputs, ranges, scale, readahead):
     device.wall_latency_scale = scale
     wall0 = time.perf_counter()
-    tables, _ = run_subcompactions(
-        inputs, ranges, purge=True,
+    tables = run_subcompactions(
+        inputs, ranges, _newest_live,
         builder_factory=lambda: SSTableBuilder(device, write_buffer_blocks=8),
         file_limit=256 << 10, readahead=readahead,
     )

@@ -209,9 +209,14 @@ def _build_overlapping_runs(device, params, codec):
     return runs
 
 
+def _newest_live(group):
+    """Bottom-level fold: keep each key's newest version unless it is a tombstone."""
+    return None if group[0].is_tombstone else group[0]
+
+
 def _merge_digest(device, inputs, ranges, codec):
-    tables, _ = run_subcompactions(
-        inputs, ranges, purge=True,
+    tables = run_subcompactions(
+        inputs, ranges, _newest_live,
         builder_factory=lambda: SSTableBuilder(
             device, write_buffer_blocks=8,
             codec=None if codec == "none" else codec),

@@ -1,50 +1,28 @@
-"""Keyword-only configuration dataclasses with a one-release deprecation shim.
+"""Keyword-only configuration dataclasses.
 
 Every public config object (:class:`~repro.core.config.LSMConfig`,
 :class:`~repro.service.config.ServiceConfig`,
-:class:`~repro.faults.config.FaultConfig`) is keyword-only: positional
+:class:`~repro.faults.config.FaultConfig`, ...) is keyword-only: positional
 construction couples callers to field *order*, which the design-space sweep
 code mutates freely. Python 3.9 has no ``dataclass(kw_only=True)``, so this
-decorator wraps the generated ``__init__``; positional arguments still work
-for one release behind a :class:`DeprecationWarning`.
+decorator wraps the generated ``__init__``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import warnings
 
 
 def kwonly_dataclass(cls):
-    """Make a dataclass keyword-only, warning (not failing) on positional use.
+    """Make a dataclass keyword-only (a positional argument is a TypeError).
 
     Apply *below* ``@dataclass`` (i.e. to the finished dataclass). The
     class's ``__post_init__`` validation still runs exactly once.
     """
-    field_names = [f.name for f in dataclasses.fields(cls) if f.init]
     original_init = cls.__init__
 
     @functools.wraps(original_init)
-    def __init__(self, *args, **kwargs):
-        if args:
-            warnings.warn(
-                f"positional construction of {cls.__name__} is deprecated and "
-                f"will be removed in the next release; pass keyword arguments",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > len(field_names):
-                raise TypeError(
-                    f"{cls.__name__} takes at most {len(field_names)} "
-                    f"arguments ({len(args)} given)"
-                )
-            for name, value in zip(field_names, args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"{cls.__name__} got multiple values for argument {name!r}"
-                    )
-                kwargs[name] = value
+    def __init__(self, **kwargs):
         original_init(self, **kwargs)
 
     cls.__init__ = __init__

@@ -152,6 +152,40 @@ class Entry:
         return len(self.key) + len(self.value) + 16
 
 
+def split_chain(versions) -> "Tuple[Optional[Entry], list]":
+    """Split one key's versions (newest first) at its first non-merge version.
+
+    Returns ``(base, operands)``: the version that terminates the merge
+    chain (None when the versions run out first) and the MERGE operands
+    above it, newest first. Anything older than the base is shadowed.
+    """
+    operands = []
+    for entry in versions:
+        if entry.kind is EntryKind.MERGE:
+            operands.append(entry)
+        else:
+            return entry, operands
+    return None, operands
+
+
+def live_value(entry: Optional[Entry], now: float, values=None) -> Optional[bytes]:
+    """The user value a base version carries at simulated time ``now``.
+
+    None when it carries none: no version at all, a tombstone, or a TTL
+    deadline at or before ``now``. ``values`` (a
+    :class:`~repro.storage.value_log.ValueCodec`) decodes the stored form of
+    a tree with key-value separation.
+    """
+    if entry is None or entry.kind is EntryKind.DELETE:
+        return None
+    stored = entry.value
+    if entry.kind is EntryKind.PUT_TTL:
+        deadline, stored = decode_ttl_value(stored)
+        if now >= deadline:
+            return None
+    return stored if values is None else values.decode(stored)
+
+
 class GetResult:
     """Outcome of a point lookup, with the provenance used by experiments.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.config import LSMConfig
 from repro.core.lsm_tree import LSMTree
-from repro.core.manifest import ManifestData, write_manifest
+from repro.core.manifest import write_manifest
 from repro.errors import ConfigError
 from repro.storage.block_device import BlockDevice
 
@@ -33,34 +33,12 @@ def create_checkpoint(tree: LSMTree, target: BlockDevice) -> None:
     if target.block_size != tree.device.block_size:
         raise ConfigError("checkpoint target must match the source block size")
     tree.flush()
-
-    vlog_files = []
     if tree._value_log is not None:
         tree._value_log.flush()
-        vlog_files = sorted(
-            fid for fid in tree._value_log._live_bytes if tree.device.file_exists(fid)
-        )
-
-    copied = set()
-    for runs in tree._levels:
-        for run in runs:
-            for table in run.tables:
-                _copy_file(tree.device, table.file_id, target)
-                copied.add(table.file_id)
-    for fid in vlog_files:
-        if fid not in copied:
-            _copy_file(tree.device, fid, target)
-
-    manifest = ManifestData(
-        seqno=tree._seqno,
-        name=tree.config.name,
-        wal_files=[],  # a checkpoint has no log: it is complete as-of flush
-        vlog_files=vlog_files,
-        levels=[
-            [[table.file_id for table in run.tables] for run in runs]
-            for runs in tree._levels
-        ],
-    )
+    manifest = tree.manifest_data()
+    manifest.wal_files = []  # a checkpoint has no log: it is complete as-of flush
+    for file_id in sorted(manifest.referenced_files()):
+        _copy_file(tree.device, file_id, target)
     write_manifest(target, manifest, previous=None)
 
 

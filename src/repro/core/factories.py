@@ -24,6 +24,8 @@ from repro.filters.surf import SuRF
 from repro.filters.quotient import QuotientFilter
 from repro.filters.xor import XorFilter
 from repro.indexes import make_index_factory
+from repro.storage.compression import get_codec
+from repro.storage.sstable import SSTableBuilder
 
 
 class AuxFactory:
@@ -32,6 +34,36 @@ class AuxFactory:
     def __init__(self, config: LSMConfig) -> None:
         self._config = config
         self._seeds = itertools.count(config.seed)
+        # The block codec flushes and compactions write with; None keeps the
+        # legacy layout. Reads never consult it (blocks self-describe).
+        self._codec = (
+            get_codec(config.compression) if config.compression != "none" else None
+        )
+
+    def table_builder(self, device, level: int) -> Callable[[], SSTableBuilder]:
+        """A maker of table builders for output landing at ``level``. Call once
+        per flush or merge: the auxiliary-structure factories (and the seeds
+        they draw) are fixed here and shared by every file of that output,
+        across file rollovers and subcompaction workers."""
+        config = self._config
+        filter_factory = self.filter_factory(level)
+        range_factory = self.range_filter_factory()
+        index_factory = self.index_factory()
+        write_buffer = config.parallel.write_buffer_blocks if config.parallel else 1
+
+        def new_builder() -> SSTableBuilder:
+            return SSTableBuilder(
+                device,
+                block_size=config.block_size,
+                index_factory=index_factory,
+                filter_factory=filter_factory,
+                range_filter_factory=range_factory,
+                hash_index=config.hash_index_blocks,
+                write_buffer_blocks=write_buffer,
+                codec=self._codec,
+            )
+
+        return new_builder
 
     def filter_factory(self, level: int) -> Optional[Callable]:
         """Point-filter factory for runs landing at ``level``; None = no filter."""
@@ -43,6 +75,11 @@ class AuxFactory:
             return None  # Monkey may assign zero memory to deep levels
         params = dict(self._config.filter_params)
         seed = next(self._seeds)
+        if self._config.shared_hashing:
+            # One digest per lookup probes every run's filter, so every
+            # filter must hash with the lookup's seed (at the price of
+            # correlated false positives across runs).
+            seed = self._config.seed
 
         if kind == "bloom":
             return lambda keys: BloomFilter(keys, bits_per_key=bits, seed=seed, **params)

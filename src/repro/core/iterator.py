@@ -37,32 +37,9 @@ def merge_entries(
     Yields:
         One entry per distinct key, newest (highest seqno) version.
     """
-    streams = list(streams)
-    if len(streams) == 1:
-        # Single-stream fast path: one input has one entry per key already,
-        # so the heap and the duplicate-key pass are pure overhead. Scans of
-        # a freshly-compacted tree and single-input compactions land here.
-        if drop_tombstones:
-            for entry in streams[0]:
-                if not entry.is_tombstone:
-                    yield entry
-        else:
-            yield from streams[0]
-        return
-    previous_key = None
-    if drop_tombstones:
-        for entry in heapq.merge(*streams, key=_sort_key):
-            if entry.key == previous_key:
-                continue  # an older version of a key already resolved
-            previous_key = entry.key
-            if not entry.is_tombstone:
-                yield entry
-    else:
-        for entry in heapq.merge(*streams, key=_sort_key):
-            if entry.key == previous_key:
-                continue
-            previous_key = entry.key
-            yield entry
+    for group in merge_entry_versions(streams):
+        if not (drop_tombstones and group[0].is_tombstone):
+            yield group[0]
 
 
 def merge_entry_versions(

@@ -1,0 +1,344 @@
+"""The read path: one newest-first walk, one chain resolution, one result.
+
+Every point read — ``LSMTree.get``, ``DBService.get``, ``Snapshot.get`` (and
+through it transactional reads), ``multi_get``, the raw lookups behind
+``Version.get`` and transaction validation — is :func:`lookup` over a key's
+in-memory versions and a list of levels, then :meth:`ReadPath.resolve` and
+:func:`assemble`. Callers keep only what genuinely differs: *which* data
+they walk, how it is kept alive (the single-caller contract, runs pinned by
+the service, a snapshot's version) and the TTL clock. Nothing here refers
+back to the tree.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from repro.common.entry import Entry, GetResult, live_value, split_chain
+from repro.core.iterator import merge_entry_versions
+from repro.filters.hashing import hash64
+from repro.storage.run import Run
+from repro.storage.sstable import ProbeStats
+
+Levels = Sequence[Sequence[Run]]
+
+
+def chain_is_open(memory_chain: Sequence[Entry]) -> bool:
+    """True when a key's in-memory versions do not decide it: none exist, or
+    they are all merge operands still looking for a base on storage."""
+    return not memory_chain or memory_chain[-1].is_merge
+
+
+def lookup(
+    key: bytes,
+    memory_chain: Iterable[Entry],
+    levels: Levels,
+    cache=None,
+    probe: Optional[ProbeStats] = None,
+    hash_seed: Optional[int] = None,
+    trace: "Optional[ReadTrace]" = None,
+    newest_only: bool = False,
+) -> "Tuple[Optional[Entry], List[Entry], Optional[int], int, int]":
+    """Walk one key's versions newest-first until a base version ends the chain.
+
+    ``memory_chain`` holds the key's in-memory versions newest first;
+    ``levels`` the storage levels shallowest first, each newest run first.
+    ``probe`` receives filter / fence / block accounting. With ``hash_seed``
+    one filter digest is computed lazily and shared across every run's
+    filter (shared hashing, tutorial §II-B.2). ``trace`` is the timed read's
+    per-level bookkeeping. ``newest_only`` stops at the newest version of
+    any kind (raw lookups).
+
+    Returns ``(base, operands, source_level, runs_probed, digests)``: the
+    version that ended the walk (None when it ran off the bottom), the merge
+    operands above it newest-first, the storage level that served the base
+    (None for memory or a miss), runs consulted, shared digests computed.
+    """
+    operands: List[Entry] = []
+    for entry in memory_chain:
+        if entry.is_merge and not newest_only:
+            operands.append(entry)
+        else:
+            return entry, operands, None, 0, 0
+    base: Optional[Entry] = None
+    digest: Optional[int] = None
+    digests = 0
+    runs_probed = 0
+    for level_no, runs in enumerate(levels, start=1):
+        if trace is not None:
+            trace.enter_level(probe)
+        for run in runs:
+            runs_probed += 1
+            if hash_seed is not None and digest is None and run.min_key <= key <= run.max_key:
+                digest = hash64(key, hash_seed)
+                digests += 1
+            entry = run.get(key, stats=probe, cache=cache, digest=digest)
+            if entry is None:
+                continue
+            if entry.is_merge and not newest_only:
+                # An operand, not a value: collect it and keep descending
+                # until a non-merge base terminates the chain.
+                operands.append(entry)
+                continue
+            base = entry
+            break
+        if trace is not None:
+            trace.leave_level(level_no, probe, base is not None)
+        if base is not None:
+            return base, operands, level_no, runs_probed, digests
+    return None, operands, None, runs_probed, digests
+
+
+def assemble(
+    base: Optional[Entry],
+    operands: List[Entry],
+    value: Optional[bytes],
+    source_level: Optional[int] = None,
+    runs_probed: int = 0,
+    probe: Optional[ProbeStats] = None,
+) -> GetResult:
+    """Build the :class:`GetResult` for a finished walk and its resolved value."""
+    newest = operands[0] if operands else base  # operands are newest-first
+    seqno = newest.seqno if newest is not None else 0
+    if probe is None:
+        return GetResult(value, value is not None, runs_probed, 0, 0, 0, source_level, seqno)
+    return GetResult(
+        value, value is not None, runs_probed, probe.blocks_read,
+        probe.filter_negatives, probe.false_positives, source_level, seqno,
+    )
+
+
+#: Per-level probe counters, in ``EngineObserver.record_level_probe`` order,
+#: under the names a span's ``level_probe`` event reports them by.
+_LEVEL_COUNTERS = (
+    ("filter_probes", "filter_probes"), ("filter_negatives", "filter_negatives"),
+    ("false_positives", "false_positives"), ("blocks_read", "block_accesses"),
+    ("cache_hits", "cache_hits"), ("index_probes", "index_probes"),
+)
+
+
+class ReadTrace:
+    """Observer and span bookkeeping for one timed point read.
+
+    Built only when an observer is attached or the read is sampled; every
+    hook site in the read path is ``if trace is not None``.
+    """
+
+    __slots__ = ("_observer", "_span", "_device_stats", "_wall0", "_sim0", "_mark",
+                 "_before", "attrs")
+
+    def __init__(self, observer, span, device_stats) -> None:
+        self._observer = observer
+        self._span = span
+        self._device_stats = device_stats
+        self._wall0 = self._mark = time.perf_counter()
+        self._sim0 = device_stats.simulated_time
+
+    def start_stage(self) -> None:
+        self._mark = time.perf_counter()
+
+    def end_stage(self, name: str) -> None:
+        if self._span is not None:
+            self._span.add_stage(name, time.perf_counter() - self._mark)
+
+    def enter_level(self, probe: ProbeStats) -> None:
+        self._before = [getattr(probe, counter) for counter, _ in _LEVEL_COUNTERS]
+        self.start_stage()
+
+    def leave_level(self, level_no: int, probe: ProbeStats, served: bool) -> None:
+        delta = [
+            getattr(probe, counter) - before
+            for (counter, _), before in zip(_LEVEL_COUNTERS, self._before)
+        ]
+        if self._observer is not None:
+            self._observer.record_level_probe(level_no, *delta, served)
+        if self._span is not None:
+            self.end_stage(f"level_{level_no}")
+            reported = {name: count for (_, name), count in zip(_LEVEL_COUNTERS, delta)}
+            self._span.event("level_probe", level=level_no, served=served, **reported)
+
+    def finish(self, result: GetResult, probe: ProbeStats) -> None:
+        """Feed the observer and keep the attributes the span closes with."""
+        sim_time = self._device_stats.simulated_time - self._sim0
+        if self._observer is not None:
+            self._observer.record_get(
+                time.perf_counter() - self._wall0, sim_time, result.found, probe.blocks_read
+            )
+        self.attrs = dict(
+            op="get", found=result.found, source_level=result.source_level,
+            blocks_read=probe.blocks_read, cache_hits=probe.cache_hits, sim_time=sim_time,
+        )
+
+
+class ReadPath:
+    """One tree's read machinery: the shared walk plus the sinks it feeds —
+    its block cache, value codec (None without key-value separation), merge
+    operators and counters. Reads run outside the tree mutex in service
+    mode, so counters update under the dedicated ``stats_lock``;
+    ``device_stats`` is the live TTL clock.
+    """
+
+    def __init__(self, cache, values, operators, stats, stats_lock, device_stats, config) -> None:
+        self.cache = cache
+        self._values = values
+        self._operators = operators
+        self._stats = stats
+        self._stats_lock = stats_lock
+        self._device_stats = device_stats
+        self._shared_hashing = config.shared_hashing
+        self._hash_seed = (
+            config.seed if config.shared_hashing and config.filter_kind != "none" else None
+        )
+        parallel = config.parallel
+        self._scan_readahead = parallel.scan_readahead_blocks if parallel is not None else 1
+
+    def resolve(self, base: Optional[Entry], operands: List[Entry], now: float) -> Optional[bytes]:
+        """Fold a merge chain (operand entries newest-first) over ``base``;
+        None when the key reads as absent (no versions, a tombstone, or an
+        expired TTL with no operands)."""
+        value = live_value(base, now, self._values)
+        if not operands:
+            return value
+        op, parts = self._operators.operator_for(operands)
+        return op.fold(value, reversed(parts))  # oldest first
+
+    def get(
+        self,
+        key: bytes,
+        memory_chain: Iterable[Entry],
+        levels: Levels,
+        now: Optional[float] = None,
+        trace: Optional[ReadTrace] = None,
+    ) -> GetResult:
+        """One point read over the given data, feeding this tree's counters.
+        ``now`` is the TTL clock; None reads the live simulated clock once
+        the walk's device reads are done."""
+        probe = ProbeStats()
+        base, operands, source_level, runs_probed, digests = lookup(
+            key, memory_chain, levels, self.cache, probe, self._hash_seed, trace
+        )
+        with self._stats_lock:
+            self._stats.gets += 1
+            # Without sharing, every filter probe computes its own digest.
+            self._stats.get_hash_evaluations += (
+                digests if self._shared_hashing else probe.filter_probes
+            )
+            self._stats.probe.merge(probe)
+        if trace is not None:
+            trace.start_stage()
+        value = None
+        if base is not None or operands:
+            if now is None:
+                now = self._device_stats.simulated_time
+            value = self.resolve(base, operands, now)
+        result = assemble(base, operands, value, source_level, runs_probed, probe)
+        if trace is not None:
+            trace.end_stage("value_fetch")
+            trace.finish(result, probe)
+        return result
+
+    def multi_get_coalesced(
+        self, memory_chains: "Dict[bytes, List[Entry]]", levels: Levels
+    ) -> "Dict[bytes, GetResult]":
+        """Resolve a batch level by level, coalescing each run's block loads
+        (adjacent blocks become single multi-block device requests).
+
+        Per-key ``found`` / ``value`` / ``seqno`` / ``source_level`` /
+        ``runs_probed`` match :meth:`get` exactly; the batch's I/O provenance
+        is aggregated into the tree's probe counters rather than split
+        across per-key results.
+        """
+        probe = ProbeStats()
+        chains = {key: split_chain(chain) for key, chain in memory_chains.items()}
+        served: Dict[bytes, int] = {}
+        runs_probed = dict.fromkeys(chains, 0)
+        pending = [key for key, (base, _) in chains.items() if base is None]
+        for level_no, runs in enumerate(levels, start=1):
+            for run in runs:
+                if not pending:
+                    break
+                for key in pending:
+                    runs_probed[key] += 1
+                found = run.get_many(pending, stats=probe, cache=self.cache)
+                for key, entry in found.items():
+                    if entry.is_merge:
+                        chains[key][1].append(entry)  # keep descending for its base
+                    else:
+                        chains[key] = (entry, chains[key][1])
+                        served[key] = level_no
+                if found:
+                    pending = [key for key in pending if key not in served]
+        now = self._device_stats.simulated_time
+        results = {
+            key: assemble(
+                base, operands, self.resolve(base, operands, now),
+                served.get(key), runs_probed[key],
+            )
+            for key, (base, operands) in chains.items()
+        }
+        with self._stats_lock:
+            self._stats.gets += len(results)
+            self._stats.multi_gets += 1
+            self._stats.multi_get_keys += len(results)
+            self._stats.probe.merge(probe)
+            if not self._shared_hashing:
+                self._stats.get_hash_evaluations += probe.filter_probes
+        return results
+
+    def scan(
+        self,
+        memtable_entries: Sequence[Entry],
+        runs: Sequence[Run],
+        start: Optional[bytes],
+        end: Optional[bytes],
+        now: float,
+        observer=None,
+        on_close=None,
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """The scan engine: merge pinned streams, fold merge chains, mask
+        tombstones and expired TTLs (``now`` is the TTL clock for the whole
+        scan), and yield decoded user values in key order. Runs whose range
+        filter proves the interval empty are skipped without I/O (tutorial
+        §II-B.3). ``on_close`` runs when the iterator is exhausted or closed
+        (the caller releases its pins there)."""
+        probe = ProbeStats()
+
+        def buffered() -> Iterator[Entry]:
+            for entry in memtable_entries:
+                if start is not None and entry.key < start:
+                    continue
+                if end is not None and entry.key > end:
+                    return
+                yield entry
+
+        wall0 = time.perf_counter() if observer is not None else 0.0
+        produced = 0
+        try:
+            streams = [buffered()]
+            for run in runs:
+                if start is not None and end is not None:
+                    if not run.overlaps(start, end):
+                        continue
+                    if not run.may_contain_range(start, end):
+                        continue  # range filter saved the whole seek
+                streams.append(
+                    run.iter_entries(
+                        start=start, end=end, cache=self.cache, stats=probe,
+                        readahead=self._scan_readahead,
+                    )
+                )
+            for group in merge_entry_versions(streams):
+                value = self.resolve(*split_chain(group), now)
+                if value is None:
+                    continue
+                produced += 1
+                yield group[0].key, value
+        finally:
+            with self._stats_lock:
+                self._stats.scan_entries += produced
+                self._stats.probe.merge(probe)
+            if on_close is not None:
+                on_close()
+            if observer is not None:
+                observer.record_scan(time.perf_counter() - wall0)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List
+from dataclasses import dataclass, field, fields
+from typing import Deque
 
 from repro.storage.sstable import ProbeStats
 
@@ -98,11 +98,19 @@ class LSMStats:
         """Append to the bounded re-organization history."""
         self.history.append(event)
 
-    def recent_events(self, n: int) -> List[CompactionEvent]:
-        """The last ``n`` re-organization events, oldest first."""
-        if n <= 0:
-            return []
-        return list(self.history)[-n:]
+    def count_write(self, kind: str, key: bytes, value) -> None:
+        """Count one accepted write op (``kind`` as ``write_batch`` names it)."""
+        if kind == "delete":
+            self.deletes += 1
+            self.user_bytes += len(key)
+            return
+        self.user_bytes += len(key) + len(value)
+        if kind == "merge":
+            self.merges += 1
+        else:
+            self.puts += 1
+            if kind == "put_ttl":
+                self.ttl_puts += 1
 
     @property
     def filter_fpr_observed(self) -> float:
@@ -131,55 +139,21 @@ class LSMStats:
         return self.block_bytes_stored / self.block_bytes_uncompressed
 
     def as_dict(self) -> dict:
-        """Flat metrics snapshot (for dashboards and experiment logs)."""
-        return {
-            "puts": self.puts,
-            "deletes": self.deletes,
-            "gets": self.gets,
-            "scans": self.scans,
-            "scan_entries": self.scan_entries,
-            "user_bytes": self.user_bytes,
-            "flushes": self.flushes,
-            "compactions": self.compactions,
-            "trivial_moves": self.trivial_moves,
-            "compaction_bytes_in": self.compaction_bytes_in,
-            "compaction_bytes_out": self.compaction_bytes_out,
-            "tombstones_purged": self.tombstones_purged,
-            "value_log_fetches": self.value_log_fetches,
-            "write_stalls": self.write_stalls,
-            "stall_time": self.stall_time,
-            "filtered_by_compaction": self.filtered_by_compaction,
-            "bulk_ingested": self.bulk_ingested,
-            "multi_gets": self.multi_gets,
-            "multi_get_keys": self.multi_get_keys,
-            "parallel_compactions": self.parallel_compactions,
-            "subcompactions": self.subcompactions,
-            "blocks_written": self.blocks_written,
-            "block_bytes_uncompressed": self.block_bytes_uncompressed,
-            "block_bytes_stored": self.block_bytes_stored,
-            "compression_ratio": self.compression_ratio,
-            "entries_per_scan": self.entries_per_scan,
-            "batches_committed": self.batches_committed,
-            "batched_records": self.batched_records,
-            "stall_slowdowns": self.stall_slowdowns,
-            "stall_stops": self.stall_stops,
-            "stall_time_wall": self.stall_time_wall,
-            "flush_jobs": self.flush_jobs,
-            "compaction_jobs": self.compaction_jobs,
-            "merges": self.merges,
-            "ttl_puts": self.ttl_puts,
-            "ttl_expired_dropped": self.ttl_expired_dropped,
-            "txn_commits": self.txn_commits,
-            "txn_conflicts": self.txn_conflicts,
-            "recoveries": self.recoveries,
-            "wal_replayed_records": self.wal_replayed_records,
-            "wal_torn_frames": self.wal_torn_frames,
-            "last_recovery_wall": self.last_recovery_wall,
-            "last_recovery_sim": self.last_recovery_sim,
-            "filter_probes": self.probe.filter_probes,
-            "filter_negatives": self.probe.filter_negatives,
-            "false_positives": self.probe.false_positives,
-            "filter_fpr_observed": self.filter_fpr_observed,
-            "blocks_per_get": self.blocks_per_get,
-            "get_hash_evaluations": self.get_hash_evaluations,
+        """Flat metrics snapshot (for dashboards and experiment logs): every
+        scalar counter by field name, the filter outcome counts, and the
+        derived ratios."""
+        snap = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("probe", "history")
         }
+        snap.update(
+            compression_ratio=self.compression_ratio,
+            entries_per_scan=self.entries_per_scan,
+            filter_probes=self.probe.filter_probes,
+            filter_negatives=self.probe.filter_negatives,
+            false_positives=self.probe.false_positives,
+            filter_fpr_observed=self.filter_fpr_observed,
+            blocks_per_get=self.blocks_per_get,
+        )
+        return snap

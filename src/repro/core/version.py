@@ -10,9 +10,10 @@ in-flight scan keeps reading the files it pinned.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.common.entry import Entry
+from repro.common.entry import Entry, GetResult
+from repro.core.read_path import lookup
 from repro.errors import SnapshotError
 from repro.storage.run import Run
 
@@ -20,18 +21,21 @@ from repro.storage.run import Run
 class Version:
     """A pinned snapshot: buffered entries + every live run, newest first.
 
-    Obtain from ``LSMTree.snapshot()``; call :meth:`close` (or use as a
+    ``levels`` keeps the runs grouped by storage level (shallowest first) for
+    the point-read walk; ``runs`` is the same set flattened for scans.
+    Obtain from ``LSMTree.pin_version()``; call :meth:`close` (or use as a
     context manager) to release the pinned runs.
     """
 
     def __init__(
         self,
         memtable_entries: List[Entry],
-        runs: Sequence[Run],
-        release: Callable[[Run], None],
+        levels: Sequence[Sequence[Run]],
+        release: Callable[[List], None],
     ) -> None:
         self.memtable_entries = memtable_entries
-        self.runs = list(runs)
+        self.levels = levels
+        self.runs = [run for runs in self.levels for run in runs]
         self._release = release
         self._closed = False
         self._memtable_keys: Optional[List[bytes]] = None
@@ -42,7 +46,7 @@ class Version:
             return
         self._closed = True
         for run in self.runs:
-            self._release(run)
+            self._release(run.tables)
 
     def __enter__(self) -> "Version":
         return self
@@ -50,61 +54,27 @@ class Version:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def memory_chain(self, key: bytes) -> Iterator[Entry]:
+        """The buffered versions of ``key`` as of this snapshot, newest first."""
+        if self._memtable_keys is None:
+            self._memtable_keys = [entry.key for entry in self.memtable_entries]
+        idx = bisect.bisect_left(self._memtable_keys, key)
+        while idx < len(self._memtable_keys) and self._memtable_keys[idx] == key:
+            yield self.memtable_entries[idx]
+            idx += 1
+
     def get(self, key: bytes, cache=None) -> Optional[Entry]:
         """Point lookup *as of this snapshot* (read-your-snapshot semantics).
 
-        Returns the raw entry — possibly a tombstone — or None when the key
-        was absent at snapshot time. Later writes to the tree are invisible.
+        Returns the newest raw entry — possibly a tombstone or a merge
+        operand — or None when the key was absent at snapshot time. Later
+        writes to the tree are invisible.
 
         Raises:
             SnapshotError: if the version has been released.
         """
         self.ensure_open()
-        if self._memtable_keys is None:
-            self._memtable_keys = [entry.key for entry in self.memtable_entries]
-        idx = bisect.bisect_left(self._memtable_keys, key)
-        if idx < len(self._memtable_keys) and self._memtable_keys[idx] == key:
-            return self.memtable_entries[idx]
-        for run in self.runs:
-            entry = run.get(key, cache=cache)
-            if entry is not None:
-                return entry
-        return None
-
-    def get_chain(self, key: bytes, cache=None) -> "tuple[Optional[Entry], List[Entry]]":
-        """Collect ``key``'s merge chain as of this snapshot.
-
-        Walks versions newest-first (buffered memory versions, then runs),
-        accumulating MERGE operand entries until the first non-merge *base*
-        version terminates the search.
-
-        Returns:
-            ``(base, operands)`` — the base entry (PUT/PUT_TTL/DELETE, or
-            None when the chain bottoms out on nothing) and the operand
-            entries newest-first. ``operands`` is empty for ordinary keys,
-            making this a strict generalization of :meth:`get`.
-        """
-        self.ensure_open()
-        operands: List[Entry] = []
-        if self._memtable_keys is None:
-            self._memtable_keys = [entry.key for entry in self.memtable_entries]
-        idx = bisect.bisect_left(self._memtable_keys, key)
-        while idx < len(self._memtable_keys) and self._memtable_keys[idx] == key:
-            entry = self.memtable_entries[idx]
-            if entry.is_merge:
-                operands.append(entry)
-                idx += 1
-                continue
-            return entry, operands
-        for run in self.runs:
-            entry = run.get(key, cache=cache)
-            if entry is None:
-                continue
-            if entry.is_merge:
-                operands.append(entry)
-                continue
-            return entry, operands
-        return None, operands
+        return lookup(key, self.memory_chain(key), self.levels, cache, newest_only=True)[0]
 
     def ensure_open(self) -> None:
         if self._closed:
@@ -113,3 +83,67 @@ class Version:
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+class Snapshot:
+    """A consistent point-in-time read view of one tree.
+
+    Wraps a pinned :class:`Version` with the tree's read path: merge chains
+    fold, tombstones mask, and TTL expiry is judged against the simulated
+    clock *as of snapshot creation* — a key that was live when the snapshot
+    was taken stays visible through it even if its deadline passes later.
+
+    The raw version surface (``runs``, ``memtable_entries``, ``closed``) is
+    delegated for callers that walk the file set directly.
+    """
+
+    def __init__(self, tree, version: Version) -> None:
+        self._tree = tree
+        self._version = version
+        #: The TTL clock, frozen at creation.
+        self.created_at = tree.device.stats.simulated_time
+
+    # -- reads -----------------------------------------------------------------
+
+    def get(self, key: bytes) -> GetResult:
+        """Point lookup as of the snapshot; returns a :class:`GetResult`."""
+        version = self._version
+        version.ensure_open()
+        return self._tree.reads.get(
+            key, version.memory_chain(key), version.levels, now=self.created_at
+        )
+
+    def multi_get(self, keys) -> "dict[bytes, GetResult]":
+        """Batched point lookups as of the snapshot (sorted, deduplicated)."""
+        return {key: self.get(key) for key in sorted(set(keys))}
+
+    def scan(
+        self, start: Optional[bytes] = None, end: Optional[bytes] = None
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """Range scan as of the snapshot; the snapshot stays open after."""
+        self._version.ensure_open()
+        return self._tree.scan_version(self._version, start, end, now=self.created_at)
+
+    # -- lifecycle and raw-version delegation ----------------------------------
+
+    def close(self) -> None:
+        """Release the pinned runs; idempotent."""
+        self._version.close()
+
+    def __enter__(self) -> "Snapshot":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @property
+    def runs(self):
+        return self._version.runs
+
+    @property
+    def memtable_entries(self):
+        return self._version.memtable_entries
+
+    @property
+    def closed(self) -> bool:
+        return self._version.closed

@@ -12,7 +12,7 @@ knob (§II-A.2, §II-B.5). Three implementations are provided behind one ABC:
   level, giving fast inserts *and* fast point lookups.
 """
 
-from repro.memtable.base import Memtable
+from repro.memtable.base import ImmutableMemtable, Memtable
 from repro.memtable.skiplist import SkipList, SkipListMemtable
 from repro.memtable.vector import VectorMemtable
 from repro.memtable.flodb import FloDBMemtable
@@ -40,6 +40,7 @@ def make_memtable(kind: str) -> Memtable:
 
 
 __all__ = [
+    "ImmutableMemtable",
     "Memtable",
     "SkipList",
     "SkipListMemtable",

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Optional
+import bisect
+from typing import Iterator, List, Optional
 
 from repro.common.entry import Entry
 
@@ -47,3 +48,34 @@ class Memtable(abc.ABC):
     def sorted_entries(self) -> "list[Entry]":
         """All entries in key order; the flush path consumes this."""
         return list(self.scan())
+
+
+class ImmutableMemtable:
+    """A sealed memtable awaiting flush.
+
+    Sealing swaps the active buffer out from under writers in O(n) (one
+    sorted copy, no device I/O); the sealed entries stay on the read path —
+    probed after the active memtable, newest seal first — until a flush job
+    builds their run and installs it. ``sealed_wal`` is the WAL segment that
+    covered these entries; it is deleted once the run is durable.
+    """
+
+    __slots__ = ("entries", "keys", "sealed_wal", "size_bytes", "claimed")
+
+    def __init__(
+        self, entries: List[Entry], sealed_wal: Optional[int], size_bytes: int
+    ) -> None:
+        self.entries = entries
+        self.keys = [entry.key for entry in entries]
+        self.sealed_wal = sealed_wal
+        self.size_bytes = size_bytes
+        self.claimed = False  # a flush worker is already building this run
+
+    def get(self, key: bytes) -> Optional[Entry]:
+        idx = bisect.bisect_left(self.keys, key)
+        if idx < len(self.keys) and self.keys[idx] == key:
+            return self.entries[idx]
+        return None
+
+    def __len__(self) -> int:
+        return len(self.entries)

@@ -15,9 +15,11 @@ fence-count quantiles balances *blocks read* per worker — the unit the
 device actually charges — not key counts.
 
 The module is deliberately engine-agnostic: :func:`run_subcompactions` sees
-input runs, a builder factory, and the compaction-filter callable. The tree
-(:meth:`LSMTree._merge_runs`) stays the only place that touches levels,
-pins, stats, or filter registration — all of which remain under its mutex.
+input runs, a builder factory, and the per-key fold. A serial merge is the
+one-range case of the same call, so there is one merge loop and one build
+loop (:func:`~repro.storage.sstable.build_tables`) whatever the
+parallelism. The tree stays the only place that touches levels, pins,
+stats, or filter registration.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import concurrent.futures
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.entry import Entry
-from repro.core.iterator import merge_entries, merge_entry_versions
+from repro.core.iterator import merge_entry_versions
 from repro.errors import SimulatedCrashError
 from repro.storage.run import Run
-from repro.storage.sstable import SSTable, SSTableBuilder
+from repro.storage.sstable import SSTable, SSTableBuilder, build_tables
 
 #: A half-open key range ``[lo, hi)``; None means unbounded on that side.
 KeyRange = Tuple[Optional[bytes], Optional[bytes]]
@@ -87,9 +89,8 @@ def merge_range(
     inputs: Sequence[Run],
     lo: Optional[bytes],
     hi: Optional[bytes],
-    purge: bool,
+    fold: Callable[[List[Entry]], Optional[Entry]],
     readahead: int = 1,
-    fold: Optional[Callable[[List[Entry]], Optional[Entry]]] = None,
 ) -> Iterator[Entry]:
     """Merge one half-open range ``[lo, hi)`` of every input run.
 
@@ -97,21 +98,15 @@ def merge_range(
     pruning needs an inclusive bound), and entries whose key equals ``hi``
     are dropped here — they belong to the next range.
 
-    With ``fold`` (the tree's per-key group fold: merge-operand folding, TTL
-    reclamation, compaction filter) every key's versions are grouped and
-    folded to at most one output entry; groups never straddle a range
-    boundary, so per-range folding matches the serial fold exactly. Without
-    it the legacy newest-wins pass applies.
+    Every key's versions are grouped newest-first and handed to ``fold``
+    (the per-key policy: tombstone purging, merge-operand folding, TTL
+    reclamation, compaction filter), which returns the one entry to keep or
+    None. Groups never straddle a range boundary, so folding per range
+    matches folding the whole key space.
     """
     streams = [
         run.iter_entries(start=lo, end=hi, readahead=readahead) for run in inputs
     ]
-    if fold is None:
-        for entry in merge_entries(streams, drop_tombstones=purge):
-            if hi is not None and entry.key >= hi:
-                return
-            yield entry
-        return
     for group in merge_entry_versions(streams):
         if hi is not None and group[0].key >= hi:
             return
@@ -120,121 +115,59 @@ def merge_range(
             yield entry
 
 
-def _build_range(
-    inputs: Sequence[Run],
-    key_range: KeyRange,
-    purge: bool,
-    builder_factory: Callable[[], SSTableBuilder],
-    file_limit: Optional[int],
-    keep: Optional[Callable[[bytes, bytes], bool]],
-    readahead: int,
-    fold: Optional[Callable[[List[Entry]], Optional[Entry]]] = None,
-) -> "tuple[List[SSTable], int]":
-    """One worker's job: merge a range into output files.
-
-    Returns ``(tables, filtered_count)``. Mirrors the serial build loop
-    (same file-size rollover) but keeps the compaction-filter count local —
-    the coordinator folds it into tree stats under the stats lock. When
-    ``fold`` is provided it subsumes ``keep`` (pass keep=None) and counts
-    its own drops.
-    """
-    lo, hi = key_range
-    tables: List[SSTable] = []
-    builder: Optional[SSTableBuilder] = None
-    written = 0
-    filtered = 0
-    try:
-        for entry in merge_range(inputs, lo, hi, purge, readahead, fold=fold):
-            if keep is not None and not entry.is_tombstone and not keep(entry.key, entry.value):
-                filtered += 1
-                continue
-            if builder is None:
-                builder = builder_factory()
-                written = 0
-            builder.add(entry)
-            written += entry.approximate_size
-            if file_limit is not None and written >= file_limit:
-                tables.append(builder.finish())
-                builder = None
-        if builder is not None:
-            tables.append(builder.finish())
-            builder = None
-        return tables, filtered
-    except SimulatedCrashError:
-        # A crash freezes the device as-is: partial outputs stay behind as
-        # orphan files, exactly what recovery must cope with. No cleanup.
-        raise
-    except BaseException:
-        if builder is not None:
-            builder.abandon()
-        for table in tables:
-            table.delete()
-        raise
-
-
 def run_subcompactions(
     inputs: Sequence[Run],
     ranges: Sequence[KeyRange],
-    purge: bool,
+    fold: Callable[[List[Entry]], Optional[Entry]],
     builder_factory: Callable[[], SSTableBuilder],
     file_limit: Optional[int],
-    keep: Optional[Callable[[bytes, bytes], bool]] = None,
     readahead: int = 1,
     executor: Optional[concurrent.futures.Executor] = None,
-    fold: Optional[Callable[[List[Entry]], Optional[Entry]]] = None,
-) -> "tuple[List[SSTable], int]":
-    """Execute a compaction's merge as parallel key-range subcompactions.
+) -> List[SSTable]:
+    """Execute a compaction's merge, one :func:`build_tables` pass per range.
 
-    Every range is submitted to ``executor`` (or a private thread pool sized
-    to the range count); the returned table list is the per-range outputs
-    concatenated in range order — a valid sorted, non-overlapping run.
+    A single range runs on the calling thread. Several are submitted to
+    ``executor`` (or a private thread pool sized to the range count); the
+    returned table list is the per-range outputs concatenated in range
+    order — a valid sorted, non-overlapping run.
 
-    Returns ``(tables, filtered_count)``. On any worker failure every output
-    file (finished or partial, from every range) is deleted and
-    :class:`SubcompactionError` is raised — install never sees a torn
-    output set.
+    On any worker failure every output file (finished or partial, from
+    every range) is deleted and :class:`SubcompactionError` is raised —
+    install never sees a torn output set.
     """
+
+    def build(key_range: KeyRange) -> List[SSTable]:
+        lo, hi = key_range
+        return build_tables(
+            merge_range(inputs, lo, hi, fold, readahead), builder_factory, file_limit
+        )
+
+    if len(ranges) == 1:
+        return build(ranges[0])
     own_pool = executor is None
     pool = executor or concurrent.futures.ThreadPoolExecutor(
         max_workers=len(ranges), thread_name_prefix="subcompact"
     )
-    futures = [
-        pool.submit(
-            _build_range,
-            inputs, key_range, purge, builder_factory, file_limit, keep, readahead,
-            fold,
-        )
-        for key_range in ranges
-    ]
+    futures = [pool.submit(build, key_range) for key_range in ranges]
     try:
-        results = []
+        tables: List[SSTable] = []
         failure: Optional[BaseException] = None
         for future in futures:
             try:
-                results.append(future.result())
+                tables.extend(future.result())
             except BaseException as exc:  # keep draining: collect survivors
-                results.append(None)
                 if failure is None:
                     failure = exc
-        if failure is not None:
-            if isinstance(failure, SimulatedCrashError):
-                # Crash semantics: the device is frozen mid-job. Completed
-                # ranges' files remain as orphans for recovery to sweep;
-                # re-raise the crash itself so harnesses see it unwrapped.
-                raise failure
-            for result in results:
-                if result is not None:
-                    for table in result[0]:
-                        table.delete()
-            raise SubcompactionError(
-                f"subcompaction worker failed: {failure!r}"
-            ) from failure
-        tables: List[SSTable] = []
-        filtered = 0
-        for range_tables, range_filtered in results:
-            tables.extend(range_tables)
-            filtered += range_filtered
-        return tables, filtered
+        if failure is None:
+            return tables
+        if isinstance(failure, SimulatedCrashError):
+            # Crash semantics: the device is frozen mid-job. Completed
+            # ranges' files remain as orphans for recovery to sweep;
+            # re-raise the crash itself so harnesses see it unwrapped.
+            raise failure
+        for table in tables:
+            table.delete()
+        raise SubcompactionError(f"subcompaction worker failed: {failure!r}") from failure
     finally:
         if own_pool:
             pool.shutdown(wait=True)

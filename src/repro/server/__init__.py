@@ -16,11 +16,11 @@ puts a wire and a QoS contract in front of them:
 
 Quickstart::
 
-    from repro import LSMConfig
+    from repro import LSMConfig, LSMTree
     from repro.service import DBService
     from repro.server import LSMClient, LSMServer, ServerConfig
 
-    service = DBService(LSMConfig(wal_enabled=True))
+    service = DBService(LSMTree(LSMConfig(wal_enabled=True)))
     with LSMServer(service, ServerConfig(tenant_ops_per_second=500)) as server:
         host, port = server.address
         with LSMClient(host, port, tenant="alice") as db:

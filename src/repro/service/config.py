@@ -20,8 +20,7 @@ from repro.errors import ConfigError
 class ServiceConfig:
     """Every knob of the concurrent front-end, with RocksDB-shaped defaults.
 
-    Keyword-only: positional construction still works for one release behind
-    a DeprecationWarning.
+    Keyword-only: field order is not a stable interface.
 
     Attributes:
         max_batch: group-commit batch cap; a commit leader drains at most

@@ -9,7 +9,8 @@ write path. This facade restores the shape production stores actually have:
   :class:`CompactionScheduler` worker in the background;
 * a :class:`BackpressureController` delays or blocks writers when
   maintenance falls behind (RocksDB-style slowdown/stop);
-* reads probe memory under the tree mutex, then walk a pinned
+* reads collect a key's in-memory versions under the tree mutex, then run
+  the tree's one point-read walk (:mod:`repro.core.read_path`) over a pinned
   :class:`~repro.core.version.Version` outside it, so background installs
   never invalidate an in-flight lookup.
 """
@@ -17,14 +18,12 @@ write path. This facade restores the shape production stores actually have:
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.entry import GetResult
-from repro.core.config import LSMConfig
 from repro.core.lsm_tree import LSMTree, Snapshot
+from repro.core.read_path import chain_is_open
 from repro.errors import ClosedError, ConflictError
-from repro.observe.tracing import TraceContext
 from repro.service.backpressure import BackpressureController
 from repro.service.batcher import WriteBatcher, WriteOp
 from repro.service.config import ServiceConfig
@@ -35,7 +34,8 @@ class DBService:
     """A concurrent database service over one :class:`LSMTree`.
 
     Args:
-        tree: the tree to serve, or an :class:`LSMConfig` to build one from.
+        tree: the tree to serve (``repro.open(config, service=True)``
+            builds both).
         config: service knobs; defaults are reasonable for tests/demos.
         scheduler: an externally owned scheduler to share (the sharded
             deployment passes one scheduler for all shards); the service
@@ -49,20 +49,12 @@ class DBService:
 
     def __init__(
         self,
-        tree,
+        tree: LSMTree,
         config: Optional[ServiceConfig] = None,
         scheduler: Optional[CompactionScheduler] = None,
         close_tree: bool = False,
     ) -> None:
-        if isinstance(tree, LSMConfig):
-            warnings.warn(
-                "constructing DBService from an LSMConfig is deprecated; "
-                "use repro.open(config, service=True)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            tree = LSMTree(tree)
-        self.tree: LSMTree = tree
+        self.tree = tree
         self.config = config or ServiceConfig()
         self._close_tree = close_tree
         self._owns_scheduler = scheduler is None
@@ -270,7 +262,7 @@ class DBService:
                                 f"key {overlap[0]!r} written by an earlier "
                                 f"commit in the same group"
                             )
-                        tree._validate_read_set(read_set)
+                        tree.validate_read_set(read_set)
                     except ConflictError as exc:
                         errors[index] = exc
                         continue
@@ -280,11 +272,8 @@ class DBService:
                 elif op.kind == "write":
                     flat.extend(op.meta)
                     written.update(batch_op[1] for batch_op in op.meta)
-                elif op.meta is not None:
-                    flat.append((op.kind, op.key, op.value, op.meta))
-                    written.add(op.key)
                 else:
-                    flat.append((op.kind, op.key, op.value))
+                    flat.append((op.kind, op.key, op.value, op.meta))
                     written.add(op.key)
             if flat:
                 tree.write_batch(flat)
@@ -297,54 +286,37 @@ class DBService:
     # -- reads --------------------------------------------------------------
 
     def get(self, key: bytes) -> GetResult:
-        """Point lookup against a pinned snapshot of the tree.
+        """Point lookup against pinned runs.
 
-        Memory (active + sealed memtables) is probed under the tree mutex;
-        on a miss the storage runs are pinned and probed outside it, so a
+        The key's in-memory versions (active + sealed memtables) are
+        collected under the tree mutex; when they do not decide the key the
+        storage runs are pinned there too and walked outside it, so a
         concurrent compaction can retire — but never delete — the files
-        this lookup is reading.
+        this lookup is reading. The walk itself is the tree's
+        (:meth:`ReadPath.get`): same counters, same per-level accounting.
         """
         self._check_open()
         histogram = self._get_wall
         recorder = self.recorder
         span = recorder.maybe_start("service:get") if recorder is not None else None
-        if histogram is not None or span is not None:
+        if histogram is not None:
             wall0 = time.perf_counter()
         tree = self.tree
+        trace = tree.read_trace(span)
         with tree.mutex:
-            tree.stats.gets += 1
-            entry, operands = tree._probe_memory_chain(key)
-            version = tree.pin_runs() if entry is None else None
-        if span is not None:
-            probed = time.perf_counter()
-            span.add_stage("memtable_probe", probed - wall0)
-        if version is not None:
-            # Memory did not terminate the chain: continue on the pinned
-            # runs. Memory operands are strictly newer than anything on
-            # storage, so extending keeps newest-first order.
-            try:
-                entry, run_operands = version.get_chain(key, cache=tree.cache)
-                operands.extend(run_operands)
-            finally:
-                version.close()
-            if span is not None:
-                walked = time.perf_counter()
-                span.add_stage("storage_probe", walked - probed)
-        result = GetResult()
-        if operands:
-            result.seqno = operands[0].seqno
-        elif entry is not None:
-            result.seqno = entry.seqno
-        if entry is not None or operands:
-            value = tree._resolve_chain(
-                entry, operands, tree.device.stats.simulated_time
+            chain = tree.memory_chain(key)
+            version = tree.pin_version(memory=False) if chain_is_open(chain) else None
+        if trace is not None:
+            trace.end_stage("memtable_probe")
+        try:
+            result = tree.reads.get(
+                key, chain, version.levels if version is not None else (), trace=trace
             )
-            if value is not None:
-                result.found = True
-                result.value = value
+        finally:
+            if version is not None:
+                version.close()
         if span is not None:
-            recorder.finish(span, op="get", found=result.found,
-                            from_memtable=version is None)
+            recorder.finish(span, from_memtable=version is None, **trace.attrs)
         if histogram is not None:
             histogram.record(time.perf_counter() - wall0)
         return result
@@ -357,25 +329,12 @@ class DBService:
         return self.tree.scan(start, end)
 
     def multi_get(self, keys) -> "dict[bytes, GetResult]":
-        """Batched point lookups in sorted key order.
-
-        When this call is the outermost span (no active trace context), the
-        sampling decision is made once here and inherited by every per-key
-        lookup — a batch is fully traced under one ``service:multi_get``
-        parent or not traced at all, never half-traced.
-        """
-        recorder = self.recorder
-        if recorder is None or recorder.active() is not None:
-            return {key: self.get(key) for key in sorted(set(keys))}
-        span = recorder.maybe_start("service:multi_get")
-        ctx = span.context() if span is not None else TraceContext("", sampled=False)
-        token = recorder.activate(ctx)
-        try:
-            return {key: self.get(key) for key in sorted(set(keys))}
-        finally:
-            recorder.deactivate(token)
-            if span is not None:
-                recorder.finish(span, op="multi_get", keys=len(set(keys)))
+        """Batched point lookups in sorted key order, traced under one
+        sampling decision (:meth:`TraceRecorder.run_batch`)."""
+        unique = sorted(set(keys))
+        if self.recorder is None:
+            return {key: self.get(key) for key in unique}
+        return self.recorder.run_batch("service:multi_get", unique, self.get)
 
     def snapshot(self) -> Snapshot:
         """A consistent read view of the tree (see :meth:`LSMTree.snapshot`).

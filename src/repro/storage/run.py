@@ -158,11 +158,6 @@ class Run:
         merged = sorted(list(kept) + list(added), key=lambda table: table.min_key)
         return Run(merged)
 
-    def delete(self) -> None:
-        """Drop every file in the run from the device."""
-        for table in self.tables:
-            table.delete()
-
     # -- internals -----------------------------------------------------------
 
     def _table_for(self, key: bytes) -> Optional[SSTable]:

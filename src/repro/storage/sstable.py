@@ -30,7 +30,7 @@ from repro.common.encoding import (
     get_length_prefixed,
 )
 from repro.common.entry import Entry, EntryKind
-from repro.errors import CorruptionError, ReproError
+from repro.errors import CorruptionError, ReproError, SimulatedCrashError, StorageError
 from repro.storage.block_device import BlockDevice
 from repro.storage.compression import (
     FRAME_MAGIC as _FRAME_MAGIC,
@@ -613,6 +613,45 @@ class SSTable:
 
     # -- lifecycle -----------------------------------------------------------
 
+    def approximate_bytes(self, start: bytes, end: bytes) -> int:
+        """On-device bytes of the blocks intersecting [start, end], estimated
+        from fence metadata alone (no I/O)."""
+        if not self.overlaps(start, end) or not self.num_data_blocks:
+            return 0
+        blocks = sum(
+            1
+            for block_no in range(self.num_data_blocks)
+            if not (
+                self._block_last_keys[block_no] < start
+                or self._block_first_keys[block_no] > end
+            )
+        )
+        return self.size_bytes * blocks // self.num_data_blocks
+
+    def scrub(self) -> "tuple[int, List[str]]":
+        """Re-read every data block from the device (bypassing the cache) and
+        check checksums, sort order and fence agreement; returns
+        ``(blocks_checked, findings)`` — findings empty for a healthy file."""
+        findings: List[str] = []
+        last_key: Optional[bytes] = None
+        for block_no in range(self.num_data_blocks):
+            try:
+                entries = parse_block(self._device.read_block(self.file_id, block_no))
+            except (StorageError, ValueError) as exc:
+                findings.append(f"block {block_no}: {exc}")
+                continue
+            for entry in entries:
+                if last_key is not None and entry.key <= last_key:
+                    findings.append(f"block {block_no}: keys out of order")
+                    break
+                last_key = entry.key
+            if entries and (
+                entries[0].key != self._block_first_keys[block_no]
+                or entries[-1].key != self._block_last_keys[block_no]
+            ):
+                findings.append(f"block {block_no}: fence keys disagree with contents")
+        return self.num_data_blocks, findings
+
     def delete(self) -> None:
         """Drop the underlying file (called when a compaction obsoletes it)."""
         if self._device.file_exists(self.file_id):
@@ -940,3 +979,43 @@ class SSTableBuilder:
             remaining -= chunk
             blocks += 1
         return blocks
+
+
+def build_tables(
+    entries: Iterator[Entry],
+    new_builder: Callable[[], "SSTableBuilder"],
+    file_limit: Optional[int],
+) -> List[SSTable]:
+    """Write sorted unique-key entries into one or more table files — the one
+    build loop flushes, serial merges and every subcompaction range run.
+
+    A new file starts whenever ``file_limit`` approximate bytes have been
+    written (None keeps one file). On failure every output, finished or
+    partial, is deleted before the error propagates — except for a simulated
+    crash, which freezes the device as-is so recovery has real orphans.
+    """
+    tables: List[SSTable] = []
+    builder: Optional[SSTableBuilder] = None
+    written = 0
+    try:
+        for entry in entries:
+            if builder is None:
+                builder = new_builder()
+                written = 0
+            builder.add(entry)
+            written += entry.approximate_size
+            if file_limit is not None and written >= file_limit:
+                tables.append(builder.finish())
+                builder = None
+        if builder is not None:
+            tables.append(builder.finish())
+            builder = None
+        return tables
+    except SimulatedCrashError:
+        raise
+    except BaseException:
+        if builder is not None:
+            builder.abandon()
+        for table in tables:
+            table.delete()
+        raise

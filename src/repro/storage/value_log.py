@@ -169,6 +169,27 @@ class ValueLog:
                 yield record, ValuePointer(file_id, block_no, slot, span)
             block_no += span
 
+    def key_of(self, pointer: ValuePointer) -> Optional[bytes]:
+        """The key of the record a pointer addresses (None for a stale slot)."""
+        if pointer.file_id == self._file_id and pointer.span == 1:
+            if pointer.block_no == self._device.num_blocks(pointer.file_id) and (
+                pointer.slot < len(self._pending)
+            ):
+                return self._pending[pointer.slot].key
+        payload = self._device.read_payload(pointer.file_id, pointer.block_no, pointer.span)
+        records = parse_block(payload, detect_frames=False)  # vlog: never framed
+        return records[pointer.slot].key if pointer.slot < len(records) else None
+
+    def live_files(self) -> List[int]:
+        """Segments that still exist on the device, in id order (for manifests)."""
+        return sorted(fid for fid in self._live_bytes if self._device.file_exists(fid))
+
+    def adopt(self, file_ids) -> None:
+        """Track segments a recovered manifest lists (their garbage is unknown)."""
+        for file_id in file_ids:
+            if self._device.file_exists(file_id):
+                self._live_bytes.setdefault(file_id, 0)
+
     # -- internals -----------------------------------------------------------
 
     def _flush_pending(self) -> None:
@@ -180,3 +201,43 @@ class ValueLog:
         self._device.seal_file(self._file_id)
         self._file_id = self._device.create_file()
         self._live_bytes.setdefault(self._file_id, 0)
+
+
+class ValueCodec:
+    """How a tree with a value log stores values inside its entries: small
+    ones inline behind a one-byte tag; those of at least ``threshold`` bytes
+    in the log, the entry keeping a tagged :class:`ValuePointer`. (A tree
+    without key-value separation has no codec and stores raw values.)"""
+
+    INLINE = b"i"
+    POINTER = b"p"
+
+    def __init__(self, log: ValueLog, threshold: int, cache=None,
+                 on_fetch: Optional[Callable[[], None]] = None) -> None:
+        self.log = log
+        self._threshold = threshold
+        self._cache = cache
+        self._on_fetch = on_fetch
+
+    def encode(self, key: bytes, value: bytes) -> bytes:
+        """The stored form of ``value``; large values are appended to the log."""
+        if len(value) >= self._threshold:
+            return self.POINTER + self.log.append(key, value).encode()
+        return self.INLINE + value
+
+    def decode(self, stored: bytes) -> bytes:
+        """The user value behind a stored form (one log read for pointers)."""
+        tag, payload = stored[:1], stored[1:]
+        if tag == self.INLINE:
+            return payload
+        if tag == self.POINTER:
+            if self._on_fetch is not None:
+                self._on_fetch()
+            return self.log.get(ValuePointer.decode(payload), cache=self._cache)
+        raise ValueError(f"corrupt value tag {tag!r}")
+
+    def pointer_of(self, stored: bytes) -> Optional[ValuePointer]:
+        """The log pointer a stored form carries, or None for inline values."""
+        if stored[:1] == self.POINTER:
+            return ValuePointer.decode(stored[1:])
+        return None

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.common.encoding import decode_varint, encode_varint
+from repro.common.entry import decode_merge_value
 from repro.errors import MergeError
 
 
@@ -150,6 +151,26 @@ class MergeOperatorRegistry:
             return self._operators[name]
         except KeyError:
             raise MergeError(f"no merge operator registered as {name!r}") from None
+
+    def operator_for(self, operands) -> "tuple[MergeOperator, List[bytes]]":
+        """Decode a key's operand entries (newest-first) for folding.
+
+        Returns the chain's operator and the raw operands in the same order.
+
+        Raises:
+            MergeError: the chain mixes operators, or names an unknown one.
+        """
+        names: List[str] = []
+        parts: List[bytes] = []
+        for entry in operands:
+            name, operand = decode_merge_value(entry.value)
+            names.append(name)
+            parts.append(operand)
+        if any(name != names[0] for name in names):
+            raise MergeError(
+                f"key {operands[0].key!r} mixes merge operators {sorted(set(names))!r}"
+            )
+        return self.get(names[0]), parts
 
     def __contains__(self, name: str) -> bool:
         return name in self._operators

@@ -6,10 +6,10 @@ a "crash" abandons the LSMTree object; recovery rebuilds from the device.
 
 import pytest
 
-from repro import LSMConfig, LSMTree, encode_uint_key
+from repro import DBService, LSMConfig, LSMTree, encode_uint_key
 from repro.common.entry import Entry
 from repro.core.manifest import ManifestData, find_manifest, read_manifest, write_manifest
-from repro.errors import ClosedError, StorageError
+from repro.errors import ClosedError, ConfigError, MergeError, StorageError
 from repro.storage.block_device import BlockDevice
 from repro.storage.wal import WriteAheadLog
 
@@ -215,3 +215,49 @@ class TestRecovery:
         assert recovered.get(b"k").value == b"new"
         recovered.flush()
         assert recovered.get(b"k").value == b"new"
+
+
+class TestRejectedWrites:
+    """Validation precedes the WAL append on every write route: a rejected
+    write is never logged, never applied, and cannot come back at recovery."""
+
+    OVERSIZED = b"x" * 600  # block_size is 512
+
+    def test_rejected_put_is_not_resurrected_by_recovery(self):
+        tree = LSMTree(durable_config())
+        tree.put(b"good", b"v")
+        logged = tree._wal.records_logged
+        with pytest.raises(ConfigError):
+            tree.put(b"big", self.OVERSIZED)
+        assert tree._wal.records_logged == logged
+        assert not tree.get(b"big").found
+        recovered = LSMTree.recover(durable_config(), tree.device)
+        assert not recovered.get(b"big").found
+        assert recovered.get(b"good").value == b"v"
+        recovered.flush()  # an oversized replayed entry used to die here
+        assert recovered.verify_integrity()["errors"] == []
+
+    @pytest.mark.parametrize("route", ["write_batch", "service"])
+    def test_ttl_put_size_is_checked_on_the_batch_route(self, route):
+        tree = LSMTree(durable_config())
+        logged = tree._wal.records_logged
+        with pytest.raises(ConfigError):
+            if route == "write_batch":
+                tree.write_batch([("put_ttl", b"big", self.OVERSIZED, 5.0)])
+            else:
+                with DBService(tree) as service:
+                    service.put(b"big", self.OVERSIZED, ttl=5.0)
+        assert tree._wal.records_logged == logged
+        assert tree.memtable_entries == 0
+
+    def test_one_rejected_op_rejects_the_whole_batch(self):
+        tree = LSMTree(durable_config())
+        logged = tree._wal.records_logged
+        ops = [("put", b"a", b"1"), ("merge", b"c", b"1", "no_such_operator"), ("delete", b"a", None)]
+        with pytest.raises(MergeError):
+            tree.write_batch(ops)
+        with pytest.raises(ConfigError):
+            tree.write_batch([("put", b"a", b"1"), ("put", b"big", self.OVERSIZED)])
+        assert tree._wal.records_logged == logged
+        assert tree.memtable_entries == 0 and tree.stats.puts == 0
+        assert not tree.get(b"a").found

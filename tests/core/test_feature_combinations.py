@@ -187,3 +187,102 @@ class TestApproximateSizeDrivesSharding:
         # Distinct-key mass: 400 hot keys vs ~3600/... estimate reflects data.
         total = tree.approximate_size(encode_uint_key(0), encode_uint_key(3999))
         assert abs((hot + cold) - total) <= total * 0.2
+
+
+class TestOneReadPath:
+    """Every point-read entry point is the same walk: same answer, same
+    provenance, and — for the live handles — the same counter deltas."""
+
+    FIELDS = ("found", "value", "seqno", "source_level", "runs_probed")
+
+    @staticmethod
+    def build(layout, **overrides):
+        """Plain, deleted, TTL-expired, merge-chain and absent keys spread
+        over the memtable and several levels; returns (tree, probe keys)."""
+        tree = make_tree(layout=layout, buffer_bytes=2 << 10, **overrides)
+        for i in range(300):
+            tree.put(encode_uint_key(i), b"base%04d" % i)
+        tree.put(b"doomed", b"soon gone")
+        tree.put(b"ephemeral", b"expires", ttl=1.0)
+        tree.put(b"chain-run", b"10")
+        tree.put(b"chain-straddle", b"100")
+        tree.flush()
+        tree.delete(b"doomed")
+        tree.merge(b"chain-run", b"5")
+        for i in range(300, 500):
+            tree.put(encode_uint_key(i), b"more%04d" % i)
+        tree.flush()
+        tree.merge(b"chain-run", b"7")
+        tree.flush()  # operands now sit in runs above their base
+        tree.merge(b"chain-straddle", b"1")
+        tree.merge(b"chain-memory", b"3")
+        tree.merge(b"chain-memory", b"4")
+        tree.put(b"fresh", b"in the memtable")
+        assert tree.num_levels >= 2 and tree.memtable_entries > 0
+        keys = [encode_uint_key(i) for i in (0, 150, 299, 300, 499)] + [
+            b"doomed", b"ephemeral", b"chain-run", b"chain-straddle",
+            b"chain-memory", b"fresh", b"absent", encode_uint_key(10_000),
+        ]
+        return tree, keys
+
+    @staticmethod
+    def counters(tree):
+        probe = tree.stats.probe
+        return (
+            probe.filter_probes, probe.filter_negatives, probe.false_positives,
+            probe.blocks_read, tree.stats.get_hash_evaluations,
+        )
+
+    def answers(self, tree, read):
+        before = self.counters(tree)
+        results = read()
+        delta = tuple(b - a for a, b in zip(before, self.counters(tree)))
+        return {key: tuple(getattr(r, f) for f in self.FIELDS) for key, r in results.items()}, delta
+
+    @pytest.mark.parametrize("layout", ["leveling", "tiering", "lazy_leveling"])
+    @pytest.mark.parametrize("shared_hashing", [False, True])
+    def test_one_answer_from_every_entry_point(self, layout, shared_hashing):
+        from repro import DBService
+        from repro.parallel import ParallelConfig
+        from repro.txn import Transaction
+
+        tree, keys = self.build(layout, shared_hashing=shared_hashing)
+        reference, cost = self.answers(tree, lambda: {k: tree.get(k) for k in keys})
+        expected = dict(zip(keys, [
+            b"base0000", b"base0150", b"base0299", b"more0300", b"more0499",
+            None, None, b"22", b"101", b"7", b"in the memtable", None, None,
+        ]))
+        assert {key: answer[1] for key, answer in reference.items()} == expected
+        assert cost[0] > 0 and cost[3] > 0 and cost[4] > 0
+
+        service = DBService(tree)
+        live = {
+            "multi_get": lambda: tree.multi_get(keys),
+            "service.get": lambda: {k: service.get(k) for k in keys},
+            "service.multi_get": lambda: service.multi_get(keys),
+        }
+        for name, read in live.items():
+            assert self.answers(tree, read) == (reference, cost), name
+        with tree.snapshot() as snapshot, Transaction(tree) as txn:
+            pinned = {
+                "snapshot.get": lambda: {k: snapshot.get(k) for k in keys},
+                "snapshot.multi_get": lambda: snapshot.multi_get(keys),
+                "transaction.get": lambda: {k: txn.get(k) for k in keys},
+            }
+            for name, read in pinned.items():
+                assert self.answers(tree, read) == (reference, cost), name
+        service.close()
+
+        # The coalesced batch is a different algorithm over the same data; an
+        # identically built tree must give the same answers and filter work.
+        coalescing, _ = self.build(
+            layout, shared_hashing=shared_hashing,
+            parallel=ParallelConfig(
+                max_subcompactions=1, merge_readahead_blocks=1,
+                scan_readahead_blocks=1, write_buffer_blocks=1,
+            ),
+        )
+        batched, batch_cost = self.answers(coalescing, lambda: coalescing.multi_get(keys))
+        assert coalescing.stats.multi_gets == 1
+        assert batched == reference
+        assert batch_cost[:3] == cost[:3]

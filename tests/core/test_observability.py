@@ -59,17 +59,6 @@ class TestCompactionHistory:
         # The cap evicts from the front: the newest event is always retained.
         assert history[-1].tick == max(e.tick for e in history)
 
-    def test_recent_events_returns_newest_n(self):
-        tree = make_tree(buffer_bytes=1 << 9)
-        for i in range(2000):
-            tree.put(encode_uint_key(i % 200), b"y" * 20)
-        tree.flush()
-        recent = tree.stats.recent_events(3)
-        assert len(recent) == 3
-        assert recent == list(tree.stats.history)[-3:]
-        everything = tree.stats.recent_events(10**9)
-        assert everything == list(tree.stats.history)
-
     def test_event_dataclass(self):
         event = CompactionEvent("full", 1, 2, 100, 80, 7)
         assert event.dest == 2 and event.bytes_out == 80

@@ -48,21 +48,16 @@ class TestFaultConfig:
 
 
 class TestKeywordOnlyConfigs:
-    """The api_redesign contract: kw-only now, positional deprecated."""
+    """The api_redesign contract: configs are keyword-only."""
 
     @pytest.mark.parametrize("cls,first_field_value", [
         (LSMConfig, 1 << 20),        # buffer_bytes
         (ServiceConfig, 64),         # max_batch
         (FaultConfig, 42),           # seed
     ])
-    def test_positional_warns_but_works(self, cls, first_field_value):
-        with pytest.warns(DeprecationWarning):
+    def test_positional_is_rejected(self, cls, first_field_value):
+        with pytest.raises(TypeError):
             cls(first_field_value)
-
-    def test_positional_maps_to_leading_fields(self):
-        with pytest.warns(DeprecationWarning):
-            faults = FaultConfig(42)
-        assert faults.seed == 42
 
     def test_keyword_construction_is_silent(self, recwarn):
         LSMConfig(buffer_bytes=1 << 20)

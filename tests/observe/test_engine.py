@@ -109,7 +109,7 @@ class TestHarnessRegistry:
 
 class TestServiceObservability:
     def test_attach_and_record(self):
-        service = DBService(make_config(), ServiceConfig(num_workers=1))
+        service = DBService(make_tree(), ServiceConfig(num_workers=1))
         try:
             registry = MetricsRegistry()
             service.attach_observability(registry, sampling=0.0)
@@ -127,7 +127,7 @@ class TestServiceObservability:
             service.close()
 
     def test_concurrent_harness_attaches_registry(self):
-        service = DBService(make_config(), ServiceConfig(num_workers=1))
+        service = DBService(make_tree(), ServiceConfig(num_workers=1))
         try:
             registry = MetricsRegistry()
             metrics = run_concurrent_workload(

@@ -41,6 +41,22 @@ def overlapping_runs(device, n_runs=3, keys_per_run=120):
     return runs
 
 
+def newest_wins(purge=False, keep=None, dropped=None):
+    """A per-key fold: newest version, tombstones per ``purge``, then ``keep``."""
+
+    def fold(group):
+        entry = group[0]
+        if entry.is_tombstone:
+            return None if purge else entry
+        if keep is not None and not keep(entry.key, entry.value):
+            if dropped is not None:
+                dropped.append(entry.key)
+            return None
+        return entry
+
+    return fold
+
+
 def entry_tuples(entries):
     return [(e.key, e.seqno, e.kind, e.value) for e in entries]
 
@@ -78,19 +94,19 @@ class TestSplitKeyRanges:
 class TestMergeRange:
     def test_ranges_cover_exactly_the_serial_merge(self, device):
         runs = overlapping_runs(device)
-        serial = list(merge_range(runs, None, None, purge=False))
+        serial = list(merge_range(runs, None, None, newest_wins()))
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         pieces = []
         for lo, hi in ranges:
-            pieces.extend(merge_range(runs, lo, hi, purge=False))
+            pieces.extend(merge_range(runs, lo, hi, newest_wins()))
         assert entry_tuples(pieces) == entry_tuples(serial)
 
     def test_boundary_key_belongs_to_next_range(self, device):
         runs = overlapping_runs(device)
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         boundary = ranges[0][1]
-        left = list(merge_range(runs, None, boundary, purge=False))
-        right = list(merge_range(runs, boundary, None, purge=False))
+        left = list(merge_range(runs, None, boundary, newest_wins()))
+        right = list(merge_range(runs, boundary, None, newest_wins()))
         assert all(e.key < boundary for e in left)
         assert right[0].key == boundary
 
@@ -99,13 +115,13 @@ class TestRunSubcompactions:
     @pytest.mark.parametrize("purge", [False, True])
     def test_identical_to_serial_merge(self, device, purge):
         runs = overlapping_runs(device)
-        serial = list(merge_range(runs, None, None, purge=purge))
+        serial = list(merge_range(runs, None, None, newest_wins(purge)))
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         assert len(ranges) > 1
-        tables, filtered = run_subcompactions(
-            runs, ranges, purge, lambda: SSTableBuilder(device), file_limit=2048
+        tables = run_subcompactions(
+            runs, ranges, newest_wins(purge), lambda: SSTableBuilder(device),
+            file_limit=2048,
         )
-        assert filtered == 0
         merged = []
         for table in tables:
             merged.extend(table.iter_entries())
@@ -114,25 +130,19 @@ class TestRunSubcompactions:
         for a, b in zip(tables, tables[1:]):
             assert a.max_key < b.min_key
 
-    def test_compaction_filter_counts_across_ranges(self, device):
+    def test_filtering_fold_agrees_across_ranges(self, device):
         runs = overlapping_runs(device)
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         keep = lambda key, value: not value.endswith(b"3")
-        serial = [
-            e
-            for e in merge_range(runs, None, None, purge=True)
-            if keep(e.key, e.value)
-        ]
-        dropped = sum(
-            1
-            for e in merge_range(runs, None, None, purge=True)
-            if not keep(e.key, e.value)
+        serial_dropped, parallel_dropped = [], []
+        serial = list(
+            merge_range(runs, None, None, newest_wins(True, keep, serial_dropped))
         )
-        tables, filtered = run_subcompactions(
-            runs, ranges, True, lambda: SSTableBuilder(device),
-            file_limit=2048, keep=keep,
+        tables = run_subcompactions(
+            runs, ranges, newest_wins(True, keep, parallel_dropped),
+            lambda: SSTableBuilder(device), file_limit=2048,
         )
-        assert filtered == dropped > 0
+        assert sorted(parallel_dropped) == serial_dropped and serial_dropped
         merged = []
         for table in tables:
             merged.extend(table.iter_entries())
@@ -151,11 +161,30 @@ class TestRunSubcompactions:
         files_before = device.stats.files_created - device.stats.files_deleted
         with pytest.raises(SubcompactionError):
             run_subcompactions(
-                runs, ranges, False, lambda: SSTableBuilder(device),
-                file_limit=2048, keep=keep,
+                runs, ranges, newest_wins(keep=keep), lambda: SSTableBuilder(device),
+                file_limit=2048,
             )
         files_after = device.stats.files_created - device.stats.files_deleted
         assert files_after == files_before  # no torn output set left behind
+
+    def test_serial_failure_deletes_its_outputs_too(self, device):
+        """One range runs the same build loop on the caller's thread: a
+        failure mid-merge leaves no finished or partial file behind."""
+        runs = overlapping_runs(device)
+        late = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)[-1][0]
+
+        def keep(key, value):
+            if key >= late:  # fail late: earlier output files are finished
+                raise RuntimeError("boom")
+            return True
+
+        files_before = device.stats.files_created - device.stats.files_deleted
+        with pytest.raises(RuntimeError):
+            run_subcompactions(
+                runs, [(None, None)], newest_wins(keep=keep),
+                lambda: SSTableBuilder(device), file_limit=2048,
+            )
+        assert device.stats.files_created - device.stats.files_deleted == files_before
 
     def test_simulated_crash_passes_through_unwrapped(self, device):
         runs = overlapping_runs(device)
@@ -166,8 +195,8 @@ class TestRunSubcompactions:
 
         with pytest.raises(SimulatedCrashError):
             run_subcompactions(
-                runs, ranges, False, lambda: SSTableBuilder(device),
-                file_limit=2048, keep=keep,
+                runs, ranges, newest_wins(keep=keep), lambda: SSTableBuilder(device),
+                file_limit=2048,
             )
 
 

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 import repro
-from repro import LSMConfig
+from repro import LSMConfig, LSMTree
 from repro.observe import MetricsRegistry
 from repro.server import (
     LSMClient,
@@ -177,7 +177,7 @@ class TestConcurrencyAndLifecycle:
         assert errors == []
 
     def test_graceful_shutdown_is_idempotent_and_refuses_new_work(self):
-        service = DBService(LSMConfig(buffer_bytes=4 << 10, block_size=512))
+        service = DBService(LSMTree(LSMConfig(buffer_bytes=4 << 10, block_size=512)))
         srv = LSMServer(service, ServerConfig(), close_service=True)
         srv.start()
         host, port = srv.address
@@ -189,7 +189,7 @@ class TestConcurrencyAndLifecycle:
             socket.create_connection((host, port), timeout=0.5)
 
     def test_connection_cap_refuses_politely(self):
-        service = DBService(LSMConfig(buffer_bytes=4 << 10, block_size=512))
+        service = DBService(LSMTree(LSMConfig(buffer_bytes=4 << 10, block_size=512)))
         srv = LSMServer(
             service, ServerConfig(max_connections=1), close_service=True
         )

@@ -3,8 +3,9 @@
 import threading
 import time
 
-from repro import LSMConfig, LSMTree, encode_uint_key
+from repro import DBService, LSMConfig, LSMTree, ServiceConfig, encode_uint_key
 from repro.service import CompactionScheduler, RateLimiter
+from repro.storage.block_device import BlockDevice
 
 
 class StubStats:
@@ -115,8 +116,6 @@ def test_register_takes_over_maintenance():
     tree.verify_integrity()
     assert tree.get(encode_uint_key(499)).found
     # Background jobs feed the same history satellite tooling reads.
-    recent = tree.stats.recent_events(5)
-    assert recent and recent == list(tree.stats.history)[-5:]
     assert any(e.kind == "flush" for e in tree.stats.history)
 
 
@@ -161,3 +160,97 @@ def test_close_is_idempotent_and_stops_workers():
     scheduler.close()
     scheduler.close()
     assert scheduler.pending_jobs == 0
+
+
+class HookedDevice(BlockDevice):
+    """Runs ``hook()`` before every single-block read (a mid-merge probe point)."""
+
+    hook = None
+
+    def read_block(self, file_id, block_no):
+        if self.hook is not None:
+            self.hook()
+        return super().read_block(file_id, block_no)
+
+
+def partial_config(**overrides):
+    return LSMConfig(
+        buffer_bytes=2 << 10, block_size=512, size_ratio=3, seed=5,
+        partial_compaction=True, file_bytes=1024, **overrides,
+    )
+
+
+def test_partial_merge_runs_off_the_mutex_and_is_rate_limited():
+    """A partial plan is a first-class plan: real ``bytes_in`` charged to the
+    limiter, and its merge runs in the execute phase without the tree mutex
+    (it used to run inside install, stalling every writer)."""
+    device = HookedDevice(block_size=512)
+    tree = LSMTree(partial_config(), device=device)
+    limiter = RateLimiter(64 << 20)
+    plans, mutex_was_free = [], []
+    merging = threading.local()
+
+    plan_compaction, execute_compaction = tree.plan_compaction, tree.execute_compaction
+
+    def recording_plan():
+        plan = plan_compaction()
+        if plan is not None:
+            plans.append((plan.kind, plan.trivial, plan.bytes_in))
+        return plan
+
+    def flagged_execute(plan):
+        merging.partial = plan.kind == "partial"
+        try:
+            return execute_compaction(plan)
+        finally:
+            merging.partial = False
+
+    def probe_mutex():
+        if not getattr(merging, "partial", False) or len(mutex_was_free) >= 5:
+            return
+        outcome = []
+
+        def other_thread():
+            acquired = tree.mutex.acquire(timeout=2.0)
+            outcome.append(acquired)
+            if acquired:
+                tree.mutex.release()
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        mutex_was_free.extend(outcome)
+
+    tree.plan_compaction, tree.execute_compaction = recording_plan, flagged_execute
+    device.hook = probe_mutex
+    with DBService(tree, ServiceConfig(num_workers=2)) as service:
+        service.scheduler.rate_limiter = limiter
+        for i in range(3000):
+            service.put(encode_uint_key((i * 733) % 900), b"x" * 30)
+        service.flush(wait=True)
+    device.hook = None
+    partial_merges = [bytes_in for kind, trivial, bytes_in in plans
+                      if kind == "partial" and not trivial]
+    assert partial_merges and all(bytes_in > 0 for bytes_in in partial_merges)
+    assert limiter.bytes_admitted >= sum(bytes_in for _, _, bytes_in in plans)
+    assert mutex_was_free and all(mutex_was_free)
+    assert tree.verify_integrity()["errors"] == []
+
+
+def test_abandoning_a_partial_plan_releases_every_pin():
+    tree = LSMTree(partial_config(lazy_compaction=True, compaction_steps_per_op=0))
+    for i in range(1500):
+        tree.put(encode_uint_key((i * 733) % 900), b"x" * 30)
+    while True:  # step until the next plan is a file-granularity one
+        plan = tree.plan_compaction()
+        assert plan is not None, "workload never reached partial granularity"
+        if plan.kind == "partial":
+            break
+        tree.install_compaction(plan, tree.execute_compaction(plan))
+    tables = plan.tables
+    pinned = [table.refs for table in tables]
+    assert plan.bytes_in == sum(table.size_bytes for table in tables) > 0
+    tree.abandon_compaction(plan)
+    assert [table.refs for table in tables] == [refs - 1 for refs in pinned]
+    assert all(table.refs == 1 for table in tables)  # level membership only
