@@ -16,7 +16,8 @@ Runs two ways:
 * ``pytest benchmarks/bench_e22_parallel.py`` — the usual experiment-table
   path (writes ``benchmarks/results/e22_*.txt``);
 * ``python benchmarks/bench_e22_parallel.py [--quick]`` — the CI perf-smoke
-  path: writes ``BENCH_perf.json`` and, with ``--check-baseline``, fails if
+  path: merges its sections into ``benchmarks/results/BENCH_perf.json`` and,
+  with ``--check-baseline``, fails if
   serial merge throughput regressed >20% against the committed baseline
   (``benchmarks/baselines/perf_baseline.json``).
 """
@@ -37,7 +38,7 @@ from repro.storage.sstable import SSTableBuilder
 
 HERE = pathlib.Path(__file__).parent
 BASELINE_PATH = HERE / "baselines" / "perf_baseline.json"
-DEFAULT_OUTPUT = HERE.parent / "BENCH_perf.json"
+DEFAULT_OUTPUT = HERE / "results" / "BENCH_perf.json"
 
 FULL = dict(entries_per_run=8_000, runs=4, latency_scale=5e-3,
             tree_entries=6_000, keyspace=1_200)
@@ -218,7 +219,7 @@ def run_experiment(quick):
 
 
 def test_e22_parallel(benchmark):
-    from conftest import once, record
+    from conftest import merge_perf_json, once, record
 
     results = once(benchmark, lambda: run_experiment(quick=True))
     comp, scan, points = results["compaction"], results["scan"], results["point_reads"]
@@ -241,8 +242,7 @@ def test_e22_parallel(benchmark):
           points["multi_get_seeks"], points["individual_seeks"],
           points["batch_seek_reduction"]]],
     )
-    (HERE / "results").mkdir(exist_ok=True)
-    (HERE / "results" / "BENCH_perf.json").write_text(json.dumps(results, indent=2))
+    merge_perf_json(DEFAULT_OUTPUT, results)
     assert comp["identical_output"]
     assert comp["speedup_vs_serial"] >= 2.0
     assert scan["seek_reduction"] >= 3.0
@@ -274,7 +274,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI-sized run")
     parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT,
-                        help="where to write BENCH_perf.json")
+                        help="BENCH_perf.json to merge the sections into")
     parser.add_argument("--baseline", type=pathlib.Path, default=BASELINE_PATH)
     parser.add_argument("--check-baseline", action="store_true",
                         help="fail if serial throughput regressed >20%%")
@@ -282,8 +282,10 @@ def main(argv=None):
                         help="record this run as the new committed baseline")
     args = parser.parse_args(argv)
 
+    from conftest import merge_perf_json
+
     results = run_experiment(quick=args.quick)
-    args.output.write_text(json.dumps(results, indent=2))
+    merge_perf_json(args.output, results)
     comp, scan, points = results["compaction"], results["scan"], results["point_reads"]
     print(f"wrote {args.output}")
     print(f"  merge: serial {comp['serial_wall_s']}s, parallel(4) "

@@ -24,7 +24,6 @@ Runs two ways:
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -35,7 +34,7 @@ from repro.server import ServerConfig, TenantLoad
 from repro.workloads.spec import OperationMix
 
 HERE = pathlib.Path(__file__).parent
-DEFAULT_OUTPUT = HERE.parent / "BENCH_perf.json"
+DEFAULT_OUTPUT = HERE / "results" / "BENCH_perf.json"
 
 FULL = dict(share=150.0, burst=15.0, compliant_rate=100.0, compliant_ops=240,
             hot_clients=2, hot_ops=450)
@@ -159,13 +158,10 @@ def run_experiment(quick):
 
 
 def merge_into_perf_json(results, path):
-    """Read-modify-write: keep other experiments' sections (e.g. E22)."""
+    """Merge this experiment's section into the shared perf JSON."""
+    from conftest import merge_perf_json
+
     merged = {}
-    if path.is_file():
-        try:
-            merged = json.loads(path.read_text())
-        except ValueError:
-            merged = {}
     merged["server_isolation"] = {
         "share_ops_per_second": results["share_ops_per_second"],
         "hot_achieved_x_share": results["hot_tenant"]["achieved_x_share"],
@@ -174,8 +170,7 @@ def merge_into_perf_json(results, path):
         "isolation_holds": results["isolation_holds"],
         "protocol_errors": results["protocol_errors"],
     }
-    path.write_text(json.dumps(merged, indent=2))
-    return merged
+    return merge_perf_json(path, merged)
 
 
 # -- pytest entry -------------------------------------------------------------
@@ -208,8 +203,7 @@ def test_e23_server_isolation(benchmark):
         ["tenant", "solo p99 ms", "contended p99 ms", "ratio", "ops", "waits"],
         rows,
     )
-    (HERE / "results").mkdir(exist_ok=True)
-    merge_into_perf_json(results, HERE / "results" / "BENCH_perf.json")
+    merge_into_perf_json(results, DEFAULT_OUTPUT)
     assert results["protocol_errors"] == 0
     assert hot["throttle_waits"] > 0, "the hot tenant was never throttled"
     # Throttled near its share (burst + scheduling slack allowed)...

@@ -23,7 +23,6 @@ Runs two ways:
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -34,7 +33,7 @@ from repro.server import ServerConfig, TenantLoad
 from repro.workloads.spec import OperationMix
 
 HERE = pathlib.Path(__file__).parent
-DEFAULT_OUTPUT = HERE.parent / "BENCH_perf.json"
+DEFAULT_OUTPUT = HERE / "results" / "BENCH_perf.json"
 
 FULL = dict(tenants=2, clients=2, ops_per_client=400, repeats=3)
 QUICK = dict(tenants=2, clients=2, ops_per_client=200, repeats=2)
@@ -137,13 +136,10 @@ def run_experiment(quick):
 
 
 def merge_into_perf_json(results, path):
-    """Read-modify-write: keep other experiments' sections (E22, E23)."""
+    """Merge this experiment's section into the shared perf JSON."""
+    from conftest import merge_perf_json
+
     merged = {}
-    if path.is_file():
-        try:
-            merged = json.loads(path.read_text())
-        except ValueError:
-            merged = {}
     merged["tracing_overhead"] = {
         "levels": {
             s: {
@@ -156,8 +152,7 @@ def merge_into_perf_json(results, path):
         "bound_at_1pct": results["bound_at_1pct"],
         "overhead_holds": results["overhead_holds"],
     }
-    path.write_text(json.dumps(merged, indent=2))
-    return merged
+    return merge_perf_json(path, merged)
 
 
 # -- pytest entry -------------------------------------------------------------
@@ -185,8 +180,7 @@ def test_e24_tracing_overhead(benchmark):
         ["sampling", "best ops/s", "overhead", "spans", "journal events"],
         rows,
     )
-    (HERE / "results").mkdir(exist_ok=True)
-    merge_into_perf_json(results, HERE / "results" / "BENCH_perf.json")
+    merge_into_perf_json(results, DEFAULT_OUTPUT)
     # Sampling must actually have happened at the non-zero rates...
     assert results["levels"]["0.1"]["sampled_spans"] > 0
     assert results["levels"]["0"]["sampled_spans"] == 0

@@ -23,7 +23,6 @@ Runs two ways:
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -38,7 +37,7 @@ from repro.workloads.txn import (
 )
 
 HERE = pathlib.Path(__file__).parent
-DEFAULT_OUTPUT = HERE.parent / "BENCH_perf.json"
+DEFAULT_OUTPUT = HERE / "results" / "BENCH_perf.json"
 
 FULL = dict(
     accounts=48, workers=4, transfers_per_worker=250,
@@ -162,13 +161,10 @@ def run_experiment(quick):
 
 
 def merge_into_perf_json(results, path):
-    """Read-modify-write: keep other experiments' sections (E22-E24)."""
+    """Merge this experiment's section into the shared perf JSON."""
+    from conftest import merge_perf_json
+
     merged = {}
-    if path.is_file():
-        try:
-            merged = json.loads(path.read_text())
-        except ValueError:
-            merged = {}
     merged["transactions"] = {
         "counter_ops_per_second": results["counter"]["ops_per_second"],
         "counter_exact": results["counter"]["exact"],
@@ -183,8 +179,7 @@ def merge_into_perf_json(results, path):
             results["bank"]["conserved"] and results["bank_hot"]["conserved"]
         ),
     }
-    path.write_text(json.dumps(merged, indent=2))
-    return merged
+    return merge_perf_json(path, merged)
 
 
 # -- pytest entry -------------------------------------------------------------
@@ -214,8 +209,7 @@ def test_e25_transactions(benchmark):
             ],
         ],
     )
-    (HERE / "results").mkdir(exist_ok=True)
-    merge_into_perf_json(results, HERE / "results" / "BENCH_perf.json")
+    merge_into_perf_json(results, DEFAULT_OUTPUT)
     assert counter["exact"], (
         f"counter folding lost operands: {counter['folded_total']} != "
         f"{counter['increments']}"

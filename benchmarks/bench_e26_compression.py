@@ -44,7 +44,7 @@ from repro.storage.sstable import SSTableBuilder
 
 HERE = pathlib.Path(__file__).parent
 BASELINE_PATH = HERE / "baselines" / "perf_baseline.json"
-DEFAULT_OUTPUT = HERE.parent / "BENCH_perf.json"
+DEFAULT_OUTPUT = HERE / "results" / "BENCH_perf.json"
 
 CODECS = ("none", "rle", "zlib")
 
@@ -302,13 +302,10 @@ def run_experiment(quick):
 
 
 def merge_into_perf_json(results, path):
-    """Read-modify-write: keep other experiments' sections (E22-E25)."""
+    """Merge this experiment's section into the shared perf JSON."""
+    from conftest import merge_perf_json
+
     merged = {}
-    if path.is_file():
-        try:
-            merged = json.loads(path.read_text())
-        except ValueError:
-            merged = {}
     bytes_ = results["device_bytes"]
     warm = results["warm_throughput"]
     identity = results["parallel_identity"]
@@ -341,8 +338,7 @@ def merge_into_perf_json(results, path):
         ),
         "tier_split": results["tier_split"],
     }
-    path.write_text(json.dumps(merged, indent=2))
-    return merged
+    return merge_perf_json(path, merged)
 
 
 # -- pytest entry -------------------------------------------------------------
@@ -385,8 +381,7 @@ def test_e26_compression(benchmark):
          "device reads", "tier hits"],
         split_rows,
     )
-    (HERE / "results").mkdir(exist_ok=True)
-    merge_into_perf_json(results, HERE / "results" / "BENCH_perf.json")
+    merge_into_perf_json(results, DEFAULT_OUTPUT)
     for codec in ("rle", "zlib"):
         assert bytes_[codec]["write_reduction"] >= 0.25, codec
         assert bytes_[codec]["read_reduction"] >= 0.25, codec

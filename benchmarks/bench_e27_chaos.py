@@ -24,7 +24,6 @@ Runs two ways:
 """
 
 import argparse
-import json
 import pathlib
 import random
 import sys
@@ -36,7 +35,7 @@ from repro.chaos import FaultyTransport, NetworkFaultConfig
 from repro.server import LSMClient, LSMServer, RetryPolicy, ServerConfig
 
 HERE = pathlib.Path(__file__).parent
-DEFAULT_OUTPUT = HERE.parent / "BENCH_perf.json"
+DEFAULT_OUTPUT = HERE / "results" / "BENCH_perf.json"
 
 FULL = dict(ops=1500, keyspace=400)
 QUICK = dict(ops=500, keyspace=200)
@@ -175,13 +174,10 @@ def run_experiment(quick):
 
 
 def merge_into_perf_json(results, path):
-    """Read-modify-write: keep other experiments' sections (E22–E26)."""
+    """Merge this experiment's section into the shared perf JSON."""
+    from conftest import merge_perf_json
+
     merged = {}
-    if path.is_file():
-        try:
-            merged = json.loads(path.read_text())
-        except ValueError:
-            merged = {}
     merged["chaos"] = {
         "clean_goodput_ops_per_second": results["clean_goodput_ops_per_second"],
         "amplification_at_1pct": results["amplification_at_1pct"],
@@ -196,8 +192,7 @@ def merge_into_perf_json(results, path):
             for rate, row in results["rates"].items()
         },
     }
-    path.write_text(json.dumps(merged, indent=2))
-    return merged
+    return merge_perf_json(path, merged)
 
 
 # -- pytest entry -------------------------------------------------------------
@@ -228,8 +223,7 @@ def test_e27_chaos(benchmark):
          "p99 ms", "retries", "amplification"],
         rows,
     )
-    (HERE / "results").mkdir(exist_ok=True)
-    merge_into_perf_json(results, HERE / "results" / "BENCH_perf.json")
+    merge_into_perf_json(results, DEFAULT_OUTPUT)
     assert results["exactly_once_ok"], "an acked merge was lost or doubled"
     assert results["amplification_ok"], (
         f"retry amplification {results['amplification_at_1pct']} > 1.2 "

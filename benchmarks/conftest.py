@@ -5,6 +5,7 @@ Every experiment Ei prints its result table and also writes it to
 EXPERIMENTS.md records these measured rows against the expected shapes.
 """
 
+import json
 import pathlib
 
 from repro.bench.report import format_table
@@ -18,6 +19,22 @@ def record(name: str, title: str, headers, rows) -> None:
     table = f"== {title} ==\n" + format_table(headers, rows) + "\n"
     print("\n" + table)
     (RESULTS_DIR / f"{name}.txt").write_text(table)
+
+
+def merge_perf_json(path: pathlib.Path, sections: dict) -> dict:
+    """Merge ``sections`` into the perf JSON at ``path`` (by default
+    ``results/BENCH_perf.json``, the one file every perf smoke shares),
+    keeping the other experiments' sections; returns the merged document."""
+    merged = {}
+    if path.is_file():
+        try:
+            merged = json.loads(path.read_text())
+        except ValueError:
+            merged = {}
+    merged.update(sections)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(merged, indent=2))
+    return merged
 
 
 def once(benchmark, func):

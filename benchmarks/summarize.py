@@ -25,33 +25,24 @@ ORDER = [
     "e27_", "a1_", "a2_", "a3_",
 ]
 
-#: Candidate locations of the perf-smoke JSON (CI writes to the repo root).
-PERF_JSON_PATHS = [
-    RESULTS / "BENCH_perf.json",
-    pathlib.Path(__file__).parent.parent / "BENCH_perf.json",
-]
+#: The one perf-smoke JSON: every ``bench_e2[2-7]`` run merges its section here.
+PERF_JSON = RESULTS / "BENCH_perf.json"
 
 
 def render_perf_json() -> str:
-    """Flatten the newest BENCH_perf.json into a report section.
+    """Flatten BENCH_perf.json into a report section.
 
     The perf smokes (``bench_e22_parallel.py``, ``bench_e23_server.py``,
     ``bench_e24_tracing.py``, ``bench_e25_txn.py``,
     ``bench_e26_compression.py``, ``bench_e27_chaos.py``) emit nested JSON
-    rather than a table;
-    merge every candidate file (newest wins) and render the leaf metrics as
+    rather than a table; render the leaf metrics as
     ``section.sub.key = value`` lines (sections nest arbitrarily deep —
     E26's ``compression.codecs.zlib.*`` for one).
     """
-    merged: dict = {}
-    for path in sorted(
-        (p for p in PERF_JSON_PATHS if p.is_file()),
-        key=lambda p: p.stat().st_mtime,
-    ):
-        try:
-            merged.update(json.loads(path.read_text()))
-        except (OSError, ValueError):
-            continue
+    try:
+        merged = json.loads(PERF_JSON.read_text())
+    except (OSError, ValueError):
+        merged = {}
     if not merged:
         return ""
     lines = ["== perf smoke (BENCH_perf.json) =="]

@@ -35,12 +35,12 @@ it from the command line for the CI chaos matrix::
 
 from __future__ import annotations
 
-import argparse
+import functools
+import itertools
 import random
-import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.config import NETWORK_CRASH_POINTS, NetworkFaultConfig
@@ -54,6 +54,8 @@ from repro.errors import (
 )
 from repro.faults.config import FaultConfig
 from repro.faults.device import FaultyBlockDevice
+from repro.faults.kernel import CycleResult as _CycleResult
+from repro.faults.kernel import HarnessReport, finish_matrix, matrix_parser, run_grid
 from repro.server import LSMClient, LSMServer, RemoteError, RetryPolicy, ServerConfig
 
 #: Crossings each network point gets before its scheduled countdown is
@@ -97,56 +99,22 @@ PROFILES: Dict[str, dict] = {
 
 
 @dataclass
-class CycleResult:
-    """Outcome of one chaos cycle."""
+class CycleResult(_CycleResult):
+    """Outcome of one chaos cycle (``fired``: the scheduled *network* crash)."""
 
-    cycle: int
-    crash_point: str
-    countdown: int
-    fired: bool  # did the scheduled network crash actually trigger?
     storage_crashes: int = 0
-    ops_acked: int = 0
     ops_failed: int = 0
     retries: int = 0
-    keys_checked: int = 0
     max_overshoot_s: float = 0.0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
-@dataclass
-class HarnessReport:
-    """Aggregate over a harness run; ``ok`` is the CI pass/fail bit."""
-
-    cycles: List[CycleResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(cycle.ok for cycle in self.cycles)
-
-    @property
-    def crashes_fired(self) -> int:
-        return sum(1 for c in self.cycles if c.fired)
-
-    @property
-    def storage_crashes(self) -> int:
-        return sum(c.storage_crashes for c in self.cycles)
-
-    @property
-    def violations(self) -> List[str]:
-        return [v for c in self.cycles for v in c.violations]
-
-    def summary(self) -> str:
-        return (
-            f"{len(self.cycles)} cycles, {self.crashes_fired} network crashes, "
-            f"{self.storage_crashes} storage crashes, "
-            f"{sum(c.ops_acked for c in self.cycles)} acked ops, "
-            f"{sum(c.retries for c in self.cycles)} retries, "
-            f"{len(self.violations)} violations"
-        )
+#: What a chaos report's ``summary()`` totals (see :class:`HarnessReport`).
+_TOTALS = {
+    "fired": "network crashes",
+    "storage_crashes": "storage crashes",
+    "ops_acked": "acked ops",
+    "retries": "retries",
+}
 
 
 class CrashFuseService:
@@ -602,10 +570,7 @@ class ChaosHarness:
         return result
 
     def run(self, cycles: int) -> HarnessReport:
-        report = HarnessReport()
-        for cycle_no in range(cycles):
-            report.cycles.append(self.run_cycle(cycle_no))
-        return report
+        return HarnessReport([self.run_cycle(n) for n in range(cycles)], totals=_TOTALS)
 
 
 # -- chaos-matrix CLI ---------------------------------------------------------
@@ -625,57 +590,25 @@ def run_matrix(
         ``(ok, failures)`` where each failure dict pins the exact
         configuration and seed needed to replay it.
     """
-    failures: List[dict] = []
-    total = 0
-    for seed in seeds:
-        for profile in profiles:
-            harness = ChaosHarness(
-                seed=seed,
-                profile=profile,
-                storage_crash=storage_crash,
-                ops_per_cycle=ops_per_cycle,
-            )
-            try:
-                report = harness.run(cycles)
-            finally:
-                harness.close()
-            total += len(report.cycles)
-            if verbose:
-                print(
-                    f"seed={seed} profile={profile} "
-                    f"storage_crash={storage_crash}: {report.summary()}"
-                )
-            if not report.ok:
-                failures.append(
-                    {
-                        "seed": seed,
-                        "profile": profile,
-                        "storage_crash": storage_crash,
-                        "violations": report.violations,
-                    }
-                )
-    if verbose:
-        print(f"matrix total: {total} cycles, {len(failures)} failing configs")
-    return not failures, failures
+    grid = (
+        dict(seed=seed, profile=profile, storage_crash=storage_crash)
+        for seed, profile in itertools.product(seeds, profiles)
+    )
+    make_harness = functools.partial(ChaosHarness, ops_per_cycle=ops_per_cycle)
+    return run_grid(grid, make_harness, cycles, verbose)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cycles", type=int, default=10, help="cycles per config")
-    parser.add_argument("--seed", type=int, action="append", default=None,
-                        help="seed(s) for the matrix (repeatable)")
+    parser = matrix_parser(__doc__, default_cycles=10)
     parser.add_argument("--profile", action="append", default=None,
                         choices=sorted(PROFILES))
     parser.add_argument("--storage-crash", action="store_true",
                         help="also fire storage crash points (combined tier)")
     parser.add_argument("--ops", type=int, default=40,
                         help="operations per cycle")
-    parser.add_argument("--failures-file", default=None,
-                        help="write failing configurations here as JSON")
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    ok, failures = run_matrix(
+    _, failures = run_matrix(
         seeds=args.seed or [1, 2],
         cycles=args.cycles,
         profiles=args.profile or ["mixed"],
@@ -683,25 +616,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         ops_per_cycle=args.ops,
         verbose=not args.quiet,
     )
-    if args.failures_file and failures:
-        import json
-
-        with open(args.failures_file, "w") as fh:
-            json.dump(failures, fh, indent=2)
-    if not ok:
-        print(
-            f"FAIL: {len(failures)} configuration(s) violated exactly-once",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            flag = " --storage-crash" if failure["storage_crash"] else ""
-            print(
-                f"  replay: --seed {failure['seed']} "
-                f"--profile {failure['profile']}{flag}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    return finish_matrix(
+        failures, args.failures_file, "exactly-once",
+        lambda f: (
+            f"--seed {f['seed']} --profile {f['profile']}"
+            + (" --storage-crash" if f["storage_crash"] else "")
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ sync interval; batch: one frame + sync; replay: re-log the record).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from repro.common.entry import (
@@ -20,7 +21,7 @@ from repro.common.entry import (
     encode_ttl_value,
     live_value,
 )
-from repro.errors import ConfigError, MergeError
+from repro.errors import ConfigError, MergeError, ReproError
 
 
 def stage(
@@ -49,6 +50,7 @@ def stage(
 
     Raises:
         MergeError: unknown merge operator.
+        ReproError: a TTL that is NaN or infinite.
         ConfigError: the stored entry cannot fit one data block.
         ValueError: unknown ``kind``.
     """
@@ -64,7 +66,14 @@ def stage(
         return record, record
     if kind not in ("put", "put_ttl"):
         raise ValueError(f"unknown write kind {kind!r}")
-    deadline = None if kind == "put" else now + float(meta)
+    deadline = None
+    if kind == "put_ttl":
+        # NaN never compares expired and inf never arrives: either would make
+        # the key immortal, and the wire hands us the peer's raw f64.
+        ttl = float(meta)
+        if not math.isfinite(ttl):
+            raise ReproError(f"ttl must be a finite number of seconds, got {meta!r}")
+        deadline = now + ttl
     record = entry = _put_entry(key, seqno, value, deadline)
     if values is not None:
         entry = _put_entry(key, seqno, values.encode(key, value), deadline)

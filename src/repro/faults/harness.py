@@ -37,10 +37,8 @@ checked here is unchanged.
 
 from __future__ import annotations
 
-import argparse
+import itertools
 import random
-import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.encoding import encode_uint_key
@@ -50,6 +48,13 @@ from repro.errors import SimulatedCrashError
 from repro.faults.config import CRASH_POINTS, FaultConfig
 from repro.faults.device import FaultyBlockDevice
 from repro.faults.guard import ReadGuard
+from repro.faults.kernel import (
+    CycleResult,
+    HarnessReport,
+    finish_matrix,
+    matrix_parser,
+    run_grid,
+)
 from repro.storage.block_device import LatencyModel
 from repro.storage.compression import available_codecs
 
@@ -68,49 +73,6 @@ _POINT_BUDGET = {
 }
 
 _TOMBSTONE = None  # sentinel in the model: key was deleted (and acked)
-
-
-@dataclass
-class CycleResult:
-    """Outcome of one crash/recover cycle."""
-
-    cycle: int
-    crash_point: str
-    countdown: int
-    fired: bool  # did the scheduled crash actually trigger?
-    ops_acked: int
-    keys_checked: int
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class HarnessReport:
-    """Aggregate over a harness run; ``ok`` is the CI pass/fail bit."""
-
-    cycles: List[CycleResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(cycle.ok for cycle in self.cycles)
-
-    @property
-    def crashes_fired(self) -> int:
-        return sum(1 for c in self.cycles if c.fired)
-
-    @property
-    def violations(self) -> List[str]:
-        return [v for c in self.cycles for v in c.violations]
-
-    def summary(self) -> str:
-        return (
-            f"{len(self.cycles)} cycles, {self.crashes_fired} crashes fired, "
-            f"{sum(c.ops_acked for c in self.cycles)} acked ops, "
-            f"{len(self.violations)} violations"
-        )
 
 
 class CrashHarness:
@@ -463,10 +425,7 @@ class CrashHarness:
         return result
 
     def run(self, cycles: int) -> HarnessReport:
-        report = HarnessReport()
-        for cycle_no in range(cycles):
-            report.cycles.append(self.run_cycle(cycle_no, first=(cycle_no == 0)))
-        return report
+        return HarnessReport([self.run_cycle(n, first=(n == 0)) for n in range(cycles)])
 
 
 # -- crash-matrix CLI --------------------------------------------------------
@@ -495,63 +454,41 @@ def run_matrix(
         ``(ok, failures)`` where each failure dict pins the exact
         configuration and seed needed to replay it.
     """
-    failures: List[dict] = []
     points = tuple(crash_points) if crash_points else CRASH_POINTS
-    total = 0
-    for seed in seeds:
-        for mode in modes:
-            for layout in layouts:
-                for latency_name in latencies:
-                    spec = _LATENCY_MODELS[latency_name]
-                    latency = LatencyModel(**spec) if spec else None
-                    config = LSMConfig(
-                        buffer_bytes=4 << 10,
-                        block_size=512,
-                        size_ratio=3,
-                        layout=layout,
-                        wal_enabled=True,
-                        wal_sync_interval=1,
-                        compression=compression,
-                        seed=seed,
-                    )
-                    harness = CrashHarness(
-                        config=config,
-                        faults=FaultConfig(seed=seed, torn_write_prob=0.5),
-                        mode=mode,
-                        seed=seed,
-                        crash_points=points,
-                        parallel=parallel,
-                    )
-                    harness.device.latency = latency or harness.device.latency
-                    report = harness.run(cycles)
-                    total += len(report.cycles)
-                    if verbose:
-                        print(
-                            f"seed={seed} mode={mode} layout={layout} "
-                            f"latency={latency_name}: {report.summary()}"
-                        )
-                    if not report.ok:
-                        failures.append(
-                            {
-                                "seed": seed,
-                                "mode": mode,
-                                "layout": layout,
-                                "latency": latency_name,
-                                "parallel": parallel,
-                                "compression": compression,
-                                "violations": report.violations,
-                            }
-                        )
-    if verbose:
-        print(f"matrix total: {total} cycles, {len(failures)} failing configs")
-    return not failures, failures
+
+    def make_harness(seed, mode, layout, latency, parallel, compression):
+        config = LSMConfig(
+            buffer_bytes=4 << 10,
+            block_size=512,
+            size_ratio=3,
+            layout=layout,
+            wal_enabled=True,
+            wal_sync_interval=1,
+            compression=compression,
+            seed=seed,
+        )
+        harness = CrashHarness(
+            config=config,
+            faults=FaultConfig(seed=seed, torn_write_prob=0.5),
+            mode=mode,
+            seed=seed,
+            crash_points=points,
+            parallel=parallel,
+        )
+        if _LATENCY_MODELS[latency]:
+            harness.device.latency = LatencyModel(**_LATENCY_MODELS[latency])
+        return harness
+
+    grid = (
+        dict(seed=seed, mode=mode, layout=layout, latency=latency,
+             parallel=parallel, compression=compression)
+        for seed, mode, layout, latency in itertools.product(seeds, modes, layouts, latencies)
+    )
+    return run_grid(grid, make_harness, cycles, verbose)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cycles", type=int, default=25, help="cycles per config")
-    parser.add_argument("--seed", type=int, action="append", default=None,
-                        help="seed(s) for the matrix (repeatable)")
+    parser = matrix_parser(__doc__, default_cycles=25)
     parser.add_argument("--mode", action="append", default=None,
                         choices=["tree", "service", "sharded", "txn"])
     parser.add_argument("--layout", action="append", default=None,
@@ -565,12 +502,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--compression", default="none",
                         choices=sorted(available_codecs()),
                         help="block codec the matrix builds tables with")
-    parser.add_argument("--failures-file", default=None,
-                        help="write failing configurations here as JSON")
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    ok, failures = run_matrix(
+    _, failures = run_matrix(
         seeds=args.seed or [1, 2],
         cycles=args.cycles,
         modes=args.mode or ["tree"],
@@ -581,21 +515,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         compression=args.compression,
         verbose=not args.quiet,
     )
-    if args.failures_file and failures:
-        import json
-
-        with open(args.failures_file, "w") as fh:
-            json.dump(failures, fh, indent=2)
-    if not ok:
-        print(f"FAIL: {len(failures)} configuration(s) violated durability",
-              file=sys.stderr)
-        for failure in failures:
-            print(f"  replay: --seed {failure['seed']} --mode {failure['mode']} "
-                  f"--layout {failure['layout']} --latency {failure['latency']} "
-                  f"--compression {failure['compression']}",
-                  file=sys.stderr)
-        return 1
-    return 0
+    return finish_matrix(
+        failures, args.failures_file, "durability",
+        lambda f: (
+            f"--seed {f['seed']} --mode {f['mode']} --layout {f['layout']} "
+            f"--latency {f['latency']} --compression {f['compression']}"
+        ),
+    )
 
 
 if __name__ == "__main__":

@@ -21,6 +21,16 @@ magic, unknown version or type, an over-limit length, a CRC mismatch, or
 payload bytes left over after the typed decode — so corruption anywhere
 in a frame is detected, never silently accepted.
 
+The schema lives in one place: each message class is a frozen dataclass
+whose fields, in payload order, each name a :class:`Kind` from the
+vocabulary below (``STR``, ``BYTES``, ``BOOL``, ``VARINT``, ``F64``,
+``optional(x)``, ``repeated(x, ...)``, ``WIRE_OPS``, the trailing
+``TRACE``/``IDEM`` blocks, and ``may_end(x)`` for fields appended to a
+message after its first release). :meth:`Message.encode_payload` and
+:meth:`Message.decode_payload` walk that list and are the only codec; a
+request's ``OP`` name and whether it is ``MUTATING`` are read from the same
+class by the server and the client. ``docs/API.md`` renders the table.
+
 The module is transport-agnostic: :func:`encode_frame` /
 :class:`FrameDecoder` work on byte strings; :func:`send_message` /
 :func:`recv_message` adapt them to a blocking socket.
@@ -28,18 +38,14 @@ The module is transport-agnostic: :func:`encode_frame` /
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
-from repro.common.encoding import (
-    decode_varint,
-    encode_varint,
-    get_length_prefixed,
-    put_length_prefixed,
-)
+from repro.common.encoding import encode_varint, put_length_prefixed
 from repro.errors import ReproError
 from repro.observe.tracing import TraceContext
 
@@ -69,7 +75,79 @@ class RemoteError(ReproError):
         self.remote_message = message
 
 
-# -- payload primitives -------------------------------------------------------
+# -- field kinds --------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """One word of the payload vocabulary: how a field value is written and read.
+
+    ``put(out, value)`` appends the encoding to a bytearray; ``get(buf,
+    offset)`` returns ``(value, next_offset)`` or raises ``ProtocolError``.
+    """
+
+    label: str
+    put: Callable[[bytearray, Any], None]
+    get: Callable[[bytes, int], Tuple[Any, int]]
+    #: The kinds a composite (``optional``/``repeated``) is built from, so a
+    #: test can derive values for a message from its ``WIRE`` table alone.
+    inner: Tuple["Kind", ...] = ()
+    #: Decode: the payload may end before this field, which then keeps its
+    #: dataclass default. This is how a field added to a message later stays
+    #: readable from a peer that predates it.
+    may_end: bool = False
+    #: A strictly-trailing optional block: flag ``0x01`` + body when present.
+    #: When absent (``None``) nothing is written — so every frame from before
+    #: the block existed stays byte-identical — unless a later trailing block
+    #: is present, which forces an explicit ``0x00`` so the two flag-prefixed
+    #: blocks never alias. Decoding treats end-of-payload as absent.
+    trailing: bool = False
+
+
+_U64_MAX = (1 << 64) - 1
+_MAX_VARINT_BYTES = 10  # ceil(64 / 7)
+
+
+def _put_varint(out: bytearray, value: int) -> None:
+    out += encode_varint(value)
+
+
+def _get_varint(buf: bytes, offset: int) -> Tuple[int, int]:
+    """Read an unsigned LEB128 varint of at most 10 bytes / 64 bits.
+
+    Every count, length and integer on the wire comes through here. The bound
+    matters because the bytes are a peer's: an unbounded continuation run
+    makes each step shift a longer bigint, so one CRC-valid frame of a few
+    hundred kilobytes of ``0xff`` would pin a handler thread (and the GIL)
+    for seconds. The block decoder's ``decode_varint`` reads only bytes this
+    process wrote and keeps its unbounded fast path.
+    """
+    end = len(buf)
+    if offset >= end:
+        raise ProtocolError("truncated varint")
+    byte = buf[offset]
+    if byte < 0x80:
+        return byte, offset + 1
+    result = byte & 0x7F
+    shift = 7
+    for pos in range(offset + 1, min(end, offset + _MAX_VARINT_BYTES)):
+        byte = buf[pos]
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if result > _U64_MAX:
+                raise ProtocolError("varint wider than 64 bits")
+            return result, pos + 1
+        shift += 7
+    if end - offset < _MAX_VARINT_BYTES:
+        raise ProtocolError("truncated varint")
+    raise ProtocolError(f"varint longer than {_MAX_VARINT_BYTES} bytes")
+
+
+def _get_bytes(buf: bytes, offset: int) -> Tuple[bytes, int]:
+    length, start = _get_varint(buf, offset)
+    end = start + length
+    if end > len(buf):
+        raise ProtocolError("truncated length-prefixed field")
+    return bytes(buf[start:end]), end
 
 
 def _put_str(out: bytearray, text: str) -> None:
@@ -77,7 +155,7 @@ def _put_str(out: bytearray, text: str) -> None:
 
 
 def _get_str(buf: bytes, offset: int) -> Tuple[str, int]:
-    raw, offset = get_length_prefixed(buf, offset)
+    raw, offset = _get_bytes(buf, offset)
     try:
         return raw.decode("utf-8"), offset
     except UnicodeDecodeError as exc:
@@ -97,328 +175,106 @@ def _get_bool(buf: bytes, offset: int) -> Tuple[bool, int]:
     return bool(byte), offset + 1
 
 
-def _put_optional_bytes(out: bytearray, data: Optional[bytes]) -> None:
-    _put_bool(out, data is not None)
-    if data is not None:
-        put_length_prefixed(out, data)
+def _put_f64(out: bytearray, value: float) -> None:
+    out += _F64.pack(value)
 
 
-def _get_optional_bytes(buf: bytes, offset: int) -> Tuple[Optional[bytes], int]:
-    present, offset = _get_bool(buf, offset)
-    if not present:
-        return None, offset
-    data, offset = get_length_prefixed(buf, offset)
-    return bytes(data), offset
+def _get_f64(buf: bytes, offset: int) -> Tuple[float, int]:
+    if offset + _F64.size > len(buf):
+        raise ProtocolError("truncated f64 field")
+    return _F64.unpack_from(buf, offset)[0], offset + _F64.size
 
 
-def _put_trace(out: bytearray, trace: Optional[TraceContext]) -> None:
-    """Optional trailing trace-context block (see :func:`_get_trace`)."""
-    if trace is None:
-        return
-    _put_bool(out, True)
-    _put_str(out, trace.trace_id)
-    _put_str(out, trace.span_id)
-    _put_bool(out, trace.sampled)
+STR = Kind("str", _put_str, _get_str)
+BYTES = Kind("bytes", put_length_prefixed, _get_bytes)
+BOOL = Kind("bool", _put_bool, _get_bool)
+VARINT = Kind("varint", _put_varint, _get_varint)
+F64 = Kind("f64", _put_f64, _get_f64)
 
 
-def _put_trailers(
-    out: bytearray,
-    trace: Optional[TraceContext],
-    idem: Optional[Tuple[str, int]] = None,
-) -> None:
-    """Encode the optional trailing blocks of a mutating request.
+def optional(kind: Kind) -> Kind:
+    """A presence flag byte, then ``kind`` when the value is not ``None``."""
 
-    Order on the wire is ``[trace block][idempotency block]``. The trace
-    block keeps its original "strictly trailing" encoding — when neither
-    block is present nothing is written, so every pre-trace frame stays
-    byte-identical — but an idempotency block forces an explicit absent
-    flag for the trace so the two flag-prefixed blocks never alias.
-    """
-    if trace is None and idem is None:
-        return
-    _put_trace(out, trace)
-    if trace is None:
-        _put_bool(out, False)  # explicit "no trace" so the idem flag is next
-    if idem is not None:
-        _put_bool(out, True)
-        client_id, token = idem
-        _put_str(out, client_id)
-        out.extend(encode_varint(int(token)))
+    def put(out: bytearray, value: Any) -> None:
+        _put_bool(out, value is not None)
+        if value is not None:
+            kind.put(out, value)
+
+    def get(buf: bytes, offset: int) -> Tuple[Any, int]:
+        present, offset = _get_bool(buf, offset)
+        return kind.get(buf, offset) if present else (None, offset)
+
+    return Kind("optional", put, get, inner=(kind,))
 
 
-def _get_idem(buf: bytes, offset: int) -> Tuple[Optional[Tuple[str, int]], int]:
-    """Decode the optional idempotency block after the trace block.
+def record(*kinds: Kind, build: Callable = tuple, parts: Callable = tuple) -> Kind:
+    """The ``kinds`` back to back. ``parts(value)`` yields one part per kind
+    and ``build(parts)`` reassembles the value; both default to a tuple."""
+    puts = tuple(kind.put for kind in kinds)
+    gets = tuple(kind.get for kind in kinds)
 
-    The block is ``flag 0x01 + client_id string + token varint``; a payload
-    that ends (or carries an explicit absent flag) decodes as no token.
-    Together with ``(tenant,)`` the pair keys the server's request-dedup
-    table, so a retried mutation is applied at most once.
-    """
-    if offset == len(buf):
-        return None, offset
-    present, offset = _get_bool(buf, offset)
-    if not present:
-        return None, offset
-    client_id, offset = _get_str(buf, offset)
-    token, offset = decode_varint(buf, offset)
-    return (client_id, token), offset
+    def put(out: bytearray, value: Any) -> None:
+        for put_part, part in zip(puts, parts(value)):
+            put_part(out, part)
 
+    def get(buf: bytes, offset: int) -> Tuple[Any, int]:
+        decoded = []
+        for get_part in gets:
+            part, offset = get_part(buf, offset)
+            decoded.append(part)
+        return build(decoded), offset
 
-def _get_trace(buf: bytes, offset: int) -> Tuple[Optional[TraceContext], int]:
-    """Decode the optional trace context at the end of a request payload.
-
-    The block is strictly trailing: a payload that simply ends (the pre-trace
-    wire image, or a tracing-unaware client) decodes as no context, while a
-    present block is a flag byte + trace_id + parent span_id + sampled flag.
-    This keeps every pre-existing frame byte-for-byte valid — the CRC covers
-    the block when present, and ``_expect_end`` still rejects trailing junk.
-    """
-    if offset == len(buf):
-        return None, offset
-    present, offset = _get_bool(buf, offset)
-    if not present:
-        return None, offset
-    trace_id, offset = _get_str(buf, offset)
-    span_id, offset = _get_str(buf, offset)
-    sampled, offset = _get_bool(buf, offset)
-    return TraceContext(trace_id=trace_id, span_id=span_id, sampled=sampled), offset
+    return Kind("record", put, get, inner=kinds)
 
 
-# -- message classes ----------------------------------------------------------
+def repeated(*kinds: Kind) -> Kind:
+    """A varint count, then that many items: a bare value for one kind, a
+    :func:`record` tuple for several."""
+    item = kinds[0] if len(kinds) == 1 else record(*kinds)
 
-_MESSAGE_TYPES: Dict[int, Type["Message"]] = {}
+    def put(out: bytearray, items: tuple) -> None:
+        out += encode_varint(len(items))
+        for value in items:
+            item.put(out, value)
 
-
-def _register(cls: Type["Message"]) -> Type["Message"]:
-    if cls.TYPE in _MESSAGE_TYPES:  # pragma: no cover - module definition bug
-        raise ValueError(f"duplicate message type 0x{cls.TYPE:02x}")
-    _MESSAGE_TYPES[cls.TYPE] = cls
-    return cls
-
-
-class Message:
-    """Base class: every frame body is one typed, round-trippable message."""
-
-    TYPE = -1
-
-    def encode_payload(self) -> bytes:
-        raise NotImplementedError
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "Message":
-        raise NotImplementedError
-
-
-@_register
-@dataclass(frozen=True)
-class PingRequest(Message):
-    """Liveness probe; answered by :class:`PongResponse`."""
-
-    TYPE = 0x01
-    tenant: str = ""
-    trace: Optional[TraceContext] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_trace(out, self.trace)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "PingRequest":
-        tenant, offset = _get_str(buf, 0)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, trace=trace)
-
-
-@_register
-@dataclass(frozen=True)
-class StatsRequest(Message):
-    """Request the server's JSON stats snapshot (metrics + engine + tenants)."""
-
-    TYPE = 0x02
-    tenant: str = ""
-    trace: Optional[TraceContext] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_trace(out, self.trace)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsRequest":
-        tenant, offset = _get_str(buf, 0)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, trace=trace)
-
-
-@_register
-@dataclass(frozen=True)
-class GetRequest(Message):
-    TYPE = 0x03
-    tenant: str
-    key: bytes
-    trace: Optional[TraceContext] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        _put_trace(out, self.trace)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "GetRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, key=bytes(key), trace=trace)
-
-
-@_register
-@dataclass(frozen=True)
-class PutRequest(Message):
-    """Single durable write; ``ttl`` (simulated seconds) is an optional
-    expiry — a presence flag plus fixed f64, encoded before the trace
-    block. ``idem`` is an optional trailing ``(client_id, token)``
-    idempotency pair (see :func:`_get_idem`)."""
-
-    TYPE = 0x04
-    tenant: str
-    key: bytes
-    value: bytes
-    ttl: Optional[float] = None
-    trace: Optional[TraceContext] = None
-    idem: Optional[Tuple[str, int]] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        put_length_prefixed(out, self.value)
-        _put_bool(out, self.ttl is not None)
-        if self.ttl is not None:
-            out.extend(_F64.pack(self.ttl))
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "PutRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        value, offset = get_length_prefixed(buf, offset)
-        ttl: Optional[float] = None
-        if offset < len(buf):
-            present, offset = _get_bool(buf, offset)
-            if present:
-                if offset + _F64.size > len(buf):
-                    raise ProtocolError("truncated ttl field")
-                ttl = _F64.unpack_from(buf, offset)[0]
-                offset += _F64.size
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(
-            tenant=tenant, key=bytes(key), value=bytes(value), ttl=ttl,
-            trace=trace, idem=idem,
-        )
-
-
-@_register
-@dataclass(frozen=True)
-class DeleteRequest(Message):
-    TYPE = 0x05
-    tenant: str
-    key: bytes
-    trace: Optional[TraceContext] = None
-    idem: Optional[Tuple[str, int]] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "DeleteRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, key=bytes(key), trace=trace, idem=idem)
-
-
-@_register
-@dataclass(frozen=True)
-class MultiGetRequest(Message):
-    TYPE = 0x06
-    tenant: str
-    keys: Tuple[bytes, ...] = ()
-    trace: Optional[TraceContext] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(bytes(k) for k in self.keys))
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        out.extend(encode_varint(len(self.keys)))
-        for key in self.keys:
-            put_length_prefixed(out, key)
-        _put_trace(out, self.trace)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "MultiGetRequest":
-        tenant, offset = _get_str(buf, 0)
-        count, offset = decode_varint(buf, offset)
-        keys = []
+    def get(buf: bytes, offset: int) -> Tuple[tuple, int]:
+        count, offset = _get_varint(buf, offset)
+        items = []
         for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            keys.append(bytes(key))
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, keys=tuple(keys), trace=trace)
+            value, offset = item.get(buf, offset)
+            items.append(value)
+        return tuple(items), offset
+
+    return Kind("repeated", put, get, inner=(item,))
 
 
-@_register
-@dataclass(frozen=True)
-class ScanRequest(Message):
-    """Range scan; ``start``/``end`` are inclusive bounds (None = unbounded),
-    mirroring :meth:`LSMTree.scan`. ``limit`` caps the reply's entry count
-    (the server clamps it to its own ``scan_limit_max``)."""
+def may_end(kind: Kind) -> Kind:
+    """``kind``, except that the payload may legally end before it."""
+    return kind._replace(may_end=True)
 
-    TYPE = 0x07
-    tenant: str
-    start: Optional[bytes] = None
-    end: Optional[bytes] = None
-    limit: int = 1000
-    trace: Optional[TraceContext] = None
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_optional_bytes(out, self.start)
-        _put_optional_bytes(out, self.end)
-        out.extend(encode_varint(self.limit))
-        _put_trace(out, self.trace)
-        return bytes(out)
+def _trailing(label: str, block: Kind) -> Kind:
+    return block._replace(label=label, may_end=True, trailing=True)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "ScanRequest":
-        tenant, offset = _get_str(buf, 0)
-        start, offset = _get_optional_bytes(buf, offset)
-        end, offset = _get_optional_bytes(buf, offset)
-        limit, offset = decode_varint(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, start=start, end=end, limit=limit, trace=trace)
+
+#: The optional trace context at the end of every request: trace_id + parent
+#: span_id + sampled flag. A payload that simply ends (the pre-trace wire
+#: image, or a tracing-unaware client) decodes as no context; the CRC covers
+#: the block when present, and trailing junk after it is still rejected.
+TRACE = _trailing("trace", record(
+    STR, STR, BOOL,
+    build=lambda parts: TraceContext(*parts),
+    parts=lambda trace: (trace.trace_id, trace.span_id, trace.sampled),
+))
+#: The optional ``(client_id, token)`` idempotency pair after the trace
+#: block: a string and a varint. Together with ``(tenant,)`` the pair keys
+#: the server's request-dedup table, so a retried mutation is applied at most
+#: once. The requests that carry it are exactly the ones that mutate state.
+IDEM = _trailing("idem", record(STR, VARINT))
+
+_WIRE_OP_KINDS = ("put", "delete", "merge", "put_ttl")
+#: What follows key and value for the op kinds that carry a fourth element.
+_WIRE_OP_EXTRA = {"merge": STR, "put_ttl": F64}
 
 
 def _normalize_wire_ops(ops) -> "Tuple[tuple, ...]":
@@ -449,48 +305,196 @@ def _normalize_wire_ops(ops) -> "Tuple[tuple, ...]":
     return tuple(normalized)
 
 
-_WIRE_OP_KINDS = ("put", "delete", "merge", "put_ttl")
+def _put_wire_op(out: bytearray, op: tuple) -> None:
+    kind, key, value, extra = op
+    out.append(_WIRE_OP_KINDS.index(kind))
+    put_length_prefixed(out, key)
+    put_length_prefixed(out, value)
+    if kind in _WIRE_OP_EXTRA:
+        _WIRE_OP_EXTRA[kind].put(out, extra)
 
 
-def _put_wire_ops(out: bytearray, ops) -> None:
-    out.extend(encode_varint(len(ops)))
-    for kind, key, value, extra in ops:
-        out.append(_WIRE_OP_KINDS.index(kind))
-        put_length_prefixed(out, key)
-        put_length_prefixed(out, value)
-        if kind == "merge":
-            _put_str(out, extra)
-        elif kind == "put_ttl":
-            out.extend(_F64.pack(extra))
+def _get_wire_op(buf: bytes, offset: int) -> Tuple[tuple, int]:
+    if offset >= len(buf):
+        raise ProtocolError("truncated batch op")
+    if buf[offset] >= len(_WIRE_OP_KINDS):
+        raise ProtocolError(f"unknown batch op kind {buf[offset]}")
+    kind = _WIRE_OP_KINDS[buf[offset]]
+    key, offset = _get_bytes(buf, offset + 1)
+    value, offset = _get_bytes(buf, offset)
+    extra = None
+    if kind in _WIRE_OP_EXTRA:
+        extra, offset = _WIRE_OP_EXTRA[kind].get(buf, offset)
+    return (kind, key, value, extra), offset
 
 
-def _get_wire_ops(buf: bytes, offset: int) -> "Tuple[List[tuple], int]":
-    count, offset = decode_varint(buf, offset)
-    ops: List[tuple] = []
-    for _ in range(count):
-        if offset >= len(buf):
-            raise ProtocolError("truncated batch op")
-        kind_byte = buf[offset]
-        offset += 1
-        if kind_byte >= len(_WIRE_OP_KINDS):
-            raise ProtocolError(f"unknown batch op kind {kind_byte}")
-        kind = _WIRE_OP_KINDS[kind_byte]
-        key, offset = get_length_prefixed(buf, offset)
-        value, offset = get_length_prefixed(buf, offset)
-        extra: Optional[object] = None
-        if kind == "merge":
-            extra, offset = _get_str(buf, offset)
-        elif kind == "put_ttl":
-            if offset + _F64.size > len(buf):
-                raise ProtocolError("truncated put_ttl op")
-            extra = _F64.unpack_from(buf, offset)[0]
-            offset += _F64.size
-        ops.append((kind, bytes(key), bytes(value), extra))
-    return ops, offset
+#: A count, then per op: kind byte, key, value and the kind's extra (the
+#: operator name for ``merge``, the TTL in simulated seconds for ``put_ttl``).
+WIRE_OPS = repeated(Kind("wire_op", _put_wire_op, _get_wire_op))
 
 
-@_register
-@dataclass(frozen=True)
+# -- message classes ----------------------------------------------------------
+
+_MESSAGE_TYPES: Dict[int, Type["Message"]] = {}
+
+
+def wire(kind: Kind, default: Any = dataclasses.MISSING) -> Any:
+    """Declare one message field: its wire kind and, optionally, its default."""
+    return field(default=default, metadata={"kind": kind})
+
+
+def wire_message(cls: Type["Message"]) -> Type["Message"]:
+    """Make ``cls`` a frozen dataclass, compile its field spec, register its type."""
+    cls = dataclass(frozen=True)(cls)
+    if cls.TYPE in _MESSAGE_TYPES:  # pragma: no cover - module definition bug
+        raise ValueError(f"duplicate message type 0x{cls.TYPE:02x}")
+    cls.WIRE = {f.name: f.metadata["kind"] for f in dataclasses.fields(cls)}
+    for f in dataclasses.fields(cls):
+        # A short payload must decode to defaults, never to a TypeError.
+        if cls.WIRE[f.name].may_end and f.default is dataclasses.MISSING:  # pragma: no cover
+            raise TypeError(f"{cls.__name__}.{f.name} may be absent on the wire: needs a default")
+    cls._CODEC = tuple(
+        (name, kind.put, kind.get, kind.may_end, kind.trailing)
+        for name, kind in cls.WIRE.items()
+    )
+    cls.MUTATING = IDEM in cls.WIRE.values()
+    _MESSAGE_TYPES[cls.TYPE] = cls
+    return cls
+
+
+class Message:
+    """Base class: every frame body is one typed, round-trippable message.
+
+    A concrete message is a ``@wire_message`` class that declares ``TYPE`` (its
+    frame type byte), its fields in payload order, each with its
+    :class:`Kind` (collected into ``WIRE``), and, for requests, ``OP`` — the
+    name the server dispatches, meters, sheds and traces it under.
+    ``MUTATING`` is derived: a request changes state exactly when its spec
+    carries the ``IDEM`` block.
+    """
+
+    TYPE = -1
+    OP: Optional[str] = None
+    WIRE: Dict[str, Kind] = {}
+    MUTATING = False
+    _CODEC: tuple = ()
+
+    def encode_payload(self) -> bytes:
+        out = bytearray()
+        elided = 0  # absent trailing blocks not (yet) written; see Kind.trailing
+        for name, put, _get, _may_end, trailing in self._CODEC:
+            value = getattr(self, name)
+            if trailing:
+                if value is None:
+                    elided += 1
+                    continue
+                out += b"\x00" * elided + b"\x01"
+                elided = 0
+            put(out, value)
+        return bytes(out)
+
+    @classmethod
+    def decode_payload(cls, buf: bytes) -> "Message":
+        values = {}
+        offset, end = 0, len(buf)
+        for name, _put, get, may_end, trailing in cls._CODEC:
+            if may_end and offset == end:
+                continue
+            if trailing:
+                present, offset = _get_bool(buf, offset)
+                if not present:
+                    continue
+            values[name], offset = get(buf, offset)
+        if offset != end:
+            raise ProtocolError(f"{end - offset} trailing byte(s) after payload decode")
+        return cls(**values)
+
+
+@wire_message
+class PingRequest(Message):
+    """Liveness probe; answered by :class:`PongResponse`."""
+
+    TYPE = 0x01
+    OP = "ping"
+    tenant: str = wire(STR, "")
+    trace: Optional[TraceContext] = wire(TRACE, None)
+
+
+@wire_message
+class StatsRequest(Message):
+    """Request the server's JSON stats snapshot (metrics + engine + tenants)."""
+
+    TYPE = 0x02
+    OP = "stats"
+    tenant: str = wire(STR, "")
+    trace: Optional[TraceContext] = wire(TRACE, None)
+
+
+@wire_message
+class GetRequest(Message):
+    TYPE = 0x03
+    OP = "get"
+    tenant: str = wire(STR)
+    key: bytes = wire(BYTES)
+    trace: Optional[TraceContext] = wire(TRACE, None)
+
+
+@wire_message
+class PutRequest(Message):
+    """Single durable write; ``ttl`` (simulated seconds) is an optional
+    expiry — a presence flag plus fixed f64, encoded before the trace
+    block; frames from before TTLs existed end after ``value``. ``idem`` is
+    an optional trailing ``(client_id, token)`` idempotency pair (see
+    :data:`IDEM`)."""
+
+    TYPE = 0x04
+    OP = "put"
+    tenant: str = wire(STR)
+    key: bytes = wire(BYTES)
+    value: bytes = wire(BYTES)
+    ttl: Optional[float] = wire(may_end(optional(F64)), None)
+    trace: Optional[TraceContext] = wire(TRACE, None)
+    idem: Optional[Tuple[str, int]] = wire(IDEM, None)
+
+
+@wire_message
+class DeleteRequest(Message):
+    TYPE = 0x05
+    OP = "delete"
+    tenant: str = wire(STR)
+    key: bytes = wire(BYTES)
+    trace: Optional[TraceContext] = wire(TRACE, None)
+    idem: Optional[Tuple[str, int]] = wire(IDEM, None)
+
+
+@wire_message
+class MultiGetRequest(Message):
+    TYPE = 0x06
+    OP = "multi_get"
+    tenant: str = wire(STR)
+    keys: Tuple[bytes, ...] = wire(repeated(BYTES), ())
+    trace: Optional[TraceContext] = wire(TRACE, None)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(bytes(k) for k in self.keys))
+
+
+@wire_message
+class ScanRequest(Message):
+    """Range scan; ``start``/``end`` are inclusive bounds (None = unbounded),
+    mirroring :meth:`LSMTree.scan`. ``limit`` caps the reply's entry count
+    (the server clamps it to its own ``scan_limit_max``)."""
+
+    TYPE = 0x07
+    OP = "scan"
+    tenant: str = wire(STR)
+    start: Optional[bytes] = wire(optional(BYTES), None)
+    end: Optional[bytes] = wire(optional(BYTES), None)
+    limit: int = wire(VARINT, 1000)
+    trace: Optional[TraceContext] = wire(TRACE, None)
+
+
+@wire_message
 class BatchRequest(Message):
     """Atomically ordered writes: ``ops`` are ``(kind, key, value[, extra])``
     tuples with kind ``put`` / ``delete`` / ``merge`` / ``put_ttl`` —
@@ -498,72 +502,31 @@ class BatchRequest(Message):
     (put_ttl). Normalized ops always carry the 4th element."""
 
     TYPE = 0x08
-    tenant: str
-    ops: Tuple[tuple, ...] = ()
-    trace: Optional[TraceContext] = None
-    idem: Optional[Tuple[str, int]] = None
-
-    _KINDS = _WIRE_OP_KINDS
+    OP = "batch"
+    tenant: str = wire(STR)
+    ops: Tuple[tuple, ...] = wire(WIRE_OPS, ())
+    trace: Optional[TraceContext] = wire(TRACE, None)
+    idem: Optional[Tuple[str, int]] = wire(IDEM, None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", _normalize_wire_ops(self.ops))
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        _put_wire_ops(out, self.ops)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "BatchRequest":
-        tenant, offset = _get_str(buf, 0)
-        ops, offset = _get_wire_ops(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, ops=tuple(ops), trace=trace, idem=idem)
-
-
-@_register
-@dataclass(frozen=True)
+@wire_message
 class MergeRequest(Message):
     """A single merge-operand write for a named (pre-registered) operator."""
 
     TYPE = 0x0A
-    tenant: str
-    key: bytes
-    operand: bytes
-    operator: str = "counter"
-    trace: Optional[TraceContext] = None
-    idem: Optional[Tuple[str, int]] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        put_length_prefixed(out, self.key)
-        put_length_prefixed(out, self.operand)
-        _put_str(out, self.operator)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "MergeRequest":
-        tenant, offset = _get_str(buf, 0)
-        key, offset = get_length_prefixed(buf, offset)
-        operand, offset = get_length_prefixed(buf, offset)
-        operator, offset = _get_str(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(
-            tenant=tenant, key=bytes(key), operand=bytes(operand),
-            operator=operator, trace=trace, idem=idem,
-        )
+    OP = "merge"
+    tenant: str = wire(STR)
+    key: bytes = wire(BYTES)
+    operand: bytes = wire(BYTES)
+    operator: str = wire(STR, "counter")
+    trace: Optional[TraceContext] = wire(TRACE, None)
+    idem: Optional[Tuple[str, int]] = wire(IDEM, None)
 
 
-@_register
-@dataclass(frozen=True)
+@wire_message
 class TxnCommitRequest(Message):
     """An optimistic-transaction commit: read-set fingerprints + write ops.
 
@@ -574,11 +537,12 @@ class TxnCommitRequest(Message):
     """
 
     TYPE = 0x0B
-    tenant: str
-    read_set: Tuple[Tuple[bytes, int], ...] = ()
-    ops: Tuple[tuple, ...] = ()
-    trace: Optional[TraceContext] = None
-    idem: Optional[Tuple[str, int]] = None
+    OP = "txn_commit"
+    tenant: str = wire(STR)
+    read_set: Tuple[Tuple[bytes, int], ...] = wire(repeated(BYTES, VARINT), ())
+    ops: Tuple[tuple, ...] = wire(WIRE_OPS, ())
+    trace: Optional[TraceContext] = wire(TRACE, None)
+    idem: Optional[Tuple[str, int]] = wire(IDEM, None)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -588,38 +552,8 @@ class TxnCommitRequest(Message):
         )
         object.__setattr__(self, "ops", _normalize_wire_ops(self.ops))
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        out.extend(encode_varint(len(self.read_set)))
-        for key, seqno in self.read_set:
-            put_length_prefixed(out, key)
-            out.extend(encode_varint(seqno))
-        _put_wire_ops(out, self.ops)
-        _put_trailers(out, self.trace, self.idem)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "TxnCommitRequest":
-        tenant, offset = _get_str(buf, 0)
-        count, offset = decode_varint(buf, offset)
-        read_set = []
-        for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            seqno, offset = decode_varint(buf, offset)
-            read_set.append((bytes(key), seqno))
-        ops, offset = _get_wire_ops(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        idem, offset = _get_idem(buf, offset)
-        _expect_end(buf, offset)
-        return cls(
-            tenant=tenant, read_set=tuple(read_set), ops=tuple(ops),
-            trace=trace, idem=idem,
-        )
-
-
-@_register
-@dataclass(frozen=True)
+@wire_message
 class StatsHistoryRequest(Message):
     """Request the server's time-series history (the sampler's ring buffers).
 
@@ -628,68 +562,28 @@ class StatsHistoryRequest(Message):
     """
 
     TYPE = 0x09
-    tenant: str = ""
-    last_n: int = 0
-    trace: Optional[TraceContext] = None
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.tenant)
-        out.extend(encode_varint(self.last_n))
-        _put_trace(out, self.trace)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsHistoryRequest":
-        tenant, offset = _get_str(buf, 0)
-        last_n, offset = decode_varint(buf, offset)
-        trace, offset = _get_trace(buf, offset)
-        _expect_end(buf, offset)
-        return cls(tenant=tenant, last_n=last_n, trace=trace)
+    OP = "stats_history"
+    tenant: str = wire(STR, "")
+    last_n: int = wire(VARINT, 0)
+    trace: Optional[TraceContext] = wire(TRACE, None)
 
 
-@_register
-@dataclass(frozen=True)
+@wire_message
 class PongResponse(Message):
     TYPE = 0x81
-    server_uptime_s: float = 0.0
-    engine_uptime_s: float = 0.0
-
-    def encode_payload(self) -> bytes:
-        return _F64.pack(self.server_uptime_s) + _F64.pack(self.engine_uptime_s)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "PongResponse":
-        if len(buf) != 2 * _F64.size:
-            raise ProtocolError(f"pong payload must be 16 bytes, got {len(buf)}")
-        return cls(
-            server_uptime_s=_F64.unpack_from(buf, 0)[0],
-            engine_uptime_s=_F64.unpack_from(buf, _F64.size)[0],
-        )
+    server_uptime_s: float = wire(F64, 0.0)
+    engine_uptime_s: float = wire(F64, 0.0)
 
 
-@_register
-@dataclass(frozen=True)
+@wire_message
 class StatsResponse(Message):
     """The server's stats snapshot as a JSON document (UTF-8)."""
 
     TYPE = 0x82
-    payload_json: str = "{}"
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.payload_json)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsResponse":
-        text, offset = _get_str(buf, 0)
-        _expect_end(buf, offset)
-        return cls(payload_json=text)
+    payload_json: str = wire(STR, "{}")
 
 
-@_register
-@dataclass(frozen=True)
+@wire_message
 class GetResponse(Message):
     """Point-lookup reply. ``seqno`` is the newest observed version of the
     key (0 when absent) — the fingerprint optimistic transactions validate
@@ -697,53 +591,25 @@ class GetResponse(Message):
     decode as seqno 0)."""
 
     TYPE = 0x83
-    found: bool = False
-    value: bytes = b""
-    seqno: int = 0
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_bool(out, self.found)
-        put_length_prefixed(out, self.value)
-        out.extend(encode_varint(self.seqno))
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "GetResponse":
-        found, offset = _get_bool(buf, 0)
-        value, offset = get_length_prefixed(buf, offset)
-        seqno = 0
-        if offset < len(buf):
-            seqno, offset = decode_varint(buf, offset)
-        _expect_end(buf, offset)
-        return cls(found=found, value=bytes(value), seqno=seqno)
+    found: bool = wire(BOOL, False)
+    value: bytes = wire(BYTES, b"")
+    seqno: int = wire(may_end(VARINT), 0)
 
 
-@_register
-@dataclass(frozen=True)
+@wire_message
 class OkResponse(Message):
     """Acknowledges a write; ``count`` is the records applied (batch size)."""
 
     TYPE = 0x84
-    count: int = 1
-
-    def encode_payload(self) -> bytes:
-        return encode_varint(self.count)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "OkResponse":
-        count, offset = decode_varint(buf, 0)
-        _expect_end(buf, offset)
-        return cls(count=count)
+    count: int = wire(VARINT, 1)
 
 
-@_register
-@dataclass(frozen=True)
+@wire_message
 class MultiGetResponse(Message):
     """Per-key results, in the request's key order: ``(key, found, value)``."""
 
     TYPE = 0x85
-    entries: Tuple[Tuple[bytes, bool, bytes], ...] = ()
+    entries: Tuple[Tuple[bytes, bool, bytes], ...] = wire(repeated(BYTES, BOOL, BYTES), ())
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -752,91 +618,33 @@ class MultiGetResponse(Message):
             tuple((bytes(k), bool(f), bytes(v)) for k, f, v in self.entries),
         )
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        out.extend(encode_varint(len(self.entries)))
-        for key, found, value in self.entries:
-            put_length_prefixed(out, key)
-            _put_bool(out, found)
-            put_length_prefixed(out, value)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "MultiGetResponse":
-        count, offset = decode_varint(buf, 0)
-        entries = []
-        for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            found, offset = _get_bool(buf, offset)
-            value, offset = get_length_prefixed(buf, offset)
-            entries.append((bytes(key), found, bytes(value)))
-        _expect_end(buf, offset)
-        return cls(entries=tuple(entries))
-
-
-@_register
-@dataclass(frozen=True)
+@wire_message
 class ScanResponse(Message):
     """Scan results; ``truncated`` signals the limit cut the range short."""
 
     TYPE = 0x86
-    items: Tuple[Tuple[bytes, bytes], ...] = ()
-    truncated: bool = False
+    truncated: bool = wire(BOOL, False)
+    items: Tuple[Tuple[bytes, bytes], ...] = wire(repeated(BYTES, BYTES), ())
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "items", tuple((bytes(k), bytes(v)) for k, v in self.items)
         )
 
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_bool(out, self.truncated)
-        out.extend(encode_varint(len(self.items)))
-        for key, value in self.items:
-            put_length_prefixed(out, key)
-            put_length_prefixed(out, value)
-        return bytes(out)
 
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "ScanResponse":
-        truncated, offset = _get_bool(buf, 0)
-        count, offset = decode_varint(buf, offset)
-        items = []
-        for _ in range(count):
-            key, offset = get_length_prefixed(buf, offset)
-            value, offset = get_length_prefixed(buf, offset)
-            items.append((bytes(key), bytes(value)))
-        _expect_end(buf, offset)
-        return cls(items=tuple(items), truncated=truncated)
-
-
-@_register
-@dataclass(frozen=True)
+@wire_message
 class ErrorResponse(Message):
     """A failed request. ``code`` is machine-readable (``bad_request``,
     ``throttled``, ``engine``, ``internal``, ``shutting_down``, ``busy``,
     ``overloaded``)."""
 
     TYPE = 0x8F
-    code: str = "internal"
-    message: str = ""
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.code)
-        _put_str(out, self.message)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "ErrorResponse":
-        code, offset = _get_str(buf, 0)
-        message, offset = _get_str(buf, offset)
-        _expect_end(buf, offset)
-        return cls(code=code, message=message)
+    code: str = wire(STR, "internal")
+    message: str = wire(STR, "")
 
 
-@_register
-@dataclass(frozen=True)
+@wire_message
 class StatsHistoryResponse(Message):
     """The sampler's ring-buffer series as a JSON document (UTF-8).
 
@@ -846,36 +654,12 @@ class StatsHistoryResponse(Message):
     """
 
     TYPE = 0x87
-    payload_json: str = "{}"
-
-    def encode_payload(self) -> bytes:
-        out = bytearray()
-        _put_str(out, self.payload_json)
-        return bytes(out)
-
-    @classmethod
-    def decode_payload(cls, buf: bytes) -> "StatsHistoryResponse":
-        text, offset = _get_str(buf, 0)
-        _expect_end(buf, offset)
-        return cls(payload_json=text)
+    payload_json: str = wire(STR, "{}")
 
 
-REQUEST_TYPES = (
-    PingRequest, StatsRequest, GetRequest, PutRequest,
-    DeleteRequest, MultiGetRequest, ScanRequest, BatchRequest,
-    StatsHistoryRequest, MergeRequest, TxnCommitRequest,
-)
-RESPONSE_TYPES = (
-    PongResponse, StatsResponse, GetResponse, OkResponse,
-    MultiGetResponse, ScanResponse, ErrorResponse, StatsHistoryResponse,
-)
-
-
-def _expect_end(buf: bytes, offset: int) -> None:
-    if offset != len(buf):
-        raise ProtocolError(
-            f"{len(buf) - offset} trailing byte(s) after payload decode"
-        )
+_BY_TYPE = tuple(cls for _, cls in sorted(_MESSAGE_TYPES.items()))
+REQUEST_TYPES = tuple(cls for cls in _BY_TYPE if cls.OP is not None)
+RESPONSE_TYPES = tuple(cls for cls in _BY_TYPE if cls.OP is None)
 
 
 # -- framing ------------------------------------------------------------------

@@ -42,28 +42,17 @@ from repro.server.config import ServerConfig
 from repro.server.dedup import DedupTable
 from repro.server.overload import STATE_OK, STATE_SHED, OverloadGuard
 from repro.server.protocol import (
-    BatchRequest,
-    DeleteRequest,
     ErrorResponse,
     FrameDecoder,
-    GetRequest,
     GetResponse,
-    MergeRequest,
     Message,
-    MultiGetRequest,
     MultiGetResponse,
     OkResponse,
-    PingRequest,
     PongResponse,
     ProtocolError,
-    PutRequest,
-    ScanRequest,
     ScanResponse,
-    StatsHistoryRequest,
     StatsHistoryResponse,
-    StatsRequest,
     StatsResponse,
-    TxnCommitRequest,
     encode_frame,
     send_message,
 )
@@ -413,24 +402,10 @@ class LSMServer:
 
     # -- request dispatch ------------------------------------------------------
 
-    _OP_NAMES = {
-        PingRequest: "ping",
-        StatsRequest: "stats",
-        StatsHistoryRequest: "stats_history",
-        GetRequest: "get",
-        PutRequest: "put",
-        DeleteRequest: "delete",
-        MultiGetRequest: "multi_get",
-        ScanRequest: "scan",
-        BatchRequest: "batch",
-        MergeRequest: "merge",
-        TxnCommitRequest: "txn_commit",
-    }
-
     def _serve_request(
         self, conn: socket.socket, request: Message, wire_decode_s: float = 0.0
     ) -> None:
-        op = self._OP_NAMES.get(type(request))
+        op = request.OP  # None for a response class: not something a client may send
         if op is None:
             self._protocol_errors.inc()
             self._try_send(
@@ -560,9 +535,6 @@ class LSMServer:
                 "tenant_throttle", tenant=tenant, waited_s=waited, cost=cost
             )
 
-    #: Ops that change state — the ones idempotency tokens and the
-    #: backpressure-stop shed apply to.
-    _MUTATING_OPS = frozenset({"put", "delete", "merge", "batch", "txn_commit"})
     #: Ops served even while shedding: an operator must be able to see why.
     _ALWAYS_SERVED = frozenset({"ping", "stats", "stats_history"})
 
@@ -579,7 +551,7 @@ class LSMServer:
                     message="server is shedding load; retry with backoff",
                 )
             if (
-                op in self._MUTATING_OPS
+                request.MUTATING  # reads are still served while writes are stopped
                 and self.overload.shed_on_backpressure_stop
                 and self._backpressure_stopped()
             ):
@@ -589,8 +561,9 @@ class LSMServer:
                     code="overloaded",
                     message="engine backpressure is in stop; retry with backoff",
                 )
+        # Only mutating requests carry the field (Message.MUTATING ⇔ IDEM block).
         idem = getattr(request, "idem", None)
-        if idem is None or self.dedup is None or op not in self._MUTATING_OPS:
+        if idem is None or self.dedup is None:
             return self._execute_op(op, request, tenant, stages, load_state)
         # Exactly-once: admit, replay, or park behind an in-flight original.
         client_id, idem_token = idem

@@ -4,12 +4,16 @@ Crash model (see repro.core.manifest): fail-stop between client operations —
 a "crash" abandons the LSMTree object; recovery rebuilds from the device.
 """
 
+import contextlib
+
 import pytest
 
 from repro import DBService, LSMConfig, LSMTree, encode_uint_key
 from repro.common.entry import Entry
 from repro.core.manifest import ManifestData, find_manifest, read_manifest, write_manifest
-from repro.errors import ClosedError, ConfigError, MergeError, StorageError
+from repro.errors import ClosedError, ConfigError, MergeError, ReproError, StorageError
+from repro.server import LSMClient, LSMServer
+from repro.sharding import ShardedStore
 from repro.storage.block_device import BlockDevice
 from repro.storage.wal import WriteAheadLog
 
@@ -261,3 +265,36 @@ class TestRejectedWrites:
         assert tree._wal.records_logged == logged
         assert tree.memtable_entries == 0 and tree.stats.puts == 0
         assert not tree.get(b"a").found
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("handle", ["tree", "service", "sharded", "client"])
+    def test_non_finite_ttl_is_refused_by_every_handle(self, handle, ttl):
+        """A NaN deadline never compares expired and an infinite one never
+        arrives: either made the key immortal. The wire carries the peer's raw
+        f64, so the refusal sits in the one staging function every handle and
+        the batch route share — ahead of the WAL."""
+        with contextlib.ExitStack() as stack:
+            if handle == "sharded":
+                store = ShardedStore(durable_config(), [b"m"])
+                trees = store.shards
+            else:
+                store = LSMTree(durable_config())
+                trees = [store]
+            stack.callback(store.close)
+            if handle in ("service", "client"):
+                store = stack.enter_context(DBService(store))
+            if handle == "client":
+                server = LSMServer(store)
+                server.start()
+                stack.callback(server.shutdown)
+                store = stack.enter_context(LSMClient(*server.address, tenant="t"))
+            store.put(b"good", b"v")
+            logged = [t._wal.records_logged for t in trees]
+            with pytest.raises(ReproError, match="finite"):
+                store.put(b"k", b"v", ttl=ttl)
+            with pytest.raises(ReproError, match="finite"):
+                # One bad op rejects the whole frame and counts nothing.
+                store.write([("put", b"a", b"1"), ("put_ttl", b"k", b"v", ttl)])
+            assert [t._wal.records_logged for t in trees] == logged
+            assert sum(t.stats.puts for t in trees) == 1
+            assert not store.get(b"k").found and not store.get(b"a").found

@@ -1,6 +1,7 @@
 """Wire protocol properties: round-trips, truncation, and corruption."""
 
 import struct
+import time
 import zlib
 
 import pytest
@@ -14,27 +15,16 @@ from repro.server.protocol import (
     TRAILER_SIZE,
     VERSION,
     BatchRequest,
-    DeleteRequest,
-    ErrorResponse,
     FrameDecoder,
     GetRequest,
     GetResponse,
-    MergeRequest,
-    MultiGetRequest,
-    MultiGetResponse,
+    Message,
     OkResponse,
     PingRequest,
-    PongResponse,
     ProtocolError,
-    PutRequest,
     REQUEST_TYPES,
     RESPONSE_TYPES,
     ScanRequest,
-    ScanResponse,
-    StatsHistoryRequest,
-    StatsHistoryResponse,
-    StatsRequest,
-    StatsResponse,
     TraceContext,
     TxnCommitRequest,
     decode_frame,
@@ -43,114 +33,52 @@ from repro.server.protocol import (
 )
 
 # -- strategies ----------------------------------------------------------------
+#
+# One strategy, derived from each class's field spec (``cls.WIRE``): a message
+# type added to the protocol is round-tripped, truncated and corrupted by every
+# property below without touching this file.
 
 _text = st.text(max_size=24)
-_key = st.binary(max_size=48)
-_value = st.binary(max_size=48)
+_binary = st.binary(max_size=48)
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
-_limit = st.integers(min_value=0, max_value=2**32)
-# Every request may carry the optional trailing trace-context block.
-_trace = st.none() | st.builds(
-    TraceContext, trace_id=_text, span_id=_text, sampled=st.booleans()
+_LEAVES = {
+    "str": _text,
+    "bytes": _binary,
+    "bool": st.booleans(),
+    "varint": st.integers(min_value=0, max_value=2**64 - 1),
+    "f64": _floats,
+    "trace": st.builds(TraceContext, trace_id=_text, span_id=_text, sampled=st.booleans()),
+    # Mixed-kind write ops: puts/deletes as legacy triples, merges and TTL'd
+    # puts with their kind-specific extras.
+    "wire_op": st.one_of(
+        st.tuples(st.sampled_from(["put", "delete"]), _binary, _binary),
+        st.tuples(st.just("merge"), _binary, _binary, st.text(min_size=1, max_size=12)),
+        st.tuples(st.just("put_ttl"), _binary, _binary, _floats),
+    ),
+}
+
+
+def _values(kind):
+    """A strategy for the values a field of this wire kind can hold."""
+    if kind.label in _LEAVES:
+        values = _LEAVES[kind.label]
+    elif kind.label == "optional":
+        values = st.none() | _values(kind.inner[0])
+    elif kind.label == "repeated":
+        values = st.lists(_values(kind.inner[0]), max_size=6).map(tuple)
+    else:
+        assert kind.label in ("record", "idem"), f"no strategy for kind {kind.label!r}"
+        values = st.tuples(*map(_values, kind.inner))
+    # Trailing blocks (trace, idem) are optional on every message carrying them.
+    return st.none() | values if kind.trailing else values
+
+
+_messages = st.one_of(
+    *(
+        st.builds(cls, **{name: _values(kind) for name, kind in cls.WIRE.items()})
+        for cls in REQUEST_TYPES + RESPONSE_TYPES
+    )
 )
-
-# Mixed-kind write ops: puts/deletes as legacy triples, merges and TTL'd
-# puts with their kind-specific extras.
-_wire_ops = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(["put", "delete"]), _key, _value),
-        st.tuples(st.just("merge"), _key, _value, st.text(min_size=1, max_size=12)),
-        st.tuples(st.just("put_ttl"), _key, _value, _floats),
-    ),
-    max_size=6,
-).map(tuple)
-
-_requests = st.one_of(
-    st.builds(PingRequest, tenant=_text, trace=_trace),
-    st.builds(StatsRequest, tenant=_text, trace=_trace),
-    st.builds(GetRequest, tenant=_text, key=_key, trace=_trace),
-    st.builds(
-        PutRequest,
-        tenant=_text,
-        key=_key,
-        value=_value,
-        ttl=st.none() | _floats,
-        trace=_trace,
-    ),
-    st.builds(DeleteRequest, tenant=_text, key=_key, trace=_trace),
-    st.builds(
-        MultiGetRequest,
-        tenant=_text,
-        keys=st.lists(_key, max_size=6).map(tuple),
-        trace=_trace,
-    ),
-    st.builds(
-        ScanRequest,
-        tenant=_text,
-        start=st.none() | _key,
-        end=st.none() | _key,
-        limit=_limit,
-        trace=_trace,
-    ),
-    st.builds(
-        BatchRequest,
-        tenant=_text,
-        ops=_wire_ops,
-        trace=_trace,
-    ),
-    st.builds(
-        MergeRequest,
-        tenant=_text,
-        key=_key,
-        operand=_value,
-        operator=_text,
-        trace=_trace,
-    ),
-    st.builds(
-        TxnCommitRequest,
-        tenant=_text,
-        read_set=st.lists(
-            st.tuples(_key, st.integers(min_value=0, max_value=2**40)),
-            max_size=6,
-            unique_by=lambda pair: pair[0],
-        ).map(tuple),
-        ops=_wire_ops,
-        trace=_trace,
-    ),
-    st.builds(
-        StatsHistoryRequest,
-        tenant=_text,
-        last_n=st.integers(min_value=0, max_value=2**20),
-        trace=_trace,
-    ),
-)
-
-_responses = st.one_of(
-    st.builds(PongResponse, server_uptime_s=_floats, engine_uptime_s=_floats),
-    st.builds(StatsResponse, payload_json=_text),
-    st.builds(
-        GetResponse,
-        found=st.booleans(),
-        value=_value,
-        seqno=st.integers(min_value=0, max_value=2**40),
-    ),
-    st.builds(OkResponse, count=st.integers(min_value=0, max_value=2**40)),
-    st.builds(
-        MultiGetResponse,
-        entries=st.lists(
-            st.tuples(_key, st.booleans(), _value), max_size=6
-        ).map(tuple),
-    ),
-    st.builds(
-        ScanResponse,
-        items=st.lists(st.tuples(_key, _value), max_size=6).map(tuple),
-        truncated=st.booleans(),
-    ),
-    st.builds(ErrorResponse, code=_text, message=_text),
-    st.builds(StatsHistoryResponse, payload_json=_text),
-)
-
-_messages = st.one_of(_requests, _responses)
 
 
 # -- round trips ---------------------------------------------------------------
@@ -193,6 +121,32 @@ class TestRoundTrip:
         assert len(RESPONSE_TYPES) == 8
         types = {cls.TYPE for cls in REQUEST_TYPES + RESPONSE_TYPES}
         assert len(types) == 19
+
+    def test_the_field_spec_is_the_only_codec(self):
+        # No message class hand-writes an encoder or decoder: beyond the
+        # generic pair on Message, the only method allowed is a normalising
+        # __post_init__ (dunders are the dataclass machinery's).
+        for cls in REQUEST_TYPES + RESPONSE_TYPES:
+            own = {
+                name for name, attr in vars(cls).items()
+                if callable(attr) or isinstance(attr, (classmethod, staticmethod))
+            }
+            assert {n for n in own if not n.startswith("__")} == set(), cls
+            assert cls.encode_payload is Message.encode_payload
+            assert cls.decode_payload.__func__ is Message.decode_payload.__func__
+
+    def test_op_name_and_mutating_come_from_the_class(self):
+        assert {cls.OP for cls in REQUEST_TYPES} == {
+            "ping", "stats", "stats_history", "get", "put", "delete",
+            "multi_get", "scan", "batch", "merge", "txn_commit",
+        }
+        assert all(cls.OP is None and not cls.MUTATING for cls in RESPONSE_TYPES)
+        # Mutating ⇔ the spec carries the idempotency block.
+        assert {cls.OP for cls in REQUEST_TYPES if cls.MUTATING} == {
+            "put", "delete", "merge", "batch", "txn_commit",
+        }
+        for cls in REQUEST_TYPES:
+            assert cls.MUTATING == ("idem" in cls.WIRE)
 
 
 # -- truncation ----------------------------------------------------------------
@@ -279,7 +233,7 @@ class TestCorruption:
 
     def test_trailing_payload_bytes_rejected(self):
         # A structurally valid frame whose payload has junk after the
-        # typed fields must not decode (every decoder calls _expect_end).
+        # typed fields must not decode (the generic decoder checks it consumed everything).
         # b"\x00" decodes as "no trace context"; the 0xff after it is junk.
         payload = PingRequest(tenant="t").encode_payload() + b"\x00\xff"
         with pytest.raises(ProtocolError, match="trailing"):
@@ -320,6 +274,34 @@ class TestCorruption:
         out.append(9)  # kind byte out of range
         with pytest.raises(ProtocolError, match="batch op kind"):
             try_decode_frame(self._frame(BatchRequest.TYPE, bytes(out)))
+
+    @pytest.mark.parametrize(
+        "cls, head",
+        [
+            (OkResponse, b""),  # count
+            (ScanRequest, b"\x00\x00\x00"),  # tenant, no start, no end -> limit
+            (TxnCommitRequest, b"\x00\x01\x01k"),  # tenant, 1 read, key -> seqno
+            (GetRequest, b""),  # the tenant string's length prefix
+        ],
+    )
+    def test_hostile_varint_is_rejected_in_constant_time(self, cls, head):
+        # A CRC-valid frame whose varint is a 200 kB continuation run used to
+        # shift an ever-growing bigint once per byte: ~2 s of handler thread
+        # and GIL per frame, minutes at the 8 MiB payload limit.
+        frame = self._frame(cls.TYPE, head + b"\xff" * 200_000 + b"\x01")
+        started = time.perf_counter()
+        with pytest.raises(ProtocolError, match="varint"):
+            try_decode_frame(frame)
+        assert time.perf_counter() - started < 0.05
+
+    def test_varint_bounds_are_ten_bytes_and_64_bits(self):
+        u64_max = b"\xff" * 9 + b"\x01"
+        decoded, _ = decode_frame(self._frame(OkResponse.TYPE, u64_max))
+        assert decoded == OkResponse(count=2**64 - 1)
+        with pytest.raises(ProtocolError, match="wider than 64 bits"):
+            try_decode_frame(self._frame(OkResponse.TYPE, b"\xff" * 9 + b"\x02"))
+        with pytest.raises(ProtocolError, match="longer than 10 bytes"):
+            try_decode_frame(self._frame(OkResponse.TYPE, b"\x80" * 10 + b"\x00"))
 
     def test_header_and_trailer_sizes_documented(self):
         frame = encode_frame(OkResponse(count=1))
