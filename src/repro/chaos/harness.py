@@ -243,15 +243,13 @@ class ChaosHarness:
         )
 
     def _start_server(self, first: bool) -> None:
-        from repro.service import DBService, ServiceConfig
+        from repro.service import DBService
 
         if first:
             tree = LSMTree(self.config, device=self.device)
         else:
             tree = LSMTree.recover(self.config, self.device)
-        service = DBService(
-            tree, config=ServiceConfig(max_batch_wait_s=0.0005), close_tree=True
-        )
+        service = DBService(tree, close_tree=True)
         self.fuse = CrashFuseService(service)
         self.server = LSMServer(self.fuse, self._server_config())
         host, port = self.server.start()

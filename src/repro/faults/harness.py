@@ -179,11 +179,9 @@ class CrashHarness:
         else:
             tree = LSMTree.recover(self.config, self.device)
         if self.mode in ("service", "txn"):
-            from repro.service import DBService, ServiceConfig
+            from repro.service import DBService
 
-            return DBService(
-                tree, config=ServiceConfig(max_batch_wait_s=0.0005), close_tree=True
-            )
+            return DBService(tree, close_tree=True)
         return tree
 
     def _abandon(self, engine) -> None:

@@ -32,16 +32,30 @@ def _label_key(labels: Optional[Dict[str, str]]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """A monotone counter (Prometheus ``counter`` semantics)."""
+def _sample(fn: Callable[[], float]) -> float:
+    """Read a callback-backed metric; a dying component must not break exports."""
+    try:
+        return float(fn())
+    except Exception:
+        return float("nan")
 
-    __slots__ = ("name", "help", "labels", "_value", "_lock")
+
+class Counter:
+    """A monotone counter (Prometheus ``counter`` semantics).
+
+    Like a :class:`Gauge` it may be backed by a callback (``set_function``):
+    the shape for a count a component already keeps under its own lock, which
+    then costs the counting path nothing extra.
+    """
+
+    __slots__ = ("name", "help", "labels", "_value", "_fn", "_lock")
 
     def __init__(self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None):
         self.name = name
         self.help = help
         self.labels = dict(labels or {})
         self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
@@ -50,9 +64,15 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Read ``fn`` (a monotone count) on every read instead of a stored value."""
+        with self._lock:
+            self._fn = fn
+
     @property
     def value(self) -> float:
-        return self._value
+        fn = self._fn
+        return self._value if fn is None else _sample(fn)
 
     def merge(self, other: "Counter") -> None:
         with self._lock:
@@ -94,12 +114,7 @@ class Gauge:
     @property
     def value(self) -> float:
         fn = self._fn
-        if fn is not None:
-            try:
-                return float(fn())
-            except Exception:  # a dying component must not break exports
-                return float("nan")
-        return self._value
+        return self._value if fn is None else _sample(fn)
 
     def merge(self, other: "Gauge") -> None:
         # Merging gauges sums them: queue depths and backlogs across shards

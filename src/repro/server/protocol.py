@@ -700,7 +700,12 @@ def try_decode_frame(
         return None
     body_end = offset + HEADER_SIZE + length
     (expected_crc,) = _CRC.unpack_from(buf, body_end)
-    actual_crc = zlib.crc32(bytes(buf[offset:body_end])) & 0xFFFFFFFF
+    # One view serves the CRC and the payload copy (a bytearray slice would
+    # copy twice each); released at once, since a live view pins a bytearray
+    # against the decoder's next feed.
+    with memoryview(buf)[offset:body_end] as body:
+        actual_crc = zlib.crc32(body) & 0xFFFFFFFF
+        payload = bytes(body[HEADER_SIZE:])
     if actual_crc != expected_crc:
         raise ProtocolError(
             f"frame CRC mismatch (stored 0x{expected_crc:08x}, "
@@ -709,7 +714,6 @@ def try_decode_frame(
     cls = _MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise ProtocolError(f"unknown message type 0x{msg_type:02x}")
-    payload = bytes(buf[offset + HEADER_SIZE : body_end])
     try:
         message = cls.decode_payload(payload)
     except ProtocolError:

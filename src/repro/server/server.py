@@ -37,11 +37,12 @@ from repro.observe import (
     TraceRecorder,
     attach_engine_source,
 )
-from repro.observe.tracing import TraceContext, new_trace_id
+from repro.observe.tracing import TraceContext
 from repro.server.config import ServerConfig
 from repro.server.dedup import DedupTable
 from repro.server.overload import STATE_OK, STATE_SHED, OverloadGuard
 from repro.server.protocol import (
+    REQUEST_TYPES,
     ErrorResponse,
     FrameDecoder,
     GetResponse,
@@ -63,6 +64,11 @@ from repro.server.tenancy import (
     tenant_range,
     validate_tenant,
 )
+
+
+#: The negative sampling decision, activated around every untraced request so
+#: the service and engine below inherit it instead of rolling their own dice.
+_UNSAMPLED = TraceContext("", "", False)
 
 
 class LSMServer:
@@ -109,6 +115,11 @@ class LSMServer:
         self._handlers: Set[threading.Thread] = set()
         self._conn_sockets: Set[socket.socket] = set()
         self._lock = threading.Lock()
+        # Request accounting, exported below as callback metrics: one lock
+        # round trip per request edge instead of one per metric touched.
+        self._load_lock = threading.Lock()
+        self._requests = 0
+        self._in_flight = 0
         self._stop = threading.Event()
         self._started_monotonic: Optional[float] = None
         self.address: Optional[tuple] = None
@@ -157,9 +168,9 @@ class LSMServer:
             "server_connections_rejected_total",
             "connections refused at the max_connections cap",
         )
-        self._requests_total = registry.counter(
+        registry.counter(
             "server_requests_total", "requests served (all types)"
-        )
+        ).set_function(lambda: self._requests)
         self._protocol_errors = registry.counter(
             "server_protocol_errors_total",
             "malformed/corrupt frames received (connection dropped)",
@@ -168,9 +179,9 @@ class LSMServer:
             "server_request_errors_total",
             "requests answered with an error frame",
         )
-        self._in_flight = registry.gauge(
+        registry.gauge(
             "server_in_flight_requests", "requests currently executing"
-        )
+        ).set_function(lambda: self._in_flight)
         registry.gauge(
             "server_connections_active", "currently open client connections"
         ).set_function(lambda: len(self._conn_sockets))
@@ -178,15 +189,13 @@ class LSMServer:
             "server_uptime_seconds", "seconds since the server started"
         ).set_function(lambda: self.uptime_seconds)
         self._request_wall = {
-            op: registry.histogram(
+            request.OP: registry.histogram(
                 "server_request_wall_seconds",
                 "server-side request latency (admission + engine + encode)",
                 min_value=1e-6,
-                labels={"op": op},
+                labels={"op": request.OP},
             )
-            for op in ("ping", "stats", "stats_history", "get", "put",
-                       "delete", "multi_get", "scan", "batch", "merge",
-                       "txn_commit")
+            for request in REQUEST_TYPES
         }
         self._admission_wait = registry.histogram(
             "server_admission_wait_seconds",
@@ -294,6 +303,10 @@ class LSMServer:
                 continue
             except OSError:
                 return  # listener closed by shutdown()
+            try:  # request/reply frames are small: never wait to coalesce them
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                pass
             if self.transport is not None:
                 conn = self.transport.wrap(conn)
             if self._stop.is_set():
@@ -416,44 +429,32 @@ class LSMServer:
                 ),
             )
             return
-        self._requests_total.inc()
-        self._in_flight.add(1.0)
+        wall0 = time.perf_counter()
+        with self._load_lock:
+            self._requests += 1
+            self._in_flight += 1
+            in_flight = self._in_flight
         # Classify load *after* this request is counted: at the brink,
         # the request that crosses the threshold is the one shed.
-        load_state = self.overload.state(int(self._in_flight.value))
-        wall0 = time.perf_counter()
-        stages: dict = {}
-        if wire_decode_s > 0.0:
-            stages["wire_decode"] = wire_decode_s
+        load_state = self.overload.state(in_flight)
         recorder = self.recorder
         ctx = getattr(request, "trace", None)
         span = None
-        token = None
-        if recorder is not None:
-            if ctx is None:
-                # No client context — this request's outermost span is here,
-                # so the server makes the root sampling decision, once.
-                # Brownout sheds optional work first: no new root samples.
-                sampled = (
-                    recorder.should_sample()
-                    if not self.overload.suppress_tracing(load_state)
-                    else False
-                )
-                ctx = TraceContext(new_trace_id(), "", sampled)
-            if ctx.sampled:
+        if ctx is not None:
+            if ctx.sampled:  # the client decided, positively or negatively
                 span = recorder.start(f"server:{op}", parent=ctx)
-            # Activate the decision — positive or negative — so every
-            # maybe_start() below (service, engine) inherits it rather
-            # than rolling its own dice mid-request.
-            active = (
-                span.context()
-                if span is not None
-                else TraceContext(ctx.trace_id, ctx.span_id, False)
-            )
-            token = recorder.activate(active)
-        exec0 = time.perf_counter()
+        elif not self.overload.suppress_tracing(load_state) and recorder.should_sample():
+            # No client context — this request's outermost span is here, so
+            # the server makes the root sampling decision, once. Brownout
+            # sheds optional work first: no new root samples.
+            span = recorder.start(f"server:{op}")
+        # Activate the decision — positive or negative — so every
+        # maybe_start() below (service, engine) inherits it rather than
+        # rolling its own dice mid-request.
+        token = recorder.activate(span.context() if span is not None else _UNSAMPLED)
+        admitted: dict = {}  # fair-share admission: the one stage timed below this frame
         try:
-            response = self._execute(op, request, stages, load_state)
+            response = self._execute(op, request, admitted, load_state)
         except ProtocolError as exc:
             self._request_errors.inc()
             response = ErrorResponse(code="bad_request", message=str(exc))
@@ -476,33 +477,40 @@ class LSMServer:
                 code="internal", message=f"{type(exc).__name__}: {exc}"
             )
         finally:
-            self._in_flight.add(-1.0)
-            if recorder is not None:
-                recorder.deactivate(token)
-        exec_s = time.perf_counter() - exec0
-        stages["engine"] = max(0.0, exec_s - stages.get("admission", 0.0))
-        encode0 = time.perf_counter()
+            with self._load_lock:
+                self._in_flight -= 1
+            recorder.deactivate(token)
+        executed = time.perf_counter()
         frame = encode_frame(response)
-        stages["reply_encode"] = time.perf_counter() - encode0
-        total = (time.perf_counter() - wall0) + wire_decode_s
+        encoded = time.perf_counter()
+        total = (encoded - wall0) + wire_decode_s
         self._request_wall[op].record(total)
-        tenant = getattr(request, "tenant", "") or self.config.default_tenant
         # Close the books *before* the reply hits the wire, so a client that
         # reads its response is guaranteed to find the full span/slow-op
         # record already published (no racing with the handler thread).
-        if span is not None:
-            for name in ("wire_decode", "admission", "engine", "reply_encode"):
-                if name in stages:
-                    span.add_stage(name, stages[name])
-            recorder.finish(
-                span, op=op, tenant=tenant,
-                error=isinstance(response, ErrorResponse),
+        slow_ops = self.slow_ops
+        if span is not None or (slow_ops is not None and total >= slow_ops.threshold_s):
+            # Only a request somebody will look at pays for its breakdown.
+            stages = {"wire_decode": wire_decode_s} if wire_decode_s > 0.0 else {}
+            stages.update(admitted)
+            stages["engine"] = max(
+                0.0, (executed - wall0) - admitted.get("admission", 0.0)
             )
-        if self.slow_ops is not None:
+            stages["reply_encode"] = encoded - executed
+            tenant = getattr(request, "tenant", "") or self.config.default_tenant
             attrs = {"tenant": tenant}
             if span is not None:
+                for name, duration in stages.items():
+                    span.add_stage(name, duration)
+                recorder.finish(
+                    span, op=op, tenant=tenant,
+                    error=isinstance(response, ErrorResponse),
+                )
                 attrs["trace_id"] = span.trace_id
-            self.slow_ops.observe(op, total, stages, **attrs)
+            if slow_ops is not None:
+                slow_ops.observe(op, total, stages, **attrs)
+        elif slow_ops is not None:
+            slow_ops.observe(op, total)  # counted; below the threshold nothing is kept
         try:
             conn.sendall(frame)
         except OSError:

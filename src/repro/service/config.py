@@ -25,9 +25,12 @@ class ServiceConfig:
     Attributes:
         max_batch: group-commit batch cap; a commit leader drains at most
             this many queued writes into one WAL frame.
-        max_batch_wait_s: how long a leader waits for followers before
+        max_batch_wait_s: upper bound on the leader's wait for followers
+            *when another writer has been seen* — the previous write came
+            from a different thread, or one is still in flight — before
             committing a short batch (the group-commit latency/amortization
-            tradeoff).
+            tradeoff). A thread that wrote last itself commits at once, so a
+            lone writer pays it once.
         num_workers: background worker threads shared by flush and
             compaction jobs.
         compaction_rate_bytes: token-bucket refill rate (bytes/second of

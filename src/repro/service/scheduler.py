@@ -232,8 +232,15 @@ class CompactionScheduler:
     def _run_flush(self, tree: LSMTree) -> None:
         sealed = tree.claim_flush()
         while sealed is not None:
-            run = tree.build_flush(sealed)
-            tree.install_flush(sealed, run)
+            try:
+                run = tree.build_flush(sealed)
+                tree.install_flush(sealed, run)
+            except BaseException:
+                # Hand the seal back (as abandon_compaction does a plan):
+                # left claimed it is never flushed, and installs are in seal
+                # order, so every newer seal's worker would wait on it forever.
+                sealed.claimed = False
+                raise
             tree.stats.flush_jobs += 1
             sealed = tree.claim_flush()
         if tree.compaction_needed():

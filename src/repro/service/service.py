@@ -100,9 +100,10 @@ class DBService:
         Instruments the tree (engine latency histograms, per-level probe
         accounting, sampled read-path spans), the service's client-observed
         wall-clock latencies (queueing + group commit included), the
-        group-commit batch-size distribution, the backpressure stall
-        histogram, and live gauges for the write queue depth, flush
-        backlog, and pending background jobs.
+        group-commit batch-size distribution and linger counts (leaders
+        that waited for followers, and those that got none), the
+        backpressure stall histogram, and live gauges for the write queue
+        depth, flush backlog, and pending background jobs.
 
         Args:
             registry: report into this registry (a fresh one by default).
@@ -145,6 +146,17 @@ class DBService:
             "per-write stall delay (slowdown sleeps and hard stops)",
             min_value=1e-6,
         )
+        # With service_batch_records (count = groups, sum = records) these
+        # explain the average batch and what share of groups paid the wait.
+        batcher_stats = self._batcher.stats
+        registry.counter(
+            "service_batch_lingers_total",
+            "commit leaders that waited for followers (another writer was seen)",
+        ).set_function(lambda: batcher_stats.lingers)
+        registry.counter(
+            "service_batch_lingers_empty_total",
+            "lingers that ended with no follower (the wait bought nothing)",
+        ).set_function(lambda: batcher_stats.lingers_empty)
         registry.gauge(
             "service_write_queue_depth", "writes parked in the commit queue"
         ).set_function(lambda: self._batcher.queue_depth)
@@ -277,8 +289,9 @@ class DBService:
                     written.add(op.key)
             if flat:
                 tree.write_batch(flat)
-        tree.stats.batches_committed += 1
-        tree.stats.batched_records += len(ops)
+            # Under the mutex: the next group's leader may already be here.
+            tree.stats.batches_committed += 1
+            tree.stats.batched_records += len(ops)
         if self._batch_hist is not None:
             self._batch_hist.record(len(ops))
         return errors

@@ -2,6 +2,7 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -17,13 +18,14 @@ from repro.server import (
     run_load,
 )
 from repro.server.protocol import (
+    REQUEST_TYPES,
     FrameDecoder,
     GetRequest,
     ProtocolError,
     encode_frame,
     recv_message,
 )
-from repro.service import DBService
+from repro.service import DBService, ServiceConfig
 
 
 @pytest.fixture
@@ -175,6 +177,36 @@ class TestConcurrencyAndLifecycle:
         for t in threads:
             t.join()
         assert errors == []
+
+    def test_lone_connection_does_not_pay_the_group_commit_wait(self):
+        """Every write of one connection comes from one handler thread."""
+        service_config = ServiceConfig()
+        service = DBService(LSMTree(LSMConfig()), service_config)
+        srv = LSMServer(service, ServerConfig(), close_service=True)
+        srv.start()
+        puts = 200
+        try:
+            with client_for(srv) as db:
+                db.ping()  # connected and served before the clock starts
+                began = time.monotonic()
+                for i in range(puts):
+                    db.put(b"k%d" % i, b"v")
+                elapsed = time.monotonic() - began
+            assert elapsed < puts * service_config.max_batch_wait_s / 4
+            assert service._batcher.stats.lingers == 1
+        finally:
+            srv.shutdown()
+
+    def test_accepted_sockets_disable_nagle(self, server):
+        with client_for(server) as db:
+            db.ping()
+            (conn,) = server._conn_sockets
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_every_request_type_has_a_latency_series(self, server):
+        histograms = server.registry.snapshot()["histograms"]
+        for request in REQUEST_TYPES:
+            assert f"server_request_wall_seconds{{op={request.OP}}}" in histograms
 
     def test_graceful_shutdown_is_idempotent_and_refuses_new_work(self):
         service = DBService(LSMTree(LSMConfig(buffer_bytes=4 << 10, block_size=512)))

@@ -155,6 +155,34 @@ def test_one_scheduler_serves_many_trees():
         assert tree.get(encode_uint_key(1)).found
 
 
+def test_failed_flush_releases_its_seal():
+    """A flush that dies mid-build must not strand its sealed memtable: the
+    next job retries it, and newer seals (which install in seal order) never
+    wait on a claim nobody holds."""
+    scheduler = CompactionScheduler(num_workers=2)
+    tree = small_tree()
+    build, failed = tree.build_flush, threading.Event()
+
+    def build_failing_once(sealed):
+        if not failed.is_set():
+            failed.set()
+            raise OSError("injected: device error during flush build")
+        return build(sealed)
+
+    tree.build_flush = build_failing_once
+    try:
+        scheduler.register(tree)
+        for i in range(2000):
+            tree.put(encode_uint_key(i % 500), b"x" * 30)
+        assert scheduler.drain(timeout=10.0)
+    finally:
+        scheduler.close(drain=False)
+    assert failed.is_set() and scheduler.job_failures == 1
+    assert tree.immutable_memtables == 0  # the failed seal was flushed by a retry
+    tree.verify_integrity()
+    assert all(tree.get(encode_uint_key(k)).found for k in range(500))
+
+
 def test_close_is_idempotent_and_stops_workers():
     scheduler = CompactionScheduler(num_workers=1)
     scheduler.close()

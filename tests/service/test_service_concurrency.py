@@ -7,7 +7,9 @@ final state equals a sequential oracle. Writers own disjoint key ranges, so
 the oracle is just each writer's last operation per key.
 """
 
+import sys
 import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -187,6 +189,57 @@ def test_final_state_matches_sequential_oracle(scripts):
             assert result.found and result.value == expected
     service.close()
     service.tree.verify_integrity()
+
+
+def test_lone_writer_does_not_pay_the_group_commit_wait():
+    """Default config, one thread: only the very first put may linger."""
+    config = ServiceConfig()
+    service = DBService(LSMTree(LSMConfig()), config)
+    registry = service.attach_observability().registry
+    puts = 200
+    began = time.monotonic()
+    for i in range(puts):
+        service.put(encode_uint_key(i), b"v")
+    elapsed = time.monotonic() - began
+    counters = registry.snapshot()["counters"]
+    service.close()
+    assert elapsed < puts * config.max_batch_wait_s / 4
+    assert counters["service_batch_lingers_total"] == 1
+    assert counters["service_batch_lingers_empty_total"] == 1
+    assert service.stats.batches_committed == service.stats.batched_records == puts
+
+
+def test_commit_counters_are_exact_under_contention():
+    """Back-to-back leaders bump the shared commit counters concurrently;
+    with the interpreter switching threads every few bytecodes an unlocked
+    read-modify-write loses updates."""
+    n_writers, per_writer = 8, 300
+    service = small_service()
+    registry = service.attach_observability().registry
+    barrier = threading.Barrier(n_writers)
+
+    def writer(tid):
+        barrier.wait()
+        for i in range(per_writer):
+            service.put(writer_key(tid, i % KEYS_PER_WRITER), b"%d" % i)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in range(n_writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    batcher, stats = service._batcher.stats, service.stats
+    groups = registry.snapshot()["histograms"]["service_batch_records"]
+    service.close()
+    assert stats.batched_records == batcher.records == n_writers * per_writer
+    assert stats.batches_committed == batcher.batches == groups["count"]
+    assert groups["sum"] == n_writers * per_writer
 
 
 def test_sharded_store_shares_one_scheduler():
