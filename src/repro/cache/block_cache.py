@@ -65,6 +65,10 @@ class CacheStats:
         }
 
 
+_LEAD = object()  # _hit_or_lead's "you load it" answer
+_UNCONTENDED = object()  # parked in _loading by a leader nobody is waiting on
+
+
 class BlockCache:
     """A byte-budgeted object cache for parsed blocks.
 
@@ -98,7 +102,9 @@ class BlockCache:
         self._compressed_policy = _resolve_policy(compressed_policy)
         self._entries: Dict[Hashable, Tuple[object, int]] = {}
         self._compressed: Dict[Hashable, Tuple[object, int]] = {}
-        self._loading: Dict[Hashable, threading.Event] = {}
+        # key -> the Event its waiters sleep on, or _UNCONTENDED while the
+        # leader is alone (the common case: no Event is ever built).
+        self._loading: Dict[Hashable, object] = {}
         self._used = 0
         self._compressed_used = 0
         self.stats = CacheStats()
@@ -122,37 +128,18 @@ class BlockCache:
         waiter that finds the leader failed (or the value uncacheable)
         becomes the new leader and loads for itself.
         """
-        first_touch = True
-        while True:
-            with self._lock:
-                if first_touch:
-                    self.access_counts[key] = self.access_counts.get(key, 0) + 1
-                    first_touch = False
-                cached = self._entries.get(key)
-                if cached is not None:
-                    self.stats.hits += 1
-                    self._policy.on_access(key)
-                    return cached[0]
-                leader = self._loading.get(key)
-                if leader is None:
-                    self.stats.misses += 1
-                    event = threading.Event()
-                    self._loading[key] = event
-                    break
-                self.stats.single_flight_waits += 1
-            leader.wait()
+        cached = self._hit_or_lead(key)
+        if cached is not _LEAD:
+            return cached
         try:
             value, charge = loader()
         except BaseException:
-            with self._lock:
-                self._loading.pop(key, None)
-            event.set()
+            self._end_load(key)
             raise
         with self._lock:
             if key not in self._entries:
                 self._insert(key, value, charge)
-            self._loading.pop(key, None)
-        event.set()
+        self._end_load(key)
         return value
 
     def get_or_load_block(
@@ -164,14 +151,42 @@ class BlockCache:
         """The two-tier read: uncompressed hit → compressed hit → device.
 
         ``load_frame`` reads the raw on-device payload (the expensive step:
-        one device block read); ``decode`` turns a payload into
+        one device block read); ``decode`` opens a payload as
         ``(block, decoded_charge)`` (pure CPU). A compressed-tier hit pays
         only the decode; a full miss pays both and feeds both tiers —
         the raw frame is retained only when it is actually compressed
-        (caching a legacy payload raw buys nothing over the decoded block).
+        (caching a legacy payload raw buys nothing over the opened block).
         Loads are single-flight per key, sharing the leader/waiter protocol
         of :meth:`get_or_load`.
         """
+        cached = self._hit_or_lead(key)
+        if cached is not _LEAD:
+            return cached
+        try:
+            frame = self.get_compressed(key) if self.compressed_capacity_bytes else None
+            from_device = frame is None
+            if from_device:
+                frame = load_frame()
+            value, charge = decode(frame)
+        except BaseException:
+            self._end_load(key)
+            raise
+        with self._lock:
+            if (
+                from_device
+                and self.compressed_capacity_bytes
+                and is_compressed_frame(frame)
+            ):
+                self._insert_compressed(key, frame, len(frame))
+            if key not in self._entries:
+                self._insert(key, value, charge)
+        self._end_load(key)
+        return value
+
+    def _hit_or_lead(self, key: Hashable):
+        """The single-flight front half: the cached object, or ``_LEAD`` once
+        the caller has been elected to load ``key`` (it must then call
+        :meth:`_end_load`, whatever happens). Waits out any load in flight."""
         first_touch = True
         while True:
             with self._lock:
@@ -186,34 +201,21 @@ class BlockCache:
                 leader = self._loading.get(key)
                 if leader is None:
                     self.stats.misses += 1
-                    event = threading.Event()
-                    self._loading[key] = event
-                    break
+                    self._loading[key] = _UNCONTENDED
+                    return _LEAD
+                if leader is _UNCONTENDED:
+                    # First thread to queue behind this load: only now is
+                    # there anyone for an Event to wake.
+                    leader = self._loading[key] = threading.Event()
                 self.stats.single_flight_waits += 1
             leader.wait()
-        try:
-            frame = self.get_compressed(key) if self.compressed_capacity_bytes else None
-            from_device = frame is None
-            if from_device:
-                frame = load_frame()
-            value, charge = decode(frame)
-        except BaseException:
-            with self._lock:
-                self._loading.pop(key, None)
-            event.set()
-            raise
+
+    def _end_load(self, key: Hashable) -> None:
+        """The leader is done with ``key`` (loaded or failed): wake its waiters."""
         with self._lock:
-            if (
-                from_device
-                and self.compressed_capacity_bytes
-                and is_compressed_frame(frame)
-            ):
-                self._insert_compressed(key, frame, len(frame))
-            if key not in self._entries:
-                self._insert(key, value, charge)
-            self._loading.pop(key, None)
-        event.set()
-        return value
+            waiters = self._loading.pop(key)
+        if waiters is not _UNCONTENDED:
+            waiters.set()
 
     def get(self, key: Hashable):
         """Return the cached object or None, with full hit/miss accounting.
@@ -301,9 +303,10 @@ class BlockCache:
     def invalidate_file(self, file_id: int) -> List[Hashable]:
         """Drop every cached block of ``file_id``; returns the dropped keys.
 
-        Compactions call this for each input file they delete. The returned
-        keys (with their access counts) are what Leaper uses to decide which
-        key ranges were hot.
+        Compactions call this for each input file they delete, *after* the
+        Leaper prefetcher has read the file's heat (``hot_keys``): the
+        file's access counts go with it — file ids are never reused, so
+        nothing could read them again and they would only accumulate.
         """
         with self._lock:
             victims = [key for key in self._entries if _file_of(key) == file_id]
@@ -313,6 +316,8 @@ class BlockCache:
             for key in [k for k in self._compressed if _file_of(k) == file_id]:
                 self._remove_compressed(key)
                 self.compressed_stats.invalidations += 1
+            for key in [k for k in self.access_counts if _file_of(k) == file_id]:
+                del self.access_counts[key]
             return victims
 
     # -- introspection -----------------------------------------------------------

@@ -69,9 +69,9 @@ class LeaperPrefetcher:
                 key = (table.file_id, block_no)
                 if self._cache.contains(key):
                     continue
-                # Charge the prefetch read exactly like a demand read.
+                # Read and charge the prefetch exactly like a demand read.
                 block = table._load_block(block_no, None, None)
-                self._cache.put(key, block, _block_charge(block))
+                self._cache.put(key, block, block.charge_bytes)
                 self.prefetched_blocks += 1
                 fetched += 1
         return fetched
@@ -111,8 +111,3 @@ class LeaperPrefetcher:
                     break
                 blocks.add(block_no)
         return sorted(blocks)
-
-
-def _block_charge(block) -> int:
-    """Approximate the cache charge of a parsed block."""
-    return sum(entry.approximate_size for entry in block.entries)

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.storage.sstable import DataBlock, ProbeStats, parse_block
+from repro.storage import sstable
+from repro.storage.sstable import DataBlock, ProbeStats
 
 
 class CoalescingReader:
@@ -93,8 +94,7 @@ class CoalescingReader:
                 while probe <= end and not cache.contains((self._file_id, probe)):
                     probe += 1
                 end = probe - 1
-            for block in self._load_span(block_no, end - block_no + 1):
-                yield block
+            yield from self._load_span(block_no, end - block_no + 1)
             block_no = end + 1
 
     # -- batched point loads (multi_get) -------------------------------------
@@ -136,10 +136,15 @@ class CoalescingReader:
             out[first + offset] = block
         pending.clear()
 
-    def _from_compressed_tier(self, block_no: int) -> Optional[DataBlock]:
-        """Decode a block from the cache's compressed tier, if it is there.
+    def _open(self, payload) -> DataBlock:
+        # Through the module, at call time: perf/tracing.py times block
+        # opening by replacing ``sstable.parse_block``.
+        return sstable.parse_block(payload, True, self._hash_index)
 
-        A hit costs CPU only — no device request — and promotes the decoded
+    def _from_compressed_tier(self, block_no: int) -> Optional[DataBlock]:
+        """Open a block from the cache's compressed tier, if it is there.
+
+        A hit costs CPU only — no device request — and promotes the opened
         block into the uncompressed tier so the next touch is free.
         """
         cache = self._cache
@@ -149,7 +154,7 @@ class CoalescingReader:
         frame = get_compressed((self._file_id, block_no))
         if frame is None:
             return None
-        block = DataBlock(parse_block(frame), self._hash_index)
+        block = self._open(frame)
         cache.put((self._file_id, block_no), block, block.charge_bytes)
         self._note(from_cache=True)
         return block
@@ -160,7 +165,7 @@ class CoalescingReader:
         cache = self._cache
         put_compressed = getattr(cache, "put_compressed", None)
         for offset, payload in enumerate(payloads):
-            block = DataBlock(parse_block(payload), self._hash_index)
+            block = self._open(payload)
             self._note(from_cache=False)
             if cache is not None:
                 key = (self._file_id, first_block + offset)

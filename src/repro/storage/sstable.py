@@ -20,15 +20,13 @@ LevelDB/RocksDB; at read time the in-memory copies are used (the tutorial:
 from __future__ import annotations
 
 import bisect
+import collections.abc
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Union
 
-from repro.common.encoding import (
-    decode_varint,
-    encode_varint,
-    get_length_prefixed,
-)
+from repro.common.encoding import decode_varint, encode_varint
 from repro.common.entry import Entry, EntryKind
 from repro.errors import CorruptionError, ReproError, SimulatedCrashError, StorageError
 from repro.storage.block_device import BlockDevice
@@ -79,20 +77,52 @@ class ProbeStats:
 # the Entry object (four __slots__) plus two bytes-object headers. Used for
 # cache charge accounting, where the budget must bound *decoded* memory.
 _ENTRY_RESIDENT_OVERHEAD = 72
+_BLOCK_RESIDENT_OVERHEAD = 56  # the DataBlock itself + entries list header
 
 
-class DataBlock:
-    """A parsed data block: sorted entries plus an optional hash index."""
+class DataBlock(collections.abc.Sequence):
+    """One verified data block: an immutable ``Sequence[Entry]``, sorted by
+    key for table blocks, with an optional hash index for point lookups.
 
-    __slots__ = ("entries", "hash_index", "_keys", "_charge")
+    :func:`parse_block` opens a block **in place**: it keeps the verified
+    payload, the key list and one packed offset per entry, and decodes an
+    entry the first time it is asked for (``find``, indexing, slicing,
+    iteration), memoising it in its slot. Filling the last empty slot, by
+    whichever path, drops the payload and offsets; the block is then the
+    plain list of entries ``DataBlock(entries)`` builds directly.
 
-    def __init__(self, entries: List[Entry], build_hash_index: bool = False) -> None:
-        self.entries = entries
-        self.hash_index = (
-            {entry.key: i for i, entry in enumerate(entries)} if build_hash_index else None
+    Slots are filled with idempotent stores of equal entries, so readers
+    sharing a cached block need no lock.
+    """
+
+    __slots__ = ("_entries", "_keys", "_charge", "_buf", "_offsets", "_hashed", "_hash_index")
+
+    def __init__(self, entries: Sequence[Entry], build_hash_index: bool = False) -> None:
+        self._entries: List[Optional[Entry]] = (
+            entries if entries.__class__ is list else list(entries)
         )
         self._keys: Optional[List[bytes]] = None  # built on first binary search
         self._charge: Optional[int] = None  # decoded resident size, computed once
+        self._buf: Optional[bytes] = None
+        self._offsets = None
+        self._hashed = build_hash_index
+        self._hash_index: Optional[dict] = None  # built on first find()
+
+    @classmethod
+    def _in_place(cls, buf: bytes, offsets, keys: List[bytes], charge: int, hashed: bool):
+        """A block over ``buf``: ``offsets[i]`` is where entry ``i``'s seqno
+        starts (just past its key, which is already ``keys[i]``)."""
+        block = cls.__new__(cls)
+        block._entries = [None] * len(keys)
+        block._keys = keys
+        block._charge = charge
+        block._buf = buf
+        block._offsets = offsets
+        block._hashed = hashed
+        block._hash_index = None
+        return block
+
+    # -- search ----------------------------------------------------------------
 
     def keys_list(self) -> List[bytes]:
         """The block's sorted key list, decoded once and cached.
@@ -102,44 +132,142 @@ class DataBlock:
         """
         keys = self._keys
         if keys is None:
-            keys = self._keys = [entry.key for entry in self.entries]
+            keys = self._keys = [entry.key for entry in self._entries]
         return keys
 
     def find(self, key: bytes) -> Optional[Entry]:
-        """Locate ``key`` via the hash index when present, else binary search."""
-        if self.hash_index is not None:
-            idx = self.hash_index.get(key)
-            return self.entries[idx] if idx is not None else None
-        keys = self.keys_list()
-        idx = bisect.bisect_left(keys, key)
-        if idx < len(self.entries) and self.entries[idx].key == key:
-            return self.entries[idx]
-        return None
+        """Locate ``key`` via the hash index when present, else binary search;
+        decodes (once) only the entry it returns."""
+        if self._hashed:
+            index = self._hash_index
+            if index is None:
+                keys = self.keys_list()
+                index = self._hash_index = dict(zip(keys, range(len(keys))))
+            slot = index.get(key)
+            if slot is None:
+                return None
+        else:
+            keys = self._keys
+            if keys is None:
+                keys = self.keys_list()
+            slot = bisect.bisect_left(keys, key)
+            if slot == len(keys) or keys[slot] != key:
+                return None
+        entry = self._entries[slot]
+        if entry is None:
+            entry = self._fill(slot, slot + 1)[slot]
+        return entry
+
+    # -- the sequence ------------------------------------------------------------
+
+    @property
+    def entries(self) -> List[Entry]:
+        """Every entry, as a list (decodes whatever is still missing)."""
+        if self._buf is not None:
+            self._fill(0, len(self._entries))
+        return self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[Entry]:
+        return iter(self.entries)
+
+    def __getitem__(self, index):
+        entries = self._entries
+        if self._buf is None:
+            return entries[index]
+        if index.__class__ is slice:
+            window = entries[index]
+            if all(window):  # nothing missing (an Entry is always truthy)
+                return window
+            lo, hi, step = index.indices(len(entries))
+            if step != 1:
+                return self.entries[index]
+            return self._fill(lo, hi)[index]
+        entry = entries[index]
+        if entry is None:
+            slot = index + len(entries) if index < 0 else index
+            entry = self._fill(slot, slot + 1)[slot]
+        return entry
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DataBlock):
+            return self.entries == other.entries
+        if isinstance(other, (list, tuple)):
+            return self.entries == list(other)
+        return NotImplemented
+
+    __hash__ = None  # a mutable-looking sequence: compare, never hash
+
+    def __repr__(self) -> str:
+        state = "decoded" if self._buf is None else "in place"
+        return f"<DataBlock {len(self._entries)} entries, {state}>"
 
     @property
     def charge_bytes(self) -> int:
         """Resident (decoded) size for cache accounting.
 
-        This is what the block costs while cached — key and value bytes plus
-        per-entry object overhead — **not** its on-device size. Compressed
-        files would otherwise let the uncompressed cache tier hold several
-        times its configured budget in decoded memory.
+        This is what the block costs once every entry is decoded — key and
+        value bytes plus per-entry object overhead — **not** its on-device
+        size, and the same number whether the block is in place or decoded
+        (so eviction order does not depend on which). Compressed files
+        would otherwise let the uncompressed cache tier hold several times
+        its configured budget in decoded memory. A block in place holds its
+        payload beside the entries decoded so far, which stays under twice
+        this number and ends when the last slot fills (``_fill``).
         """
         charge = self._charge
         if charge is None:
-            charge = 56  # the DataBlock itself + entries list header
-            for entry in self.entries:
+            charge = _BLOCK_RESIDENT_OVERHEAD
+            for entry in self._entries:
                 charge += len(entry.key) + len(entry.value) + _ENTRY_RESIDENT_OVERHEAD
             self._charge = charge
         return charge
 
-    @property
-    def first_key(self) -> bytes:
-        return self.entries[0].key
+    # -- internals -----------------------------------------------------------
 
-    @property
-    def last_key(self) -> bytes:
-        return self.entries[-1].key
+    def _fill(self, lo: int, hi: int) -> List[Entry]:
+        """Decode the still-empty slots of ``[lo, hi)``; returns the slot list.
+
+        The structural pass at open already proved every field in bounds and
+        every kind valid, so nothing here can raise on a block that opened.
+        """
+        entries = self._entries
+        offsets = self._offsets
+        buf = self._buf
+        if offsets is None or buf is None:
+            return entries  # a concurrent reader filled the last slot
+        keys = self._keys
+        kinds = _ENTRY_KINDS
+        make = Entry
+        for slot in range(lo, hi):
+            if entries[slot] is None:
+                pos = offsets[slot]
+                seqno = buf[pos]
+                pos += 1
+                if seqno & 0x80:
+                    seqno &= 0x7F
+                    shift = 7
+                    while True:
+                        byte = buf[pos]
+                        pos += 1
+                        seqno |= (byte & 0x7F) << shift
+                        if not byte & 0x80:
+                            break
+                        shift += 7
+                kind = kinds[buf[pos]]
+                size = buf[pos + 1]
+                pos += 2
+                if size & 0x80:
+                    size, pos = decode_varint(buf, pos - 1)
+                entries[slot] = make(keys[slot], seqno, kind, buf[pos : pos + size])
+        if all(entries):
+            # Fully decoded, by whichever path filled the last slot: the
+            # payload and offsets have nothing left to give.
+            self._offsets = None
+            self._buf = None
+        return entries
 
 
 def _encode_body(entries: Sequence[Entry]) -> bytearray:
@@ -206,39 +334,75 @@ def serialize_block(entries: Sequence[Entry], codec: Optional[Codec] = None) -> 
     return encode_block(entries, codec)[0]
 
 
-def _decode_entries(body, stored_crc: Optional[int]) -> List[Entry]:
-    """Decode a block body (``varint count`` + packed entries) into entries.
-
-    ``body`` is any bytes-like object; the hot path hands a ``memoryview`` so
-    field slicing never copies — the single ``bytes()`` per key/value below
-    is the only copy made (and a no-op when the backing buffer is ``bytes``).
-    When ``stored_crc`` is given it is verified *after* decoding, preserving
-    the legacy contract that truncation surfaces as ``ValueError`` (spanning
-    consumers like the value log's jumbo scan retry with more blocks).
-    """
-    count, pos = decode_varint(body, 0)
-    entries: List[Entry] = []
-    append = entries.append
-    kinds = _ENTRY_KINDS
-    for _ in range(count):
-        key, pos = get_length_prefixed(body, pos)
-        seqno, pos = decode_varint(body, pos)
-        kind_byte = body[pos]
-        if kind_byte > 3:  # PUT, DELETE, MERGE, PUT_TTL
-            raise CorruptionError(f"invalid entry kind {kind_byte}")
-        pos += 1
-        value, pos = get_length_prefixed(body, pos)
-        append(Entry(key=bytes(key), seqno=seqno, kind=kinds[kind_byte], value=bytes(value)))
-    if stored_crc is not None and zlib.crc32(body) != stored_crc:
-        raise CorruptionError("block checksum mismatch")
-    return entries
-
-
 _ENTRY_KINDS = tuple(EntryKind(i) for i in range(4))
 
 
-def _parse_framed(view: memoryview) -> List[Entry]:
-    """Decode a compressed frame; raises only CorruptionError on any damage."""
+def _index_body(buf: bytes, pos: int, hash_index: bool) -> DataBlock:
+    """The structural pass: validate the body at ``buf[pos:]`` (``varint
+    count`` + packed entries) field by field without building a single entry.
+
+    Yields what searching the block in place needs: the key list, one packed
+    offset per entry and the cache charge the decoded block would carry.
+    """
+    n = len(buf)
+    keys: List[bytes] = []
+    add_key = keys.append
+    offsets = array("H" if n <= 0xFFFF else "I")
+    add_offset = offsets.append
+    payload_bytes = 0
+    try:
+        count = buf[pos]
+        pos += 1
+        if count & 0x80:
+            count, pos = decode_varint(buf, pos - 1)
+        for _ in range(count):
+            size = buf[pos]
+            pos += 1
+            if size & 0x80:
+                size, pos = decode_varint(buf, pos - 1)
+            end = pos + size
+            if end > n:
+                raise ValueError("truncated length-prefixed field")
+            add_key(buf[pos:end])
+            add_offset(end)
+            payload_bytes += size
+            pos = end
+            while buf[pos] & 0x80:  # the seqno varint: skipped, not decoded
+                pos += 1
+            kind_byte = buf[pos + 1]
+            if kind_byte > 3:
+                raise CorruptionError(f"invalid entry kind {kind_byte}")
+            size = buf[pos + 2]
+            pos += 3
+            if size & 0x80:
+                size, pos = decode_varint(buf, pos - 1)
+            if size:
+                pos += size
+                if pos > n:
+                    raise ValueError("truncated length-prefixed field")
+                if kind_byte == 1:
+                    raise ValueError("tombstones carry no value")
+                payload_bytes += size
+    except IndexError:
+        raise ValueError("truncated entry") from None
+    charge = _BLOCK_RESIDENT_OVERHEAD + count * _ENTRY_RESIDENT_OVERHEAD + payload_bytes
+    return DataBlock._in_place(buf, offsets, keys, charge, hash_index)
+
+
+def _parse_legacy(buf: bytes, hash_index: bool) -> DataBlock:
+    """Open a ``crc32 | body`` payload. The checksum is verified *after* the
+    body is read, preserving the legacy contract that truncation surfaces as
+    ``ValueError`` (spanning consumers like the value log's jumbo scan retry
+    with more blocks)."""
+    block = _index_body(buf, 4, hash_index)
+    if zlib.crc32(memoryview(buf)[4:]) != int.from_bytes(buf[:4], "big"):
+        raise CorruptionError("block checksum mismatch")
+    return block
+
+
+def _parse_framed(buf: bytes, hash_index: bool) -> DataBlock:
+    """Open a compressed frame; raises only CorruptionError on any damage."""
+    view = memoryview(buf)
     n = len(view)
     stored_crc = int.from_bytes(view[n - 4 :], "big")
     if zlib.crc32(view[: n - 4]) != stored_crc:
@@ -249,7 +413,9 @@ def _parse_framed(view: memoryview) -> List[Entry]:
         if pos > n - 4:
             raise ValueError("frame header overruns payload")
         body = codec.decompress(view[pos : n - 4], uncompressed_size)
-        return _decode_entries(memoryview(body), None)
+        if body.__class__ is not bytes:
+            body = bytes(body)  # a registered codec may hand back any buffer
+        return _index_body(body, 0, hash_index)
     except CorruptionError:
         raise
     except ValueError as exc:
@@ -259,23 +425,33 @@ def _parse_framed(view: memoryview) -> List[Entry]:
         raise CorruptionError(f"invalid compressed frame: {exc}") from exc
 
 
-def parse_block(payload, detect_frames: bool = True) -> List[Entry]:
-    """Inverse of :func:`serialize_block`; accepts legacy and framed blocks.
+def parse_block(payload, detect_frames: bool = True, hash_index: bool = False) -> DataBlock:
+    """Inverse of :func:`serialize_block`, and the one place a payload is
+    verified; accepts legacy and framed blocks.
+
+    Everything that can be wrong with a payload — checksum, entry count,
+    field bounds, entry kinds, a tombstone carrying a value — is rejected
+    here, so the returned block never raises later. The block is searched
+    **in place**: the entries stay packed in the (decompressed) payload until
+    ``find``, indexing, slicing or iteration asks for them (see
+    :class:`DataBlock`). An uncompressed block references the caller's
+    ``bytes`` payload rather than copying it.
 
     A payload that *looks* framed (magic byte + known codec id) is decoded
     through its codec; its trailing CRC disambiguates the one-in-2^32 legacy
     block whose leading checksum happens to mimic a frame header — on frame
     corruption the intact-legacy interpretation is tried before giving up.
-    Accepts any bytes-like payload; a ``memoryview`` is decoded without
-    copying the body.
 
     Args:
-        payload: the on-device bytes.
+        payload: the on-device bytes (any bytes-like object; anything but
+            ``bytes`` is copied once).
         detect_frames: consumers that never write compressed frames *and*
             parse partial payloads (the value log's jumbo spans) pass False,
             both skipping the header probe and keeping truncation errors
             typed as ``ValueError`` — a frame-looking prefix must extend,
             not quarantine.
+        hash_index: ``find`` uses a per-block hash map (built on its first
+            call) instead of binary search.
 
     Raises:
         CorruptionError: when the checksum does not match under either
@@ -284,33 +460,24 @@ def parse_block(payload, detect_frames: bool = True) -> List[Entry]:
             more blocks; see the value log's jumbo scan).
     """
     if not payload:
-        return []
+        return DataBlock([], hash_index)
     n = len(payload)
     if n < 4:
         raise CorruptionError(f"block of {n} bytes is too short")
-    view = payload if isinstance(payload, memoryview) else memoryview(payload)
-    if detect_frames and is_compressed_frame(view):
+    if payload.__class__ is not bytes:
+        payload = bytes(payload)  # blocks are immutable: own the buffer
+    if detect_frames and is_compressed_frame(payload):
         try:
-            return _parse_framed(view)
+            return _parse_framed(payload, hash_index)
         except CorruptionError as framed_err:
             # Frame-detecting consumers hand in whole payloads, so a valid
             # legacy block parses fully here; any failure — including
             # truncation — means the payload is a damaged frame.
             try:
-                return _decode_entries(view[4:], int.from_bytes(view[:4], "big"))
-            except (CorruptionError, ValueError, IndexError, OverflowError):
+                return _parse_legacy(payload, hash_index)
+            except (CorruptionError, ValueError):
                 raise framed_err from None
-    return _decode_entries(view[4:], int.from_bytes(view[:4], "big"))
-
-
-def _decode_payload(payload, hash_index: bool) -> "tuple[DataBlock, int]":
-    """Decode a raw payload into a block plus its cache charge.
-
-    The two-tier cache's decode callback: runs on compressed-tier hits (no
-    device involved) and on device misses alike.
-    """
-    block = DataBlock(parse_block(payload), hash_index)
-    return block, block.charge_bytes
+    return _parse_legacy(payload, hash_index)
 
 
 def _entry_encoded_size(entry: Entry) -> int:
@@ -504,22 +671,19 @@ class SSTable:
                 for block_no in range(first_block, last_block + 1)
             )
         # Fused emission: instead of re-testing the range per entry, bisect
-        # the (cached) key list once per boundary block and hand interior
-        # blocks to ``yield from`` whole — the per-entry dispatch this
-        # removes dominated long-scan and merge profiles.
+        # the key list once per boundary block — decoding only that window
+        # of it — and hand interior blocks to ``yield from`` whole; the
+        # per-entry dispatch this removes dominated long-scan and merge
+        # profiles.
         for block in blocks:
-            entries = block.entries
+            keys = block.keys_list()
             lo = 0
-            if start is not None and entries[0].key < start:
-                lo = bisect.bisect_left(block.keys_list(), start)
-            if end is not None and entries[-1].key > end:
-                hi = bisect.bisect_right(block.keys_list(), end, lo)
-                yield from entries[lo:hi]
+            if start is not None and keys[0] < start:
+                lo = bisect.bisect_left(keys, start)
+            if end is not None and keys[-1] > end:
+                yield from block[lo : bisect.bisect_right(keys, end, lo)]
                 return
-            if lo:
-                yield from entries[lo:]
-            else:
-                yield from entries
+            yield from block[lo:] if lo else block.entries
 
     def get_many(
         self,
@@ -675,39 +839,43 @@ class SSTable:
         block = self._first_block_for(key)
         return block, block
 
+    def _open(self, payload) -> DataBlock:
+        # ``parse_block`` is looked up in the module on every call:
+        # perf/tracing.py times the read path by replacing that name.
+        return parse_block(payload, True, self._hash_index)
+
+    def _read_block(self, block_no: int) -> DataBlock:
+        """One device read, through the guard's retry/quarantine when installed."""
+        device = self._device
+        if device.guard is not None:
+            return device.guard.read_parsed(device, self.file_id, block_no, self._open)[1]
+        return self._open(device.read_block(self.file_id, block_no))
+
     def _load_block(self, block_no: int, cache, stats: Optional[ProbeStats]) -> DataBlock:
+        """Fetch one data block, through the cache when given."""
         if stats is not None:
             stats.blocks_read += 1
-        guard = self._device.guard
-        hash_index = self._hash_index
+        if cache is None:
+            return self._read_block(block_no)
+        key = (self.file_id, block_no)
+        if stats is not None and cache.contains(key):
+            stats.cache_hits += 1
+        if self._device.guard is None and hasattr(cache, "get_or_load_block"):
+            # Two-tier path: a compressed-tier hit decodes in memory
+            # (CPU only); a full miss reads the device once and feeds
+            # both tiers. With a guard installed the per-block guarded
+            # read keeps retry/quarantine semantics.
+            return cache.get_or_load_block(
+                key,
+                lambda: self._device.read_block(self.file_id, block_no),
+                lambda payload: _with_charge(self._open(payload)),
+            )
+        return cache.get_or_load(key, lambda: _with_charge(self._read_block(block_no)))
 
-        def loader() -> "tuple[DataBlock, int]":
-            if guard is not None:
-                payload, entries = guard.read_parsed(
-                    self._device, self.file_id, block_no, parse_block
-                )
-            else:
-                payload = self._device.read_block(self.file_id, block_no)
-                entries = parse_block(payload)
-            block = DataBlock(entries, hash_index)
-            return block, block.charge_bytes
 
-        if cache is not None:
-            key = (self.file_id, block_no)
-            if stats is not None and cache.contains(key):
-                stats.cache_hits += 1
-            if guard is None and hasattr(cache, "get_or_load_block"):
-                # Two-tier path: a compressed-tier hit decodes in memory
-                # (CPU only); a full miss reads the device once and feeds
-                # both tiers. With a guard installed the per-block guarded
-                # loader below keeps retry/quarantine semantics.
-                return cache.get_or_load_block(
-                    key,
-                    lambda: self._device.read_block(self.file_id, block_no),
-                    lambda payload: _decode_payload(payload, hash_index),
-                )
-            return cache.get_or_load(key, loader)
-        return loader()[0]
+def _with_charge(block: DataBlock) -> "tuple[DataBlock, int]":
+    """A block paired with its cache charge — what the cache's loaders return."""
+    return block, block.charge_bytes
 
 
 # Factories let the engine plug in any index/filter without import cycles:

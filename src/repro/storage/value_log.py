@@ -11,7 +11,7 @@ LSM still references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.storage.block_device import BlockDevice
 from repro.storage.sstable import parse_block, serialize_block
@@ -103,7 +103,7 @@ class ValueLog:
             if pointer.block_no == pending_block:
                 return self._pending[pointer.slot].value
 
-        def loader() -> "Tuple[List[Entry], int]":
+        def loader() -> "Tuple[Sequence[Entry], int]":
             payload = self._device.read_payload(
                 pointer.file_id, pointer.block_no, pointer.span
             )
@@ -115,7 +115,7 @@ class ValueLog:
             entries = cache.get_or_load(("vlog", pointer.file_id, pointer.block_no), loader)
         else:
             entries = loader()[0]
-        return entries[pointer.slot].value
+        return entries[pointer.slot].value  # decodes this one record
 
     def mark_dead(self, value_size: int, file_id: Optional[int] = None) -> None:
         """Record that a previously appended value is no longer referenced."""

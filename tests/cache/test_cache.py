@@ -9,6 +9,8 @@ from repro.common.entry import Entry
 from repro.storage.block_device import BlockDevice
 from repro.storage.sstable import SSTableBuilder
 
+from tests.conftest import make_tree
+
 
 class TestPolicies:
     def test_lru_evicts_oldest_touch(self):
@@ -106,6 +108,14 @@ class TestBlockCache:
         cache.get_or_load(("vlog", 3, 0), lambda: ("v", 10))
         assert cache.invalidate_file(3) == [("vlog", 3, 0)]
 
+    def test_invalidate_file_drops_that_files_access_counts(self):
+        cache = BlockCache(15)  # room for one block: the others are counted, not held
+        for key in ((1, 0), (1, 1), ("vlog", 1, 0), (2, 0), ("vlog", 2, 0)):
+            cache.get_or_load(key, lambda: ("x", 10))
+        cache.get((1, 7))  # a miss through the coalescing reader's lookup
+        cache.invalidate_file(1)
+        assert set(cache.access_counts) == {(2, 0), ("vlog", 2, 0)}
+
     def test_hot_keys_threshold(self):
         cache = BlockCache(10_000)
         for _ in range(5):
@@ -171,9 +181,70 @@ class TestLeaper:
         leaper = LeaperPrefetcher(cache, hot_threshold=2, max_prefetch_blocks=2)
         assert leaper.on_compaction([old], [new]) <= 2
 
+    def test_prefetched_block_is_charged_like_a_demand_load(self):
+        # The budget bounds decoded memory whichever path filled it: same
+        # block type, same charge.
+        _, cache, old, new = self.make_setup()
+        for _ in range(3):
+            old.get(b"k%06d" % 50, cache=cache)
+        used = cache.used_bytes
+        leaper = LeaperPrefetcher(cache, hot_threshold=2, max_prefetch_blocks=1)
+        assert leaper.on_compaction([old], [new]) == 1
+        (block_no,) = [b for b in range(new.num_data_blocks) if cache.contains((new.file_id, b))]
+        prefetched = cache.get((new.file_id, block_no))
+        demand_cache = BlockCache(1 << 20)
+        demanded = new._load_block(block_no, demand_cache, None)
+        assert cache.used_bytes - used == demand_cache.used_bytes == demanded.charge_bytes
+        assert prefetched._buf is not None and demanded._buf is not None  # both in place
+        assert type(prefetched) is type(demanded) and prefetched == demanded
+
     def test_validation(self):
         cache = BlockCache(100)
         with pytest.raises(ValueError):
             LeaperPrefetcher(cache, hot_threshold=0)
         with pytest.raises(ValueError):
             LeaperPrefetcher(cache, max_prefetch_blocks=-1)
+
+
+class TestAccessCountsStayBounded:
+    """One count per block of a *live* file: compacted-away files take theirs
+    with them (file ids are never reused, so nothing could read them again)."""
+
+    @staticmethod
+    def churn(tree, rounds=12, keys=400):
+        for round_no in range(rounds):
+            for i in range(keys):
+                tree.put(b"k%05d" % i, b"v%d" % round_no * 8)
+            tree.flush()
+            for i in range(0, keys, 3):
+                tree.get(b"k%05d" % i)
+            list(tree.scan(b"k%05d" % 10, b"k%05d" % 60))
+
+    @staticmethod
+    def live_blocks(tree):
+        return {
+            (table.file_id, block_no)
+            for runs in tree._levels for run in runs for table in run.tables
+            for block_no in range(table.num_data_blocks)
+        }
+
+    def test_counts_cover_only_live_files_after_flush_and_compaction_cycles(self):
+        tree = make_tree(cache_bytes=64 << 10)
+        self.churn(tree)
+        assert tree.stats.compactions > 5
+        live = self.live_blocks(tree)
+        assert set(tree.cache.access_counts) <= live
+        assert 0 < len(tree.cache.access_counts) <= len(live)
+
+    def test_leaper_reads_heat_before_the_inputs_counts_are_dropped(self):
+        # install_compaction runs Leaper's on_compaction first and retires
+        # (invalidates) the inputs after: the other order would hand Leaper
+        # an empty heat map and it would never prefetch.
+        tree = make_tree(
+            cache_bytes=256 << 10, leaper_prefetch=True,
+            leaper_params=dict(hot_threshold=1),
+        )
+        self.churn(tree)
+        assert tree.stats.compactions > 5
+        assert tree._leaper.prefetched_blocks > 0
+        assert set(tree.cache.access_counts) <= self.live_blocks(tree)

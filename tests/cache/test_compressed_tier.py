@@ -3,7 +3,7 @@
 from repro.cache.block_cache import BlockCache
 from repro.common.entry import Entry
 from repro.storage.compression import get_codec
-from repro.storage.sstable import DataBlock, parse_block, serialize_block
+from repro.storage.sstable import parse_block, serialize_block
 
 
 def compressible_block(tag=0, n=8, value_size=200):
@@ -16,7 +16,7 @@ def compressible_block(tag=0, n=8, value_size=200):
 
 
 def decode(frame):
-    block = DataBlock(parse_block(frame))
+    block = parse_block(frame)
     return block, block.charge_bytes
 
 
