@@ -76,12 +76,10 @@ def demo() -> int:
     return 0
 
 
-def _instrumented_run(
-    ops: int, keys: int, sampling: float, trace_capacity: int = 256, seed: int = 1
-):
-    """Build a small observed tree and drive a mixed workload through it.
+def _observed_demo_tree(keys: int, sampling: float = 0.0, trace_capacity: int = 256, seed: int = 1):
+    """A small preloaded tree with observability attached after the load.
 
-    Returns (tree, registry, recorder) with the workload already applied.
+    Returns (tree, registry, recorder).
     """
     from repro.observe import MetricsRegistry, observe_tree
 
@@ -96,6 +94,17 @@ def _instrumented_run(
     _, recorder = observe_tree(
         tree, registry, sampling=sampling, trace_capacity=trace_capacity
     )
+    return tree, registry, recorder
+
+
+def _instrumented_run(
+    ops: int, keys: int, sampling: float, trace_capacity: int = 256, seed: int = 1
+):
+    """Build a small observed tree and drive a mixed workload through it.
+
+    Returns (tree, registry, recorder) with the workload already applied.
+    """
+    tree, registry, recorder = _observed_demo_tree(keys, sampling, trace_capacity, seed)
     spec = uniform_spec(
         keys,
         OperationMix(put=0.30, get=0.65, scan=0.05),
@@ -103,14 +112,7 @@ def _instrumented_run(
         seed=seed + 1,
         scan_length=32,
     )
-    for op in spec.operations(ops):
-        if op.kind == "put":
-            tree.put(op.key, op.value)
-        elif op.kind == "get":
-            tree.get(op.key)
-        elif op.kind == "scan":
-            for _ in tree.scan(op.key, op.end_key):
-                pass
+    run_operations(tree, spec.operations(ops))
     return tree, registry, recorder
 
 
@@ -204,26 +206,10 @@ def stats_live_command(args: argparse.Namespace) -> int:
         finally:
             client.close()
     else:
-        from repro.observe import (
-            MetricsRegistry,
-            TimeSeriesSampler,
-            attach_engine_source,
-            export_level_gauges,
-            observe_tree,
-        )
+        from repro.observe import TimeSeriesSampler
 
-        tree = LSMTree(
-            LSMConfig(
-                buffer_bytes=8 << 10, block_size=512, size_ratio=4,
-                layout="leveling", bits_per_key=10.0, cache_bytes=64 << 10, seed=1,
-            )
-        )
-        preload_tree(tree, args.keys, value_size=40)
-        registry = MetricsRegistry()
-        observe_tree(tree, registry, sampling=0.0)
-        export_level_gauges(tree, registry)
+        tree, registry, _ = _observed_demo_tree(args.keys)
         sampler = TimeSeriesSampler(registry)
-        attach_engine_source(sampler, tree)
         stop = threading.Event()
 
         def drive() -> None:
@@ -233,16 +219,7 @@ def stats_live_command(args: argparse.Namespace) -> int:
                     args.keys, OperationMix(put=0.30, get=0.65, scan=0.05),
                     value_size=40, seed=2 + round_no, scan_length=16,
                 )
-                for op in spec.operations(500):
-                    if stop.is_set():
-                        return
-                    if op.kind == "put":
-                        tree.put(op.key, op.value)
-                    elif op.kind == "get":
-                        tree.get(op.key)
-                    elif op.kind == "scan":
-                        for _ in tree.scan(op.key, op.end_key):
-                            pass
+                run_operations(tree, spec.operations(500))
                 round_no += 1
 
         worker = threading.Thread(target=drive, name="stats-live-load", daemon=True)
@@ -266,7 +243,7 @@ def stats_live_command(args: argparse.Namespace) -> int:
 
 def stats_command(args: argparse.Namespace) -> int:
     """Per-level stats table and latency percentiles for a demo workload."""
-    from repro.observe import export_level_gauges, render_dump, to_json, to_prometheus
+    from repro.observe import render_dump, to_json, to_prometheus
 
     if args.live:
         return stats_live_command(args)
@@ -275,7 +252,6 @@ def stats_command(args: argparse.Namespace) -> int:
         ops=args.ops, keys=args.keys, sampling=sampling
     )
     if args.format == "prometheus":
-        export_level_gauges(tree, registry)
         sys.stdout.write(to_prometheus(registry))
     elif args.format == "json":
         print(to_json(registry, tree=tree, recorder=recorder))
@@ -327,12 +303,11 @@ def serve_command(args: argparse.Namespace) -> int:
     (group commit, background maintenance, backpressure) and exports every
     engine and ``server_*`` metric through the stats frame.
     """
-    import json as _json
     import signal
     import threading
 
     import repro
-    from repro.server import LSMServer, ServerConfig, TenantLoad, run_load
+    from repro.server import LSMServer, ServerConfig, run_smoke_test
 
     service = repro.open(service=True, observe=True)
     registry = service.observer.registry
@@ -367,112 +342,17 @@ def serve_command(args: argparse.Namespace) -> int:
 
     if args.smoke_test:
         try:
-            from repro.observe import MetricsRegistry, TraceRecorder
-            from repro.workloads.spec import OperationMix
-
-            client_registry = MetricsRegistry()
-            client_recorder = None
-            if args.trace_sampling:
-                client_recorder = TraceRecorder(
-                    capacity=8192, sampling=args.trace_sampling
-                )
-            tenants = [
-                TenantLoad(
-                    tenant=f"smoke{i}",
-                    clients=args.clients,
-                    ops_per_client=args.ops,
-                    mix=OperationMix(put=0.4, get=0.5, scan=0.1),
-                    keyspace=500,
-                    seed=11 + i,
-                    trace_sampling=args.trace_sampling or 0.0,
-                )
-                for i in range(args.tenant_count)
-            ]
-            results = run_load(
-                host, port, tenants,
-                registry=client_registry, trace_recorder=client_recorder,
+            ok, report = run_smoke_test(
+                server, args.tenant_count, args.clients, args.ops,
+                trace_sampling=args.trace_sampling, metrics_out=args.metrics_out,
+                journal_out=args.journal_out, history_out=args.history_out,
             )
-            snapshot = server.stats_snapshot()
-            if args.metrics_out:
-                with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                    _json.dump(snapshot, fh, indent=2, sort_keys=True, default=str)
-                print(f"metrics snapshot written to {args.metrics_out}")
-            if args.journal_out:
-                written = server.journal.write_jsonl(args.journal_out)
-                print(f"event journal ({written} events) written to {args.journal_out}")
-            if args.history_out:
-                server.sampler.scrape()
-                with open(args.history_out, "w", encoding="utf-8") as fh:
-                    _json.dump(server.sampler.as_dict(), fh, indent=2, sort_keys=True)
-                print(f"time-series history written to {args.history_out}")
-            total_ops = sum(r.operations for r in results.values())
-            protocol_errors = sum(r.protocol_errors for r in results.values())
-            remote_errors = sum(r.remote_errors for r in results.values())
-            fatal = [e for r in results.values() for e in r.errors]
-            for result in results.values():
-                p99 = result.latency.get("p99", 0.0)
-                print(
-                    f"  {result.tenant}: {result.operations} ops "
-                    f"({result.ops_per_second:.0f} ops/s, p99 {p99 * 1e3:.2f} ms)"
-                )
-            print(
-                f"smoke test: {total_ops} ops, "
-                f"{protocol_errors} protocol errors, "
-                f"{remote_errors} remote errors"
-            )
-            expected = args.tenant_count * args.clients * args.ops
-            ok = (
-                protocol_errors == 0
-                and remote_errors == 0
-                and not fatal
-                and total_ops == expected
-            )
-            if client_recorder is not None:
-                # A joined trace = one trace id with spans on BOTH sides of
-                # the socket; an orphan = a child span whose parent id does
-                # not resolve anywhere within its own trace.
-                client_spans = client_recorder.spans()
-                server_spans = server.recorder.spans()
-                joined = {s.trace_id for s in client_spans} & {
-                    s.trace_id for s in server_spans
-                }
-                span_ids_by_trace = {}
-                for span in client_spans + server_spans:
-                    span_ids_by_trace.setdefault(span.trace_id, set()).add(
-                        span.span_id
-                    )
-                orphans = [
-                    span
-                    for span in client_spans + server_spans
-                    if span.parent_id
-                    and span.parent_id
-                    not in span_ids_by_trace.get(span.trace_id, set())
-                ]
-                print(
-                    f"tracing: {len(client_spans)} client spans, "
-                    f"{len(server_spans)} server+engine spans, "
-                    f"{len(joined)} joined traces, {len(orphans)} orphan spans"
-                )
-                if not joined:
-                    print("error: no cross-process trace joined up",
-                          file=sys.stderr)
-                if orphans:
-                    print(
-                        f"error: {len(orphans)} orphan spans "
-                        f"(first: {orphans[0].as_dict()})",
-                        file=sys.stderr,
-                    )
-                ok = ok and bool(joined) and not orphans
-            if not ok:
-                for line in fatal[:8]:
-                    print(f"  fatal: {line}", file=sys.stderr)
-                print(
-                    f"error: smoke test failed ({total_ops}/{expected} ops ok)",
-                    file=sys.stderr,
-                )
-            return 0 if ok else 1
         finally:
             server.shutdown()
+        for line in report:
+            failure = line.lstrip().startswith(("error:", "fatal:"))
+            print(line, file=sys.stderr if failure else sys.stdout)
+        return 0 if ok else 1
 
     stop = threading.Event()
     try:

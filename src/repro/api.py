@@ -214,9 +214,7 @@ def open(
         service_config = service if isinstance(service, ServiceConfig) else None
         handle = DBService(tree, config=service_config, close_tree=True)
         if observe:
-            observer = handle.attach_observability(sampling=sampling)
-            if device.guard is not None:
-                device.guard.observer = observer
+            handle.attach_observability(sampling=sampling)
 
     if not server:
         return handle

@@ -68,9 +68,8 @@ class CompactionExecutor:
 
     # -- the merge -----------------------------------------------------------
 
-    def merge(self, plan: CompactionPlan) -> "tuple[List[SSTable], int]":
-        """Merge a plan's inputs into new tables at ``plan.dest``; returns them
-        with the number of key ranges used (1 = serial, on this thread)."""
+    def merge(self, plan: CompactionPlan) -> List[SSTable]:
+        """Merge a plan's inputs into new tables at ``plan.dest``."""
         parallel = self._config.parallel
         ranges = [(None, None)]
         readahead = 1
@@ -96,7 +95,7 @@ class CompactionExecutor:
             if len(ranges) > 1:
                 self._stats.parallel_compactions += 1
                 self._stats.subcompactions += len(ranges)
-        return tables, len(ranges)
+        return tables
 
     def fold(self, purge: bool, now: float) -> Fold:
         """Build the per-key fold every compaction output flows through:

@@ -1199,7 +1199,7 @@ class LSMTree:
                 plan.level, plan.dest, plan.bytes_in, runs=len(plan.inputs)
             )
             wall0 = time.perf_counter()
-        tables, ranges = self._executor.merge(plan)
+        tables = self._executor.merge(plan)
         self._register_tables(tables)
         merged = Run(tables) if tables else None
         tombstones_in = sum(run.tombstone_count for run in plan.inputs)
@@ -1209,8 +1209,6 @@ class LSMTree:
                 tombstones_in -= merged.tombstone_count
             self.stats.tombstones_purged += max(0, tombstones_in)
         if obs is not None:
-            if ranges > 1:
-                obs.record_subcompaction(ranges)
             obs.record_compaction(time.perf_counter() - wall0)
         return merged
 

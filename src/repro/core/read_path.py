@@ -13,6 +13,7 @@ back to the tree.
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.entry import Entry, GetResult, live_value, split_chain
@@ -109,13 +110,7 @@ def assemble(
     )
 
 
-#: Per-level probe counters, in ``EngineObserver.record_level_probe`` order,
-#: under the names a span's ``level_probe`` event reports them by.
-_LEVEL_COUNTERS = (
-    ("filter_probes", "filter_probes"), ("filter_negatives", "filter_negatives"),
-    ("false_positives", "false_positives"), ("blocks_read", "block_accesses"),
-    ("cache_hits", "cache_hits"), ("index_probes", "index_probes"),
-)
+_PROBE_FIELDS = tuple(f.name for f in fields(ProbeStats))
 
 
 class ReadTrace:
@@ -143,20 +138,23 @@ class ReadTrace:
             self._span.add_stage(name, time.perf_counter() - self._mark)
 
     def enter_level(self, probe: ProbeStats) -> None:
-        self._before = [getattr(probe, counter) for counter, _ in _LEVEL_COUNTERS]
+        self._before = [getattr(probe, name) for name in _PROBE_FIELDS]
         self.start_stage()
 
     def leave_level(self, level_no: int, probe: ProbeStats, served: bool) -> None:
-        delta = [
-            getattr(probe, counter) - before
-            for (counter, _), before in zip(_LEVEL_COUNTERS, self._before)
-        ]
+        delta = ProbeStats(
+            *(getattr(probe, name) - before for name, before in zip(_PROBE_FIELDS, self._before))
+        )
         if self._observer is not None:
-            self._observer.record_level_probe(level_no, *delta, served)
+            self._observer.record_level_probe(level_no, delta, served)
         if self._span is not None:
             self.end_stage(f"level_{level_no}")
-            reported = {name: count for (_, name), count in zip(_LEVEL_COUNTERS, delta)}
-            self._span.event("level_probe", level=level_no, served=served, **reported)
+            self._span.event(
+                "level_probe", level=level_no, served=served,
+                filter_probes=delta.filter_probes, filter_negatives=delta.filter_negatives,
+                false_positives=delta.false_positives, block_accesses=delta.blocks_read,
+                cache_hits=delta.cache_hits, index_probes=delta.index_probes,
+            )
 
     def finish(self, result: GetResult, probe: ProbeStats) -> None:
         """Feed the observer and keep the attributes the span closes with."""
@@ -282,8 +280,8 @@ class ReadPath:
             self._stats.multi_gets += 1
             self._stats.multi_get_keys += len(results)
             self._stats.probe.merge(probe)
-            if not self._shared_hashing:
-                self._stats.get_hash_evaluations += probe.filter_probes
+            # get_many is handed no shared digest: every filter probe hashed.
+            self._stats.get_hash_evaluations += probe.filter_probes
         return results
 
     def scan(

@@ -12,8 +12,8 @@ when a guard is attached to the device (``device.guard``):
   whole file and propagates the typed error, so a damaged file can never
   serve a silently wrong answer;
 * counters for every decision feed ``LSMTree.metrics_snapshot()`` (the
-  ``fault_*`` / ``retry_*`` / ``quarantine_*`` keys) and, when observability
-  is attached, the registry's fault counters.
+  ``fault_*`` / ``retry_*`` / ``quarantine_*`` keys), which is what the
+  registry's fault series read when observability is attached.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class ReadGuard:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.quarantine_after = quarantine_after
-        self.observer = None  # EngineObserver with fault counters (optional)
+        self.observer = None  # EngineObserver journaling quarantines (optional)
         self._lock = threading.Lock()
         self._quarantined: Set[int] = set()
         # -- counters (monotone; exported with fault_/retry_/quarantine_ prefixes)
@@ -131,20 +131,17 @@ class ReadGuard:
                 return payload, parsed
             except TransientIOError:
                 self.transient_errors += 1
-                self._note_observer("transient")
                 if attempt >= self.max_read_retries:
                     self.retry_exhausted += 1
                     raise
             except CorruptionError:
                 self.corruptions_detected += 1
-                self._note_observer("corruption")
                 corrupt_reads += 1
                 if corrupt_reads >= self.quarantine_after:
                     self.quarantine(file_id)
                     raise
             attempt += 1
             self.retry_attempts += 1
-            self._note_observer("retry")
             # Backoff costs time, not host I/O: charge the simulated clock.
             backoff = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
             device.stats.simulated_time += backoff
@@ -152,12 +149,6 @@ class ReadGuard:
     def note_degraded_read(self) -> None:
         """A lookup survived a broken filter/index by scanning data blocks."""
         self.degraded_reads += 1
-        self._note_observer("degraded")
-
-    def _note_observer(self, kind: str) -> None:
-        obs = self.observer
-        if obs is not None:
-            obs.record_fault(kind)
 
     # -- export --------------------------------------------------------------
 

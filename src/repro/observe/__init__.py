@@ -20,10 +20,19 @@ The observability layer every perf claim in this repo reports through:
   export surfaces (``python -m repro stats --format ...``).
 
 Attach to an engine with :func:`observe_tree` (or
-``DBService.attach_observability`` for the concurrent service layer).
+``DBService.attach_observability`` for the concurrent service layer): the
+registry then also carries every ``metrics_snapshot()`` count as a callback
+series (:class:`EngineView`; :func:`series_name` maps key to series) and the
+per-level table as gauges, so one registry is all any reader needs.
 """
 
-from repro.observe.engine import EngineObserver, LevelIOStats, observe_tree
+from repro.observe.engine import (
+    EngineObserver,
+    EngineView,
+    engine_section,
+    observe_tree,
+    series_name,
+)
 from repro.observe.journal import EVENT_KINDS, EventJournal, JournalEvent
 from repro.observe.export import (
     latency_rows,
@@ -46,12 +55,7 @@ from repro.observe.metrics import (
     MetricsRegistry,
     merge_registries,
 )
-from repro.observe.timeseries import (
-    EngineSource,
-    RingSeries,
-    TimeSeriesSampler,
-    attach_engine_source,
-)
+from repro.observe.timeseries import RingSeries, TimeSeriesSampler
 from repro.observe.tracing import (
     SlowOpLog,
     Span,
@@ -69,8 +73,10 @@ __all__ = [
     "merge_registries",
     "DEFAULT_QUANTILES",
     "EngineObserver",
-    "LevelIOStats",
+    "EngineView",
+    "engine_section",
     "observe_tree",
+    "series_name",
     "Span",
     "TraceRecorder",
     "TraceContext",
@@ -82,8 +88,6 @@ __all__ = [
     "EVENT_KINDS",
     "RingSeries",
     "TimeSeriesSampler",
-    "EngineSource",
-    "attach_engine_source",
     "level_stats",
     "format_level_table",
     "export_level_gauges",

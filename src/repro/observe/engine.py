@@ -1,10 +1,16 @@
-"""The engine-side observer: feeds a registry from LSMTree hot paths.
+"""The engine's two observability attachments: an observer and a view.
 
-One :class:`EngineObserver` instance binds one tree (or shard) to one
-:class:`~repro.observe.metrics.MetricsRegistry`. The tree calls the
-``record_*`` hooks from its get/put/scan/flush/compaction paths; each hook
-is a couple of histogram/counter updates, and none are called at all when no
+An :class:`EngineObserver` records what the engine does not itself keep:
+latency histograms, the structured event journal and the per-level share
+of the read traffic. The tree calls its ``record_*`` hooks from the
+get/put/scan/flush/compaction paths, and none are called at all when no
 observer is attached (the hot paths check one attribute).
+
+An :class:`EngineView` publishes what the engine *does* keep — every count
+in ``metrics_snapshot()`` — into the same registry as callback series, so
+an event is counted once, by the engine, and every exporter, the ``stats``
+frame and the sampler read that one number. :func:`observe_tree` attaches
+both.
 
 Latency is recorded on two clocks:
 
@@ -16,62 +22,121 @@ Latency is recorded on two clocks:
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
 from repro.observe.journal import EventJournal
+from repro.observe.levels import LevelIO, export_level_gauges
 from repro.observe.metrics import MetricsRegistry
+from repro.storage.sstable import ProbeStats
 
 #: Wall-clock histograms: 1 microsecond floor, <=20% relative error.
 WALL_MIN = 1e-6
 #: Simulated-time histograms: the unit is one sequential block read.
 SIM_MIN = 1e-3
 
+#: ``ReadGuard.as_dict()`` keys whose series an observed engine exports even
+#: without a guard (at zero: it has seen no fault).
+_GUARD_SERIES = {
+    "fault_transient_errors": (
+        "fault_transient_total", "transient read errors observed by the read guard"),
+    "fault_corruptions_detected": ("fault_corruption_total", "checksum corruptions detected"),
+    "retry_attempts": ("fault_retry_total", "read retries issued after transient errors"),
+    "fault_degraded_reads": (
+        "fault_degraded_total", "degraded reads (broken filter/index, fell back to scan)"),
+    "quarantine_files": ("quarantine_files_total", "files quarantined as persistently corrupt"),
+}
+#: ``metrics_snapshot()`` keys published under the ``(name, help)`` their
+#: series had before the registry became a view of the snapshot; every
+#: other key is published as ``engine_<key>``.
+_SERIES = {
+    **_GUARD_SERIES,
+    "gets": ("gets_total", "point lookups"),
+    "recoveries": ("recoveries_total", "crash recoveries completed"),
+    "parallel_compactions": (
+        "parallel_compactions_total", "compactions executed as key-range subcompactions"),
+    "subcompactions": ("subcompactions_total", "subcompaction worker jobs run"),
+    "service_uptime_seconds": ("service_uptime_seconds", "seconds since the service started"),
+    "pending_jobs": ("service_pending_jobs", "queued + in-flight background jobs"),
+    "write_queue_depth": ("service_write_queue_depth", "writes parked in the commit queue"),
+}
+#: The keys that can go down — ratios, sizes, shape, "since"/"last" clocks —
+#: are gauges; every other key is a monotone count and exports as a counter.
+_GAUGES = frozenset({
+    "compression_ratio", "entries_per_scan", "filter_fpr_observed", "blocks_per_get",
+    "last_recovery_wall", "last_recovery_sim", "cache_hit_rate", "cache_compressed_hit_rate",
+    "cache_used_bytes", "cache_compressed_used_bytes", "uptime_seconds", "levels", "runs",
+    "memtable_entries", "immutable_memtables", "write_amplification",
+    "service_uptime_seconds", "pending_jobs", "write_queue_depth",
+})
+_KEYS = {name: key for key, (name, _) in _SERIES.items()}
 
-class LevelIOStats:
-    """Per-level read/write accounting accumulated by the observer."""
 
-    __slots__ = (
-        "gets_probed", "gets_served", "filter_probes", "filter_negatives",
-        "false_positives", "block_accesses", "cache_hits", "index_probes",
-        "bytes_written", "bytes_compacted_in",
-    )
+def series_name(key: str) -> str:
+    """The registry series a ``metrics_snapshot()`` key is published as."""
+    return _SERIES[key][0] if key in _SERIES else f"engine_{key}"
 
-    def __init__(self) -> None:
-        self.gets_probed = 0  # point lookups that reached this level
-        self.gets_served = 0  # point lookups answered by this level
-        self.filter_probes = 0
-        self.filter_negatives = 0
-        self.false_positives = 0
-        self.block_accesses = 0  # data blocks touched (cache hits included)
-        self.cache_hits = 0
-        self.index_probes = 0
-        self.bytes_written = 0  # flush/compaction output landing here
-        self.bytes_compacted_in = 0  # bytes read out of this level by merges
 
-    @property
-    def filter_fpr(self) -> float:
-        absent = self.false_positives + self.filter_negatives
-        return self.false_positives / absent if absent else 0.0
+def engine_section(metrics: dict) -> dict:
+    """``metrics_snapshot()`` as a registry snapshot carries it: every
+    engine series of ``metrics`` back under its snapshot key."""
+    section = {}
+    for kind in ("counters", "gauges"):
+        for name, value in metrics[kind].items():
+            if name in _KEYS:
+                section[_KEYS[name]] = value
+            elif name.startswith("engine_"):
+                section[name[len("engine_"):]] = value
+    return section
 
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.block_accesses if self.block_accesses else 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "gets_probed": self.gets_probed,
-            "gets_served": self.gets_served,
-            "filter_probes": self.filter_probes,
-            "filter_negatives": self.filter_negatives,
-            "false_positives": self.false_positives,
-            "filter_fpr": self.filter_fpr,
-            "block_accesses": self.block_accesses,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
-            "index_probes": self.index_probes,
-            "bytes_written": self.bytes_written,
-            "bytes_compacted_in": self.bytes_compacted_in,
-        }
+class EngineView:
+    """The registry's read side of one engine's counters.
+
+    Publishes every numeric key of ``target.metrics_snapshot()`` (an
+    ``LSMTree`` or a ``DBService``) as a callback series, and the per-level
+    table as labeled gauges. The engine's own ints stay the only place an
+    event is counted: nothing here is incremented. One scrape of the
+    registry costs one ``metrics_snapshot()`` — the refresh hook takes it
+    and the scraping thread's reads share it; a series read outside a
+    scrape takes a fresh one, so ``counter.value`` is never stale.
+    Re-attaching for the same tree replaces the previous view.
+    """
+
+    def __init__(self, registry: MetricsRegistry, target) -> None:
+        self._registry = registry
+        self._target = target
+        self._tree = getattr(target, "tree", target)
+        self._held = threading.local()
+        self._bound: set = set()
+        self._bind({**dict.fromkeys(_GUARD_SERIES, 0), **target.metrics_snapshot()})
+        registry.add_refresh_hook(self._hold, key=("engine", id(self._tree)))
+
+    def _bind(self, snapshot: dict) -> None:
+        for key, value in snapshot.items():
+            if key in self._bound:
+                continue
+            self._bound.add(key)
+            if not isinstance(value, (int, float)):
+                continue
+            name, help_text = _SERIES.get(key) or (f"engine_{key}", f"engine {key}")
+            make = self._registry.gauge if key in _GAUGES else self._registry.counter
+            make(name, help_text).set_function(lambda key=key: self._read(key))
+
+    def _read(self, key: str) -> float:
+        snapshot = getattr(self._held, "snapshot", None)
+        if snapshot is None:
+            snapshot = self._target.metrics_snapshot()
+        return snapshot.get(key, 0)
+
+    def _hold(self):
+        snapshot = self._held.snapshot = self._target.metrics_snapshot()
+        self._bind(snapshot)  # keys that appeared since (a guard attached later)
+        export_level_gauges(self._tree, self._registry)
+        return self._release
+
+    def _release(self) -> None:
+        self._held.snapshot = None
 
 
 class EngineObserver:
@@ -123,42 +188,15 @@ class EngineObserver:
         self.get_blocks = hist(
             "get_blocks_touched", "data blocks touched per point lookup", SIM_MIN
         )
-        self.gets_total = reg.counter("gets_total", "point lookups", self.labels)
+        # The one count only the observer keeps; every other engine count is
+        # an int the engine owns, published by EngineView.
         self.gets_found = reg.counter(
             "gets_found_total", "point lookups that found a value", self.labels
         )
-        # Fault/recovery series (repro.faults): injected-fault handling and
-        # crash-recovery timing. Zero-cost until the hooks fire.
         self.recovery_wall = hist(
             "recovery_wall_seconds", "manifest + WAL-replay recovery wall time", WALL_MIN
         )
-        self.fault_counters = {
-            kind: reg.counter(
-                f"fault_{kind}_total", help_text, self.labels
-            )
-            for kind, help_text in (
-                ("transient", "transient read errors observed by the read guard"),
-                ("corruption", "checksum corruptions detected"),
-                ("retry", "read retries issued after transient errors"),
-                ("degraded", "degraded reads (broken filter/index, fell back to scan)"),
-            )
-        }
-        self.quarantine_total = reg.counter(
-            "quarantine_files_total", "files quarantined as persistently corrupt", self.labels
-        )
-        # Parallel-execution series (repro.parallel): key-range subcompactions.
-        self.parallel_compactions_total = reg.counter(
-            "parallel_compactions_total",
-            "compactions executed as key-range subcompactions",
-            self.labels,
-        )
-        self.subcompactions_total = reg.counter(
-            "subcompactions_total", "subcompaction worker jobs run", self.labels
-        )
-        self.recoveries_total = reg.counter(
-            "recoveries_total", "crash recoveries completed", self.labels
-        )
-        self.levels: Dict[int, LevelIOStats] = {}
+        self.levels: Dict[int, LevelIO] = {}
 
     # -- hooks called from the engine hot paths ------------------------------
 
@@ -166,7 +204,6 @@ class EngineObserver:
         self.get_wall.record(wall_s)
         self.get_sim.record(sim_time)
         self.get_blocks.record(blocks)
-        self.gets_total.inc()
         if found:
             self.gets_found.inc()
 
@@ -188,64 +225,27 @@ class EngineObserver:
         self.journal.emit("compaction_start", level=level, dest=dest,
                           bytes_in=bytes_in, runs=runs)
 
-    def record_subcompaction(self, ranges: int) -> None:
-        """One merge just ran as ``ranges`` parallel key-range subcompactions."""
-        self.parallel_compactions_total.inc()
-        self.subcompactions_total.inc(ranges)
-
-    def level(self, level_no: int) -> LevelIOStats:
+    def level(self, level_no: int) -> LevelIO:
         stats = self.levels.get(level_no)
         if stats is None:
-            stats = self.levels[level_no] = LevelIOStats()
+            stats = self.levels[level_no] = LevelIO()
         return stats
 
-    def record_level_probe(
-        self,
-        level_no: int,
-        probes: int,
-        negatives: int,
-        false_positives: int,
-        block_accesses: int,
-        cache_hits: int,
-        index_probes: int,
-        served: bool,
-    ) -> None:
+    def record_level_probe(self, level_no: int, probe: ProbeStats, served: bool) -> None:
         """One point lookup's footprint at one level (called per level probed)."""
         stats = self.level(level_no)
+        stats.merge(probe)
         stats.gets_probed += 1
-        stats.filter_probes += probes
-        stats.filter_negatives += negatives
-        stats.false_positives += false_positives
-        stats.block_accesses += block_accesses
-        stats.cache_hits += cache_hits
-        stats.index_probes += index_probes
         if served:
             stats.gets_served += 1
 
-    def record_fault(self, kind: str) -> None:
-        """One fault-handling event from the read guard.
-
-        Kinds: ``transient`` (injected read error seen), ``corruption``
-        (checksum mismatch), ``retry`` (a retry attempt issued), and
-        ``degraded`` (filter/index unreadable; fell back to scanning data
-        blocks). Unknown kinds are counted under a lazily created series
-        rather than dropped.
-        """
-        counter = self.fault_counters.get(kind)
-        if counter is None:
-            counter = self.fault_counters[kind] = self.registry.counter(
-                f"fault_{kind}_total", f"fault events of kind {kind}", self.labels
-            )
-        counter.inc()
-
     def record_quarantine(self, file_id: Optional[int] = None) -> None:
         """A file crossed the corrupt-read threshold and was quarantined."""
-        self.quarantine_total.inc()
         self.journal.emit("quarantine", file_id=file_id)
 
     def record_recovery(self, wall_s: float) -> None:
-        """One completed crash recovery (manifest load + WAL replay)."""
-        self.recoveries_total.inc()
+        """The engine this observer is being attached to came out of a crash
+        recovery (manifest load + WAL replay) that took ``wall_s``."""
         self.recovery_wall.record(wall_s)
         self.journal.emit("recovery", wall_s=wall_s)
 
@@ -266,14 +266,16 @@ class EngineObserver:
                           dest=event.dest, bytes_in=event.bytes_in,
                           bytes_out=event.bytes_out, tick=event.tick)
 
-    # -- reading --------------------------------------------------------------
 
-    def level_io(self) -> Dict[int, dict]:
-        return {no: stats.as_dict() for no, stats in sorted(self.levels.items())}
-
-
-def observe_tree(tree, registry=None, sampling: float = 0.0, trace_capacity: int = 256):
+def observe_tree(tree, registry=None, sampling: float = 0.0, trace_capacity: int = 256,
+                 source=None):
     """Attach metrics and tracing to a tree in one call.
+
+    The registry then carries the latency histograms, every numeric
+    ``metrics_snapshot()`` key and the per-level table (:class:`EngineView`);
+    fault, retry and quarantine events of the device's read guard reach
+    the journal. ``source`` is whose ``metrics_snapshot()`` is published:
+    the tree's by default, a service fronting it passes itself.
 
     Returns:
         ``(observer, recorder)``. A recorder is always created — with
@@ -288,8 +290,14 @@ def observe_tree(tree, registry=None, sampling: float = 0.0, trace_capacity: int
     tree.tracer = recorder
     guard = getattr(tree.device, "guard", None)
     if guard is not None:
-        guard.observer = observer  # fault/retry/quarantine events flow in too
+        guard.observer = observer
+    if tree.stats.recoveries:
+        observer.record_recovery(tree.stats.last_recovery_wall)
+    EngineView(observer.registry, source if source is not None else tree)
     return observer, recorder
 
 
-__all__ = ["EngineObserver", "LevelIOStats", "observe_tree", "WALL_MIN", "SIM_MIN"]
+__all__ = [
+    "EngineObserver", "EngineView", "engine_section", "observe_tree", "series_name",
+    "WALL_MIN", "SIM_MIN",
+]

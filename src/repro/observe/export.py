@@ -18,7 +18,7 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.report import format_table
-from repro.observe.metrics import Histogram, MetricsRegistry
+from repro.observe.metrics import Histogram, MetricsRegistry, series_key
 
 
 def _format_value(value: float) -> str:
@@ -52,7 +52,6 @@ def _metric_name(registry: MetricsRegistry, metric) -> str:
 
 def to_prometheus(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format (version 0.0.4)."""
-    registry.refresh()  # pushed gauges re-derive before the scrape reads them
     lines: List[str] = []
     seen_headers = set()
 
@@ -64,14 +63,12 @@ def to_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"# HELP {full_name} {_escape(help)}")
         lines.append(f"# TYPE {full_name} {kind}")
 
-    for counter in registry.counters():
-        full = _metric_name(registry, counter)
-        header(full, counter.help, "counter")
-        lines.append(f"{full}{_render_labels(counter.labels)} {_format_value(counter.value)}")
-    for gauge in registry.gauges():
-        full = _metric_name(registry, gauge)
-        header(full, gauge.help, "gauge")
-        lines.append(f"{full}{_render_labels(gauge.labels)} {_format_value(gauge.value)}")
+    with registry.scrape():  # pushed gauges re-derive, callback series share one view
+        for kind, metrics in (("counter", registry.counters()), ("gauge", registry.gauges())):
+            for metric in metrics:
+                full = _metric_name(registry, metric)
+                header(full, metric.help, kind)
+                lines.append(f"{full}{_render_labels(metric.labels)} {_format_value(metric.value)}")
     for histogram in registry.histograms():
         full = _metric_name(registry, histogram)
         header(full, histogram.help, "histogram")
@@ -115,15 +112,18 @@ def to_json(
     """A JSON snapshot: the registry, plus optional engine/trace sections.
 
     Args:
-        tree: when given, adds ``engine`` (``LSMTree.metrics_snapshot()``)
-            and ``levels`` (the per-level table) sections.
+        tree: when given, adds ``engine`` (``metrics_snapshot()`` as the
+            registry carries it — the same numbers as the ``metrics``
+            section's engine series, keyed the engine's way) and ``levels``
+            (the per-level table) sections.
         recorder: when given, adds the retained trace spans.
     """
+    from repro.observe.engine import engine_section
     from repro.observe.levels import level_stats
 
     payload = {"metrics": registry.snapshot()}
     if tree is not None:
-        payload["engine"] = tree.metrics_snapshot()
+        payload["engine"] = engine_section(payload["metrics"])
         payload["levels"] = level_stats(tree)
     if recorder is not None:
         payload["traces"] = recorder.snapshot()
@@ -137,13 +137,9 @@ def latency_rows(
     rows: List[List[object]] = []
     for histogram in histograms:
         pct = histogram.percentiles()
-        label = histogram.name
-        if histogram.labels:
-            rendered = ",".join(f"{k}={v}" for k, v in sorted(histogram.labels.items()))
-            label = f"{label}{{{rendered}}}"
         rows.append(
             [
-                label,
+                series_key(histogram),
                 histogram.count,
                 histogram.mean,
                 pct["p50"],
@@ -157,10 +153,14 @@ def latency_rows(
 
 
 def render_dump(registry: MetricsRegistry, tree=None) -> str:
-    """The human-readable dump: latency table, counters, per-level table."""
+    """The human-readable dump: latency table, counters, per-level table.
+
+    The per-level rows are in the registry as ``level_*`` gauges; they are
+    listed only as the table ``tree`` asks for, or there would be a few
+    dozen gauge lines per level above it.
+    """
     from repro.observe.levels import format_level_table
 
-    registry.refresh()
     sections: List[str] = []
     histograms = registry.histograms()
     if histograms:
@@ -171,26 +171,18 @@ def render_dump(registry: MetricsRegistry, tree=None) -> str:
                 latency_rows(histograms),
             )
         )
-    counters = registry.counters()
+    with registry.scrape():
+        counters = [[c.name, c.value] for c in registry.counters()]
+        gauges = [
+            [series_key(g), g.value] for g in registry.gauges()
+            if tree is None or not g.name.startswith("level_")
+        ]
     if counters:
         sections.append("\n== counters ==")
-        sections.append(
-            format_table(
-                ["counter", "value"],
-                [[c.name, c.value] for c in counters],
-            )
-        )
-    gauges = registry.gauges()
+        sections.append(format_table(["counter", "value"], counters))
     if gauges:
         sections.append("\n== gauges ==")
-        rows = []
-        for gauge in gauges:
-            label = gauge.name
-            if gauge.labels:
-                rendered = ",".join(f"{k}={v}" for k, v in sorted(gauge.labels.items()))
-                label = f"{label}{{{rendered}}}"
-            rows.append([label, gauge.value])
-        sections.append(format_table(["gauge", "value"], rows))
+        sections.append(format_table(["gauge", "value"], gauges))
     if tree is not None:
         sections.append("\n== per-level stats ==")
         sections.append(format_level_table(tree))

@@ -10,12 +10,14 @@ stats`` dump and exports as labeled gauges.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from repro.bench.report import format_table
 from repro.observe.metrics import MetricsRegistry
+from repro.storage.sstable import ProbeStats
 
-#: Column order of the rendered table (and the per-level dict keys).
+#: Column order of the rendered table (a subset of the per-level dict keys).
 LEVEL_COLUMNS = [
     "level", "runs", "files", "bytes", "capacity", "entries",
     "gets_probed", "gets_served", "filter_fpr", "cache_hit_rate",
@@ -23,65 +25,45 @@ LEVEL_COLUMNS = [
 ]
 
 
+@dataclass
+class LevelIO(ProbeStats):
+    """One level's traffic: the probe counts of the point lookups that
+    reached it (merged in per lookup), plus what only a level has."""
+
+    gets_probed: int = 0  # point lookups that reached this level
+    gets_served: int = 0  # point lookups answered by this level
+    bytes_written: int = 0  # flush/compaction output landing here
+    bytes_compacted_in: int = 0  # bytes read out of this level by merges
+
+    @property
+    def filter_fpr(self) -> float:
+        absent = self.false_positives + self.filter_negatives
+        return self.false_positives / absent if absent else 0.0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        return self.cache_hits / self.blocks_read if self.blocks_read else 0.0
+
+    def as_dict(self) -> dict:
+        row = asdict(self)
+        row["block_accesses"] = row.pop("blocks_read")  # cache hits included
+        row.update(filter_fpr=self.filter_fpr, cache_hit_rate=self.cache_hit_rate)
+        return row
+
+
 def level_stats(tree) -> List[dict]:
     """One dict per storage level, combining shape and I/O accounting."""
     observer = getattr(tree, "observer", None)
+    history = observer.levels if observer is not None else {}
+    shapes = {summary["level"]: summary for summary in tree.level_summary()}
     rows: List[dict] = []
-    known_levels = set()
-    for summary in tree.level_summary():
-        level_no = summary["level"]
-        known_levels.add(level_no)
-        row = {
-            "level": level_no,
-            "runs": summary["runs"],
-            "files": summary["files"],
-            "bytes": summary["bytes"],
-            "capacity": summary["capacity"],
-            "entries": summary["entries"],
-            "gets_probed": 0,
-            "gets_served": 0,
-            "filter_fpr": 0.0,
-            "cache_hit_rate": 0.0,
-            "block_accesses": 0,
-            "bytes_written": 0,
-            "bytes_compacted_in": 0,
+    # Levels that held data earlier but are empty now still have history.
+    for level_no in sorted(shapes.keys() | history.keys()):
+        shape = shapes.get(level_no) or {
+            "level": level_no, "runs": 0, "files": 0, "bytes": 0,
+            "capacity": tree.config.level_capacity(level_no), "entries": 0,
         }
-        if observer is not None and level_no in observer.levels:
-            io = observer.levels[level_no]
-            row.update(
-                gets_probed=io.gets_probed,
-                gets_served=io.gets_served,
-                filter_fpr=io.filter_fpr,
-                cache_hit_rate=io.cache_hit_rate,
-                block_accesses=io.block_accesses,
-                bytes_written=io.bytes_written,
-                bytes_compacted_in=io.bytes_compacted_in,
-            )
-        rows.append(row)
-    if observer is not None:
-        # Levels that held data earlier but are empty now still have history.
-        for level_no in sorted(observer.levels):
-            if level_no in known_levels:
-                continue
-            io = observer.levels[level_no]
-            rows.append(
-                {
-                    "level": level_no,
-                    "runs": 0,
-                    "files": 0,
-                    "bytes": 0,
-                    "capacity": tree.config.level_capacity(level_no),
-                    "entries": 0,
-                    "gets_probed": io.gets_probed,
-                    "gets_served": io.gets_served,
-                    "filter_fpr": io.filter_fpr,
-                    "cache_hit_rate": io.cache_hit_rate,
-                    "block_accesses": io.block_accesses,
-                    "bytes_written": io.bytes_written,
-                    "bytes_compacted_in": io.bytes_compacted_in,
-                }
-            )
-        rows.sort(key=lambda row: row["level"])
+        rows.append({**shape, **history.get(level_no, LevelIO()).as_dict()})
     return rows
 
 
@@ -94,39 +76,22 @@ def format_level_table(tree) -> str:
     )
 
 
-def _export_level_gauges_once(tree, registry: MetricsRegistry) -> None:
-    for row in level_stats(tree):
-        labels = {"level": str(row["level"])}
-        for column in LEVEL_COLUMNS:
-            if column == "level":
-                continue
-            registry.gauge(
-                f"level_{column}", f"per-level {column}", labels=labels
-            ).set(float(row[column]))
+def export_level_gauges(tree, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+    """Publish the per-level rows into ``registry`` as labeled gauges.
 
-
-def export_level_gauges(
-    tree, registry: Optional[MetricsRegistry] = None, live: bool = True
-) -> MetricsRegistry:
-    """Publish the per-level table into ``registry`` as labeled gauges.
-
-    Each column becomes ``level_<column>{level="N"}``; calling again
+    Each row key becomes ``level_<key>{level="N"}``; calling again
     refreshes the same series. Uses the tree observer's registry when none
-    is given (and a fresh one when the tree is unobserved).
-
-    With ``live=True`` (the default) a refresh hook is also registered on the
-    registry, so every later ``snapshot()``/export re-derives the gauges from
-    the tree's *current* shape — an idle process no longer reports the level
-    sizes frozen at the last explicit export. Re-attaching for the same tree
-    replaces the previous hook.
+    is given (and a fresh one when the tree is unobserved). An observed
+    tree's registry re-derives them on every scrape
+    (:class:`~repro.observe.engine.EngineView`), so this is only needed
+    for a one-off export of an unobserved tree.
     """
     if registry is None:
         observer = getattr(tree, "observer", None)
         registry = observer.registry if observer is not None else MetricsRegistry()
-    _export_level_gauges_once(tree, registry)
-    if live:
-        registry.add_refresh_hook(
-            lambda: _export_level_gauges_once(tree, registry),
-            key=("level_gauges", id(tree)),
-        )
+    for row in level_stats(tree):
+        labels = {"level": str(row["level"])}
+        for key, value in row.items():
+            if key != "level":
+                registry.gauge(f"level_{key}", f"per-level {key}", labels=labels).set(float(value))
     return registry

@@ -18,9 +18,10 @@ Design constraints (all load-bearing for the rest of ``repro.observe``):
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: The quantiles every latency report prints, in order.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.50, 0.90, 0.99, 0.999)
@@ -32,6 +33,14 @@ def _label_key(labels: Optional[Dict[str, str]]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def series_key(metric) -> str:
+    """``name`` or ``name{label=value,...}``: how snapshots and dumps key a series."""
+    if not metric.labels:
+        return metric.name
+    rendered = ",".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
+    return f"{metric.name}{{{rendered}}}"
+
+
 def _sample(fn: Callable[[], float]) -> float:
     """Read a callback-backed metric; a dying component must not break exports."""
     try:
@@ -40,13 +49,10 @@ def _sample(fn: Callable[[], float]) -> float:
         return float("nan")
 
 
-class Counter:
-    """A monotone counter (Prometheus ``counter`` semantics).
-
-    Like a :class:`Gauge` it may be backed by a callback (``set_function``):
-    the shape for a count a component already keeps under its own lock, which
-    then costs the counting path nothing extra.
-    """
+class _Scalar:
+    """One named scalar series: a stored value, or a callback read on every
+    read (``set_function``) — the shape for a number some component already
+    keeps under its own lock, which then costs its owner nothing extra."""
 
     __slots__ = ("name", "help", "labels", "_value", "_fn", "_lock")
 
@@ -57,54 +63,6 @@ class Counter:
         self._value = 0.0
         self._fn: Optional[Callable[[], float]] = None
         self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge for deltas")
-        with self._lock:
-            self._value += amount
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Read ``fn`` (a monotone count) on every read instead of a stored value."""
-        with self._lock:
-            self._fn = fn
-
-    @property
-    def value(self) -> float:
-        fn = self._fn
-        return self._value if fn is None else _sample(fn)
-
-    def merge(self, other: "Counter") -> None:
-        with self._lock:
-            self._value += other.value
-
-
-class Gauge:
-    """A point-in-time value; optionally backed by a callback.
-
-    A callback gauge (``set_function``) is sampled at snapshot/export time —
-    the natural shape for queue depths and backlogs that already live in
-    some component's state.
-    """
-
-    __slots__ = ("name", "help", "labels", "_value", "_fn", "_lock")
-
-    def __init__(self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None):
-        self.name = name
-        self.help = help
-        self.labels = dict(labels or {})
-        self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._fn = None
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Sample ``fn`` on every read instead of storing a value."""
@@ -115,6 +73,39 @@ class Gauge:
     def value(self) -> float:
         fn = self._fn
         return self._value if fn is None else _sample(fn)
+
+
+class Counter(_Scalar):
+    """A monotone counter (Prometheus ``counter`` semantics); a callback
+    backing it must return a monotone count."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up; use a Gauge for deltas")
+        with self._lock:
+            self._value += amount
+
+    def merge(self, other: "Counter") -> None:
+        with self._lock:
+            self._value += other.value
+
+
+class Gauge(_Scalar):
+    """A point-in-time value. A callback gauge is sampled at snapshot/export
+    time — the natural shape for queue depths and backlogs."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._fn = None
+            self._value = float(value)
+
+    def add(self, amount: float) -> None:
+        with self._lock:
+            self._value += amount
 
     def merge(self, other: "Gauge") -> None:
         # Merging gauges sums them: queue depths and backlogs across shards
@@ -296,26 +287,39 @@ class MetricsRegistry:
 
     # -- refresh hooks ---------------------------------------------------------
 
-    def add_refresh_hook(self, fn: Callable[[], None], key: Optional[object] = None) -> None:
-        """Register ``fn`` to run before every snapshot/export.
+    def add_refresh_hook(self, fn: Callable[[], object], key: Optional[object] = None) -> None:
+        """Register ``fn`` to run at the start of every :meth:`scrape`.
 
         Components whose gauges are *pushed* (``.set()``) rather than
         function-backed register a hook so an idle process still reports
-        current values at read time. Passing the same ``key`` again replaces
-        the previous hook (idempotent re-attachment).
+        current values at read time. A hook that caches a view for the
+        scrape's callback series returns a callable, run when the scrape
+        ends. Passing the same ``key`` again replaces the previous hook
+        (idempotent re-attachment).
         """
         with self._lock:
             self._refresh_hooks[key if key is not None else fn] = fn
 
-    def refresh(self) -> None:
-        """Run every refresh hook (errors swallowed: exports must not die)."""
+    @contextlib.contextmanager
+    def scrape(self) -> Iterator["MetricsRegistry"]:
+        """One consistent read of the registry: run every refresh hook, let
+        the caller read, then release what the hooks held for it (errors
+        swallowed: exports must not die)."""
         with self._lock:
             hooks = list(self._refresh_hooks.values())
-        for fn in hooks:
-            try:
-                fn()
-            except Exception:
-                continue
+        releases = []
+        try:
+            for fn in hooks:
+                try:
+                    release = fn()
+                except Exception:
+                    continue
+                if callable(release):
+                    releases.append(release)
+            yield self
+        finally:
+            for release in releases:
+                release()
 
     def _get_or_create(self, kind: str, key: tuple, factory):
         with self._lock:
@@ -371,21 +375,15 @@ class MetricsRegistry:
             return list(self._metrics.values())
 
     def snapshot(self) -> dict:
-        """A JSON-able snapshot of every registered series (refreshed first)."""
-        self.refresh()
+        """A JSON-able snapshot of every registered series (one scrape)."""
 
-        def series_key(metric) -> str:
-            if not metric.labels:
-                return metric.name
-            rendered = ",".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
-            return f"{metric.name}{{{rendered}}}"
-
-        return {
-            "namespace": self.namespace,
-            "counters": {series_key(c): c.value for c in self.counters()},
-            "gauges": {series_key(g): g.value for g in self.gauges()},
-            "histograms": {series_key(h): h.snapshot() for h in self.histograms()},
-        }
+        with self.scrape():
+            return {
+                "namespace": self.namespace,
+                "counters": {series_key(c): c.value for c in self.counters()},
+                "gauges": {series_key(g): g.value for g in self.gauges()},
+                "histograms": {series_key(h): h.snapshot() for h in self.histograms()},
+            }
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one (cross-shard aggregation).
@@ -395,17 +393,18 @@ class MetricsRegistry:
         """
         with other._lock:
             items = list(other._metrics.items())
-        for key, metric in items:
-            kind = key[0]
-            if kind == "counter":
-                self.counter(metric.name, metric.help, metric.labels).merge(metric)
-            elif kind == "gauge":
-                self.gauge(metric.name, metric.help, metric.labels).merge(metric)
-            else:
-                self.histogram(
-                    metric.name, metric.help, metric.growth,
-                    metric.min_value, metric.labels,
-                ).merge(metric)
+        with other.scrape():
+            for key, metric in items:
+                kind = key[0]
+                if kind == "counter":
+                    self.counter(metric.name, metric.help, metric.labels).merge(metric)
+                elif kind == "gauge":
+                    self.gauge(metric.name, metric.help, metric.labels).merge(metric)
+                else:
+                    self.histogram(
+                        metric.name, metric.help, metric.growth,
+                        metric.min_value, metric.labels,
+                    ).merge(metric)
 
 
 def merge_registries(

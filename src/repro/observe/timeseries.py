@@ -1,8 +1,8 @@
 """Time-series layer: fixed-capacity ring-buffer series scraped on an interval.
 
-The :class:`TimeSeriesSampler` turns the point-in-time observability surfaces
-(a :class:`~repro.observe.metrics.MetricsRegistry`, an engine's
-``metrics_snapshot()``) into *history*: each :meth:`~TimeSeriesSampler.scrape`
+The :class:`TimeSeriesSampler` turns the point-in-time observability surface
+(a :class:`~repro.observe.metrics.MetricsRegistry`, which carries an observed
+engine's ``metrics_snapshot()``) into *history*: each :meth:`~TimeSeriesSampler.scrape`
 appends one ``(t, value)`` point per series into a bounded :class:`RingSeries`,
 so dashboards (``python -m repro stats --live``), the ``stats_history`` server
 frame, and ROADMAP item 2's tuning daemon can all read rates and trends
@@ -113,7 +113,7 @@ class RingSeries:
 
 
 class TimeSeriesSampler:
-    """Scrapes a registry (and pluggable sources) into :class:`RingSeries`.
+    """Scrapes a registry into :class:`RingSeries`.
 
     Every :meth:`scrape` reads, under one timestamp:
 
@@ -122,17 +122,19 @@ class TimeSeriesSampler:
       hooks run at scrape time, so an idle process reports truthful values);
     * registry **histograms** → ``<key>_count`` / ``<key>_sum`` cumulative
       series (rate of ``_sum``/rate of ``_count`` = rolling mean latency);
-    * every **source** callable registered via :meth:`add_source` — a plain
-      ``fn() -> {name: value}`` (see :class:`EngineSource` for the engine's
-      derived per-level/cache/stall view).
+    * when the registry carries an engine's series
+      (:class:`~repro.observe.engine.EngineView`), the interval ratios
+      derived from them (:meth:`_engine_ratios`).
+
+    Anything else worth a history is a callback gauge on the registry.
 
     Args:
-        registry: the registry to scrape (optional — sources alone work).
+        registry: the registry to scrape.
         capacity: ring capacity for every series created by this sampler.
         clock: timestamp source (wall by default; inject simulated time).
     """
 
-    def __init__(self, registry=None, capacity: int = 240,
+    def __init__(self, registry, capacity: int = 240,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
@@ -140,23 +142,10 @@ class TimeSeriesSampler:
         self.capacity = capacity
         self.clock = clock
         self._series: Dict[str, RingSeries] = {}
-        self._sources: List[Tuple[Callable[[], Dict[str, float]], bool]] = []
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.samples = 0
-
-    # -- configuration ---------------------------------------------------------
-
-    def add_source(self, fn: Callable[[], Dict[str, float]],
-                   cumulative: bool = False) -> None:
-        """Register ``fn() -> {series_name: value}`` scraped on every sample.
-
-        ``cumulative=True`` marks every series the source emits as a monotone
-        total (rates derived on read); the default treats them as level
-        values. A source that raises is skipped for that scrape.
-        """
-        self._sources.append((fn, cumulative))
 
     # -- sampling --------------------------------------------------------------
 
@@ -180,28 +169,66 @@ class TimeSeriesSampler:
         """Take one sample of everything; returns the flat values recorded."""
         t = self.clock()
         flat: Dict[str, Tuple[float, bool]] = {}
-        registry = self.registry
-        if registry is not None:
-            snap = registry.snapshot()  # runs refresh hooks + function gauges
-            for key, value in snap.get("counters", {}).items():
-                flat[key] = (value, True)
-            for key, value in snap.get("gauges", {}).items():
-                flat[key] = (value, False)
-            for key, hist in snap.get("histograms", {}).items():
-                flat[f"{key}_count"] = (hist.get("count", 0), True)
-                flat[f"{key}_sum"] = (hist.get("sum", 0.0), True)
-        for fn, cumulative in self._sources:
-            try:
-                emitted = fn()
-            except Exception:
-                continue
-            for key, value in (emitted or {}).items():
-                flat[key] = (value, cumulative)
+        snap = self.registry.snapshot()  # runs refresh hooks + function gauges
+        for key, value in snap["counters"].items():
+            flat[key] = (value, True)
+        for key, value in snap["gauges"].items():
+            flat[key] = (value, False)
+        for key, hist in snap["histograms"].items():
+            flat[f"{key}_count"] = (hist["count"], True)
+            flat[f"{key}_sum"] = (hist["sum"], True)
+        if "engine_cache_lookups" in flat:  # an EngineView feeds this registry
+            flat.update(self._engine_ratios(flat, t))
         with self._lock:
             for name, (value, cumulative) in flat.items():
                 self._record(name, t, value, cumulative)
             self.samples += 1
         return {name: value for name, (value, _) in flat.items()}
+
+    def _engine_ratios(self, flat, t: float) -> Dict[str, Tuple[float, bool]]:
+        """The engine's headline ratios over the interval since the last
+        scrape, from deltas of series this sampler already holds:
+        ``cache_hit_ratio``, ``stall_fraction``, ``read_fraction`` (the
+        read/write mix) and per level ``level<N>_fpr``; plus the cumulative
+        ``engine_gets`` and ``level<N>_gets_probed`` under the names
+        dashboards read them by.
+        """
+        series = self._series
+
+        def total(name: str) -> float:
+            return float(flat.get(name, (0.0,))[0])
+
+        def delta(name: str) -> float:
+            last = series[name].last() if name in series else None
+            return total(name) - (last[1] if last is not None else 0.0)
+
+        def ratio(part: str, *rest: str) -> float:
+            """Interval share of ``part`` in ``part + rest``; the lifetime
+            share when nothing moved this interval."""
+            for of in (delta, total):
+                whole = sum(of(name) for name in (part, *rest))
+                if whole > 0:
+                    return of(part) / whole
+            return 0.0
+
+        last = series["gets_total"].last() if "gets_total" in series else None
+        dt = t - last[0] if last is not None else 0.0
+        ops = sum(delta(name) for name in ("gets_total", "engine_puts", "engine_deletes"))
+        out = {
+            "cache_hit_ratio": (ratio("engine_cache_hits", "engine_cache_misses"), False),
+            "stall_fraction": (
+                min(1.0, delta("engine_stall_time_wall") / dt) if dt > 0 else 0.0, False),
+            "read_fraction": (delta("gets_total") / ops if ops > 0 else 0.0, False),
+            "engine_gets": (total("gets_total"), True),
+        }
+        prefix = "level_gets_probed{level="
+        for key in [key for key in flat if key.startswith(prefix)]:
+            level = key[len(prefix):-1]
+            out[f"level{level}_fpr"] = (ratio(
+                f"level_false_positives{{level={level}}}",
+                f"level_filter_negatives{{level={level}}}"), False)
+            out[f"level{level}_gets_probed"] = (total(key), True)
+        return out
 
     # -- background scraping ---------------------------------------------------
 
@@ -262,146 +289,3 @@ class TimeSeriesSampler:
             "capacity": self.capacity,
             "series": series,
         }
-
-
-class EngineSource:
-    """A sampler source deriving the engine's headline ratios per interval.
-
-    Wraps anything with ``metrics_snapshot()`` (an ``LSMTree``, a
-    ``DBService``) and, when an :class:`~repro.observe.engine.EngineObserver`
-    is attached, its per-level I/O accounting. Each call emits:
-
-    * cumulative totals: ``engine_gets`` / ``engine_puts`` / ``engine_deletes``
-      / ``engine_cache_lookups`` / ``engine_stall_wall_seconds`` /
-      ``level<N>_gets_probed`` / ``level<N>_filter_probes``;
-    * interval-derived level values (computed against the previous call):
-      ``cache_hit_ratio``, ``stall_fraction``, ``read_fraction`` (the
-      read/write mix), ``level<N>_fpr``, ``level<N>_probes_per_s``;
-    * shape gauges: ``engine_levels`` / ``engine_runs`` /
-      ``engine_memtable_entries``.
-
-    Register with ``sampler.add_source(EngineSource(service))`` — the emitted
-    dict mixes kinds, so cumulative names are declared via
-    :attr:`CUMULATIVE_PREFIXES` and the source registers itself as level data;
-    the cumulative members are *also* re-emitted by a companion source. To
-    keep wiring one-line, use :func:`attach_engine_source`.
-    """
-
-    CUMULATIVE_PREFIXES = ("engine_gets", "engine_puts", "engine_deletes",
-                           "engine_cache_lookups", "engine_stall_wall_seconds")
-
-    def __init__(self, target, clock: Callable[[], float] = time.monotonic) -> None:
-        self._target = target
-        self._clock = clock
-        self._prev: Dict[str, float] = {}
-        self._prev_t: Optional[float] = None
-
-    @staticmethod
-    def _tree_of(target):
-        return getattr(target, "tree", target)
-
-    def __call__(self) -> Dict[str, float]:
-        target = self._target
-        snap = target.metrics_snapshot()
-        t = self._clock()
-        out: Dict[str, float] = {}
-
-        gets = float(snap.get("gets", 0))
-        puts = float(snap.get("puts", 0))
-        deletes = float(snap.get("deletes", 0))
-        hits = float(snap.get("cache_hits", 0))
-        lookups = float(snap.get("cache_lookups", 0))
-        stall_wall = float(snap.get("stall_time_wall", 0.0))
-
-        prev, prev_t = self._prev, self._prev_t
-
-        def delta(name: str, value: float) -> float:
-            return value - prev.get(name, 0.0)
-
-        d_reads = delta("gets", gets)
-        d_writes = delta("puts", puts) + delta("deletes", deletes)
-        d_hits = delta("cache_hits", hits)
-        d_lookups = delta("cache_lookups", lookups)
-        d_stall = delta("stall_wall", stall_wall)
-        dt = (t - prev_t) if prev_t is not None else 0.0
-
-        out["cache_hit_ratio"] = (d_hits / d_lookups) if d_lookups > 0 else (
-            hits / lookups if lookups > 0 else 0.0)
-        out["stall_fraction"] = min(1.0, d_stall / dt) if dt > 0 else 0.0
-        d_ops = d_reads + d_writes
-        out["read_fraction"] = (d_reads / d_ops) if d_ops > 0 else 0.0
-
-        out["engine_gets"] = gets
-        out["engine_puts"] = puts
-        out["engine_deletes"] = deletes
-        out["engine_cache_lookups"] = lookups
-        out["engine_stall_wall_seconds"] = stall_wall
-        out["engine_levels"] = float(snap.get("levels", 0))
-        out["engine_runs"] = float(snap.get("runs", 0))
-        out["engine_memtable_entries"] = float(snap.get("memtable_entries", 0))
-
-        observer = getattr(self._tree_of(target), "observer", None)
-        if observer is not None:
-            for level_no in sorted(observer.levels):
-                io = observer.levels[level_no]
-                probed = float(io.gets_probed)
-                fps = float(io.false_positives)
-                negs = float(io.filter_negatives)
-                d_probed = delta(f"l{level_no}_probed", probed)
-                d_fps = delta(f"l{level_no}_fps", fps)
-                d_absent = d_fps + delta(f"l{level_no}_negs", negs)
-                absent_total = fps + negs
-                out[f"level{level_no}_fpr"] = (
-                    d_fps / d_absent if d_absent > 0
-                    else (fps / absent_total if absent_total > 0 else 0.0))
-                out[f"level{level_no}_probes_per_s"] = (
-                    d_probed / dt if dt > 0 else 0.0)
-                out[f"level{level_no}_gets_probed"] = probed
-                out[f"level{level_no}_filter_probes"] = float(io.filter_probes)
-                prev[f"l{level_no}_probed"] = probed
-                prev[f"l{level_no}_fps"] = fps
-                prev[f"l{level_no}_negs"] = negs
-
-        prev.update(gets=gets, puts=puts, deletes=deletes,
-                    cache_hits=hits, cache_lookups=lookups,
-                    stall_wall=stall_wall)
-        self._prev_t = t
-        return out
-
-
-def attach_engine_source(sampler: TimeSeriesSampler, target) -> EngineSource:
-    """Wire an :class:`EngineSource` for ``target`` into ``sampler``.
-
-    The derived ratios/gauges register as level series; the monotone
-    ``engine_*`` totals and per-level probe counters register as cumulative
-    so :meth:`RingSeries.rates` works on them.
-    """
-    source = EngineSource(target, clock=sampler.clock)
-
-    cumulative_exact = set(EngineSource.CUMULATIVE_PREFIXES)
-
-    def level_part() -> Dict[str, float]:
-        emitted = source()
-        return {k: v for k, v in emitted.items()
-                if k not in cumulative_exact and not k.endswith(("_gets_probed", "_filter_probes"))}
-
-    def cumulative_part() -> Dict[str, float]:
-        # Reuses the totals cached by the level part's call in the same
-        # scrape (sources run in registration order) — no second snapshot.
-        prev = source._prev
-        out = {
-            "engine_gets": prev.get("gets", 0.0),
-            "engine_puts": prev.get("puts", 0.0),
-            "engine_deletes": prev.get("deletes", 0.0),
-            "engine_cache_lookups": prev.get("cache_lookups", 0.0),
-            "engine_stall_wall_seconds": prev.get("stall_wall", 0.0),
-        }
-        for key, value in prev.items():
-            if key.startswith("l") and key.endswith("_probed"):
-                level_no = key[1:-len("_probed")]
-                out[f"level{level_no}_gets_probed"] = value
-        return out
-
-    sampler.add_source(level_part, cumulative=False)
-    sampler.add_source(cumulative_part, cumulative=True)
-    return source

@@ -31,7 +31,7 @@ Quickstart::
 from repro.server.client import LSMClient, RetryPolicy, RETRYABLE_CODES
 from repro.server.config import ServerConfig
 from repro.server.dedup import DedupTable
-from repro.server.loadgen import TenantLoad, TenantRunResult, run_load
+from repro.server.loadgen import TenantLoad, TenantRunResult, run_load, run_smoke_test
 from repro.server.overload import OverloadGuard
 from repro.server.protocol import (
     BatchRequest,
@@ -83,6 +83,7 @@ __all__ = [
     "TenantLoad",
     "TenantRunResult",
     "run_load",
+    "run_smoke_test",
     "ProtocolError",
     "RemoteError",
     "Message",

@@ -16,12 +16,13 @@ the E23 isolation benchmark compares.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.observe import MetricsRegistry
+from repro.observe import MetricsRegistry, TraceRecorder
 from repro.server.client import LSMClient
 from repro.server.protocol import ProtocolError, RemoteError
 from repro.workloads.spec import OperationMix, WorkloadSpec, uniform_spec
@@ -246,3 +247,105 @@ def tenant_latency_summary(
     summary["count"] = merged.count
     summary["max"] = merged.max
     return summary
+
+
+def run_smoke_test(
+    server,
+    tenant_count: int,
+    clients: int,
+    ops: int,
+    trace_sampling: Optional[float] = None,
+    metrics_out: Optional[str] = None,
+    journal_out: Optional[str] = None,
+    history_out: Optional[str] = None,
+) -> Tuple[bool, List[str]]:
+    """Drive a started :class:`~repro.server.LSMServer` with a built-in
+    multi-tenant load and judge it (``python -m repro serve --smoke-test``).
+
+    Passes when every operation completed with no protocol, remote or fatal
+    error and, with ``trace_sampling``, at least one trace joined up across
+    the socket with no orphan span. The ``*_out`` paths receive the
+    server's stats snapshot (JSON), event journal (JSONL) and time-series
+    history (JSON).
+
+    Returns:
+        ``(ok, report_lines)``; lines starting ``error:`` / ``fatal:``
+        (after indentation) are the failure report.
+    """
+    host, port = server.address
+    client_recorder = (
+        TraceRecorder(capacity=8192, sampling=trace_sampling) if trace_sampling else None
+    )
+    tenants = [
+        TenantLoad(
+            tenant=f"smoke{i}",
+            clients=clients,
+            ops_per_client=ops,
+            mix=OperationMix(put=0.4, get=0.5, scan=0.1),
+            keyspace=500,
+            seed=11 + i,
+            trace_sampling=trace_sampling or 0.0,
+        )
+        for i in range(tenant_count)
+    ]
+    results = run_load(host, port, tenants, trace_recorder=client_recorder)
+    lines: List[str] = []
+    if metrics_out:
+        with open(metrics_out, "w", encoding="utf-8") as fh:
+            json.dump(server.stats_snapshot(), fh, indent=2, sort_keys=True, default=str)
+        lines.append(f"metrics snapshot written to {metrics_out}")
+    if journal_out:
+        written = server.journal.write_jsonl(journal_out)
+        lines.append(f"event journal ({written} events) written to {journal_out}")
+    if history_out:
+        server.sampler.scrape()
+        with open(history_out, "w", encoding="utf-8") as fh:
+            json.dump(server.sampler.as_dict(), fh, indent=2, sort_keys=True)
+        lines.append(f"time-series history written to {history_out}")
+    total_ops = sum(r.operations for r in results.values())
+    protocol_errors = sum(r.protocol_errors for r in results.values())
+    remote_errors = sum(r.remote_errors for r in results.values())
+    fatal = [e for r in results.values() for e in r.errors]
+    for result in results.values():
+        p99 = result.latency.get("p99", 0.0)
+        lines.append(
+            f"  {result.tenant}: {result.operations} ops "
+            f"({result.ops_per_second:.0f} ops/s, p99 {p99 * 1e3:.2f} ms)"
+        )
+    lines.append(
+        f"smoke test: {total_ops} ops, {protocol_errors} protocol errors, "
+        f"{remote_errors} remote errors"
+    )
+    expected = tenant_count * clients * ops
+    ok = protocol_errors == 0 and remote_errors == 0 and not fatal and total_ops == expected
+    if client_recorder is not None:
+        # A joined trace = one trace id with spans on BOTH sides of the
+        # socket; an orphan = a child span whose parent id does not resolve
+        # anywhere within its own trace.
+        client_spans = client_recorder.spans()
+        server_spans = server.recorder.spans()
+        joined = {s.trace_id for s in client_spans} & {s.trace_id for s in server_spans}
+        span_ids_by_trace: Dict[str, set] = {}
+        for span in client_spans + server_spans:
+            span_ids_by_trace.setdefault(span.trace_id, set()).add(span.span_id)
+        orphans = [
+            span
+            for span in client_spans + server_spans
+            if span.parent_id and span.parent_id not in span_ids_by_trace[span.trace_id]
+        ]
+        lines.append(
+            f"tracing: {len(client_spans)} client spans, "
+            f"{len(server_spans)} server+engine spans, "
+            f"{len(joined)} joined traces, {len(orphans)} orphan spans"
+        )
+        if not joined:
+            lines.append("error: no cross-process trace joined up")
+        if orphans:
+            lines.append(
+                f"error: {len(orphans)} orphan spans (first: {orphans[0].as_dict()})"
+            )
+        ok = ok and bool(joined) and not orphans
+    if not ok:
+        lines.extend(f"  fatal: {line}" for line in fatal[:8])
+        lines.append(f"error: smoke test failed ({total_ops}/{expected} ops ok)")
+    return ok, lines

@@ -30,12 +30,13 @@ from typing import Optional, Set
 from repro.common.entry import GetResult
 from repro.errors import ConflictError, ReproError
 from repro.observe import (
+    EngineView,
     EventJournal,
     MetricsRegistry,
     SlowOpLog,
     TimeSeriesSampler,
     TraceRecorder,
-    attach_engine_source,
+    engine_section,
 )
 from repro.observe.tracing import TraceContext
 from repro.server.config import ServerConfig
@@ -143,9 +144,11 @@ class LSMServer:
                 threshold_s=cfg.slow_op_threshold_s,
                 capacity=cfg.slow_op_capacity,
             )
-        self.sampler = TimeSeriesSampler(self.registry, capacity=cfg.history_capacity)
+        # The registry carries the backend's own counts next to server_*: one
+        # metrics_snapshot() per scrape, whether or not the service is observed.
         if hasattr(service, "metrics_snapshot"):
-            attach_engine_source(self.sampler, service)
+            EngineView(self.registry, service)
+        self.sampler = TimeSeriesSampler(self.registry, capacity=cfg.history_capacity)
 
         self.dedup: Optional[DedupTable] = (
             DedupTable(capacity=cfg.dedup_capacity)
@@ -721,7 +724,7 @@ class LSMServer:
         if hasattr(service, "ping"):
             payload["health"] = service.ping()
         if hasattr(service, "metrics_snapshot"):
-            payload["engine"] = service.metrics_snapshot()
+            payload["engine"] = engine_section(payload["metrics"])
         if self.admission is not None:
             payload["tenants"] = self.admission.snapshot()
         payload["journal"] = {

@@ -97,13 +97,14 @@ class DBService:
     ):
         """Thread a metrics registry (and sampled tracing) through the stack.
 
-        Instruments the tree (engine latency histograms, per-level probe
-        accounting, sampled read-path spans), the service's client-observed
-        wall-clock latencies (queueing + group commit included), the
-        group-commit batch-size distribution and linger counts (leaders
-        that waited for followers, and those that got none), the
-        backpressure stall histogram, and live gauges for the write queue
-        depth, flush backlog, and pending background jobs.
+        Instruments the tree (:func:`repro.observe.observe_tree`: engine
+        latency histograms, per-level probe accounting, sampled read-path
+        spans, and every :meth:`metrics_snapshot` key as a live series —
+        queue depth, pending jobs and uptimes included), the service's
+        client-observed wall-clock latencies (queueing + group commit
+        included), the group-commit batch-size distribution and linger
+        counts (leaders that waited for followers, and those that got
+        none), the backpressure stall histogram and the flush backlog.
 
         Args:
             registry: report into this registry (a fresh one by default).
@@ -114,14 +115,12 @@ class DBService:
             The attached :class:`~repro.observe.EngineObserver` (its
             ``registry`` and the service's ``recorder`` hold everything).
         """
-        from repro.observe import EngineObserver, MetricsRegistry, TraceRecorder
+        from repro.observe import observe_tree
 
-        if registry is None:
-            registry = MetricsRegistry()
-        self.observer = EngineObserver(registry)
-        self.recorder = TraceRecorder(capacity=trace_capacity, sampling=sampling)
-        self.tree.observer = self.observer
-        self.tree.tracer = self.recorder
+        self.observer, self.recorder = observe_tree(
+            self.tree, registry, sampling, trace_capacity, source=self
+        )
+        registry = self.observer.registry
         # One shared journal: engine flush/compaction events (via the
         # observer) interleave with backpressure stall/transition events.
         self.backpressure.journal = self.observer.journal
@@ -158,20 +157,8 @@ class DBService:
             "lingers that ended with no follower (the wait bought nothing)",
         ).set_function(lambda: batcher_stats.lingers_empty)
         registry.gauge(
-            "service_write_queue_depth", "writes parked in the commit queue"
-        ).set_function(lambda: self._batcher.queue_depth)
-        registry.gauge(
             "service_flush_backlog", "sealed memtables + level-1 runs"
         ).set_function(self.tree.flush_backlog)
-        registry.gauge(
-            "service_pending_jobs", "queued + in-flight background jobs"
-        ).set_function(lambda: self.scheduler.pending_jobs)
-        registry.gauge(
-            "service_uptime_seconds", "seconds since the service started"
-        ).set_function(lambda: self.uptime_seconds)
-        registry.gauge(
-            "engine_uptime_seconds", "seconds since the engine instance opened"
-        ).set_function(lambda: self.tree.uptime_seconds)
         return self.observer
 
     # -- writes -------------------------------------------------------------

@@ -244,7 +244,8 @@ class ShardedStore:
         """Give every shard its own observer and trace recorder.
 
         Each shard records into a private registry (no cross-shard lock
-        contention on the hot paths); :meth:`merged_registry` folds them
+        contention on the hot paths) that also carries the shard's own
+        ``metrics_snapshot()`` counts; :meth:`merged_registry` folds them
         into one store-wide view on demand. Returns the observer list.
         """
         from repro.observe import observe_tree

@@ -72,7 +72,7 @@ class TestOpenShapes:
             assert "quarantine_files_total" in counter_names
             hist_names = {h.name for h in registry.histograms()}
             assert "recovery_wall_seconds" in hist_names
-            transient = db.observer.fault_counters["transient"]
+            transient = registry.counter("fault_transient_total")
             assert transient.value == db.device.guard.transient_errors
 
     def test_service_observe_wires_guard_observer(self):
@@ -95,6 +95,36 @@ class TestOpenRecovery:
         for i in range(300):
             assert reopened.get(b"key-%04d" % i).value == b"value-%04d" % i
         reopened.close()
+
+    @pytest.mark.parametrize("shape", ["tree", "service", "sharded"])
+    def test_recovery_is_visible_to_observability(self, shape):
+        """A handle opened observed on a crashed device reports the recovery
+        it came out of: counter, wall-time histogram, journal event."""
+        config = small_config()
+        kwargs = {"service": True} if shape == "service" else (
+            {"sharding": [b"key-0150"]} if shape == "sharded" else {})
+        db = repro.open(config=config, **kwargs)
+        for i in range(300):
+            db.put(b"key-%04d" % i, b"value-%04d" % i)
+        if shape == "service":
+            db.scheduler.close()  # crash: no drain, no close
+        device = db.tree.device if shape == "service" else db.device
+        reopened = repro.open(config=config, device=device, observe=True, **kwargs)
+        try:
+            observers = reopened.observers if shape == "sharded" else [reopened.observer]
+            for observer in observers:
+                snap = observer.registry.snapshot()
+                assert snap["counters"]["recoveries_total"] == 1
+                assert snap["histograms"]["recovery_wall_seconds"]["count"] == 1
+                assert snap["histograms"]["recovery_wall_seconds"]["sum"] > 0
+                assert len(observer.journal.events(kind="recovery")) == 1
+            if shape == "sharded":
+                merged = reopened.merged_registry().snapshot()
+                assert merged["counters"]["recoveries_total"] == len(observers) == 2
+                assert merged["histograms"]["recovery_wall_seconds"]["count"] == 2
+            assert reopened.get(b"key-0299").value == b"value-0299"
+        finally:
+            reopened.close()
 
     def test_close_seals_everything_for_clean_reopen(self):
         config = small_config()

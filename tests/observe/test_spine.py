@@ -7,14 +7,23 @@ key of that snapshot as a callback series; every reader (exporters, the
 ``stats`` frame, the sampler, the per-level table) renders the registry.
 """
 
-import json
+import pytest
 
 import repro
-from repro import DBService, LSMConfig, ServiceConfig, encode_uint_key
+from repro import DBService, FaultConfig, LSMConfig, ServiceConfig, encode_uint_key
 from repro.__main__ import main
-from repro.observe import MetricsRegistry, TimeSeriesSampler, observe_tree, parse_prometheus
+from repro.errors import CorruptionError
+from repro.observe import (
+    MetricsRegistry,
+    TimeSeriesSampler,
+    observe_tree,
+    parse_prometheus,
+    series_name,
+)
+from repro.parallel import ParallelConfig
 from repro.server import LSMClient
-from tests.conftest import make_tree
+from repro.sharding import ShardedStore, even_boundaries
+from tests.conftest import make_config, make_tree
 
 # -- (i) the surface is frozen ---------------------------------------------------
 
@@ -101,6 +110,115 @@ class TestFrozenSurface:
         assert DEMO_SERIES <= exported
 
 
+# -- (ii)-(iv) the registry is a view of the engine's counts ------------------------
+
+
+def _assert_registry_mirrors(snapshot: dict, metrics: dict) -> None:
+    """Every numeric ``metrics_snapshot()`` key reads the same in the registry."""
+    assert not set(metrics["counters"]) & set(metrics["gauges"])
+    published = {**metrics["counters"], **metrics["gauges"]}
+    for key, value in snapshot.items():
+        assert published[series_name(key)] == value, key
+
+
+def _busy_recovered_engine(**open_kwargs):
+    """An observed handle that has been through everything the engine counts:
+    a crash recovery, flushes, a parallel compaction, value-log fetches,
+    transient read errors with retries, a corruption and a quarantine."""
+    config = LSMConfig(
+        buffer_bytes=4 << 10, block_size=512, size_ratio=3, seed=5,
+        wal_enabled=True, wal_sync_interval=1,
+        kv_separation=True, value_threshold=48,
+        parallel=ParallelConfig(max_subcompactions=3, min_subcompaction_blocks=2),
+    )
+    faults = FaultConfig(seed=8, read_error_prob=0.05, max_read_retries=64)
+    crashed = repro.open(config=config, faults=faults, arm_faults=False)
+    for i in range(200):
+        crashed.put(encode_uint_key(i), b"w" * 24)
+    db = repro.open(config=config, device=crashed.device, faults=faults,
+                    observe=True, **open_kwargs)
+    tree = getattr(db, "tree", db)
+    for i in range(1500):  # even keys carry values big enough for the value log
+        key = (i * 37) % 700
+        db.put(encode_uint_key(key), b"v" * (24 if key % 2 else 96))
+    db.flush()
+    tree.compact_all()
+    for i in range(0, 700, 6):
+        assert db.get(encode_uint_key(i)).found
+    list(db.scan(encode_uint_key(100), encode_uint_key(160)))
+    tree.device.arm()  # value-log reads are not behind the read guard: inline keys only
+    for i in range(1, 700, 2):
+        assert db.get(encode_uint_key(i)).found
+    tree.device.disarm()
+    for runs in tree._levels:  # whichever table holds the smallest key, it is in block 0
+        for table in (table for run in runs for table in run.tables):
+            tree.device.corrupt_block(table.file_id, 0)
+    with pytest.raises(CorruptionError):
+        db.get(encode_uint_key(0))
+    return db, tree
+
+
+class TestRegistryIsAViewOfTheEngine:
+    @pytest.mark.parametrize("open_kwargs", [{}, {"service": True}], ids=["tree", "service"])
+    def test_every_snapshot_key_equals_its_series(self, open_kwargs):
+        db, tree = _busy_recovered_engine(**open_kwargs)
+        try:
+            snapshot = db.metrics_snapshot()
+            for key in ("recoveries", "flushes", "parallel_compactions", "subcompactions",
+                        "value_log_fetches", "fault_transient_errors", "retry_attempts",
+                        "fault_corruptions_detected", "quarantine_files", "scans"):
+                assert snapshot[key] > 0, key
+            # Everything but the clocks is still between the two reads.
+            moving = {"uptime_seconds", "service_uptime_seconds"}
+            metrics = db.observer.registry.snapshot()
+            _assert_registry_mirrors(
+                {k: v for k, v in snapshot.items() if k not in moving}, metrics
+            )
+            assert metrics["gauges"]["engine_uptime_seconds"] >= snapshot["uptime_seconds"]
+            # A series read on its own is live, not the last scrape's value.
+            gets = db.observer.registry.counter("gets_total")
+            before = gets.value
+            db.get(encode_uint_key(699))
+            assert gets.value == before + 1 == tree.stats.gets
+        finally:
+            db.close()
+
+    def test_merged_registry_sums_the_shards_snapshots(self):
+        store = ShardedStore(make_config(), even_boundaries(1000, 3))
+        store.attach_observability()
+        for i in range(600):
+            store.put(encode_uint_key(i * 7 % 1000), b"v" * 24)
+        store.flush()
+        for i in range(300):
+            store.get(encode_uint_key(i * 11 % 1000))
+        merged = store.merged_registry().snapshot()["counters"]
+        snapshots = [shard.metrics_snapshot() for shard in store.shards]
+        for key in ("gets", "puts", "flushes", "compactions", "filter_probes",
+                    "cache_lookups", "user_bytes", "compaction_bytes_in"):
+            assert merged[series_name(key)] == sum(snap[key] for snap in snapshots), key
+        assert merged["gets_total"] == 300
+
+    def test_one_scrape_costs_one_metrics_snapshot(self):
+        tree = make_tree()
+        registry = MetricsRegistry()
+        observe_tree(tree, registry)
+        for i in range(200):
+            tree.put(encode_uint_key(i), b"v" * 32)
+        calls = []
+        real = tree.metrics_snapshot
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        tree.metrics_snapshot = counting
+        snap = registry.snapshot()
+        assert len(calls) == 1
+        assert len(snap["counters"]) + len(snap["gauges"]) > len(TREE_KEYS)
+        TimeSeriesSampler(registry).scrape()
+        assert len(calls) == 2
+
+
 # -- (v) the history series dashboards read ---------------------------------------
 
 PINNED_HISTORY = ("engine_gets", "cache_hit_ratio", "read_fraction", "stall_fraction")
@@ -120,7 +238,7 @@ class TestPinnedHistorySeries:
         tree = make_tree(buffer_bytes=2 << 10)
         registry = MetricsRegistry()
         observe_tree(tree, registry)
-        sampler = _engine_sampler(registry, tree)
+        sampler = TimeSeriesSampler(registry)
         for i in range(300):
             tree.put(encode_uint_key(i), b"v" * 64)
         sampler.scrape()
@@ -158,13 +276,3 @@ class TestPinnedHistorySeries:
         assert series["server_requests_total"]["v"][-1] >= 120
         assert series["engine_gets"]["v"][-1] == 60
 
-
-def _engine_sampler(registry, tree) -> TimeSeriesSampler:
-    """A sampler over an observed tree's registry (the one wiring step)."""
-    sampler = TimeSeriesSampler(registry)
-    try:  # before the spine the engine's view needed its own source
-        from repro.observe import attach_engine_source
-    except ImportError:
-        return sampler
-    attach_engine_source(sampler, tree)
-    return sampler

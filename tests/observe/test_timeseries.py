@@ -10,7 +10,6 @@ from repro.observe import (
     MetricsRegistry,
     RingSeries,
     TimeSeriesSampler,
-    attach_engine_source,
     observe_tree,
 )
 from tests.conftest import make_tree
@@ -120,20 +119,25 @@ class TestSampler:
         assert sampler.last("depth") == 3.0
         assert sampler.samples == 2
 
-    def test_sources_scraped_under_one_timestamp_and_errors_skipped(self):
-        sampler = TimeSeriesSampler(clock=lambda: 42.0)
-        sampler.add_source(lambda: {"a": 1.0, "bad": float("nan")})
-        sampler.add_source(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
+    def test_one_timestamp_and_dead_callbacks_skipped(self):
+        registry = MetricsRegistry()
+        registry.gauge("a", "").set_function(lambda: 1.0)
+        registry.gauge("bad", "").set_function(lambda: float("nan"))
+        registry.gauge("dead", "").set_function(
+            lambda: (_ for _ in ()).throw(RuntimeError("boom")))
+        registry.counter("n", "").inc(3)
+        sampler = TimeSeriesSampler(registry, clock=lambda: 42.0)
         flat = sampler.scrape()
         assert flat["a"] == 1.0
-        assert sampler.names() == ["a"]  # NaN and the raising source skipped
+        assert sampler.names() == ["a", "n"]  # NaN and the raising callback skipped
         assert sampler.series("a").points() == [(42.0, 1.0)]
+        assert sampler.series("n").points() == [(42.0, 3.0)]
 
     def test_engine_source_emits_ratios_and_per_level_series(self):
         tree = make_tree(buffer_bytes=2 << 10)
-        observe_tree(tree, MetricsRegistry(), sampling=0.0)
-        sampler = TimeSeriesSampler()
-        attach_engine_source(sampler, tree)
+        registry = MetricsRegistry()
+        observe_tree(tree, registry, sampling=0.0)
+        sampler = TimeSeriesSampler(registry)
         for i in range(300):
             tree.put(f"key{i:05d}".encode(), b"v" * 64)
         sampler.scrape()

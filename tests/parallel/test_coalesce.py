@@ -144,3 +144,37 @@ class TestMultiGetCoalescing:
             tree.get(key)
         single = tree.device.stats.delta(before)
         assert batched.seeks * 2 <= max(1, single.seeks)
+
+    def test_shared_hashing_batch_counts_every_digest_it_computed(self):
+        """``get_many`` is handed no shared digest, so each filter probe of a
+        coalesced batch hashes its key — and each is counted."""
+        tree = make_tree(
+            shared_hashing=True,
+            parallel=ParallelConfig(max_subcompactions=1, coalesce_point_reads=True),
+        )
+        for i in range(2000):
+            tree.put(encode_uint_key((i * 31) % 800), b"v%07d" % i)
+        tree.flush()  # several runs: a key's filter is probed more than once
+        hashed = []
+        for runs in tree._levels:
+            for table in (table for run in runs for table in run.tables):
+                table.point_filter.may_contain = _counting(
+                    table.point_filter.may_contain, hashed
+                )
+        keys = [encode_uint_key(i) for i in range(0, 800, 16)]
+        before = tree.stats.get_hash_evaluations
+        batched = tree.multi_get(keys)
+        assert len(hashed) >= len(keys)
+        assert tree.stats.get_hash_evaluations - before == len(hashed)
+        for key in keys:
+            got = tree.get(key)
+            assert got.found
+            assert (batched[key].found, batched[key].value) == (got.found, got.value)
+
+
+def _counting(fn, calls):
+    def wrapped(key):
+        calls.append(key)
+        return fn(key)
+
+    return wrapped
