@@ -126,10 +126,11 @@ class CompactionExecutor:
 
         def fold(group: List[Entry]) -> Optional[Entry]:
             newest = group[0]
-            if not newest.is_merge:
-                if newest.is_tombstone:
+            kind = newest.kind
+            if kind is not EntryKind.MERGE:
+                if kind is EntryKind.DELETE:
                     return None if purge else newest
-                if newest.kind is EntryKind.PUT_TTL and newest.expired(now):
+                if kind is EntryKind.PUT_TTL and newest.expired(now):
                     note_expired()
                     if purge:
                         return None

@@ -3,24 +3,44 @@
 Used by both the scan path (tombstones dropped, one live entry per key) and
 the compaction path (tombstones kept unless compacting into the bottom of the
 tree). Sequence numbers are globally unique, so precedence needs no run-order
-tie-breaking.
+tie-breaking. Either way the result is one list per key holding that key's
+versions newest-first; there are two merges because the two callers differ in
+what they may read:
 
-The merge rides :func:`heapq.merge` — the C-implemented streaming k-way
-merge — keyed by ``(key, -seqno)``: each input stream is sorted by key with
-at most one entry per key, so it is equally sorted under that key, and the
-merged stream presents every key's versions newest-first. One pass then
-keeps the first (newest) version per key and applies tombstone policy.
+* **Scans** (:func:`merge_entry_versions`, over :func:`merge_sorted`) merge
+  entry by entry through :func:`heapq.merge` — a pure-Python heap, keyed by
+  ``(key, -seqno)``. It is lazy: a stream's next block is pulled only when
+  the consumer reaches it, so a scan that stops at its limit reads nothing
+  further, and which blocks it touched is visible in the block cache's
+  counts.
+* **Compactions** (:func:`merge_chunk_versions`, the horizon merge) read
+  every input block anyway, so they merge a data block at a time: one
+  ``bisect`` per stream and one C ``list.sort`` per round replace a heap
+  step and a key call per entry. Pulling a block as soon as its round needs
+  it is exactly what a scan must not do.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import methodcaller
-from typing import Iterable, Iterator
+from bisect import bisect_right
+from itertools import groupby
+from operator import attrgetter, methodcaller
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.common.entry import Entry
 
 _sort_key = methodcaller("sort_key")
+_key = attrgetter("key")
+_seqno = attrgetter("seqno")
+
+#: What :meth:`SSTable.iter_chunks` yields: one data block's keys and entries.
+Chunk = Tuple[List[bytes], List[Entry]]
+
+
+def merge_sorted(streams: Iterable[Iterable[Entry]]) -> Iterator[Entry]:
+    """Lazily merge streams sorted by ``(key, -seqno)`` into one such stream."""
+    return heapq.merge(*streams, key=_sort_key)
 
 
 def merge_entries(
@@ -50,13 +70,13 @@ def merge_entry_versions(
     The generalization :func:`merge_entries` is the newest-only special case
     of: each yielded list holds one key's versions newest-first, so a caller
     can fold merge-operand chains or apply TTL policy with the full history
-    in hand. Used by the scan read path and by compactions once merge
-    entries exist (a plain newest-wins pass would discard operands).
+    in hand. Each stream is sorted by ``(key, -seqno)``. Used by the scan
+    read path.
     """
     streams = list(streams)
     # Fused single pass; with one input the heap is skipped entirely (the
     # grouping stays — a lone stream may still carry version chains).
-    merged = streams[0] if len(streams) == 1 else heapq.merge(*streams, key=_sort_key)
+    merged = streams[0] if len(streams) == 1 else merge_sorted(streams)
     group: "list[Entry]" = []
     for entry in merged:
         if group and entry.key != group[0].key:
@@ -65,3 +85,68 @@ def merge_entry_versions(
         group.append(entry)
     if group:
         yield group
+
+
+class _Cursor:
+    """A chunk stream's current chunk and how much of it earlier rounds took."""
+
+    __slots__ = ("stream", "keys", "entries", "pos")
+
+    def __init__(self, stream: Iterable[Chunk]) -> None:
+        self.stream = iter(stream)
+
+    def advance(self) -> bool:
+        """Move to the stream's next non-empty chunk; False when it has none."""
+        for self.keys, self.entries in self.stream:
+            if self.keys:
+                self.pos = 0
+                return True
+        return False
+
+
+def merge_chunk_versions(streams: Iterable[Iterable[Chunk]]) -> Iterator["list[Entry]"]:
+    """Merge chunked entry streams, yielding ALL versions per key — the groups
+    :func:`merge_entry_versions` yields over the same streams flattened.
+
+    Each stream yields ``(keys, entries)`` chunks (parallel lists) and is
+    strictly increasing by key across its chunks, as a sorted run is. A
+    round takes every entry up to the *horizon* — the smallest last key
+    among the streams' current chunks — which no later chunk can precede,
+    sorts them by key and groups equal keys newest-first.
+
+    Compaction only (see the module docstring). A chunk that a round
+    finishes is replaced before the round's last group is yielded, the
+    stream with the newest last entry first: the point at which, and the
+    order in which, the heap merge pulls the same blocks, so the device sees
+    one sequence of reads and writes whichever merge runs.
+    """
+    live = [cursor for cursor in map(_Cursor, streams) if cursor.advance()]
+    while live:
+        if len(live) == 1:  # the tail of the longest input: nothing to merge with
+            cursor = live[0]
+            drained = [cursor]
+            groups = [[entry] for entry in cursor.entries[cursor.pos :]]
+        else:
+            horizon = min([cursor.keys[-1] for cursor in live])
+            batch: "list[Entry]" = []
+            drained = []
+            for cursor in live:
+                cut = bisect_right(cursor.keys, horizon, cursor.pos)
+                batch += cursor.entries[cursor.pos : cut]
+                cursor.pos = cut
+                if cut == len(cursor.keys):
+                    drained.append(cursor)
+            batch.sort(key=_key)  # timsort: a merge of the presorted slices
+            groups = [list(versions) for _, versions in groupby(batch, _key)]
+            if len(groups) != len(batch):
+                for group in groups:
+                    if len(group) > 1:
+                        group.sort(key=_seqno, reverse=True)
+            if len(drained) > 1:
+                drained.sort(key=lambda cursor: cursor.entries[-1].seqno, reverse=True)
+        last = groups.pop()
+        yield from groups
+        for cursor in drained:
+            if not cursor.advance():
+                live.remove(cursor)
+        yield last

@@ -16,7 +16,6 @@ WAL, and delegates to :mod:`repro.core.read_path`, :mod:`repro.core.write_path`,
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -29,6 +28,7 @@ from repro.compaction.granularity import CompactionPlan
 from repro.compaction.policy import CompactionPolicy
 from repro.core.config import LSMConfig
 from repro.core.factories import AuxFactory
+from repro.core.iterator import merge_sorted
 from repro.core.levels import LevelEdit, LevelSet
 from repro.core.manifest import (
     ManifestData,
@@ -697,9 +697,7 @@ class LSMTree:
                 streams = [iter(self._memtable.scan())] + [
                     iter(imm.entries) for imm in reversed(self._immutables)
                 ]
-                buffered = list(
-                    heapq.merge(*streams, key=lambda entry: entry.sort_key())
-                )
+                buffered = list(merge_sorted(streams))
             else:
                 buffered = list(self._memtable.scan())
             return Version(buffered, self._level_set.pin_all(), self._level_set.unpin)

@@ -12,7 +12,7 @@ SuRF, Rosetta, SNARF.
 """
 
 from repro.filters.base import PointFilter, RangeFilter, FilterStats
-from repro.filters.hashing import hash64, hash_pair, HashCounter
+from repro.filters.hashing import hash64, hash64_many, hash_pair, HashCounter
 from repro.filters.bloom import BloomFilter
 from repro.filters.blocked_bloom import BlockedBloomFilter
 from repro.filters.partitioned import PartitionedBloomFilter
@@ -31,6 +31,7 @@ __all__ = [
     "RangeFilter",
     "FilterStats",
     "hash64",
+    "hash64_many",
     "hash_pair",
     "HashCounter",
     "BloomFilter",

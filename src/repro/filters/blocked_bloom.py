@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+import numpy as np
+
 from repro.filters.base import PointFilter
-from repro.filters.bloom import optimal_num_hashes
+from repro.filters.bloom import build_bits, optimal_num_hashes
 from repro.filters.hashing import hash64
 
 _BLOCK_BITS = 512  # one 64-byte cache line
@@ -48,10 +50,17 @@ class BlockedBloomFilter(PointFilter):
         self._k = num_hashes if num_hashes is not None else optimal_num_hashes(bits_per_key)
         total_bits = max(_BLOCK_BITS, int(bits_per_key * self._n))
         self._num_blocks = (total_bits + _BLOCK_BITS - 1) // _BLOCK_BITS
-        self._blocks = bytearray(self._num_blocks * (_BLOCK_BITS // 8))
-        for key in keys:
-            digest = hash64(key, seed)
-            self._insert_digest(digest)
+        steps = np.arange(self._k, dtype=np.uint64)
+        u64 = np.uint64
+        num_blocks, block_bits, in_block = u64(self._num_blocks), u64(_BLOCK_BITS), u64(0x1FF)
+
+        def positions(digests: np.ndarray) -> np.ndarray:
+            first_bit = digests % num_blocks * block_bits
+            h1 = digests >> u64(20) & in_block
+            h2 = digests >> u64(40) & in_block | u64(1)
+            return first_bit[:, None] + (h1[:, None] + steps * h2[:, None]) % block_bits
+
+        self._blocks = build_bits(keys, seed, self._num_blocks * _BLOCK_BITS, positions)
 
     def may_contain(self, key: bytes) -> bool:
         self.stats.probes += 1
@@ -81,14 +90,3 @@ class BlockedBloomFilter(PointFilter):
     @property
     def num_hashes(self) -> int:
         return self._k
-
-    # -- internals -----------------------------------------------------------
-
-    def _insert_digest(self, digest: int) -> None:
-        assert self._blocks is not None
-        block = (digest % self._num_blocks) * (_BLOCK_BITS // 8)
-        h1 = (digest >> 20) & 0x1FF
-        h2 = ((digest >> 40) & 0x1FF) | 1
-        for i in range(self._k):
-            pos = (h1 + i * h2) % _BLOCK_BITS
-            self._blocks[block + (pos >> 3)] |= 1 << (pos & 7)

@@ -11,8 +11,24 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.filters.base import PointFilter
-from repro.filters.hashing import hash_pair, hash64
+from repro.filters.hashing import hash64, hash64_many
+
+#: Keys hashed per vectorised build step: bounds the ``slice x k`` position
+#: matrix (~115 KiB at k = 7) so a large table's build does not move peak RSS.
+_BUILD_SLICE = 2048
+
+
+def build_bits(keys: Sequence[bytes], seed: int, nbits: int, positions) -> bytearray:
+    """An ``nbits`` bit array (bit ``pos`` is bit ``pos & 7`` of byte
+    ``pos >> 3``) with every position ``positions(digests)`` names set, where
+    ``digests`` is :func:`hash64_many` over a slice of ``keys``."""
+    flags = np.zeros(nbits, dtype=bool)
+    for start in range(0, len(keys), _BUILD_SLICE):
+        flags[positions(hash64_many(keys[start : start + _BUILD_SLICE], seed))] = True
+    return bytearray(np.packbits(flags, bitorder="little").tobytes())
 
 
 def optimal_num_hashes(bits_per_key: float) -> int:
@@ -33,16 +49,13 @@ def theoretical_fpr(bits_per_key: float, num_hashes: Optional[int] = None) -> fl
 
 
 class _BitArray:
-    """A plain bit array over a bytearray."""
+    """A plain bit array over a bytearray, filled once at build."""
 
     __slots__ = ("data", "nbits")
 
-    def __init__(self, nbits: int) -> None:
-        self.nbits = max(8, nbits)
-        self.data = bytearray((self.nbits + 7) // 8)
-
-    def set(self, pos: int) -> None:
-        self.data[pos >> 3] |= 1 << (pos & 7)
+    def __init__(self, nbits: int, data: bytearray) -> None:
+        self.nbits = nbits
+        self.data = data
 
     def test(self, pos: int) -> bool:
         return bool(self.data[pos >> 3] & (1 << (pos & 7)))
@@ -87,11 +100,18 @@ class BloomFilter(PointFilter):
         self._k = num_hashes if num_hashes is not None else optimal_num_hashes(bits_per_key)
         if self._k <= 0:
             raise ValueError("num_hashes must be positive")
-        self._bits = _BitArray(int(bits_per_key * self._n))
-        for key in keys:
-            h1, h2 = self._probe_pair(key)
-            for i in range(self._k):
-                self._bits.set((h1 + i * h2) % self._bits.nbits)
+        nbits = max(8, int(bits_per_key * self._n))
+        steps = np.arange(self._k, dtype=np.uint64)
+        u64 = np.uint64
+
+        def positions(digests: np.ndarray) -> np.ndarray:
+            h1 = digests & u64(0xFFFFFFFF)
+            h2 = digests >> u64(32) | u64(1)
+            return (h1[:, None] + steps * h2[:, None]) % u64(nbits)
+
+        self._bits = _BitArray(nbits, build_bits(keys, seed, nbits, positions))
+        if hash_counter is not None:
+            hash_counter.evaluations += self._n
 
     def may_contain(self, key: bytes) -> bool:
         self.stats.probes += 1
@@ -99,7 +119,7 @@ class BloomFilter(PointFilter):
             # Degenerate 0-bit filter: never filters anything out.
             self.stats.cache_line_touches += 0
             return True
-        h1, h2 = self._probe_pair(key, count=True)
+        h1, h2 = self._probe_pair(key)
         lines = set()
         for i in range(self._k):
             pos = (h1 + i * h2) % self._bits.nbits
@@ -150,11 +170,10 @@ class BloomFilter(PointFilter):
 
     # -- internals -----------------------------------------------------------
 
-    def _probe_pair(self, key: bytes, count: bool = False) -> "tuple[int, int]":
+    def _probe_pair(self, key: bytes) -> "tuple[int, int]":
         if self._hash_counter is not None:
             digest = self._hash_counter.digest(key, self._seed)
         else:
             digest = hash64(key, self._seed)
-        if count:
-            self.stats.hash_evaluations += 1
+        self.stats.hash_evaluations += 1
         return digest & 0xFFFFFFFF, (digest >> 32) | 1

@@ -28,7 +28,7 @@ import concurrent.futures
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.entry import Entry
-from repro.core.iterator import merge_entry_versions
+from repro.core.iterator import merge_chunk_versions
 from repro.errors import SimulatedCrashError
 from repro.storage.run import Run
 from repro.storage.sstable import SSTable, SSTableBuilder, build_tables
@@ -105,9 +105,9 @@ def merge_range(
     matches folding the whole key space.
     """
     streams = [
-        run.iter_entries(start=lo, end=hi, readahead=readahead) for run in inputs
+        run.iter_chunks(start=lo, end=hi, readahead=readahead) for run in inputs
     ]
-    for group in merge_entry_versions(streams):
+    for group in merge_chunk_versions(streams):
         if hi is not None and group[0].key >= hi:
             return
         entry = fold(group)

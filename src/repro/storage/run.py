@@ -36,6 +36,7 @@ class Run:
             if prev.max_key >= curr.min_key:
                 raise ValueError("run tables must be sorted and non-overlapping")
         self.tables: List[SSTable] = list(tables)
+        self._max_keys: List[bytes] = [table.max_key for table in self.tables]
         self.run_id = next(_run_ids)
 
     # -- metadata ------------------------------------------------------------
@@ -123,12 +124,24 @@ class Run:
         readahead: int = 1,
     ) -> Iterator[Entry]:
         """Yield entries in key order across all files in the run."""
+        for _, entries in self.iter_chunks(start, end, cache, stats, readahead):
+            yield from entries
+
+    def iter_chunks(
+        self,
+        start: Optional[bytes] = None,
+        end: Optional[bytes] = None,
+        cache=None,
+        stats: Optional[ProbeStats] = None,
+        readahead: int = 1,
+    ) -> Iterator["tuple[List[bytes], List[Entry]]"]:
+        """Yield each file's :meth:`SSTable.iter_chunks` in key order."""
         for table in self.tables:
             if start is not None and table.max_key < start:
                 continue
             if end is not None and table.min_key > end:
                 return
-            yield from table.iter_entries(
+            yield from table.iter_chunks(
                 start=start, end=end, cache=cache, stats=stats, readahead=readahead
             )
 
@@ -161,8 +174,7 @@ class Run:
     # -- internals -----------------------------------------------------------
 
     def _table_for(self, key: bytes) -> Optional[SSTable]:
-        max_keys = [table.max_key for table in self.tables]
-        idx = bisect.bisect_left(max_keys, key)
+        idx = bisect.bisect_left(self._max_keys, key)
         if idx == len(self.tables):
             return None
         table = self.tables[idx]

@@ -273,9 +273,11 @@ class DataBlock(collections.abc.Sequence):
 def _encode_body(entries: Sequence[Entry]) -> bytearray:
     """Pack entries into the (uncompressed) block body.
 
-    One flat loop with bound locals: `bytearray.__iadd__` and the interned
-    single-byte varints keep per-entry allocation to the unavoidable minimum
-    (this runs once per block per flush/compaction, inside the write path).
+    One flat loop with bound locals and no call per field: a varint below
+    0x80 is its own byte, so key/value lengths are appended directly (only a
+    wide one pays an ``encode_varint`` call) and the seqno's LEB128 bytes are
+    appended in place (this runs once per block per flush/compaction, inside
+    the write path).
     """
     body = bytearray(encode_varint(len(entries)))
     varint = encode_varint
@@ -283,11 +285,23 @@ def _encode_body(entries: Sequence[Entry]) -> bytearray:
     for entry in entries:
         key = entry.key
         value = entry.value
-        body += varint(len(key))
+        seqno = entry.seqno
+        size = len(key)
+        if size < 0x80:
+            append(size)
+        else:
+            body += varint(size)
         body += key
-        body += varint(entry.seqno)
-        append(int(entry.kind))
-        body += varint(len(value))
+        while seqno > 0x7F:  # seqnos outgrow one byte after 127 writes
+            append(seqno & 0x7F | 0x80)
+            seqno >>= 7
+        append(seqno)
+        append(entry.kind)
+        size = len(value)
+        if size < 0x80:
+            append(size)
+        else:
+            body += varint(size)
         body += value
     return body
 
@@ -480,9 +494,9 @@ def parse_block(payload, detect_frames: bool = True, hash_index: bool = False) -
     return _parse_legacy(payload, hash_index)
 
 
-def _entry_encoded_size(entry: Entry) -> int:
-    """Upper bound on the serialized size of one entry (varints <= 5 bytes here)."""
-    return len(entry.key) + len(entry.value) + 12
+#: Upper bound on one serialized entry beyond its key and value bytes: the
+#: kind byte plus three varints (lengths and seqno).
+_ENTRY_ENCODED_OVERHEAD = 12
 
 
 class SSTable:
@@ -638,7 +652,22 @@ class SSTable:
         stats: Optional[ProbeStats] = None,
         readahead: int = 1,
     ) -> Iterator[Entry]:
-        """Yield entries with ``start <= key <= end`` in key order.
+        """Yield entries with ``start <= key <= end`` in key order
+        (:meth:`iter_chunks`, flattened)."""
+        for _, entries in self.iter_chunks(start, end, cache, stats, readahead):
+            yield from entries
+
+    def iter_chunks(
+        self,
+        start: Optional[bytes] = None,
+        end: Optional[bytes] = None,
+        cache=None,
+        stats: Optional[ProbeStats] = None,
+        readahead: int = 1,
+    ) -> Iterator["tuple[List[bytes], List[Entry]]"]:
+        """Yield ``(keys, entries)`` — the entries with ``start <= key <= end``
+        and their keys, as parallel non-empty read-only lists — one data
+        block at a time.
 
         Blocks are fetched lazily so a consumer that stops early does not pay
         for the rest of the file. With ``readahead > 1`` (and no read guard
@@ -670,20 +699,24 @@ class SSTable:
                 self._load_block(block_no, cache, stats)
                 for block_no in range(first_block, last_block + 1)
             )
-        # Fused emission: instead of re-testing the range per entry, bisect
-        # the key list once per boundary block — decoding only that window
-        # of it — and hand interior blocks to ``yield from`` whole; the
-        # per-entry dispatch this removes dominated long-scan and merge
-        # profiles.
+        # Instead of testing the range per entry, bisect the key list once
+        # per boundary block — decoding only that window of it — and hand
+        # interior blocks over whole; the per-entry dispatch this removes
+        # dominated long-scan and merge profiles.
         for block in blocks:
             keys = block.keys_list()
-            lo = 0
+            lo, hi = 0, len(keys)
             if start is not None and keys[0] < start:
                 lo = bisect.bisect_left(keys, start)
-            if end is not None and keys[-1] > end:
-                yield from block[lo : bisect.bisect_right(keys, end, lo)]
+            past_end = end is not None and keys[-1] > end
+            if past_end:
+                hi = bisect.bisect_right(keys, end, lo)
+            if hi - lo == len(keys):
+                yield keys, block.entries
+            elif lo < hi:
+                yield keys[lo:hi], block[lo:hi]
+            if past_end:
                 return
-            yield from block[lo:] if lo else block.entries
 
     def get_many(
         self,
@@ -1014,32 +1047,35 @@ class SSTableBuilder:
         self._block_of_key: List[int] = []
         self._block_first_keys: List[bytes] = []
         self._block_last_keys: List[bytes] = []
-        self._entry_count = 0
         self._tombstones = 0
         self._last_key: Optional[bytes] = None
         self._finished = False
 
     def add(self, entry: Entry) -> None:
-        """Append the next entry; keys must arrive in strictly increasing order."""
+        """Append the next entry; keys must arrive in strictly increasing order.
+
+        Only order, size and the pending block are touched per entry; the
+        key list, block numbers and counts are settled a block at a time in
+        :meth:`_flush_block`.
+        """
         if self._finished:
             raise RuntimeError("builder already finished")
-        if self._last_key is not None and entry.key <= self._last_key:
+        key = entry.key
+        last_key = self._last_key
+        if last_key is not None and key <= last_key:
             raise ValueError(
                 f"entries must be added in strictly increasing key order "
-                f"({entry.key!r} after {self._last_key!r})"
+                f"({key!r} after {last_key!r})"
             )
-        self._last_key = entry.key
+        self._last_key = key
 
-        size = _entry_encoded_size(entry)
-        if self._pending and self._pending_size + size > self._block_size:
+        size = len(key) + len(entry.value) + _ENTRY_ENCODED_OVERHEAD
+        pending = self._pending
+        if pending and self._pending_size + size > self._block_size:
             self._flush_block()
-        self._pending.append(entry)
+            pending = self._pending
+        pending.append(entry)
         self._pending_size += size
-        self._keys.append(entry.key)
-        self._block_of_key.append(len(self._block_first_keys))
-        self._entry_count += 1
-        if entry.is_tombstone:
-            self._tombstones += 1
 
     def add_all(self, entries) -> None:
         """Convenience: add every entry from an iterable."""
@@ -1048,7 +1084,7 @@ class SSTableBuilder:
 
     @property
     def entry_count(self) -> int:
-        return self._entry_count
+        return len(self._keys) + len(self._pending)
 
     def finish(self) -> SSTable:
         """Seal the file and return the readable table.
@@ -1059,7 +1095,7 @@ class SSTableBuilder:
         """
         if self._finished:
             raise RuntimeError("builder already finished")
-        if not self._entry_count:
+        if not self.entry_count:
             self._device.delete_file(self._file_id)
             raise ValueError("cannot build an empty SSTable")
         if self._pending:
@@ -1089,7 +1125,7 @@ class SSTableBuilder:
             num_data_blocks=len(self._block_first_keys),
             block_first_keys=self._block_first_keys,
             block_last_keys=self._block_last_keys,
-            entry_count=self._entry_count,
+            entry_count=len(self._keys),
             tombstone_count=self._tombstones,
             search_index=search_index,
             point_filter=point_filter,
@@ -1118,8 +1154,12 @@ class SSTableBuilder:
                 self._drain_writes()
         else:
             self._device.append_block(self._file_id, payload)
-        self._block_first_keys.append(self._pending[0].key)
-        self._block_last_keys.append(self._pending[-1].key)
+        keys = [entry.key for entry in self._pending]
+        self._block_of_key += [len(self._block_first_keys)] * len(keys)
+        self._keys += keys
+        self._block_first_keys.append(keys[0])
+        self._block_last_keys.append(keys[-1])
+        self._tombstones += [entry.kind for entry in self._pending].count(EntryKind.DELETE)
         self._pending = []
         self._pending_size = len(encode_varint(0))
 

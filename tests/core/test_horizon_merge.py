@@ -1,0 +1,297 @@
+"""The compaction (horizon) merge is the heap merge, a block at a time.
+
+``merge_chunk_versions`` must yield the groups ``merge_entry_versions`` yields
+over the same streams flattened — and pull each stream's next chunk at the
+same point of its output — and ``iter_chunks`` must be ``iter_entries`` cut
+at block boundaries.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import FaultConfig, FaultyBlockDevice
+from repro.common.encoding import encode_uint_key
+from repro.common.entry import Entry, EntryKind, encode_merge_value
+from repro.core.iterator import merge_chunk_versions, merge_entry_versions
+from repro.errors import TransientIOError
+from repro.parallel import SubcompactionError, merge_range, run_subcompactions
+from repro.storage.block_device import BlockDevice
+from repro.storage.run import Run
+from repro.storage.sstable import SSTableBuilder
+
+KINDS = [EntryKind.PUT, EntryKind.PUT, EntryKind.DELETE, EntryKind.MERGE]
+
+
+@st.composite
+def chunked_runs(draw, max_runs=5, max_key=40):
+    """Sorted runs over a small key space (so versions collide across runs),
+    each cut into chunks of random sizes, with globally unique seqnos."""
+    n_runs = draw(st.integers(0, max_runs))
+    seqnos = iter(draw(st.permutations(range(1, n_runs * (max_key + 1) + 1))))
+    runs = []
+    for _ in range(n_runs):
+        keys = sorted(draw(st.sets(st.integers(0, max_key), max_size=max_key)))
+        entries = []
+        for key in keys:
+            kind = draw(st.sampled_from(KINDS))
+            value = b"" if kind is EntryKind.DELETE else b"v%d" % key
+            if kind is EntryKind.MERGE:
+                value = encode_merge_value("counter", b"1")
+            entries.append(Entry(encode_uint_key(key), next(seqnos), kind, value))
+        chunk_size = draw(st.integers(1, 9))
+        runs.append([entries[i : i + chunk_size] for i in range(0, len(entries), chunk_size)])
+    return runs
+
+
+def chunk_stream(chunks, log=None, name=None):
+    for number, entries in enumerate(chunks):
+        if log is not None:
+            log.append(("pull", name, number))
+        yield [entry.key for entry in entries], entries
+
+
+def entry_stream(chunks, log=None, name=None):
+    for _, entries in chunk_stream(chunks, log, name):
+        yield from entries
+
+
+def identities(groups):
+    return [[(e.key, e.seqno, e.kind, e.value) for e in group] for group in groups]
+
+
+class TestSameGroupsAsTheHeapMerge:
+    @settings(max_examples=300, deadline=None)
+    @given(runs=chunked_runs())
+    def test_groups_match(self, runs):
+        horizon = list(merge_chunk_versions(chunk_stream(run) for run in runs))
+        heap = list(merge_entry_versions(entry_stream(run) for run in runs)) if runs else []
+        assert identities(horizon) == identities(heap)
+        for group in horizon:
+            assert len({entry.key for entry in group}) == 1
+            assert [e.seqno for e in group] == sorted((e.seqno for e in group), reverse=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=chunked_runs(max_runs=4))
+    def test_chunks_are_pulled_where_the_heap_pulls_them(self, runs):
+        """Interleave of chunk pulls and yielded groups: the device must see
+        one order of block reads and writes whichever merge runs."""
+        if not runs:
+            return
+        events = []
+        for group in merge_chunk_versions(
+            chunk_stream(run, events, i) for i, run in enumerate(runs)
+        ):
+            events.append(("group", group[0].key))
+        expected = []
+        for group in merge_entry_versions(
+            entry_stream(run, expected, i) for i, run in enumerate(runs)
+        ):
+            expected.append(("group", group[0].key))
+        assert events == expected
+
+    def test_no_streams_and_empty_streams(self):
+        assert list(merge_chunk_versions([])) == []
+        assert list(merge_chunk_versions([iter([]), iter([])])) == []
+        lone = [[Entry(b"a", 1)], [Entry(b"b", 2)]]
+        assert identities(merge_chunk_versions([iter([]), chunk_stream(lone)])) == identities(
+            [[Entry(b"a", 1)], [Entry(b"b", 2)]]
+        )
+
+    def test_empty_chunks_are_skipped(self):
+        stream = iter([([], []), ([b"a"], [Entry(b"a", 1)]), ([], [])])
+        other = iter([([b"a", b"b"], [Entry(b"a", 2), Entry(b"b", 3)])])
+        groups = list(merge_chunk_versions([stream, other]))
+        assert [[e.seqno for e in group] for group in groups] == [[2, 1], [3]]
+
+    def test_one_stream_keeps_its_order(self):
+        chunks = [[Entry(b"a", 3), Entry(b"b", 1)], [Entry(b"c", 2)]]
+        groups = list(merge_chunk_versions([chunk_stream(chunks)]))
+        assert [group[0].key for group in groups] == [b"a", b"b", b"c"]
+        assert all(len(group) == 1 for group in groups)
+
+    def test_merge_operand_chain_is_newest_first_across_runs(self):
+        operand = encode_merge_value("counter", b"1")
+        runs = [
+            [[Entry(b"k", 2, EntryKind.MERGE, operand)]],
+            [[Entry(b"j", 9), Entry(b"k", 7, EntryKind.MERGE, operand)]],
+            [[Entry(b"k", 4, EntryKind.PUT, b"5")], [Entry(b"z", 1, EntryKind.DELETE)]],
+        ]
+        groups = list(merge_chunk_versions(chunk_stream(run) for run in runs))
+        assert [[e.seqno for e in group] for group in groups] == [[9], [7, 4, 2], [1]]
+
+
+def build_run(device, entries, block_size=None):
+    builder = SSTableBuilder(device, block_size=block_size)
+    builder.add_all(entries)
+    return Run([builder.finish()])
+
+
+def layered_runs(device, n_runs=3, keys_per_run=150):
+    """Overlapping runs: even keys, multiples of 3, multiples of 5 …"""
+    runs, seq = [], 1
+    for r in range(n_runs):
+        entries = []
+        for i in range(keys_per_run):
+            key = encode_uint_key(i * (r + 2))
+            kind = EntryKind.DELETE if (i + r) % 7 == 0 else EntryKind.PUT
+            entries.append(Entry(key, seq, kind, b"" if kind is EntryKind.DELETE else b"r%d" % r))
+            seq += 1
+        runs.append(build_run(device, entries))
+    return runs
+
+
+def newest(group):
+    return group[0]
+
+
+class TestRangeCuts:
+    def test_every_cut_at_and_between_keys(self):
+        """[lo, hi) over real runs: bounds on keys, between keys, outside."""
+        device = BlockDevice(block_size=256)
+        runs = layered_runs(device, keys_per_run=60)
+        whole = list(merge_range(runs, None, None, newest))
+        assert [e.key for e in whole] == sorted({e.key for run in runs for e in run.iter_entries()})
+        bounds = [None] + [encode_uint_key(v) for v in range(0, 310, 7)] + [
+            encode_uint_key(5) + b"\x00",  # strictly between two keys
+            encode_uint_key(10_000),  # past every key
+        ]
+        for lo in bounds:
+            for hi in bounds:
+                if lo is not None and hi is not None and lo > hi:
+                    continue
+                expected = [
+                    e for e in whole
+                    if (lo is None or e.key >= lo) and (hi is None or e.key < hi)
+                ]
+                got = list(merge_range(runs, lo, hi, newest))
+                assert identities([got]) == identities([expected]), (lo, hi)
+
+    def test_concatenated_ranges_are_the_serial_merge(self):
+        device = BlockDevice(block_size=256)
+        runs = layered_runs(device)
+        whole = list(merge_range(runs, None, None, newest))
+        cuts = [None, encode_uint_key(40), encode_uint_key(41), encode_uint_key(300), None]
+        pieces = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            pieces.extend(merge_range(runs, lo, hi, newest))
+        assert identities([pieces]) == identities([whole])
+
+
+class TestIterChunks:
+    @pytest.fixture(scope="class")
+    def table(self):
+        device = BlockDevice(block_size=256)
+        entries = [Entry(encode_uint_key(i * 2), i + 1, value=b"v%04d" % i) for i in range(120)]
+        run = build_run(device, entries)
+        assert run.tables[0].num_data_blocks > 4
+        return run.tables[0]
+
+    def bounds(self, table):
+        fences = table.fence_keys
+        inside = encode_uint_key(2 * 17)  # a key in the middle of a block
+        return [
+            None,
+            encode_uint_key(0),  # the first key
+            inside,
+            inside + b"\x00",  # between two keys of one block
+            fences[2],  # exactly a block's first key
+            fences[3][:-1] + bytes([fences[3][-1] - 1]),  # between two blocks
+            encode_uint_key(2 * 119),  # the last key
+            encode_uint_key(10_000),  # outside, above
+            b"",  # outside, below
+        ]
+
+    def test_iter_entries_is_iter_chunks_flattened(self, table):
+        for start in self.bounds(table):
+            for end in self.bounds(table):
+                chunks = list(table.iter_chunks(start, end))
+                flat = [entry for _, entries in chunks for entry in entries]
+                assert list(table.iter_entries(start, end)) == flat
+                expected = [
+                    e for e in table.iter_entries()
+                    if (start is None or e.key >= start) and (end is None or e.key <= end)
+                ]
+                assert flat == expected, (start, end)
+                for keys, entries in chunks:
+                    assert keys and keys == [entry.key for entry in entries]
+
+    def test_one_chunk_per_data_block(self, table):
+        chunks = list(table.iter_chunks())
+        assert len(chunks) == table.num_data_blocks
+        assert [keys[0] for keys, _ in chunks] == table.fence_keys
+
+    def test_run_chunks_span_its_tables(self):
+        device = BlockDevice(block_size=256)
+        tables = []
+        for base in (0, 1000, 2000):
+            entries = [Entry(encode_uint_key(base + i), base + i + 1, value=b"x") for i in range(40)]
+            tables.extend(build_run(device, entries).tables)
+        run = Run(tables)
+        for start, end in [(None, None), (encode_uint_key(20), encode_uint_key(2010)),
+                           (encode_uint_key(500), encode_uint_key(1500)),
+                           (encode_uint_key(5000), None)]:
+            flat = [e for _, entries in run.iter_chunks(start, end) for e in entries]
+            assert flat == list(run.iter_entries(start, end))
+        assert sum(len(keys) for keys, _ in run.iter_chunks()) == 120
+
+
+class TestFaultsDuringTheMerge:
+    """A device that fails mid-merge: typed errors, no orphan outputs."""
+
+    def runs_on(self, device):
+        return layered_runs(device, n_runs=3, keys_per_run=200)
+
+    def failing_after(self, device, groups):
+        """A fold that arms the device's read errors after ``groups`` keys."""
+        seen = [0]
+
+        def fold(group):
+            seen[0] += 1
+            if seen[0] == groups:
+                device.arm()
+            return group[0]
+
+        return fold
+
+    def test_serial_merge_raises_the_read_error_and_cleans_up(self):
+        device = FaultyBlockDevice(block_size=512, faults=FaultConfig(seed=3, read_error_prob=1.0))
+        runs = self.runs_on(device)
+        live_before = device.live_files
+        with pytest.raises(TransientIOError):
+            run_subcompactions(
+                runs, [(None, None)], self.failing_after(device, 60),
+                lambda: SSTableBuilder(device), file_limit=1024,
+            )
+        device.disarm()
+        assert device.fault_stats.transient_errors_injected >= 1
+        assert device.live_files == live_before  # finished + partial outputs gone
+
+    def test_parallel_merge_wraps_it_and_cleans_up(self):
+        device = FaultyBlockDevice(block_size=512, faults=FaultConfig(seed=3, read_error_prob=1.0))
+        runs = self.runs_on(device)
+        live_before = device.live_files
+        ranges = [(None, encode_uint_key(150)), (encode_uint_key(150), None)]
+        with pytest.raises(SubcompactionError) as raised:
+            run_subcompactions(
+                runs, ranges, self.failing_after(device, 40),
+                lambda: SSTableBuilder(device), file_limit=1024,
+            )
+        device.disarm()
+        assert isinstance(raised.value.__cause__, TransientIOError)
+        assert device.live_files == live_before
+
+    def test_inputs_survive_and_merge_cleanly_afterwards(self):
+        device = FaultyBlockDevice(block_size=512, faults=FaultConfig(seed=3, read_error_prob=1.0))
+        runs = self.runs_on(device)
+        with pytest.raises(TransientIOError):
+            run_subcompactions(
+                runs, [(None, None)], self.failing_after(device, 5),
+                lambda: SSTableBuilder(device), file_limit=None,
+            )
+        device.disarm()
+        tables = run_subcompactions(
+            runs, [(None, None)], newest, lambda: SSTableBuilder(device), file_limit=None
+        )
+        merged = [e.key for table in tables for e in table.iter_entries()]
+        assert merged == sorted({e.key for run in runs for e in run.iter_entries()})

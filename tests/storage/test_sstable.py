@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.encoding import encode_varint
 from repro.common.entry import Entry, EntryKind
 from repro.indexes.fence import FencePointers
 from repro.filters.bloom import BloomFilter
@@ -47,6 +48,23 @@ class TestBlockFormat:
         entries = [Entry(key=b"a", seqno=1, kind=EntryKind.DELETE)]
         parsed = parse_block(serialize_block(entries))
         assert parsed[0].is_tombstone
+
+    def test_body_is_four_varint_framed_fields_per_entry(self):
+        """The format, spelled with ``encode_varint`` — the encoder inlines
+        its varints and must write these bytes whatever their widths."""
+        entries = [
+            Entry(b"k" * key_len, seqno, kind, b"" if kind is EntryKind.DELETE else b"v" * size)
+            for key_len in (0, 1, 127, 128, 300)
+            for seqno in (0, 1, 127, 128, 16383, 16384, 2**21, 2**35, 2**63)
+            for kind in EntryKind
+            for size in (0, 5, 127, 128, 20_000)
+        ]
+        body = bytearray(encode_varint(len(entries)))
+        for entry in entries:
+            body += encode_varint(len(entry.key)) + entry.key + encode_varint(entry.seqno)
+            body += bytes([entry.kind]) + encode_varint(len(entry.value)) + entry.value
+        assert serialize_block(entries)[4:] == body
+        assert serialize_block([])[4:] == encode_varint(0)
 
 
 class TestBuilder:
