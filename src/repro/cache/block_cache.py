@@ -116,7 +116,9 @@ class BlockCache:
 
     # -- the read-path contract ----------------------------------------------
 
-    def get_or_load(self, key: Hashable, loader: Callable[[], Tuple[object, int]]):
+    def get_or_load(
+        self, key: Hashable, loader: Callable[[], Tuple[object, int]], stats=None
+    ):
         """Return the cached object or load, insert, and return it.
 
         ``loader`` returns ``(object, charge_bytes)`` and runs outside the
@@ -126,9 +128,12 @@ class BlockCache:
         rest wait for it to finish and then re-check the cache, so a hot
         block is read from the device once rather than once per thread. A
         waiter that finds the leader failed (or the value uncacheable)
-        becomes the new leader and loads for itself.
+        becomes the new leader and loads for itself. ``stats`` (the
+        caller's own ``ProbeStats``) is credited a ``cache_hits`` when the
+        object was served from the cache — decided here, under the lock
+        that served it.
         """
-        cached = self._hit_or_lead(key)
+        cached = self._hit_or_lead(key, stats)
         if cached is not _LEAD:
             return cached
         try:
@@ -145,28 +150,34 @@ class BlockCache:
     def get_or_load_block(
         self,
         key: Hashable,
-        load_frame: Callable[[], bytes],
+        load_frame: Callable[[Hashable], bytes],
         decode: Callable[[bytes], Tuple[object, int]],
+        stats=None,
     ):
         """The two-tier read: uncompressed hit → compressed hit → device.
 
-        ``load_frame`` reads the raw on-device payload (the expensive step:
-        one device block read); ``decode`` opens a payload as
-        ``(block, decoded_charge)`` (pure CPU). A compressed-tier hit pays
-        only the decode; a full miss pays both and feeds both tiers —
-        the raw frame is retained only when it is actually compressed
-        (caching a legacy payload raw buys nothing over the opened block).
+        An uncompressed-tier hit — the common case — is one locked lookup
+        before any loader machinery, credited to ``stats`` as in
+        :meth:`get_or_load`, and touches neither callback. Otherwise
+        ``load_frame(key)`` reads the raw on-device payload (the expensive
+        step: one device block read) and ``decode`` opens a payload as
+        ``(block, decoded_charge)`` (pure CPU); both take what they work on
+        as an argument, so a caller passes plain methods instead of building
+        two closures per lookup. A compressed-tier hit pays only the decode;
+        a full miss pays both and feeds both tiers — the raw frame is
+        retained only when it is actually compressed (caching a legacy
+        payload raw buys nothing over the opened block).
         Loads are single-flight per key, sharing the leader/waiter protocol
         of :meth:`get_or_load`.
         """
-        cached = self._hit_or_lead(key)
+        cached = self._hit_or_lead(key, stats)
         if cached is not _LEAD:
             return cached
         try:
             frame = self.get_compressed(key) if self.compressed_capacity_bytes else None
             from_device = frame is None
             if from_device:
-                frame = load_frame()
+                frame = load_frame(key)
             value, charge = decode(frame)
         except BaseException:
             self._end_load(key)
@@ -183,10 +194,11 @@ class BlockCache:
         self._end_load(key)
         return value
 
-    def _hit_or_lead(self, key: Hashable):
-        """The single-flight front half: the cached object, or ``_LEAD`` once
-        the caller has been elected to load ``key`` (it must then call
-        :meth:`_end_load`, whatever happens). Waits out any load in flight."""
+    def _hit_or_lead(self, key: Hashable, stats=None):
+        """The single-flight front half: the cached object (credited to
+        ``stats``), or ``_LEAD`` once the caller has been elected to load
+        ``key`` (it must then call :meth:`_end_load`, whatever happens).
+        Waits out any load in flight."""
         first_touch = True
         while True:
             with self._lock:
@@ -197,6 +209,8 @@ class BlockCache:
                 if cached is not None:
                     self.stats.hits += 1
                     self._policy.on_access(key)
+                    if stats is not None:
+                        stats.cache_hits += 1
                     return cached[0]
                 leader = self._loading.get(key)
                 if leader is None:

@@ -234,7 +234,7 @@ class GetResult:
             f"runs_probed={self.runs_probed!r}, blocks_read={self.blocks_read!r}, "
             f"filter_negatives={self.filter_negatives!r}, "
             f"false_positives={self.false_positives!r}, "
-            f"source_level={self.source_level!r})"
+            f"source_level={self.source_level!r}, seqno={self.seqno!r})"
         )
 
     def __eq__(self, other) -> bool:

@@ -499,9 +499,14 @@ class LSMTree:
         seal first. No device I/O; raw entries (maybe tombstones)."""
         with self._mutex:
             entry = self._memtable.get(key)
-            if entry is not None and not entry.is_merge:
+            if entry is None:
+                if not self._immutables:
+                    return ()
+                chain = []
+            elif not entry.is_merge:
                 return (entry,)
-            chain = [] if entry is None else [entry]
+            else:
+                chain = [entry]
             for imm in reversed(self._immutables):
                 entry = imm.get(key)
                 if entry is not None:

@@ -74,7 +74,7 @@ def lookup(
             if hash_seed is not None and digest is None and run.min_key <= key <= run.max_key:
                 digest = hash64(key, hash_seed)
                 digests += 1
-            entry = run.get(key, stats=probe, cache=cache, digest=digest)
+            entry = run.get(key, probe, cache, digest)
             if entry is None:
                 continue
             if entry.is_merge and not newest_only:
@@ -216,20 +216,26 @@ class ReadPath:
         base, operands, source_level, runs_probed, digests = lookup(
             key, memory_chain, levels, self.cache, probe, self._hash_seed, trace
         )
+        stats = self._stats
         with self._stats_lock:
-            self._stats.gets += 1
-            # Without sharing, every filter probe computes its own digest.
-            self._stats.get_hash_evaluations += (
-                digests if self._shared_hashing else probe.filter_probes
-            )
-            self._stats.probe.merge(probe)
+            stats.gets += 1
+            if runs_probed:  # a memtable hit probed nothing: nothing to fold
+                # Without sharing, every filter probe computes its own digest.
+                stats.get_hash_evaluations += (
+                    digests if self._shared_hashing else probe.filter_probes
+                )
+                stats.probe.merge(probe)
         if trace is not None:
             trace.start_stage()
         value = None
         if base is not None or operands:
             if now is None:
                 now = self._device_stats.simulated_time
-            value = self.resolve(base, operands, now)
+            # resolve() without operands is live_value(): skip the frame.
+            value = (
+                self.resolve(base, operands, now) if operands
+                else live_value(base, now, self._values)
+            )
         result = assemble(base, operands, value, source_level, runs_probed, probe)
         if trace is not None:
             trace.end_stage("value_fetch")

@@ -8,6 +8,7 @@ distributed over blocks — both effects are measured by experiment E10.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -63,20 +64,23 @@ class BlockedBloomFilter(PointFilter):
         self._blocks = build_bits(keys, seed, self._num_blocks * _BLOCK_BITS, positions)
 
     def may_contain(self, key: bytes) -> bool:
-        self.stats.probes += 1
-        if self._blocks is None:
+        stats = self.stats
+        stats.probes += 1
+        blocks = self._blocks
+        if blocks is None:
             return True
         digest = hash64(key, self._seed)
-        self.stats.hash_evaluations += 1
-        self.stats.cache_line_touches += 1  # the whole point of blocking
+        stats.hash_evaluations += 1
+        stats.cache_line_touches += 1  # the whole point of blocking
         block = (digest % self._num_blocks) * (_BLOCK_BITS // 8)
-        h1 = (digest >> 20) & 0x1FF
-        h2 = ((digest >> 40) & 0x1FF) | 1
-        for i in range(self._k):
-            pos = (h1 + i * h2) % _BLOCK_BITS
-            if not self._blocks[block + (pos >> 3)] & (1 << (pos & 7)):
-                self.stats.negatives += 1
+        # Bit i sits at (h1 + i * h2) % 512 inside the block: step, don't multiply.
+        pos = (digest >> 20) & 0x1FF
+        step = ((digest >> 40) & 0x1FF) | 1
+        for _ in repeat(None, self._k):
+            if not blocks[block + (pos >> 3)] >> (pos & 7) & 1:
+                stats.negatives += 1
                 return False
+            pos = (pos + step) & 0x1FF
         return True
 
     @property

@@ -9,6 +9,7 @@ and Monkey assume.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,9 +57,6 @@ class _BitArray:
     def __init__(self, nbits: int, data: bytearray) -> None:
         self.nbits = nbits
         self.data = data
-
-    def test(self, pos: int) -> bool:
-        return bool(self.data[pos >> 3] & (1 << (pos & 7)))
 
     @property
     def size_bytes(self) -> int:
@@ -114,39 +112,49 @@ class BloomFilter(PointFilter):
             hash_counter.evaluations += self._n
 
     def may_contain(self, key: bytes) -> bool:
-        self.stats.probes += 1
         if self._bits is None:
-            # Degenerate 0-bit filter: never filters anything out.
-            self.stats.cache_line_touches += 0
+            # Degenerate 0-bit filter: never filters anything out, never hashes.
+            self.stats.probes += 1
             return True
-        h1, h2 = self._probe_pair(key)
-        lines = set()
-        for i in range(self._k):
-            pos = (h1 + i * h2) % self._bits.nbits
-            lines.add(pos >> 9)  # 512 bits per 64-byte cache line
-            if not self._bits.test(pos):
-                self.stats.negatives += 1
-                self.stats.cache_line_touches += len(lines)
-                return False
-        self.stats.cache_line_touches += len(lines)
-        return True
+        counter = self._hash_counter
+        if counter is None:
+            digest = hash64(key, self._seed)
+        else:
+            digest = counter.digest(key, self._seed)
+        self.stats.hash_evaluations += 1
+        return self.may_contain_digest(digest)
 
     def may_contain_digest(self, digest: int) -> bool:
-        """Probe with a precomputed digest (shared-hashing fast path)."""
-        self.stats.probes += 1
-        if self._bits is None:
+        """Probe with a precomputed digest (shared hashing hands one in;
+        :meth:`may_contain` computes its own) — the one probe loop."""
+        stats = self.stats
+        stats.probes += 1
+        bits = self._bits
+        if bits is None:
             return True
-        h1 = digest & 0xFFFFFFFF
-        h2 = (digest >> 32) | 1
-        lines = set()
-        for i in range(self._k):
-            pos = (h1 + i * h2) % self._bits.nbits
+        data = bits.data
+        nbits = bits.nbits
+        # Bit i sits at (h1 + i * h2) % nbits: stepping by h2 % nbits with a
+        # conditional subtract visits the same positions without a 64-bit
+        # multiply and modulo per bit.
+        pos = (digest & 0xFFFFFFFF) % nbits
+        if not data[pos >> 3] >> (pos & 7) & 1:
+            # Half of all negatives end on the first bit: one line touched.
+            stats.negatives += 1
+            stats.cache_line_touches += 1
+            return False
+        step = (digest >> 32 | 1) % nbits
+        lines = {pos >> 9}  # 512 bits per 64-byte cache line
+        for _ in repeat(None, self._k - 1):
+            pos += step
+            if pos >= nbits:
+                pos -= nbits
             lines.add(pos >> 9)
-            if not self._bits.test(pos):
-                self.stats.negatives += 1
-                self.stats.cache_line_touches += len(lines)
+            if not data[pos >> 3] >> (pos & 7) & 1:
+                stats.negatives += 1
+                stats.cache_line_touches += len(lines)
                 return False
-        self.stats.cache_line_touches += len(lines)
+        stats.cache_line_touches += len(lines)
         return True
 
     @property
@@ -167,13 +175,3 @@ class BloomFilter(PointFilter):
         if self._bits is None:
             return 1.0
         return theoretical_fpr(self._bits.nbits / self._n, self._k)
-
-    # -- internals -----------------------------------------------------------
-
-    def _probe_pair(self, key: bytes) -> "tuple[int, int]":
-        if self._hash_counter is not None:
-            digest = self._hash_counter.digest(key, self._seed)
-        else:
-            digest = hash64(key, self._seed)
-        self.stats.hash_evaluations += 1
-        return digest & 0xFFFFFFFF, (digest >> 32) | 1

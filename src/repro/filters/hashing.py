@@ -20,24 +20,26 @@ MASK64 = (1 << 64) - 1
 _PRIME1 = 0x9E3779B185EBCA87
 _PRIME2 = 0xC2B2AE3D27D4EB4F
 _PRIME3 = 0x165667B19E3779F9
+_from_bytes = int.from_bytes
 
 
 def hash64(key: bytes, seed: int = 0) -> int:
     """One 64-bit digest of ``key`` under ``seed``."""
-    acc = (seed * _PRIME1 + len(key) * _PRIME2) & MASK64
-    for offset in range(0, len(key) - 7, 8):
-        lane = int.from_bytes(key[offset : offset + 8], "little")
-        acc = (acc ^ (lane * _PRIME2 & MASK64)) & MASK64
-        acc = ((acc << 31 | acc >> 33) & MASK64) * _PRIME1 & MASK64
-    tail = len(key) & 7
-    if tail:
-        lane = int.from_bytes(key[-tail:], "little")
-        acc = (acc ^ (lane * _PRIME3 & MASK64)) & MASK64
-        acc = ((acc << 17 | acc >> 47) & MASK64) * _PRIME2 & MASK64
+    n = len(key)
+    acc = (seed * _PRIME1 + n * _PRIME2) & MASK64
+    offset = 0
+    while offset + 8 <= n:
+        acc ^= _from_bytes(key[offset : offset + 8], "little") * _PRIME2 & MASK64
+        # The rotation's high bits need no mask of their own: the product is
+        # cut to 64 bits, and its low 64 bits only depend on the factors' low 64.
+        acc = (acc << 31 | acc >> 33) * _PRIME1 & MASK64
+        offset += 8
+    if offset < n:
+        acc ^= _from_bytes(key[offset:], "little") * _PRIME3 & MASK64
+        acc = (acc << 17 | acc >> 47) * _PRIME2 & MASK64
     acc ^= acc >> 29
     acc = acc * _PRIME3 & MASK64
-    acc ^= acc >> 32
-    return acc
+    return acc ^ acc >> 32
 
 
 _U64 = np.dtype("<u8")

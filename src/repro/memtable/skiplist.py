@@ -42,13 +42,15 @@ class SkipList:
         """Insert/replace; returns the displaced entry for the key, if any."""
         update: List[_Node] = [self._head] * _MAX_HEIGHT
         node = self._head
+        key = entry.key
         for level in range(self._height - 1, -1, -1):
-            while node.next[level] is not None and node.next[level].key < entry.key:
-                node = node.next[level]
+            candidate = node.next[level]
+            while candidate is not None and candidate.key < key:
+                node = candidate
+                candidate = node.next[level]
             update[level] = node
 
-        candidate = node.next[0]
-        if candidate is not None and candidate.key == entry.key:
+        if candidate is not None and candidate.key == key:
             displaced = candidate.entry
             candidate.entry = entry
             return displaced
@@ -56,7 +58,7 @@ class SkipList:
         height = self._random_height()
         if height > self._height:
             self._height = height
-        new_node = _Node(entry.key, entry, height)
+        new_node = _Node(key, entry, height)
         for level in range(height):
             new_node.next[level] = update[level].next[level]
             update[level].next[level] = new_node
@@ -83,9 +85,11 @@ class SkipList:
     def _find_greater_or_equal(self, key: bytes) -> Optional[_Node]:
         node = self._head
         for level in range(self._height - 1, -1, -1):
-            while node.next[level] is not None and node.next[level].key < key:
-                node = node.next[level]
-        return node.next[0]
+            following = node.next[level]
+            while following is not None and following.key < key:
+                node = following
+                following = node.next[level]
+        return following  # level 0's successor: the search ends there
 
     def _random_height(self) -> int:
         height = 1

@@ -83,10 +83,11 @@ class Run:
         digest=None,
     ) -> Optional[Entry]:
         """Point lookup: route to the single file that may hold the key."""
-        table = self._table_for(key)
-        if table is None:
+        idx = bisect.bisect_left(self._max_keys, key)  # _table_for, without the call
+        if idx == len(self._max_keys):
             return None
-        entry = table.get(key, stats=stats, cache=cache, digest=digest)
+        table = self.tables[idx]
+        entry = table.get(key, stats, cache, digest)
         if entry is not None:
             table.hotness += 1
         return entry
@@ -174,8 +175,8 @@ class Run:
     # -- internals -----------------------------------------------------------
 
     def _table_for(self, key: bytes) -> Optional[SSTable]:
+        """The one file whose range can hold ``key``: the first whose max key
+        is not below it. (Whether the key clears that file's min key is the
+        table's own admission check — done once, there.)"""
         idx = bisect.bisect_left(self._max_keys, key)
-        if idx == len(self.tables):
-            return None
-        table = self.tables[idx]
-        return table if table.contains_key_range(key) else None
+        return self.tables[idx] if idx < len(self.tables) else None

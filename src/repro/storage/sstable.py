@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import collections.abc
+import sys
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -53,7 +54,8 @@ from repro.storage.compression import (
 # keep working unchanged.
 
 
-@dataclass
+# One is built per point read: slotted where dataclasses can (3.10+).
+@dataclass(**({"slots": True} if sys.version_info >= (3, 10) else {}))
 class ProbeStats:
     """Filter/index accounting for one or more point lookups."""
 
@@ -536,6 +538,8 @@ class SSTable:
         self.tombstone_count = tombstone_count
         self.search_index = search_index
         self.point_filter = point_filter
+        # Whether shared hashing can hand this filter a precomputed digest.
+        self._digest_probes = hasattr(point_filter, "may_contain_digest")
         self.range_filter = range_filter
         self._hash_index = hash_index
         self.aux_blocks = aux_blocks
@@ -584,9 +588,6 @@ class SSTable:
         """True when the table's key range intersects the closed range [lo, hi]."""
         return not (hi < self.min_key or lo > self.max_key)
 
-    def contains_key_range(self, key: bytes) -> bool:
-        return self.min_key <= key <= self.max_key
-
     # -- reads ---------------------------------------------------------------
 
     def get(
@@ -603,41 +604,11 @@ class SSTable:
         ``digest`` is given and the filter supports digest probes, the
         precomputed digest is reused (shared hashing, tutorial §II-B.2).
         """
-        if not self.contains_key_range(key):
+        blocks = self._candidate_blocks(key, stats, digest)
+        if blocks is None:
             return None
-        guard = self._device.guard
-        if self.point_filter is not None:
-            if stats is not None:
-                stats.filter_probes += 1
-            try:
-                probe_digest = getattr(self.point_filter, "may_contain_digest", None)
-                if digest is not None and probe_digest is not None:
-                    positive = probe_digest(digest)
-                else:
-                    positive = self.point_filter.may_contain(key)
-            except ReproError:
-                # Broken filter: its negatives cannot be trusted, so degrade
-                # to probing the data blocks instead of failing the get.
-                positive = True
-                if guard is not None:
-                    guard.note_degraded_read()
-            if not positive:
-                if stats is not None:
-                    stats.filter_negatives += 1
-                return None
-
-        try:
-            lo, hi = self._locate_blocks(key, stats)
-        except ReproError:
-            # Broken index: scan every data block rather than fail the get.
-            lo, hi = 0, self.num_data_blocks - 1
-            if guard is not None:
-                guard.note_degraded_read()
-        for block_no in range(lo, hi + 1):
-            if key < self._block_first_keys[block_no] or key > self._block_last_keys[block_no]:
-                continue
-            block = self._load_block(block_no, cache, stats)
-            entry = block.find(key)
+        for block_no in blocks:
+            entry = self._load_block(block_no, cache, stats).find(key)
             if entry is not None:
                 return entry
         if stats is not None and self.point_filter is not None:
@@ -746,31 +717,12 @@ class SSTable:
                     out[key] = entry
             return out
 
-        candidates: "List[tuple[bytes, List[int]]]" = []
+        candidates: "List[tuple[bytes, Sequence[int]]]" = []
         needed: "set[int]" = set()
         for key in keys:
-            if not self.contains_key_range(key):
+            blocks = self._candidate_blocks(key, stats)
+            if blocks is None:
                 continue
-            if self.point_filter is not None:
-                if stats is not None:
-                    stats.filter_probes += 1
-                try:
-                    positive = self.point_filter.may_contain(key)
-                except ReproError:
-                    positive = True  # broken filter: degrade to probing
-                if not positive:
-                    if stats is not None:
-                        stats.filter_negatives += 1
-                    continue
-            try:
-                lo, hi = self._locate_blocks(key, stats)
-            except ReproError:
-                lo, hi = 0, self.num_data_blocks - 1
-            blocks = [
-                block_no
-                for block_no in range(lo, hi + 1)
-                if self._block_first_keys[block_no] <= key <= self._block_last_keys[block_no]
-            ]
             if not blocks:
                 if stats is not None and self.point_filter is not None:
                     stats.false_positives += 1
@@ -861,16 +813,59 @@ class SSTable:
         idx = bisect.bisect_left(self._block_last_keys, key)
         return min(idx, self.num_data_blocks - 1)
 
-    def _locate_blocks(self, key: bytes, stats: Optional[ProbeStats]) -> "tuple[int, int]":
+    def _candidate_blocks(
+        self, key: bytes, stats: Optional[ProbeStats], digest: Optional[int] = None
+    ) -> Optional[Sequence[int]]:
+        """The admission step of every point read, single or batched: key
+        range, filter, index, fence narrowing — no I/O. None when the key
+        cannot be here (outside the range, or a filter negative); otherwise
+        the data blocks to search, possibly none (a false positive). A
+        broken filter or index degrades to probing more blocks."""
+        first_keys = self._block_first_keys
+        last_keys = self._block_last_keys
+        if key < first_keys[0] or key > last_keys[-1]:
+            return None
+        point_filter = self.point_filter
+        if point_filter is not None:
+            if stats is not None:
+                stats.filter_probes += 1
+            try:
+                if digest is not None and self._digest_probes:
+                    positive = point_filter.may_contain_digest(digest)
+                else:
+                    positive = point_filter.may_contain(key)
+            except ReproError:
+                # Broken filter: its negatives cannot be trusted.
+                positive = True
+                self._note_degraded_read()
+            if not positive:
+                if stats is not None:
+                    stats.filter_negatives += 1
+                return None
         if stats is not None:
             stats.index_probes += 1
-        if self.search_index is not None:
-            lo, hi = self.search_index.locate(key)
-            lo = max(lo, 0)
-            hi = min(hi, self.num_data_blocks - 1)
-            return lo, hi
-        block = self._first_block_for(key)
-        return block, block
+        index = self.search_index
+        try:
+            if index is not None:
+                lo, hi = index.locate(key)
+                if lo < 0:
+                    lo = 0
+                if hi >= len(last_keys):
+                    hi = len(last_keys) - 1
+            else:
+                lo = hi = self._first_block_for(key)
+        except ReproError:
+            # Broken index: search every data block rather than fail the get.
+            lo, hi = 0, self.num_data_blocks - 1
+            self._note_degraded_read()
+        if lo == hi:
+            return (lo,) if first_keys[lo] <= key <= last_keys[lo] else ()
+        return [b for b in range(lo, hi + 1) if first_keys[b] <= key <= last_keys[b]]
+
+    def _note_degraded_read(self) -> None:
+        guard = self._device.guard
+        if guard is not None:
+            guard.note_degraded_read()
 
     def _open(self, payload) -> DataBlock:
         # ``parse_block`` is looked up in the module on every call:
@@ -885,25 +880,27 @@ class SSTable:
         return self._open(device.read_block(self.file_id, block_no))
 
     def _load_block(self, block_no: int, cache, stats: Optional[ProbeStats]) -> DataBlock:
-        """Fetch one data block, through the cache when given."""
+        """Fetch one data block, through the cache when given (the cache
+        credits ``stats.cache_hits`` where it serves the hit)."""
         if stats is not None:
             stats.blocks_read += 1
         if cache is None:
             return self._read_block(block_no)
         key = (self.file_id, block_no)
-        if stats is not None and cache.contains(key):
-            stats.cache_hits += 1
-        if self._device.guard is None and hasattr(cache, "get_or_load_block"):
+        if self._device.guard is None:
             # Two-tier path: a compressed-tier hit decodes in memory
             # (CPU only); a full miss reads the device once and feeds
-            # both tiers. With a guard installed the per-block guarded
-            # read keeps retry/quarantine semantics.
-            return cache.get_or_load_block(
-                key,
-                lambda: self._device.read_block(self.file_id, block_no),
-                lambda payload: _with_charge(self._open(payload)),
-            )
-        return cache.get_or_load(key, lambda: _with_charge(self._read_block(block_no)))
+            # both tiers.
+            return cache.get_or_load_block(key, self._read_frame, self._open_charged, stats)
+        # With a guard installed the per-block guarded read keeps
+        # retry/quarantine semantics.
+        return cache.get_or_load(key, lambda: _with_charge(self._read_block(block_no)), stats)
+
+    def _read_frame(self, key: "tuple[int, int]") -> bytes:
+        return self._device.read_block(*key)
+
+    def _open_charged(self, payload) -> "tuple[DataBlock, int]":
+        return _with_charge(self._open(payload))
 
 
 def _with_charge(block: DataBlock) -> "tuple[DataBlock, int]":

@@ -26,7 +26,7 @@ class TestTwoTierReads:
         entries, frame = compressible_block()
         loads = []
         block = cache.get_or_load_block(
-            "b0", lambda: loads.append(1) or frame, decode
+            "b0", lambda key: loads.append(1) or frame, decode
         )
         assert block.entries == entries
         assert loads == [1]
@@ -43,7 +43,7 @@ class TestTwoTierReads:
         cache = BlockCache(charge // 2, compressed_capacity_bytes=64 << 10)
         loads = []
 
-        def load():
+        def load(key):
             loads.append(1)
             return frame
 
@@ -63,8 +63,8 @@ class TestTwoTierReads:
             decodes.append(1)
             return decode(payload)
 
-        cache.get_or_load_block("b0", lambda: frame, counting_decode)
-        cache.get_or_load_block("b0", lambda: frame, counting_decode)
+        cache.get_or_load_block("b0", lambda key: frame, counting_decode)
+        cache.get_or_load_block("b0", lambda key: frame, counting_decode)
         assert decodes == [1]
         assert cache.stats.hits == 1
 
@@ -74,13 +74,13 @@ class TestTwoTierReads:
         cache = BlockCache(64 << 10, compressed_capacity_bytes=64 << 10)
         entries, _ = compressible_block()
         legacy = serialize_block(entries)
-        cache.get_or_load_block("b0", lambda: legacy, decode)
+        cache.get_or_load_block("b0", lambda key: legacy, decode)
         assert cache.compressed_used_bytes == 0
 
     def test_disabled_tier_keeps_single_tier_behavior(self):
         cache = BlockCache(64 << 10)
         _, frame = compressible_block()
-        cache.get_or_load_block("b0", lambda: frame, decode)
+        cache.get_or_load_block("b0", lambda key: frame, decode)
         assert cache.compressed_used_bytes == 0
         assert cache.compressed_stats.lookups == 0
         assert cache.get_compressed("b0") is None
@@ -101,7 +101,7 @@ class TestDecodedChargeBound:
             block, charge = decode(frame)
             assert charge > 2 << 10  # ...but large decoded
             blocks[tag] = (frame, charge)
-            cache.get_or_load_block(f"b{tag}", lambda f=frame: f, decode)
+            cache.get_or_load_block(f"b{tag}", lambda key, f=frame: f, decode)
             assert cache.used_bytes <= capacity
         resident_decoded = sum(
             charge for tag, (frame, charge) in blocks.items()
@@ -115,7 +115,7 @@ class TestDecodedChargeBound:
         used = 0
         for tag in range(12):
             _, frame = compressible_block(tag=tag)
-            cache.get_or_load_block(f"b{tag}", lambda f=frame: f, decode)
+            cache.get_or_load_block(f"b{tag}", lambda key, f=frame: f, decode)
             used = cache.compressed_used_bytes
             assert used <= 4 << 10
         assert used > 0
@@ -125,7 +125,7 @@ class TestInvalidation:
     def test_invalidate_block_drops_both_tiers(self):
         cache = BlockCache(64 << 10, compressed_capacity_bytes=64 << 10)
         _, frame = compressible_block()
-        cache.get_or_load_block((7, 0), lambda: frame, decode)
+        cache.get_or_load_block((7, 0), lambda key: frame, decode)
         assert cache.compressed_used_bytes > 0
         cache.invalidate_block(7, 0)
         assert cache.used_bytes == 0
@@ -136,9 +136,9 @@ class TestInvalidation:
         cache = BlockCache(64 << 10, compressed_capacity_bytes=64 << 10)
         for block_no in range(3):
             _, frame = compressible_block(tag=block_no)
-            cache.get_or_load_block((7, block_no), lambda f=frame: f, decode)
+            cache.get_or_load_block((7, block_no), lambda key, f=frame: f, decode)
         _, other = compressible_block(tag=9)
-        cache.get_or_load_block((8, 0), lambda: other, decode)
+        cache.get_or_load_block((8, 0), lambda key: other, decode)
         cache.invalidate_file(7)
         assert cache.compressed_used_bytes == len(other)
         assert cache.contains((8, 0))

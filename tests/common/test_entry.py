@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.entry import Entry, EntryKind
+from repro.common.entry import Entry, EntryKind, GetResult
 
 
 class TestEntry:
@@ -49,3 +49,12 @@ class TestEntry:
         entry = Entry(key=b"k", seqno=1)
         with pytest.raises(AttributeError):
             entry.value = b"other"
+
+
+def test_get_results_that_compare_unequal_print_differently():
+    # __eq__ compares every slot, seqno included: a failing equality assert
+    # must not show two identical reprs.
+    older, newer = GetResult(b"v", True, seqno=3), GetResult(b"v", True, seqno=4)
+    assert older != newer
+    assert repr(older) != repr(newer)
+    assert eval(repr(newer)) == newer

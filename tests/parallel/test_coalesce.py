@@ -5,9 +5,13 @@ import pytest
 from repro.cache.block_cache import BlockCache
 from repro.common.encoding import encode_uint_key
 from repro.common.entry import Entry
+from repro.errors import ReproError
+from repro.faults.guard import ReadGuard
+from repro.filters.bloom import BloomFilter
+from repro.indexes.fence import FencePointers
 from repro.parallel import CoalescingReader, ParallelConfig
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import SSTableBuilder
+from repro.storage.sstable import ProbeStats, SSTableBuilder
 
 from tests.conftest import make_tree
 
@@ -170,6 +174,60 @@ class TestMultiGetCoalescing:
             got = tree.get(key)
             assert got.found
             assert (batched[key].found, batched[key].value) == (got.found, got.value)
+
+
+def _broken(*args):
+    raise ReproError("simulated broken auxiliary structure")
+
+
+class TestGetManyAdmission:
+    """``get_many`` admits each key with the step ``get`` runs — healthy,
+    broken-filter and broken-index tables alike."""
+
+    @staticmethod
+    def table(device, broken):
+        builder = SSTableBuilder(
+            device, index_factory=FencePointers,
+            filter_factory=lambda keys: BloomFilter(keys, bits_per_key=10),
+        )
+        for i in range(0, 800, 2):
+            builder.add(Entry(encode_uint_key(i), i + 1, value=b"v%05d" % i))
+        table = builder.finish()
+        if broken == "filter":
+            table.point_filter.may_contain = _broken
+        elif broken == "index":
+            table.search_index.locate = _broken
+        return table
+
+    @pytest.mark.parametrize("broken", [None, "filter", "index"])
+    def test_per_key_accounting_matches_get(self, device, broken):
+        table = self.table(device, broken)
+        keys = [encode_uint_key(i) for i in range(0, 900, 3)]  # present, absent, past the range
+        single = ProbeStats()
+        expected = {}
+        for key in keys:
+            entry = table.get(key, stats=single)
+            if entry is not None:
+                expected[key] = entry
+        batched = ProbeStats()
+        assert table.get_many(keys, stats=batched) == expected
+        assert len(expected) == len(range(0, 800, 6))  # a broken structure loses no key
+        for name in ("filter_probes", "filter_negatives", "false_positives", "index_probes"):
+            assert getattr(batched, name) == getattr(single, name), name
+        if broken == "filter":
+            assert batched.filter_negatives == 0  # its negatives are not trusted
+        if broken == "index":
+            # Every admitted key searches all blocks its fences still allow.
+            assert batched.index_probes == batched.filter_probes - batched.filter_negatives
+
+    @pytest.mark.parametrize("broken", ["filter", "index"])
+    def test_guarded_batch_notes_each_degraded_read(self, device, broken):
+        device.guard = guard = ReadGuard()
+        table = self.table(device, broken)
+        keys = [encode_uint_key(i) for i in range(0, 800, 40)]
+        found = table.get_many(keys)  # a guard keeps reads per key, per block
+        assert sorted(found) == keys
+        assert guard.degraded_reads == len(keys)
 
 
 def _counting(fn, calls):

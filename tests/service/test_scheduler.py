@@ -174,6 +174,10 @@ def test_failed_flush_releases_its_seal():
         scheduler.register(tree)
         for i in range(2000):
             tree.put(encode_uint_key(i % 500), b"x" * 30)
+        # The "next job": when every put lands before the first job has even
+        # started, no later seal is left to request one after it fails.
+        assert failed.wait(timeout=10.0)
+        scheduler.request_flush(tree)
         assert scheduler.drain(timeout=10.0)
     finally:
         scheduler.close(drain=False)

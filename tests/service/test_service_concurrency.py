@@ -242,6 +242,48 @@ def test_commit_counters_are_exact_under_contention():
     assert groups["sum"] == n_writers * per_writer
 
 
+def test_cache_hits_are_counted_by_the_cache_under_contention():
+    """8 readers over a cache that holds a fraction of the blocks: blocks are
+    evicted and re-inserted between any two steps of another reader's get.
+    Every block access must be counted as exactly what the cache did with it
+    (a hit decided by a separate ``contains()`` drifts from ``cache.stats``)."""
+    n_readers, per_reader, keys = 8, 1500, 3000
+    tree = LSMTree(
+        LSMConfig(buffer_bytes=8 << 10, block_size=512, size_ratio=3, cache_bytes=32 << 10, seed=3)
+    )
+    for i in range(keys):
+        tree.put(encode_uint_key(i), b"v%06d" % i)
+    tree.flush()
+    service = DBService(tree, ServiceConfig(num_workers=2))
+    wrong = []
+    barrier = threading.Barrier(n_readers)
+
+    def reader(tid):
+        barrier.wait()
+        for i in range(per_reader):
+            k = (i * 37 + tid * 101) % keys
+            if service.get(encode_uint_key(k)).value != b"v%06d" % k:
+                wrong.append(k)
+
+    threads = [threading.Thread(target=reader, args=(t,)) for t in range(n_readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    probe, cache = tree.stats.probe, tree.cache.stats
+    service.close()
+    assert not wrong
+    assert cache.evictions > 0 and cache.hits > 0
+    assert probe.cache_hits == cache.hits
+    assert probe.blocks_read == cache.hits + cache.misses
+
+
 def test_sharded_store_shares_one_scheduler():
     """Satellite: ShardedStore plugs every shard into one external pool."""
     from repro.service import CompactionScheduler

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.encoding import encode_varint
+from repro.cache.block_cache import BlockCache
 from repro.common.entry import Entry, EntryKind
+from repro.faults.guard import ReadGuard
 from repro.indexes.fence import FencePointers
 from repro.filters.bloom import BloomFilter
 from repro.storage.block_device import BlockDevice
@@ -184,6 +186,55 @@ class TestReads:
         table = build_table(device, [b"a"])
         table.get(b"a")
         assert table.hotness == 0  # run-level concern
+
+
+class TestCacheHitAccounting:
+    """``ProbeStats.cache_hits`` is credited by the cache call that served the
+    block — on the two-tier path and on the guarded per-block path alike."""
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_hits_are_counted_where_they_are_served(self, device, guarded):
+        if guarded:
+            device.guard = ReadGuard()
+        keys = [b"k%04d" % i for i in range(300)]
+        table = build_table(device, keys, index_factory=FencePointers)
+        cache, stats = BlockCache(1 << 20), ProbeStats()
+        assert table.get(keys[0], stats=stats, cache=cache) is not None
+        assert (stats.blocks_read, stats.cache_hits, cache.stats.misses) == (1, 0, 1)
+        assert table.get(keys[1], stats=stats, cache=cache) is not None
+        assert (stats.blocks_read, stats.cache_hits, cache.stats.hits) == (2, 1, 1)
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_no_second_lookup_decides_the_hit(self, device, guarded):
+        # A block dropped between a separate contains() and the load used to
+        # be counted as a hit the cache never served.
+        if guarded:
+            device.guard = ReadGuard()
+        keys = [b"k%04d" % i for i in range(300)]
+        table = build_table(device, keys, index_factory=FencePointers)
+        cache, stats = BlockCache(1 << 20), ProbeStats()
+        table.get(keys[0], stats=stats, cache=cache)
+
+        def contains_then_evicted(key):
+            present = key in cache._entries
+            cache.invalidate_file(table.file_id)  # a compaction wins the race
+            return present
+
+        cache.contains = contains_then_evicted
+        table.get(keys[1], stats=stats, cache=cache)
+        assert stats.cache_hits == cache.stats.hits
+
+    def test_guarded_miss_still_retries_through_the_guard(self, device):
+        device.guard = guard = ReadGuard()
+        keys = [b"k%04d" % i for i in range(300)]
+        table = build_table(device, keys, index_factory=FencePointers)
+        reads = []
+        real = guard.read_parsed
+        guard.read_parsed = lambda *args: reads.append(args[1:3]) or real(*args)
+        cache = BlockCache(1 << 20)
+        table.get(keys[0], cache=cache)
+        table.get(keys[0], cache=cache)
+        assert reads == [(table.file_id, 0)]  # the miss went through the guard, the hit nowhere
 
 
 class TestAuxAccounting:
