@@ -153,13 +153,17 @@ def bench_scan_coalescing(params):
 
     def scan_cost(tree):
         before = tree.device.stats.snapshot()
+        cache_before = tree.cache.stats.snapshot()
         n = sum(1 for _ in tree.scan())
-        return n, tree.device.stats.delta(before)
+        cache = tree.cache.stats.delta(cache_before)
+        return n, tree.device.stats.delta(before), (cache.lookups, cache.hits)
 
-    n_serial, d_serial = scan_cost(serial)
-    n_coalesced, d_coalesced = scan_cost(coalesced)
+    n_serial, d_serial, cache_serial = scan_cost(serial)
+    n_coalesced, d_coalesced, cache_coalesced = scan_cost(coalesced)
     assert n_serial == n_coalesced, "coalesced scan changed the result"
     return {
+        "serial_cache_lookups_hits": list(cache_serial),
+        "coalesced_cache_lookups_hits": list(cache_coalesced),
         "entries_scanned": n_serial,
         "serial_seeks": d_serial.seeks,
         "coalesced_seeks": d_coalesced.seeks,
@@ -174,7 +178,7 @@ def bench_scan_coalescing(params):
 
 
 def bench_point_reads(params):
-    tree = _tree(ParallelConfig(max_subcompactions=1, coalesce_point_reads=True))
+    tree = _tree(ParallelConfig(max_subcompactions=1))
     _fill_tree(tree, params["tree_entries"], params["keyspace"])
     keyspace = params["keyspace"]
     latencies = []
@@ -236,9 +240,11 @@ def test_e22_parallel(benchmark):
         "e22_parallel_io",
         "E22b — coalesced I/O: scan seeks and batched point reads",
         ["scan seeks serial", "scan seeks coalesced", "reduction",
-         "bytes equal", "batch seeks", "single seeks", "reduction"],
+         "bytes equal", "cache lookups, hits equal",
+         "batch seeks", "single seeks", "reduction"],
         [[scan["serial_seeks"], scan["coalesced_seeks"], scan["seek_reduction"],
           scan["serial_bytes"] == scan["coalesced_bytes"],
+          scan["serial_cache_lookups_hits"] == scan["coalesced_cache_lookups_hits"],
           points["multi_get_seeks"], points["individual_seeks"],
           points["batch_seek_reduction"]]],
     )
@@ -247,6 +253,8 @@ def test_e22_parallel(benchmark):
     assert comp["speedup_vs_serial"] >= 2.0
     assert scan["seek_reduction"] >= 3.0
     assert scan["serial_bytes"] == scan["coalesced_bytes"]
+    assert scan["serial_cache_lookups_hits"] == scan["coalesced_cache_lookups_hits"]
+    assert scan["serial_cache_lookups_hits"][0] > 0
     assert points["batch_seek_reduction"] > 1.0
 
 

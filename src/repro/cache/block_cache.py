@@ -1,9 +1,11 @@
 """The block cache: byte-budgeted, policy-pluggable, invalidation-aware.
 
 Keys are ``(file_id, block_no)`` pairs (plus tagged variants like value-log
-blocks). The cache exposes the ``get_or_load`` contract the SSTable read path
-uses, and ``invalidate_file`` so compactions can drop blocks of deleted files
-— the event the Leaper prefetcher reacts to.
+blocks). ``get_or_load_block`` is the one load every SSTable data block goes
+through — the only code that knows the tier order, single-flight, admission
+and hit / miss accounting — ``get_or_load`` the single-tier form for opaque
+objects (value-log blocks), and ``invalidate_file`` lets compactions drop
+blocks of deleted files — the event the Leaper prefetcher reacts to.
 
 With block compression enabled the cache is **two-tier**, RocksDB-style: the
 uncompressed tier holds decoded :class:`~repro.storage.sstable.DataBlock`
@@ -174,7 +176,7 @@ class BlockCache:
         if cached is not _LEAD:
             return cached
         try:
-            frame = self.get_compressed(key) if self.compressed_capacity_bytes else None
+            frame = self._compressed_frame(key) if self.compressed_capacity_bytes else None
             from_device = frame is None
             if from_device:
                 frame = load_frame(key)
@@ -231,25 +233,10 @@ class BlockCache:
         if waiters is not _UNCONTENDED:
             waiters.set()
 
-    def get(self, key: Hashable):
-        """Return the cached object or None, with full hit/miss accounting.
-
-        The coalescing reader uses this instead of :meth:`get_or_load`: on a
-        miss it fetches a whole multi-block span from the device and inserts
-        each block with :meth:`put`.
-        """
-        with self._lock:
-            cached = self._entries.get(key)
-            self.access_counts[key] = self.access_counts.get(key, 0) + 1
-            if cached is not None:
-                self.stats.hits += 1
-                self._policy.on_access(key)
-                return cached[0]
-            self.stats.misses += 1
-            return None
-
     def contains(self, key: Hashable) -> bool:
-        return key in self._entries
+        """True when a load of ``key`` would be served from memory — either
+        tier holds it. Touches no count and no policy state."""
+        return key in self._entries or key in self._compressed
 
     def put(self, key: Hashable, value: object, charge: int) -> None:
         """Insert without a lookup (prefetch path)."""
@@ -258,16 +245,8 @@ class BlockCache:
                 return
             self._insert(key, value, charge)
 
-    # -- the compressed tier ---------------------------------------------------
-
-    def get_compressed(self, key: Hashable):
-        """Return the cached raw frame or None (compressed-tier lookup).
-
-        A no-op returning None when the tier is disabled, so callers probe
-        unconditionally without skewing the tier's hit/miss accounting.
-        """
-        if self.compressed_capacity_bytes == 0:
-            return None
+    def _compressed_frame(self, key: Hashable):
+        """The compressed tier's lookup: the raw frame or None, counted."""
         with self._lock:
             cached = self._compressed.get(key)
             if cached is not None:
@@ -276,20 +255,6 @@ class BlockCache:
                 return cached[0]
             self.compressed_stats.misses += 1
             return None
-
-    def put_compressed(self, key: Hashable, payload) -> None:
-        """Retain a raw on-device frame in the compressed tier.
-
-        Only actually-compressed frames are kept (the coalescing reader and
-        prefetchers call this for every payload they touch); charge is the
-        frame's on-disk size.
-        """
-        if self.compressed_capacity_bytes == 0 or not is_compressed_frame(payload):
-            return
-        with self._lock:
-            if key in self._compressed:
-                return
-            self._insert_compressed(key, payload, len(payload))
 
     # -- invalidation ----------------------------------------------------------
 

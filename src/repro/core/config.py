@@ -100,8 +100,11 @@ class LSMConfig:
             kv_separation the stored value is the tagged pointer/inline form.
         parallel: optional :class:`~repro.parallel.config.ParallelConfig`
             enabling key-range subcompactions and coalesced multi-block
-            device reads. Results-invariant: only wall-clock time, simulated
-            time, and seek counts change. None keeps the fully serial,
+            device requests. Results-invariant: answers, file bytes, cache
+            and probe counts are those of ``None``; only the device's
+            request shapes (seeks, ``coalesced_*``), simulated and wall time
+            change, plus blocks read ahead in vain by a scan abandoned early
+            (see ``ParallelConfig``). None keeps the fully serial,
             one-block-at-a-time engine.
         merge_operators: extra :class:`~repro.txn.MergeOperator` instances to
             register on the tree (the built-in ``counter`` and

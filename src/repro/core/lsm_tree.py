@@ -551,21 +551,28 @@ class LSMTree:
         """Batched point lookups (RocksDB's MultiGet).
 
         Keys are deduplicated and probed in sorted order. With
-        ``config.parallel.coalesce_point_reads`` the whole batch resolves
-        level by level with adjacent block loads grouped into single
-        multi-block device requests (:meth:`ReadPath.multi_get_coalesced`).
+        ``config.parallel`` set the whole batch resolves level by level, the
+        device reads of adjacent candidate blocks coalesced into single
+        multi-block requests (:meth:`ReadPath.multi_get_coalesced`).
         Per-key results match :meth:`get` calls exactly either way.
         """
         self._check_open()
         unique = sorted(set(keys))
-        parallel = self.config.parallel
-        if parallel is not None and parallel.coalesce_point_reads and unique:
+        self.note_multi_get(len(unique))
+        if self.config.parallel is not None and unique:
             return self.reads.multi_get_coalesced(
                 {key: self.memory_chain(key) for key in unique}, self._level_set.levels
             )
         if self.tracer is None:
             return {key: self.get(key) for key in unique}
         return self.tracer.run_batch("multi_get", unique, self.get)
+
+    def note_multi_get(self, keys: int) -> None:
+        """Count one ``multi_get`` batch of ``keys`` distinct keys (the tree's
+        and the service's batches both land here, whichever way they walk)."""
+        with self._stats_lock:
+            self.stats.multi_gets += 1
+            self.stats.multi_get_keys += keys
 
     def delete_range(self, start: bytes, end: bytes) -> int:
         """Delete every live key in the closed range [start, end].

@@ -243,10 +243,11 @@ class ReadPath:
         return result
 
     def multi_get_coalesced(
-        self, memory_chains: "Dict[bytes, List[Entry]]", levels: Levels
+        self, memory_chains: "Dict[bytes, List[Entry]]", levels: Levels, span: int = 8
     ) -> "Dict[bytes, GetResult]":
-        """Resolve a batch level by level, coalescing each run's block loads
-        (adjacent blocks become single multi-block device requests).
+        """Resolve a batch level by level, each run's cache misses reading up
+        to ``span`` adjacent candidate blocks per device request (1: every
+        miss reads its own block — the same walk, uncoalesced).
 
         Per-key ``found`` / ``value`` / ``seqno`` / ``source_level`` /
         ``runs_probed`` match :meth:`get` exactly; the batch's I/O provenance
@@ -264,7 +265,7 @@ class ReadPath:
                     break
                 for key in pending:
                     runs_probed[key] += 1
-                found = run.get_many(pending, stats=probe, cache=self.cache)
+                found = run.get_many(pending, probe, self.cache, span)
                 for key, entry in found.items():
                     if entry.is_merge:
                         chains[key][1].append(entry)  # keep descending for its base
@@ -283,8 +284,6 @@ class ReadPath:
         }
         with self._stats_lock:
             self._stats.gets += len(results)
-            self._stats.multi_gets += 1
-            self._stats.multi_get_keys += len(results)
             self._stats.probe.merge(probe)
             # get_many is handed no shared digest: every filter probe hashed.
             self._stats.get_hash_evaluations += probe.filter_probes

@@ -8,15 +8,16 @@ simulated hardware allows:
   ``LSMConfig.parallel``;
 * :mod:`~repro.parallel.subcompaction` — key-range parallel compaction
   (plan/execute machinery; install stays in the tree, under its mutex);
-* :mod:`~repro.parallel.coalesce` — multi-block coalesced reads for merge
-  iterators, range scans, and batched point lookups.
+* :mod:`~repro.parallel.coalesce` — the multi-block frame source merge
+  iterators, range scans and batched point lookups read their blocks from.
 
 Everything here is results-invariant: any tree produced or read through
-these paths returns byte-identical answers to the serial engine.
+these paths returns byte-identical answers to the serial engine, from the
+same cache and probe counts (see :class:`ParallelConfig`).
 """
 
 from repro.parallel.config import ParallelConfig
-from repro.parallel.coalesce import CoalescingReader
+from repro.parallel.coalesce import FrameSource
 from repro.parallel.subcompaction import (
     SubcompactionError,
     merge_range,
@@ -26,7 +27,7 @@ from repro.parallel.subcompaction import (
 
 __all__ = [
     "ParallelConfig",
-    "CoalescingReader",
+    "FrameSource",
     "SubcompactionError",
     "merge_range",
     "run_subcompactions",

@@ -2,10 +2,10 @@
 
 The tutorial costs every design decision in I/O counts; this config governs
 how fast those I/Os are *executed*: how many key-range subcompactions a
-merge is split into, how aggressively merge iterators and scans read ahead,
-and whether batched point reads coalesce adjacent blocks. None of these
-knobs change any answer the engine returns — only wall-clock time, simulated
-time, and seek counts.
+merge is split into and how many blocks merge iterators, scans and batched
+point reads fetch per device request. None of these knobs changes an answer
+the engine returns or a block it logically reads — only how the device
+requests are shaped (see :class:`ParallelConfig`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,18 @@ from repro.errors import ConfigError
 class ParallelConfig:
     """Parallelism and I/O-coalescing knobs (all results-invariant).
 
+    Results-invariant means: against ``LSMConfig.parallel = None`` the same
+    operations return the same answers, build byte-identical files, and leave
+    the same ``CacheStats`` (both tiers), ``access_counts``, eviction order
+    and ``ProbeStats`` — every block still reaches its reader through the
+    one cache load, in the same order. What may differ is how the device
+    was asked: ``seeks`` / sequential vs random reads, ``coalesced_reads`` /
+    ``coalesced_blocks``, simulated and wall time, and — only when a scan
+    stops before its end — blocks read ahead and never used
+    (``blocks_read`` / ``bytes_read``). (``LSMTree.multi_get`` with a config
+    set also walks the batch level by level instead of key by key: the same
+    lookups in another order.)
+
     Attributes:
         max_subcompactions: upper bound on the key-range partitions one
             compaction job is split into; each partition merges on its own
@@ -33,8 +45,6 @@ class ParallelConfig:
             by compaction/flush merge iterators (1 disables readahead).
         scan_readahead_blocks: blocks fetched per coalesced device request
             by range-scan iterators (1 disables readahead).
-        coalesce_point_reads: batch ``multi_get``'s block loads so adjacent
-            candidate blocks in the same file are read with one seek.
         write_buffer_blocks: finished data blocks a merge's output builder
             holds back and appends as one coalesced span (1 disables
             buffering). Essential under parallel subcompactions: without
@@ -46,7 +56,6 @@ class ParallelConfig:
     min_subcompaction_blocks: int = 8
     merge_readahead_blocks: int = 8
     scan_readahead_blocks: int = 8
-    coalesce_point_reads: bool = True
     write_buffer_blocks: int = 8
 
     def __post_init__(self) -> None:

@@ -332,6 +332,7 @@ class DBService:
         """Batched point lookups in sorted key order, traced under one
         sampling decision (:meth:`TraceRecorder.run_batch`)."""
         unique = sorted(set(keys))
+        self.tree.note_multi_get(len(unique))
         if self.recorder is None:
             return {key: self.get(key) for key in unique}
         return self.recorder.run_batch("service:multi_get", unique, self.get)

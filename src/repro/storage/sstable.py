@@ -641,10 +641,10 @@ class SSTable:
         block at a time.
 
         Blocks are fetched lazily so a consumer that stops early does not pay
-        for the rest of the file. With ``readahead > 1`` (and no read guard
-        installed) uncached blocks are fetched in coalesced spans of up to
-        that many blocks per device request — one seek buys the whole span
-        even when other threads interleave their own reads.
+        for the rest of the file. With ``readahead > 1`` a cache miss reads
+        up to that many of the blocks ahead in the same device request
+        (:meth:`_frame_source`) — one seek buys the whole stretch even when
+        other threads interleave their own reads.
         """
         first_block = 0 if start is None else self._first_block_for(start)
         last_block = self.num_data_blocks - 1
@@ -653,28 +653,14 @@ class SSTable:
             last_block = bisect.bisect_right(self._block_first_keys, end) - 1
         if last_block < first_block:
             return
-        if readahead > 1 and self._device.guard is None:
-            from repro.parallel.coalesce import CoalescingReader
-
-            reader = CoalescingReader(
-                self._device,
-                self.file_id,
-                span=readahead,
-                cache=cache,
-                stats=stats,
-                hash_index=self._hash_index,
-            )
-            blocks = reader.iter_blocks(first_block, last_block)
-        else:
-            blocks = (
-                self._load_block(block_no, cache, stats)
-                for block_no in range(first_block, last_block + 1)
-            )
+        wanted = range(first_block, last_block + 1)
+        frames = self._frame_source(wanted, readahead, cache)
         # Instead of testing the range per entry, bisect the key list once
         # per boundary block — decoding only that window of it — and hand
         # interior blocks over whole; the per-entry dispatch this removes
         # dominated long-scan and merge profiles.
-        for block in blocks:
+        for block_no in wanted:
+            block = self._load_block(block_no, cache, stats, frames)
             keys = block.keys_list()
             lo, hi = 0, len(keys)
             if start is not None and keys[0] < start:
@@ -696,57 +682,35 @@ class SSTable:
         cache=None,
         span: int = 8,
     ) -> "dict[bytes, Entry]":
-        """Batched point lookup: resolve many keys with coalesced block I/O.
+        """Batched point lookup: resolve many keys, loading each block once.
 
-        Phase one consults filters and fence pointers for every key without
-        touching the device; phase two loads the union of candidate blocks,
-        grouping adjacent ones into multi-block device requests; phase three
-        resolves each key against its loaded blocks. Per-key filter/index
-        accounting matches what per-key :meth:`get` calls would record.
+        Phase one admits every key exactly as :meth:`get` would (filters,
+        fence pointers; same per-key accounting) without touching the
+        device; phase two searches each key's candidate blocks in key order,
+        loading a block the first time a key needs it — one
+        :meth:`_load_block` per distinct block, whose cache misses also read
+        up to ``span - 1`` of the batch's candidate blocks that follow
+        without a gap (:meth:`_frame_source`).
 
         Returns a dict of ``key -> Entry`` (tombstones included) for the
-        keys present in this table; absent keys are simply omitted. Falls
-        back to per-key :meth:`get` when a read guard is installed, so
-        retry/quarantine semantics stay per block.
+        keys present in this table; absent keys are simply omitted.
         """
-        if self._device.guard is not None or span < 2:
-            out = {}
-            for key in keys:
-                entry = self.get(key, stats, cache)
-                if entry is not None:
-                    out[key] = entry
-            return out
-
         candidates: "List[tuple[bytes, Sequence[int]]]" = []
         needed: "set[int]" = set()
         for key in keys:
             blocks = self._candidate_blocks(key, stats)
-            if blocks is None:
-                continue
-            if not blocks:
-                if stats is not None and self.point_filter is not None:
-                    stats.false_positives += 1
-                continue
-            candidates.append((key, blocks))
-            needed.update(blocks)
-        if not candidates:
-            return {}
-
-        from repro.parallel.coalesce import CoalescingReader
-
-        reader = CoalescingReader(
-            self._device,
-            self.file_id,
-            span=span,
-            cache=cache,
-            stats=stats,
-            hash_index=self._hash_index,
-        )
-        loaded = reader.load_many(sorted(needed))
+            if blocks is not None:
+                candidates.append((key, blocks))
+                needed.update(blocks)
+        frames = self._frame_source(sorted(needed), span, cache)
+        loaded: "dict[int, DataBlock]" = {}
         out = {}
         for key, blocks in candidates:
             for block_no in blocks:
-                entry = loaded[block_no].find(key)
+                block = loaded.get(block_no)
+                if block is None:
+                    block = loaded[block_no] = self._load_block(block_no, cache, stats, frames)
+                entry = block.find(key)
                 if entry is not None:
                     out[key] = entry
                     break
@@ -864,7 +828,7 @@ class SSTable:
 
     def _note_degraded_read(self) -> None:
         guard = self._device.guard
-        if guard is not None:
+        if guard:  # only a guard counts them; the fallback itself needs none
             guard.note_degraded_read()
 
     def _open(self, payload) -> DataBlock:
@@ -872,40 +836,61 @@ class SSTable:
         # perf/tracing.py times the read path by replacing that name.
         return parse_block(payload, True, self._hash_index)
 
-    def _read_block(self, block_no: int) -> DataBlock:
-        """One device read, through the guard's retry/quarantine when installed."""
-        device = self._device
-        if device.guard is not None:
-            return device.guard.read_parsed(device, self.file_id, block_no, self._open)[1]
-        return self._open(device.read_block(self.file_id, block_no))
+    def _open_charged(self, payload) -> "tuple[DataBlock, int]":
+        """A payload opened and paired with its cache charge (the decoded
+        size: the cache budget bounds resident memory)."""
+        block = self._open(payload)
+        return block, block.charge_bytes
 
-    def _load_block(self, block_no: int, cache, stats: Optional[ProbeStats]) -> DataBlock:
-        """Fetch one data block, through the cache when given (the cache
-        credits ``stats.cache_hits`` where it serves the hit)."""
+    def _load_block(
+        self, block_no: int, cache, stats: Optional[ProbeStats], frames=None
+    ) -> DataBlock:
+        """Every reader's one way to a data block: through the cache's
+        two-tier load when a cache is given (it credits ``stats.cache_hits``
+        where it serves the hit), else straight off the device. ``frames`` is
+        the reader's :meth:`_frame_source`; without one a miss reads its own
+        block."""
         if stats is not None:
             stats.blocks_read += 1
-        if cache is None:
-            return self._read_block(block_no)
         key = (self.file_id, block_no)
-        if self._device.guard is None:
-            # Two-tier path: a compressed-tier hit decodes in memory
-            # (CPU only); a full miss reads the device once and feeds
-            # both tiers.
-            return cache.get_or_load_block(key, self._read_frame, self._open_charged, stats)
-        # With a guard installed the per-block guarded read keeps
-        # retry/quarantine semantics.
-        return cache.get_or_load(key, lambda: _with_charge(self._read_block(block_no)), stats)
+        if cache is None:
+            return self._open((frames or self._read_frame)(key))
+        return cache.get_or_load_block(
+            key, frames or self._read_frame, self._open_charged, stats
+        )
+
+    def _frame_source(self, wanted: Sequence[int], span: int, cache):
+        """``frames`` for a reader that will load the ascending block numbers
+        ``wanted``: None (every miss reads its own block) when ``span`` is 1,
+        else a :class:`~repro.parallel.coalesce.FrameSource` whose misses
+        also read ahead — up to ``span`` blocks per device request, over
+        wanted blocks that are consecutive and in neither cache tier."""
+        if span == 1:
+            return None
+        from repro.parallel.coalesce import FrameSource
+
+        resident = cache.contains if cache is not None else None
+        return FrameSource(self._read_frames, wanted, span, resident)
 
     def _read_frame(self, key: "tuple[int, int]") -> bytes:
-        return self._device.read_block(*key)
+        return self._read_frames(key, 1)[0]
 
-    def _open_charged(self, payload) -> "tuple[DataBlock, int]":
-        return _with_charge(self._open(payload))
-
-
-def _with_charge(block: DataBlock) -> "tuple[DataBlock, int]":
-    """A block paired with its cache charge — what the cache's loaders return."""
-    return block, block.charge_bytes
+    def _read_frames(self, key: "tuple[int, int]", count: int) -> Sequence[bytes]:
+        """The one function that turns a block number into frames off the
+        device, and the one place a read depends on whether a read guard is
+        installed: unguarded, ``count`` consecutive raw frames in a single
+        request; guarded, only the first — read, verified, retried and
+        quarantined per block by :meth:`ReadGuard.read_parsed
+        <repro.faults.guard.ReadGuard.read_parsed>`, whose typed errors
+        (``TransientIOError``, ``CorruptionError``, ``QuarantinedFileError``)
+        propagate to the reader."""
+        device = self._device
+        guard = device.guard
+        if guard is not None:
+            return (guard.read_parsed(device, key[0], key[1], self._open)[0],)
+        if count == 1:
+            return (device.read_block(*key),)
+        return device.read_blocks(key[0], key[1], count)
 
 
 # Factories let the engine plug in any index/filter without import cycles:

@@ -112,7 +112,8 @@ class TestBlockCache:
         cache = BlockCache(15)  # room for one block: the others are counted, not held
         for key in ((1, 0), (1, 1), ("vlog", 1, 0), (2, 0), ("vlog", 2, 0)):
             cache.get_or_load(key, lambda: ("x", 10))
-        cache.get((1, 7))  # a miss through the coalescing reader's lookup
+        with pytest.raises(KeyError):  # a load that failed still counted its lookup
+            cache.get_or_load_block((1, 7), {}.__getitem__, None)
         cache.invalidate_file(1)
         assert set(cache.access_counts) == {(2, 0), ("vlog", 2, 0)}
 
@@ -191,7 +192,7 @@ class TestLeaper:
         leaper = LeaperPrefetcher(cache, hot_threshold=2, max_prefetch_blocks=1)
         assert leaper.on_compaction([old], [new]) == 1
         (block_no,) = [b for b in range(new.num_data_blocks) if cache.contains((new.file_id, b))]
-        prefetched = cache.get((new.file_id, block_no))
+        prefetched = cache.get_or_load((new.file_id, block_no), None)  # a hit: no loader runs
         demand_cache = BlockCache(1 << 20)
         demanded = new._load_block(block_no, demand_cache, None)
         assert cache.used_bytes - used == demand_cache.used_bytes == demanded.charge_bytes

@@ -82,8 +82,6 @@ class TestTwoTierReads:
         _, frame = compressible_block()
         cache.get_or_load_block("b0", lambda key: frame, decode)
         assert cache.compressed_used_bytes == 0
-        assert cache.compressed_stats.lookups == 0
-        assert cache.get_compressed("b0") is None
         assert cache.compressed_stats.lookups == 0  # no stats skew when off
 
 
@@ -142,18 +140,3 @@ class TestInvalidation:
         cache.invalidate_file(7)
         assert cache.compressed_used_bytes == len(other)
         assert cache.contains((8, 0))
-
-
-class TestPutCompressed:
-    def test_put_and_get_compressed(self):
-        cache = BlockCache(64 << 10, compressed_capacity_bytes=64 << 10)
-        _, frame = compressible_block()
-        cache.put_compressed("b0", frame)
-        assert cache.get_compressed("b0") == frame
-        assert cache.compressed_stats.hits == 1
-
-    def test_put_compressed_ignores_legacy_payloads(self):
-        cache = BlockCache(64 << 10, compressed_capacity_bytes=64 << 10)
-        entries, _ = compressible_block()
-        cache.put_compressed("b0", serialize_block(entries))
-        assert cache.compressed_used_bytes == 0

@@ -183,6 +183,28 @@ class TestRegistryIsAViewOfTheEngine:
         finally:
             db.close()
 
+    @pytest.mark.parametrize("parallel", [None, ParallelConfig(max_subcompactions=1)],
+                             ids=["key-by-key", "level-by-level"])
+    def test_every_multi_get_batch_is_counted_once_on_every_fork(self, parallel):
+        tree = make_tree(parallel=parallel)
+        registry = MetricsRegistry()
+        observe_tree(tree, registry)
+        for i in range(600):
+            tree.put(encode_uint_key(i), b"v" * 24)
+        tree.flush()
+        keys = [encode_uint_key(i) for i in (5, 250, 100, 5, 999)]
+        assert len(tree.multi_get(keys)) == 4
+        tree.multi_get([])
+        service = DBService(tree, ServiceConfig(num_workers=1))
+        try:
+            assert len(service.multi_get(keys)) == 4
+        finally:
+            service.close()
+        assert (tree.stats.multi_gets, tree.stats.multi_get_keys, tree.stats.gets) == (3, 8, 8)
+        counters = registry.snapshot()["counters"]
+        assert counters[series_name("multi_gets")] == 3
+        assert counters[series_name("multi_get_keys")] == 8
+
     def test_merged_registry_sums_the_shards_snapshots(self):
         store = ShardedStore(make_config(), even_boundaries(1000, 3))
         store.attach_observability()

@@ -9,7 +9,7 @@ from repro.errors import ReproError
 from repro.faults.guard import ReadGuard
 from repro.filters.bloom import BloomFilter
 from repro.indexes.fence import FencePointers
-from repro.parallel import CoalescingReader, ParallelConfig
+from repro.parallel import FrameSource, ParallelConfig
 from repro.storage.block_device import BlockDevice
 from repro.storage.sstable import ProbeStats, SSTableBuilder
 
@@ -30,14 +30,21 @@ def fill(tree, n=4000, keyspace=800):
     tree.compact_all()
 
 
+def blocks_of(table, readahead, cache=None, stats=None):
+    """The table's blocks as a scan or merge reads them: ``iter_chunks``."""
+    return table.iter_chunks(cache=cache, stats=stats, readahead=readahead)
+
+
 class TestCoalescingReader:
+    """The frame source as its readers drive it: ``iter_chunks(readahead=)``
+    for scans and merges, ``get_many(span=)`` for batches."""
+
     def test_iter_blocks_charges_one_seek_per_span(self, device):
         table = build_table(device)
         nblocks = len(table.fence_keys)
         assert nblocks >= 8
-        reader = CoalescingReader(device, table.file_id, span=8)
         before = device.stats.snapshot()
-        blocks = list(reader.iter_blocks(0, nblocks - 1))
+        blocks = list(blocks_of(table, readahead=8))
         delta = device.stats.delta(before)
         assert len(blocks) == nblocks
         assert delta.coalesced_reads > 0
@@ -52,11 +59,7 @@ class TestCoalescingReader:
         nblocks = min(len(table_a.fence_keys), len(table_b.fence_keys))
 
         def interleave(span):
-            readers = [
-                iter(CoalescingReader(device, t.file_id, span=span)
-                     .iter_blocks(0, nblocks - 1))
-                for t in (table_a, table_b)
-            ]
+            readers = [blocks_of(t, readahead=span) for t in (table_a, table_b)]
             before = device.stats.snapshot()
             for _ in range(nblocks):
                 for reader in readers:
@@ -70,28 +73,65 @@ class TestCoalescingReader:
 
     def test_iter_blocks_serves_cached_blocks_without_io(self, device):
         table = build_table(device)
-        nblocks = len(table.fence_keys)
         cache = BlockCache(1 << 20)
-        reader = CoalescingReader(device, table.file_id, span=8, cache=cache)
-        list(reader.iter_blocks(0, nblocks - 1))
+        list(blocks_of(table, readahead=8, cache=cache))
         before = device.stats.snapshot()
-        list(reader.iter_blocks(0, nblocks - 1))
+        list(blocks_of(table, readahead=8, cache=cache))
         assert device.stats.delta(before).blocks_read == 0
+
+    def test_spans_split_around_cached_blocks(self, device):
+        table = build_table(device)
+        nblocks = len(table.fence_keys)
+        assert nblocks >= 12
+        cache = BlockCache(1 << 20)
+        for block_no in (3, 4, 9):
+            table._load_block(block_no, cache, None)
+        before = device.stats.snapshot()
+        stats = ProbeStats()
+        assert len(list(blocks_of(table, 8, cache, stats))) == nblocks
+        delta = device.stats.delta(before)
+        # A cached block is never re-read to keep a request contiguous:
+        # 0-2, 5-8, then 10.. in spans of eight.
+        assert delta.blocks_read == nblocks - 3
+        assert delta.coalesced_reads == 2 + -(-(nblocks - 10) // 8)
+        assert (stats.blocks_read, stats.cache_hits) == (nblocks, 3)
+        assert cache.stats.lookups == nblocks + 3
 
     def test_load_many_groups_adjacent_blocks(self, device):
         table = build_table(device)
-        reader = CoalescingReader(device, table.file_id, span=8)
+        fences = table.fence_keys
+        keys = [fences[block_no] for block_no in (0, 1, 2, 3, 10, 11, 20)]
         before = device.stats.snapshot()
-        blocks = reader.load_many([0, 1, 2, 3, 10, 11, 20])
+        found = table.get_many(keys, span=8)
         delta = device.stats.delta(before)
-        assert sorted(blocks) == [0, 1, 2, 3, 10, 11, 20]
-        # Three adjacency groups -> at most three random positionings.
+        assert sorted(found) == keys
+        # Three adjacency groups -> three requests, two of them coalesced.
         assert delta.random_reads <= 3
         assert delta.blocks_read == 7
+        assert (delta.coalesced_reads, delta.coalesced_blocks) == (2, 6)
+
+    def test_a_batch_loads_each_block_once(self, device):
+        # Two keys of one block are one load — at any span, cache or none.
+        table = build_table(device)
+        fences = table.fence_keys
+        keys = sorted([fences[0], fences[0][:-1] + b"\x01", fences[1], fences[2]])
+        single = ProbeStats()
+        expected = {k: e for k in keys if (e := table.get(k, single)) is not None}
+        for span in (1, 8):
+            before = device.stats.snapshot()
+            batched = ProbeStats()
+            assert table.get_many(keys, stats=batched, span=span) == expected
+            assert batched.blocks_read == 3 < single.blocks_read
+            assert device.stats.delta(before).blocks_read == 3
 
     def test_span_validation(self, device):
+        table = build_table(device)
         with pytest.raises(ValueError):
-            CoalescingReader(device, 0, span=0)
+            next(blocks_of(table, readahead=0))
+        with pytest.raises(ValueError):
+            table.get_many([table.min_key], span=0)
+        with pytest.raises(ValueError):
+            FrameSource(table._read_frames, range(4), span=0)
 
 
 class TestScanReadahead:
@@ -116,9 +156,7 @@ class TestScanReadahead:
 
 class TestMultiGetCoalescing:
     def test_multi_get_matches_individual_gets(self):
-        tree = make_tree(
-            parallel=ParallelConfig(max_subcompactions=1, coalesce_point_reads=True)
-        )
+        tree = make_tree(parallel=ParallelConfig(max_subcompactions=1))
         fill(tree)
         keys = [encode_uint_key(i) for i in range(0, 800, 7)]
         keys.append(encode_uint_key(10_000))  # absent key
@@ -132,7 +170,7 @@ class TestMultiGetCoalescing:
     def test_multi_get_coalesces_adjacent_candidates(self):
         tree = make_tree(
             bits_per_key=0.0,  # no filters: every run probes its blocks
-            parallel=ParallelConfig(max_subcompactions=1, coalesce_point_reads=True),
+            parallel=ParallelConfig(max_subcompactions=1),
         )
         fill(tree)
         dense = [encode_uint_key(i) for i in range(100, 200)]
@@ -154,7 +192,7 @@ class TestMultiGetCoalescing:
         coalesced batch hashes its key — and each is counted."""
         tree = make_tree(
             shared_hashing=True,
-            parallel=ParallelConfig(max_subcompactions=1, coalesce_point_reads=True),
+            parallel=ParallelConfig(max_subcompactions=1),
         )
         for i in range(2000):
             tree.put(encode_uint_key((i * 31) % 800), b"v%07d" % i)

@@ -70,7 +70,7 @@ def test_parallel_compaction_equivalent_to_serial(ops, seed):
 @settings(max_examples=25, deadline=None)
 @given(ops=OPS, seed=st.integers(0, 2**16))
 def test_multi_get_equivalent_to_gets(ops, seed):
-    tree = build_tree(seed, ParallelConfig(coalesce_point_reads=True))
+    tree = build_tree(seed, ParallelConfig())
     apply_ops(tree, ops)
     keys = [encode_uint_key(n) for n in range(121)]
     batched = tree.multi_get(keys)

@@ -74,7 +74,7 @@ def test_concurrent_scans_lose_no_counts():
 
 def test_concurrent_multi_gets_lose_no_counts():
     tree = build_static_tree(
-        parallel=ParallelConfig(max_subcompactions=1, coalesce_point_reads=True)
+        parallel=ParallelConfig(max_subcompactions=1)
     )
     threads, batches_each, batch = 6, 10, 25
     base_gets = tree.stats.gets

@@ -19,7 +19,6 @@ from repro.cache.block_cache import BlockCache
 from repro.common.encoding import decode_varint, get_length_prefixed
 from repro.common.entry import Entry, EntryKind
 from repro.errors import CorruptionError, ReproError
-from repro.parallel.coalesce import CoalescingReader
 from repro.storage import sstable
 from repro.storage.block_device import BlockDevice
 from repro.storage.compression import codec_by_id, get_codec, is_compressed_frame
@@ -478,19 +477,22 @@ def test_a_cold_get_resolves_parse_block_through_the_module(parse_calls):
 def test_a_cold_coalesced_load_resolves_parse_block_through_the_module(parse_calls, codec):
     device, table = _table(codec=get_codec(codec))
     cache = BlockCache(1 << 20, compressed_capacity_bytes=1 << 20)
-    reader = CoalescingReader(device, table.file_id, span=4, cache=cache)
+    fences = table.fence_keys
     reads = device.stats.blocks_read
-    assert len(reader.load_many([0, 1, 2, 5])) == 4
-    assert len(list(reader.iter_blocks(6, 12))) == 7
+    assert len(table.get_many([fences[b] for b in (0, 1, 2, 5)], cache=cache, span=4)) == 4
+    chunks = table.iter_chunks(fences[6], fences[13][:-1], cache=cache, readahead=4)
+    assert len(list(chunks)) == 7
     blocks = device.stats.blocks_read - reads
     assert blocks == 11 and len(parse_calls) == blocks
     # A compressed-tier hit is opened through the same name.
     cache_only = BlockCache(0, compressed_capacity_bytes=1 << 20)
-    reader = CoalescingReader(device, table.file_id, span=4, cache=cache_only)
-    list(reader.iter_blocks(0, 3))
+    first_four = lambda: list(
+        table.iter_chunks(end=fences[4][:-1], cache=cache_only, readahead=4)
+    )
+    assert len(first_four()) == 4
     del parse_calls[:]
     reads = device.stats.blocks_read
-    list(reader.iter_blocks(0, 3))
+    first_four()
     if codec == "zlib":
         assert device.stats.blocks_read == reads and len(parse_calls) == 4
     else:
