@@ -167,8 +167,11 @@ class BlockCache:
         as an argument, so a caller passes plain methods instead of building
         two closures per lookup. A compressed-tier hit pays only the decode;
         a full miss pays both and feeds both tiers — the raw frame is
-        retained only when it is actually compressed (caching a legacy
-        payload raw buys nothing over the opened block).
+        retained only when it is actually compressed (caching a raw
+        payload buys nothing over the opened block). For a v2 table's block
+        that test is exact: byte 0 is the frame magic exactly when the block
+        is framed, since a raw v2 block opens with a head byte below 0x80.
+        A v1 payload is still told apart by the magic + codec-id guess.
         Loads are single-flight per key, sharing the leader/waiter protocol
         of :meth:`get_or_load`.
         """

@@ -112,9 +112,9 @@ class LSMConfig:
         compression: per-block codec for SSTable data blocks ('none',
             'zlib', 'rle' — see :mod:`repro.storage.compression`). Trades
             flush/compaction/read CPU for device bytes; files written under
-            any setting stay readable under any other (the block format is
-            self-describing per block). WAL and value-log blocks never
-            compress.
+            any setting stay readable under any other (each block says
+            whether it is framed, and each table's footer records its
+            block format). WAL and value-log blocks never compress.
         compressed_cache_bytes: budget for the block cache's compressed
             tier, which retains raw on-device frames so a miss in the
             (decoded) ``cache_bytes`` tier costs a decompression instead of

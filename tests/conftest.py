@@ -1,6 +1,7 @@
 """Shared fixtures: tiny trees and devices sized for fast tests."""
 
 import pytest
+from hypothesis import settings
 
 from repro import LSMConfig, LSMTree
 from repro.storage.block_device import BlockDevice
@@ -31,3 +32,8 @@ def make_tree(**overrides) -> LSMTree:
 @pytest.fixture
 def small_tree():
     return make_tree()
+
+
+# The block-decoder fuzz target's CI run: reproducible, with a fixed budget
+# (``pytest tests/storage/test_block_fuzz.py --hypothesis-profile=block-fuzz``).
+settings.register_profile("block-fuzz", derandomize=True, max_examples=600, deadline=None)
