@@ -101,9 +101,9 @@ def observe(kind: str) -> dict:
 
 _STATS = {
     "batched_records": 0, "batches_committed": 0,
-    "block_bytes_stored": 1518401, "block_bytes_uncompressed": 1518401,
+    "block_bytes_stored": 1519163, "block_bytes_uncompressed": 1519163,
     "blocks_per_get": 0.90376634973998, "blocks_written": 1663, "bulk_ingested": 0,
-    "compaction_bytes_in": 1204300, "compaction_bytes_out": 1204068,
+    "compaction_bytes_in": 1204935, "compaction_bytes_out": 1204708,
     "compaction_jobs": 0, "compactions": 11, "compression_ratio": 1.0, "deletes": 0,
     "entries_per_scan": 0.0, "false_positives": 49,
     "filter_fpr_observed": 0.0037984496124031006, "filter_negatives": 12851,

@@ -118,27 +118,27 @@ _FIELDS = (
 )
 # fmt: off
 _ROWS = {
-    "kv_separation": (3703, 2804, 3245, 84, 1, 762245, 634110, 765, '9635cb4896495fd1'),
-    "kv_separation_partial": (4110, 4124, 3741, 136, 6, 882160, 751800, 768, '9635cb4896495fd1'),
-    "lazy_leveling": (4916, 4377, 3810, 120, 2, 1632554, 1325564, 868, '9635cb4896495fd1'),
-    "leveling": (6010, 5548, 4472, 166, 4, 2061510, 1802372, 744, 'aec0cfe3fceafe8c'),
-    "leveling_files": (7275, 8695, 5975, 167, 4, 2201730, 1892714, 871, 'df3b1b44e1bfdf4a'),
-    "leveling_lazy_pacing": (6000, 5537, 4469, 165, 4, 2057069, 1798146, 744, '9635cb4896495fd1'),
-    "leveling_staleness": (6416, 6018, 4276, 167, 11, 2315038, 2007082, 872, 'aec0cfe3fceafe8c'),
-    "leveling_wal": (6008, 7094, 4474, 166, 4, 2060602, 1801331, 746, 'aec0cfe3fceafe8c'),
-    "none_sub1": (6212, 5726, 2066, 166, 4, 2187280, 1881393, 824, '1ff5864923d7086c'),
-    "none_sub4": (7384, 6338, 3281, 166, 4, 2191805, 1886018, 824, '1ff5864923d7086c'),
-    "partial_coldest": (11646, 14754, 8558, 405, 4, 3795554, 3475163, 834, '089b898e53a8a243'),
-    "partial_least_overlap": (8122, 9929, 6527, 463, 45, 2442893, 2184396, 729, '41b50a67384df46c'),
-    "partial_most_tombstones": (9140, 11313, 7159, 445, 7, 2847287, 2551393, 763, 'e862a0931c05ba47'),
-    "partial_oldest": (11646, 14754, 8558, 405, 4, 3795554, 3475163, 834, '089b898e53a8a243'),
-    "partial_round_robin": (8228, 10058, 6554, 433, 23, 2500773, 2220283, 711, '41b50a67384df46c'),
-    "partial_staleness": (8980, 11091, 6980, 405, 237, 2792259, 2493031, 825, 'e862a0931c05ba47'),
-    "rle_sub1": (8425, 8131, 1845, 185, 0, 945040, 841379, 859, '1ff5864923d7086c'),
-    "rle_sub4": (9679, 8715, 3274, 185, 0, 951256, 847592, 859, '1ff5864923d7086c'),
-    "tiering": (4918, 4329, 4197, 124, 0, 1590883, 1303827, 824, 'aec0cfe3fceafe8c'),
-    "zlib_sub1": (9230, 8983, 1837, 189, 0, 863862, 776903, 846, '1ff5864923d7086c'),
-    "zlib_sub4": (10365, 9380, 4212, 189, 0, 857123, 771765, 836, '1ff5864923d7086c'),
+    "kv_separation": (3703, 2804, 3245, 84, 1, 762252, 634203, 765, '9635cb4896495fd1'),
+    "kv_separation_partial": (4110, 4124, 3741, 136, 6, 882199, 751925, 768, '9635cb4896495fd1'),
+    "lazy_leveling": (4916, 4377, 3810, 120, 2, 1630884, 1324291, 868, '9635cb4896495fd1'),
+    "leveling": (6010, 5548, 4472, 166, 4, 2059389, 1800605, 744, 'aec0cfe3fceafe8c'),
+    "leveling_files": (7275, 8695, 5975, 167, 4, 2199415, 1890796, 871, 'df3b1b44e1bfdf4a'),
+    "leveling_lazy_pacing": (6000, 5537, 4469, 165, 4, 2054951, 1796382, 744, '9635cb4896495fd1'),
+    "leveling_staleness": (6416, 6018, 4276, 167, 11, 2312680, 2005121, 872, 'aec0cfe3fceafe8c'),
+    "leveling_wal": (6008, 7094, 4474, 166, 4, 2058481, 1799564, 746, 'aec0cfe3fceafe8c'),
+    "none_sub1": (6212, 5726, 2066, 166, 4, 2185037, 1879548, 824, '1ff5864923d7086c'),
+    "none_sub4": (7384, 6338, 3281, 166, 4, 2189582, 1884193, 824, '1ff5864923d7086c'),
+    "partial_coldest": (11644, 14751, 8558, 405, 4, 3792100, 3472119, 834, '089b898e53a8a243'),
+    "partial_least_overlap": (8069, 9839, 6474, 451, 55, 2418976, 2162790, 729, '41b50a67384df46c'),
+    "partial_most_tombstones": (9185, 11388, 7207, 450, 6, 2863229, 2568432, 761, 'e862a0931c05ba47'),
+    "partial_oldest": (11644, 14751, 8558, 405, 4, 3792100, 3472119, 834, '089b898e53a8a243'),
+    "partial_round_robin": (8279, 10110, 6572, 433, 23, 2507524, 2222697, 723, '41b50a67384df46c'),
+    "partial_staleness": (8975, 11086, 6980, 405, 237, 2787966, 2489117, 825, 'e862a0931c05ba47'),
+    "rle_sub1": (8376, 8083, 1836, 186, 0, 917065, 819405, 824, '1ff5864923d7086c'),
+    "rle_sub4": (9608, 8642, 3274, 186, 0, 922178, 825103, 818, '1ff5864923d7086c'),
+    "tiering": (4918, 4329, 4197, 124, 0, 1589107, 1302427, 824, 'aec0cfe3fceafe8c'),
+    "zlib_sub1": (9016, 8753, 1844, 189, 0, 868112, 780807, 816, '1ff5864923d7086c'),
+    "zlib_sub4": (10269, 9296, 4212, 189, 0, 870345, 783806, 811, '1ff5864923d7086c'),
 }
 # fmt: on
 GOLDENS = {name: dict(zip(_FIELDS, row)) for name, row in _ROWS.items()}
