@@ -37,6 +37,18 @@ class EntryKind(enum.IntEnum):
     PUT_TTL = 3
 
 
+# The kinds as module constants, the only spelling function bodies on the hot
+# paths use: on Python 3.11 ``EntryKind.X`` costs ~160 ns a read (the enum
+# metaclass defines ``__getattr__``, which keeps the interpreter from
+# specialising the attribute load), a module global ~3 ns. They are the
+# members themselves, so ``kind is DELETE`` and ``kind is EntryKind.DELETE``
+# agree. CI's enum-read gate keeps ``EntryKind.<member>`` out of the hot
+# modules' function bodies.
+PUT = EntryKind.PUT
+DELETE = EntryKind.DELETE
+MERGE = EntryKind.MERGE
+PUT_TTL = EntryKind.PUT_TTL
+
 _TTL_DEADLINE = struct.Struct(">d")
 
 
@@ -80,17 +92,20 @@ class Entry:
         self,
         key: bytes,
         seqno: int,
-        kind: EntryKind = EntryKind.PUT,
+        kind: EntryKind = PUT,
         value: bytes = b"",
     ) -> None:
         if seqno < 0:
             raise ValueError("seqno must be non-negative")
-        if kind is EntryKind.DELETE and value:
+        if kind is DELETE and value:
             raise ValueError("tombstones carry no value")
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "seqno", seqno)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
+        # The slots' own setters (bound below the class): half the cost of
+        # four ``object.__setattr__`` calls, and they bypass the blocking
+        # ``__setattr__`` just the same.
+        _set_key(self, key)
+        _set_seqno(self, seqno)
+        _set_kind(self, kind)
+        _set_value(self, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"Entry is immutable; cannot set {name!r}")
@@ -120,17 +135,17 @@ class Entry:
     @property
     def is_tombstone(self) -> bool:
         """True when the entry logically deletes its key."""
-        return self.kind is EntryKind.DELETE
+        return self.kind is DELETE
 
     @property
     def is_merge(self) -> bool:
         """True when the entry is a merge operand (not a full value)."""
-        return self.kind is EntryKind.MERGE
+        return self.kind is MERGE
 
     def expired(self, now: float) -> bool:
         """True when this PUT_TTL entry's deadline has passed (``now`` may
         equal the deadline: a key is invisible at exactly its deadline)."""
-        if self.kind is not EntryKind.PUT_TTL:
+        if self.kind is not PUT_TTL:
             return False
         return now >= _TTL_DEADLINE.unpack_from(self.value)[0]
 
@@ -152,6 +167,12 @@ class Entry:
         return len(self.key) + len(self.value) + 16
 
 
+_set_key = Entry.key.__set__
+_set_seqno = Entry.seqno.__set__
+_set_kind = Entry.kind.__set__
+_set_value = Entry.value.__set__
+
+
 def split_chain(versions) -> "Tuple[Optional[Entry], list]":
     """Split one key's versions (newest first) at its first non-merge version.
 
@@ -161,7 +182,7 @@ def split_chain(versions) -> "Tuple[Optional[Entry], list]":
     """
     operands = []
     for entry in versions:
-        if entry.kind is EntryKind.MERGE:
+        if entry.kind is MERGE:
             operands.append(entry)
         else:
             return entry, operands
@@ -176,10 +197,10 @@ def live_value(entry: Optional[Entry], now: float, values=None) -> Optional[byte
     :class:`~repro.storage.value_log.ValueCodec`) decodes the stored form of
     a tree with key-value separation.
     """
-    if entry is None or entry.kind is EntryKind.DELETE:
+    if entry is None or entry.kind is DELETE:
         return None
     stored = entry.value
-    if entry.kind is EntryKind.PUT_TTL:
+    if entry.kind is PUT_TTL:
         deadline, stored = decode_ttl_value(stored)
         if now >= deadline:
             return None

@@ -12,8 +12,11 @@ import concurrent.futures
 from typing import Callable, List, Optional
 
 from repro.common.entry import (
+    DELETE,
+    MERGE,
+    PUT,
+    PUT_TTL,
     Entry,
-    EntryKind,
     encode_merge_value,
     live_value,
     split_chain,
@@ -127,16 +130,16 @@ class CompactionExecutor:
         def fold(group: List[Entry]) -> Optional[Entry]:
             newest = group[0]
             kind = newest.kind
-            if kind is not EntryKind.MERGE:
-                if kind is EntryKind.DELETE:
+            if kind is not MERGE:
+                if kind is DELETE:
                     return None if purge else newest
-                if kind is EntryKind.PUT_TTL and newest.expired(now):
+                if kind is PUT_TTL and newest.expired(now):
                     note_expired()
                     if purge:
                         return None
                     # Older copies may live below this compaction's output:
                     # leave a tombstone at the same seqno to shadow them.
-                    return Entry(key=newest.key, seqno=newest.seqno, kind=EntryKind.DELETE)
+                    return Entry(key=newest.key, seqno=newest.seqno, kind=DELETE)
                 if keep is not None and not keep(newest.key, newest.value):
                     note_filtered()
                     return None
@@ -150,7 +153,7 @@ class CompactionExecutor:
                 for part in reversed(parts[:-1]):  # older -> newer
                     combined = op.combine(combined, part)
                 return Entry(
-                    key=newest.key, seqno=newest.seqno, kind=EntryKind.MERGE,
+                    key=newest.key, seqno=newest.seqno, kind=MERGE,
                     value=encode_merge_value(op.name, combined),
                 )
             if base is not None and base.expired(now):
@@ -160,6 +163,6 @@ class CompactionExecutor:
             if keep is not None and not keep(newest.key, stored):
                 note_filtered()
                 return None
-            return Entry(key=newest.key, seqno=newest.seqno, kind=EntryKind.PUT, value=stored)
+            return Entry(key=newest.key, seqno=newest.seqno, kind=PUT, value=stored)
 
         return fold

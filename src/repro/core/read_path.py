@@ -13,11 +13,12 @@ back to the tree.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.common.entry import Entry, GetResult, live_value, split_chain
-from repro.core.iterator import merge_entry_versions
+from repro.common.entry import MERGE, Entry, GetResult, live_value, split_chain
+from repro.core.iterator import Chunk, merge_chunk_versions
 from repro.filters.hashing import hash64
 from repro.storage.run import Run
 from repro.storage.sstable import ProbeStats
@@ -89,6 +90,17 @@ def lookup(
         if base is not None:
             return base, operands, level_no, runs_probed, digests
     return None, operands, None, runs_probed, digests
+
+
+def _window(buffer: Chunk, start: Optional[bytes], end: Optional[bytes]) -> Chunk:
+    """The part of an in-memory buffer's ``(keys, entries)`` with
+    ``start <= key <= end``; the buffer itself when all of it is in range."""
+    keys, entries = buffer
+    lo = 0 if start is None else bisect_left(keys, start)
+    hi = len(keys) if end is None else bisect_right(keys, end, lo)
+    if lo == 0 and hi == len(keys):
+        return buffer
+    return keys[lo:hi], entries[lo:hi]
 
 
 def assemble(
@@ -291,7 +303,7 @@ class ReadPath:
 
     def scan(
         self,
-        memtable_entries: Sequence[Entry],
+        buffers: Sequence[Chunk],
         runs: Sequence[Run],
         start: Optional[bytes],
         end: Optional[bytes],
@@ -301,24 +313,32 @@ class ReadPath:
     ) -> Iterator[Tuple[bytes, bytes]]:
         """The scan engine: merge pinned streams, fold merge chains, mask
         tombstones and expired TTLs (``now`` is the TTL clock for the whole
-        scan), and yield decoded user values in key order. Runs whose range
-        filter proves the interval empty are skipped without I/O (tutorial
-        §II-B.3). ``on_close`` runs when the iterator is exhausted or closed
-        (the caller releases its pins there)."""
+        scan), and yield decoded user values in key order.
+
+        ``buffers`` are the in-memory buffers' ``(keys, entries)`` (each
+        sorted by key, a key's versions newest first); each one's
+        ``[start, end]`` window is one chunk of the merge, the runs stream
+        theirs a data block at a time, and one merge
+        (:func:`merge_chunk_versions`) serves both. Runs whose range filter
+        proves the interval empty are skipped without I/O (tutorial
+        §II-B.3). Nothing is read before the first ``next()``; a block is
+        read only when the merge reaches it. ``on_close`` runs when the
+        iterator is exhausted, closed or dropped, even before its first
+        ``next()`` (the caller releases its pins there)."""
+        scan = self._scan(buffers, runs, start, end, now, observer, on_close)
+        next(scan)  # into the try: closing an unstarted scan runs on_close
+        return scan
+
+    def _scan(self, buffers, runs, start, end, now, observer, on_close):
         probe = ProbeStats()
-
-        def buffered() -> Iterator[Entry]:
-            for entry in memtable_entries:
-                if start is not None and entry.key < start:
-                    continue
-                if end is not None and entry.key > end:
-                    return
-                yield entry
-
-        wall0 = time.perf_counter() if observer is not None else 0.0
         produced = 0
+        values = self._values
+        wall0 = None  # set on the first next(): an unstarted scan records no latency
         try:
-            streams = [buffered()]
+            yield
+            if observer is not None:
+                wall0 = time.perf_counter()
+            streams = [(_window(buffer, start, end),) for buffer in buffers]
             for run in runs:
                 if start is not None and end is not None:
                     if not run.overlaps(start, end):
@@ -326,22 +346,28 @@ class ReadPath:
                     if not run.may_contain_range(start, end):
                         continue  # range filter saved the whole seek
                 streams.append(
-                    run.iter_entries(
+                    run.iter_chunks(
                         start=start, end=end, cache=self.cache, stats=probe,
                         readahead=self._scan_readahead,
                     )
                 )
-            for group in merge_entry_versions(streams):
-                value = self.resolve(*split_chain(group), now)
+            # Each group resolves as it is yielded: a value-log read keeps its
+            # place among the block reads the merge makes.
+            for group in merge_chunk_versions(streams):
+                newest = group[0]
+                if len(group) == 1 and newest.kind is not MERGE:
+                    value = live_value(newest, now, values)
+                else:
+                    value = self.resolve(*split_chain(group), now)
                 if value is None:
                     continue
                 produced += 1
-                yield group[0].key, value
+                yield newest.key, value
         finally:
             with self._stats_lock:
                 self._stats.scan_entries += produced
                 self._stats.probe.merge(probe)
             if on_close is not None:
                 on_close()
-            if observer is not None:
+            if wall0 is not None:
                 observer.record_scan(time.perf_counter() - wall0)

@@ -13,8 +13,10 @@ import math
 from typing import Optional, Tuple
 
 from repro.common.entry import (
+    DELETE,
+    MERGE,
+    PUT_TTL,
     Entry,
-    EntryKind,
     decode_merge_value,
     decode_ttl_value,
     encode_merge_value,
@@ -55,12 +57,12 @@ def stage(
         ValueError: unknown ``kind``.
     """
     if kind == "delete":
-        record = Entry(key=key, seqno=seqno, kind=EntryKind.DELETE)
+        record = Entry(key=key, seqno=seqno, kind=DELETE)
         return record, record
     if kind == "merge":
         operators.get(str(meta))
         record = Entry(
-            key=key, seqno=seqno, kind=EntryKind.MERGE,
+            key=key, seqno=seqno, kind=MERGE,
             value=encode_merge_value(str(meta), value),
         )
         return record, record
@@ -90,7 +92,7 @@ def _put_entry(key: bytes, seqno: int, payload: bytes, deadline: Optional[float]
     if deadline is None:
         return Entry(key=key, seqno=seqno, value=payload)
     return Entry(
-        key=key, seqno=seqno, kind=EntryKind.PUT_TTL, value=encode_ttl_value(deadline, payload)
+        key=key, seqno=seqno, kind=PUT_TTL, value=encode_ttl_value(deadline, payload)
     )
 
 
@@ -118,7 +120,7 @@ def fold_operand(existing: Optional[Entry], operand: Entry, now: float, values, 
                 f"with {name!r}"
             )
         return Entry(
-            key=operand.key, seqno=operand.seqno, kind=EntryKind.MERGE,
+            key=operand.key, seqno=operand.seqno, kind=MERGE,
             value=encode_merge_value(name, op.combine(older, part)),
         )
     # A DELETE or expired-TTL base folds from absent. The folded result is a
@@ -133,12 +135,12 @@ def op_of(record: Entry) -> "Tuple[str, bytes, Optional[bytes], object]":
     """The op a WAL record replays as; feed it to :func:`stage` with
     ``now=0.0`` (a recorded deadline is a TTL relative to time zero, so the
     absolute deadline survives exactly)."""
-    if record.kind is EntryKind.DELETE:
+    if record.kind is DELETE:
         return "delete", record.key, None, None
-    if record.kind is EntryKind.MERGE:
+    if record.kind is MERGE:
         name, operand = decode_merge_value(record.value)
         return "merge", record.key, operand, name
-    if record.kind is EntryKind.PUT_TTL:
+    if record.kind is PUT_TTL:
         deadline, payload = decode_ttl_value(record.value)
         return "put_ttl", record.key, payload, deadline
     return "put", record.key, record.value, None

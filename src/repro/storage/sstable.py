@@ -33,7 +33,7 @@ from operator import add, le, lshift, or_, rshift, sub
 from typing import Callable, Iterator, List, Optional, Sequence, Union
 
 from repro.common.encoding import decode_varint, encode_varint
-from repro.common.entry import Entry, EntryKind
+from repro.common.entry import DELETE, Entry, EntryKind
 from repro.errors import CorruptionError, ReproError, SimulatedCrashError, StorageError
 from repro.storage.block_device import BlockDevice
 from repro.storage.compression import (
@@ -1493,7 +1493,7 @@ class SSTableBuilder:
         self._keys += keys
         self._block_first_keys.append(keys[0])
         self._block_last_keys.append(keys[-1])
-        self._tombstones += [entry.kind for entry in self._pending].count(EntryKind.DELETE)
+        self._tombstones += [entry.kind for entry in self._pending].count(DELETE)
         self._pending = []
         self._pending_size = len(encode_varint(0))
 

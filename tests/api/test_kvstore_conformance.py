@@ -105,6 +105,26 @@ def test_scan_ordered_range(store):
     ]
 
 
+def test_scan_sees_the_store_as_of_the_call(store):
+    """Writes made after ``scan()`` returns are invisible to that scan, before
+    its first ``next()`` and mid-iteration, on both sides of the sharded
+    handle's split key (the wire client's scan arrives whole)."""
+    for key in (b"a", b"f", b"r", b"x"):
+        store.put(key, b"1")
+    pending = iter(store.scan())
+    store.put(b"b", b"new")
+    store.delete(b"f")
+    first = next(pending)
+    store.put(b"y", b"new")
+    store.delete(b"x")
+    store.merge(b"r", b"5")
+    store.put(b"s", b"new", ttl=1e9)
+    assert [first] + list(pending) == [(b"a", b"1"), (b"f", b"1"), (b"r", b"1"), (b"x", b"1")]
+    assert list(store.scan()) == [
+        (b"a", b"1"), (b"b", b"new"), (b"r", b"6"), (b"s", b"new"), (b"y", b"new")
+    ]
+
+
 def test_write_batch_applies_atomically_in_order(store):
     batch = WriteBatch()
     batch.put(b"b1", b"old")
