@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.cache.policies import EvictionPolicy, LRUPolicy, make_policy
-from repro.storage.compression import is_compressed_frame
 
 
 @dataclass
@@ -153,7 +152,7 @@ class BlockCache:
         self,
         key: Hashable,
         load_frame: Callable[[Hashable], bytes],
-        decode: Callable[[bytes], Tuple[object, int]],
+        decode: Callable[[bytes], Tuple[object, int, bool]],
         stats=None,
     ):
         """The two-tier read: uncompressed hit → compressed hit → device.
@@ -163,17 +162,14 @@ class BlockCache:
         :meth:`get_or_load`, and touches neither callback. Otherwise
         ``load_frame(key)`` reads the raw on-device payload (the expensive
         step: one device block read) and ``decode`` opens a payload as
-        ``(block, decoded_charge)`` (pure CPU); both take what they work on
-        as an argument, so a caller passes plain methods instead of building
-        two closures per lookup. A compressed-tier hit pays only the decode;
-        a full miss pays both and feeds both tiers — the raw frame is
-        retained only when it is actually compressed (caching a raw
-        payload buys nothing over the opened block). For a v2 table's block
-        that test is exact: byte 0 is the frame magic exactly when the block
-        is framed, since a raw v2 block opens with a head byte below 0x80.
-        A v1 payload is still told apart by the magic + codec-id guess.
-        Loads are single-flight per key, sharing the leader/waiter protocol
-        of :meth:`get_or_load`.
+        ``(block, decoded_charge, compressed)`` (pure CPU); both take what
+        they work on as an argument, so a caller passes plain methods instead
+        of building two closures per lookup. A compressed-tier hit pays only
+        the decode; a full miss pays both and feeds both tiers — the raw
+        frame is retained only when ``decode`` reports it compressed
+        (caching a raw payload buys nothing over the opened block). Loads
+        are single-flight per key, sharing the leader/waiter protocol of
+        :meth:`get_or_load`.
         """
         cached = self._hit_or_lead(key, stats)
         if cached is not _LEAD:
@@ -183,16 +179,12 @@ class BlockCache:
             from_device = frame is None
             if from_device:
                 frame = load_frame(key)
-            value, charge = decode(frame)
+            value, charge, compressed = decode(frame)
         except BaseException:
             self._end_load(key)
             raise
         with self._lock:
-            if (
-                from_device
-                and self.compressed_capacity_bytes
-                and is_compressed_frame(frame)
-            ):
+            if from_device and compressed and self.compressed_capacity_bytes:
                 self._insert_compressed(key, frame, len(frame))
             if key not in self._entries:
                 self._insert(key, value, charge)

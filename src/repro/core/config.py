@@ -111,10 +111,10 @@ class LSMConfig:
             ``append_set`` are always available).
         compression: per-block codec for SSTable data blocks ('none',
             'zlib', 'rle' — see :mod:`repro.storage.compression`). Trades
-            flush/compaction/read CPU for device bytes; files written under
-            any setting stay readable under any other (each block says
-            whether it is framed, and each table's footer records its
-            block format). WAL and value-log blocks never compress.
+            flush/compaction/read CPU for device bytes; tables written under
+            any setting stay readable under any other (byte 0 of a table
+            block says whether it is a compressed frame). WAL and
+            value-log blocks are never compressed.
         compressed_cache_bytes: budget for the block cache's compressed
             tier, which retains raw on-device frames so a miss in the
             (decoded) ``cache_bytes`` tier costs a decompression instead of

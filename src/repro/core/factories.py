@@ -34,8 +34,8 @@ class AuxFactory:
     def __init__(self, config: LSMConfig) -> None:
         self._config = config
         self._seeds = itertools.count(config.seed)
-        # The block codec flushes and compactions write with; None keeps the
-        # legacy layout. Reads never consult it (blocks self-describe).
+        # The block codec flushes and compactions write with; None writes
+        # raw blocks. Reads never consult it (byte 0 of a block says).
         self._codec = (
             get_codec(config.compression) if config.compression != "none" else None
         )

@@ -7,11 +7,12 @@ after every structure-changing operation, so recovery can rebuild the tree
 from the device alone.
 
 Crash safety comes from ordering plus validation: the new manifest is fully
-written and sealed *before* the old one is deleted, every manifest carries a
-CRC32 footer, and :func:`find_manifest` ignores torn or corrupt candidates —
-so a crash at any block of a manifest write leaves the previous manifest as
-the newest *valid* one. Several trees (shards) may share one device; each
-manifest names its owner and discovery filters by name.
+written and sealed *before* the old one is deleted, every manifest ends in a
+CRC32 line, a file without a matching one is invalid, and
+:func:`find_manifest` skips invalid candidates — so a crash at any block of a
+manifest write leaves the previous manifest as the newest *valid* one.
+Several trees (shards) may share one device; each manifest names its owner
+and discovery filters by name.
 
 Format (one text line each)::
 
@@ -22,9 +23,6 @@ Format (one text line each)::
     vlog <file id> ...
     level <n> / run <file id> ...     # repeated
     crc <crc32 of all preceding lines>
-
-The legacy single-WAL ``wal <id>`` tag and CRC-less files are still parsed
-so pre-hardening devices/checkpoints recover cleanly.
 """
 
 from __future__ import annotations
@@ -52,11 +50,6 @@ class ManifestData:
     vlog_files: List[int] = field(default_factory=list)
     # levels[i] = list of runs; each run = list of file ids (min-key order).
     levels: List[List[List[int]]] = field(default_factory=list)
-
-    @property
-    def wal_file(self) -> Optional[int]:
-        """The newest live WAL (legacy single-WAL accessor)."""
-        return self.wal_files[-1] if self.wal_files else None
 
     def referenced_files(self) -> "set[int]":
         refs = set(self.vlog_files)
@@ -106,8 +99,9 @@ def find_manifest(device: BlockDevice, name: Optional[str] = None) -> Optional[i
         name: restrict to manifests owned by this tree (shards share a
             device); ``None`` accepts any owner.
 
-    Torn or checksum-corrupt candidates are skipped, never raised: after a
-    crash mid-manifest-write, the previous manifest wins.
+    Torn or checksum-corrupt candidates are skipped, never raised: a write
+    cut at any block lacks its ``crc`` line, so after a crash
+    mid-manifest-write the previous manifest wins.
     """
     newest = None
     for file_id in device.live_files:
@@ -133,8 +127,8 @@ def read_manifest(device: BlockDevice, file_id: int) -> ManifestData:
     """Parse and validate a manifest file.
 
     Raises:
-        StorageError: if the file is not a structurally valid manifest or
-            its CRC footer does not match.
+        StorageError: if the file is not a structurally valid manifest, or
+            does not end in a ``crc`` line matching everything before it.
     """
     payload = b"".join(
         device.read_block(file_id, block) for block in range(device.num_blocks(file_id))
@@ -146,23 +140,14 @@ def read_manifest(device: BlockDevice, file_id: int) -> ManifestData:
     except UnicodeDecodeError:
         raise StorageError(f"manifest {file_id} is not valid text") from None
     lines = text.splitlines(keepends=True)
-    if lines and lines[-1].startswith("crc "):
-        body = "".join(lines[:-1]).encode()
-        expected = lines[-1].split()[1].strip()
-        actual = f"{zlib.crc32(body) & 0xFFFFFFFF:08x}"
-        if actual != expected:
-            raise StorageError(
-                f"manifest {file_id} checksum mismatch ({actual} != {expected})"
-            )
-        lines = lines[:-1]
-    elif not text.endswith("\n"):
-        # A CRC-less manifest must at least be complete (legacy format always
-        # ended with a newline); a torn tail fails here.
-        raise StorageError(f"manifest {file_id} is truncated")
+    body = "".join(lines[:-1]).encode()
+    if lines[-1] != f"crc {zlib.crc32(body) & 0xFFFFFFFF:08x}\n":
+        # A write cut at any block boundary ends before this line.
+        raise StorageError(f"manifest {file_id} does not end in a matching crc line")
 
     data = ManifestData()
     current_level: Optional[List[List[int]]] = None
-    for line in lines[1:]:
+    for line in lines[1:-1]:
         line = line.rstrip("\n")
         if not line.strip():
             continue
@@ -172,8 +157,6 @@ def read_manifest(device: BlockDevice, file_id: int) -> ManifestData:
                 data.seqno = int(rest)
             elif tag == "name":
                 data.name = rest
-            elif tag == "wal":  # legacy single-WAL tag
-                data.wal_files = [int(rest)]
             elif tag == "wals":
                 data.wal_files = [int(part) for part in rest.split()]
             elif tag == "vlog":

@@ -1,13 +1,14 @@
 """Pluggable per-block compression codecs.
 
-The block format in :mod:`repro.storage.sstable` frames each data block as
-``magic | codec_id | varint uncompressed_size | compressed_data | crc32``
-(the SegmentDB layout: compressed size is implicit in the payload length, and
-the checksum covers the *compressed* bytes so corruption is caught before the
-codec ever runs). This module owns the codecs themselves:
+The table-block format in :mod:`repro.storage.sstable` frames a compressed
+data block as ``magic | codec_id | varint uncompressed_size |
+compressed_data | crc32`` (the SegmentDB layout: compressed size is implicit
+in the payload length, and the checksum covers the *compressed* bytes so
+corruption is caught before the codec ever runs). This module owns the codecs
+themselves:
 
-* ``none`` — identity; the engine skips framing entirely and writes the
-  legacy ``crc32 | body`` layout, bit-identical to pre-compression files;
+* ``none`` — identity; the engine skips framing entirely and writes raw
+  blocks;
 * ``zlib`` — the stdlib DEFLATE codec, the high-ratio option;
 * ``rle`` — a cheap LZ4-style byte run-length codec with no dependencies,
   the fast option for the suite and for latency-sensitive configs.
@@ -51,8 +52,8 @@ class Codec:
 
 class NoneCodec(Codec):
     """Identity codec (wire id 0). The engine never frames with it — config
-    ``compression='none'`` keeps the legacy block layout — but it anchors the
-    registry so every config name resolves to a codec object."""
+    ``compression='none'`` writes raw blocks — but it anchors the registry so
+    every config name resolves to a codec object."""
 
     name = "none"
     codec_id = 0
@@ -167,34 +168,16 @@ class RleCodec(Codec):
 
 # -- the frame header --------------------------------------------------------
 
-# First byte of every compressed frame; legacy blocks open with an arbitrary
-# CRC byte, so the magic plus a known codec id narrows misdetection to
-# ~1/20000 blocks — and the frame's own trailing CRC settles those (see
-# ``parse_block``'s fallback). A persistent format constant: never change.
+# Byte 0 of every compressed table block. A raw v2 table block opens with a
+# head byte below 0x80, so this byte alone tells the two apart; log blocks are
+# never framed. A persistent format constant: never change.
 FRAME_MAGIC = 0xC7
-FRAME_MIN_LEN = 7  # magic + codec_id + 1-byte varint + empty data + crc32
-
-
-def is_compressed_frame(payload) -> bool:
-    """Cheap header test: does this payload carry a compressed frame?
-
-    Used by the cache layers to decide whether a raw payload is worth
-    retaining in the compressed tier (legacy/uncompressed payloads are not —
-    caching them raw buys nothing over the decoded block). Accepts any
-    bytes-like payload, including :class:`memoryview`.
-    """
-    return (
-        len(payload) >= FRAME_MIN_LEN
-        and payload[0] == FRAME_MAGIC
-        and payload[1] in _COMPRESSED_ID_SET
-    )
 
 
 # -- registry ----------------------------------------------------------------
 
 _BY_NAME: Dict[str, Codec] = {}
 _BY_ID: Dict[int, Codec] = {}
-_COMPRESSED_ID_SET: "set[int]" = set()
 
 
 def register_codec(codec: Codec) -> Codec:
@@ -208,8 +191,6 @@ def register_codec(codec: Codec) -> Codec:
         )
     _BY_NAME[codec.name] = codec
     _BY_ID[codec.codec_id] = codec
-    if codec.codec_id != 0:
-        _COMPRESSED_ID_SET.add(codec.codec_id)
     return codec
 
 
@@ -247,8 +228,3 @@ def codec_by_id(codec_id: int) -> Codec:
 def available_codecs() -> Iterable[str]:
     """Registered codec names (config validation + CLI choices)."""
     return sorted(_BY_NAME)
-
-
-def compressed_codec_ids() -> "frozenset[int]":
-    """Wire ids that appear in framed blocks (everything but ``none``)."""
-    return frozenset(cid for cid in _BY_ID if cid != 0)

@@ -16,7 +16,12 @@ that flush/compaction write-amplification accounts for them, exactly as in
 LevelDB/RocksDB; at read time the in-memory copies are used (the tutorial:
 "such light-weight data structures are typically pre-fetched to memory").
 The last of those blocks ends in a footer that records the table's data-block
-format (see ``_FOOTER``).
+format (see ``_FOOTER``); a table without an intact v2 footer is corrupt.
+
+Two block encodings live here, one per kind of structure: table blocks (v2,
+:func:`encode_block_v2` / :func:`parse_block`) and log blocks (WAL frames and
+value-log blocks, :func:`encode_log_block` / :func:`parse_log_block`). Each
+reader accepts only its own encoding; nothing guesses one from content.
 """
 
 from __future__ import annotations
@@ -36,34 +41,19 @@ from repro.common.encoding import decode_varint, encode_varint
 from repro.common.entry import DELETE, Entry, EntryKind
 from repro.errors import CorruptionError, ReproError, SimulatedCrashError, StorageError
 from repro.storage.block_device import BlockDevice
-from repro.storage.compression import (
-    FRAME_MAGIC as _FRAME_MAGIC,
-    Codec,
-    codec_by_id,
-    get_codec,
-    is_compressed_frame,
-)
+from repro.storage.compression import FRAME_MAGIC as _FRAME_MAGIC, Codec, codec_by_id, get_codec
 
-# Two data-block formats. A table records which one its blocks use, once, in
-# its footer; nothing guesses it per block.
+# **Log blocks** (``encode_log_block``; WAL frames and value-log blocks, never
+# compressed): ``crc32 | body`` with ``body = varint count`` followed by
+# packed entries ``varint klen | key | varint seqno | kind | varint vlen |
+# value``.
 #
-# **v1** (``encode_block``; WAL frames, value-log blocks and tables written
-# before the footer existed): ``crc32 | body`` with ``body = varint count``
-# followed by packed entries ``varint klen | key | varint seqno | kind |
-# varint vlen | value``, or a compressed frame (SegmentDB-style: sizes + data
-# + checksum; the compressed size is implicit in the payload length):
-#
-#   +-------+----------+---------------------+-----------------+-----------+
-#   | magic | codec_id | varint uncompressed | compressed data | crc32 (4) |
-#   +-------+----------+---------------------+-----------------+-----------+
-#
-# The trailing CRC covers every preceding byte, i.e. the *compressed* payload
-# plus its header, so bit rot is detected before the codec runs. A v1 reader
-# tells the two apart by sniffing the header (``is_compressed_frame``).
-#
-# **v2** (``encode_block_v2``; every table ``SSTableBuilder`` writes) keeps
-# its structure in columns so that opening a block is a constant number of
-# C-level checks rather than a walk over its entries:
+# **Table blocks, v2** (``encode_block_v2``; every table ``SSTableBuilder``
+# writes, its footer says so) keep their structure in columns so that opening
+# a block is a constant number of C-level checks rather than a walk over its
+# entries. A block the codec shrinks is stored as a compressed frame
+# (SegmentDB-style: sizes + data + checksum; the compressed size is implicit
+# in the payload length):
 #
 #   raw:    | body                                           | crc32 (4) |
 #   framed: | magic | codec_id | varint len(body) | codec(body) | crc32 (4) |
@@ -76,10 +66,10 @@ from repro.storage.compression import (
 # last one at the body's end), so value lengths are implied and the entry
 # count is ``(offsets[0] - 1)`` over the sum of the column widths. ``kk[i]``
 # is ``key length << 2 | kind``: a kind is two bits and can never be out of
-# range. Every column is little-endian. The CRC covers every preceding byte,
-# and byte 0 alone says whether the block is raw or framed.
-BLOCK_FORMAT_V1 = 1
-BLOCK_FORMAT_V2 = 2
+# range. Every column is little-endian. The CRC covers every preceding byte
+# (of a frame: the *compressed* bytes plus header, so bit rot is caught before
+# the codec runs), and byte 0 alone says whether the block is raw or framed.
+BLOCK_FORMAT_V2 = 2  # the data-block format a table footer records
 
 
 # One is built per point read: slotted where dataclasses can (3.10+).
@@ -121,11 +111,11 @@ class DataBlock(collections.abc.Sequence):
     offsets; the block is then the plain list of entries
     ``DataBlock(entries)`` builds directly.
 
-    The two block formats differ only in what opening yields and in how one
-    slot is decoded (``_fill``). A v1 block comes with its key list. A v2
-    block comes with its columns instead, so ``find`` on a freshly opened
-    one bisects raw key slices; the key list is built the second time the
-    block is searched, i.e. once it is being found again from the cache.
+    The two block encodings differ only in what opening yields and in how
+    one slot is decoded (``_fill``). A log block comes with its key list. A
+    table block comes with its columns instead, so ``find`` on a freshly
+    opened one bisects raw key slices; the key list is built the second time
+    the block is searched, i.e. once it is being found again from the cache.
 
     Slots are filled with idempotent stores of equal entries, so readers
     sharing a cached block need no lock.
@@ -154,8 +144,8 @@ class DataBlock(collections.abc.Sequence):
         cls, buf: bytes, offsets, keys: Optional[List[bytes]], charge: int, hashed: bool,
         cols=None, count: int = 0,
     ):
-        """A block over ``buf``. v1 (``cols`` None): ``offsets[i]`` is where
-        entry ``i``'s seqno starts, just past its key, which is already
+        """A block over ``buf``. A log block (``cols`` None): ``offsets[i]`` is
+        where entry ``i``'s seqno starts, just past its key, which is already
         ``keys[i]``. v2: ``offsets[i]`` is where entry ``i`` starts and
         ``offsets[count]`` where the last one ends; ``cols`` is ``(klens,
         kinds, seqno column start, seqno width)``."""
@@ -184,7 +174,7 @@ class DataBlock(collections.abc.Sequence):
             buf, offsets, cols = self._buf, self._offsets, self._cols
             if cols is None or buf is None or offsets is None:
                 keys = [entry.key for entry in self._entries]
-            else:  # a v2 block: one slice per key
+            else:  # a table block: one slice per key
                 keys = [buf[start : start + klen] for start, klen in zip(offsets, cols[0])]
             self._keys = keys
         return keys
@@ -329,7 +319,7 @@ class DataBlock(collections.abc.Sequence):
         kinds = _ENTRY_KINDS
         make = Entry
         cols = self._cols
-        if cols is None:  # v1: the key is known, the rest follows it packed
+        if cols is None:  # a log block: the key is known, the rest follows it packed
             for slot in range(lo, hi):
                 if entries[slot] is None:
                     pos = offsets[slot]
@@ -410,46 +400,12 @@ def _encode_body(entries: Sequence[Entry]) -> bytearray:
     return body
 
 
-def encode_block(
-    entries: Sequence[Entry], codec: Optional[Codec] = None
-) -> "tuple[bytes, int, int]":
-    """Serialize entries into an on-device payload, optionally compressed.
-
-    With no codec (or the ``none`` codec) the legacy ``crc32 | body`` layout
-    is emitted, bit-identical to pre-compression files. Otherwise the block
-    is compressed and framed (see ``_FRAME_MAGIC``); blocks the codec cannot
-    shrink below their legacy size are stored in the legacy layout instead —
-    a per-block decision :func:`parse_block` resolves transparently — so a
-    compressed table is never larger than an uncompressed one.
-
-    Returns:
-        ``(payload, uncompressed_size, stored_size)`` where the sizes are the
-        legacy payload size and ``len(payload)`` — the compression-ratio
-        counters' inputs.
-    """
+def encode_log_block(entries: Sequence[Entry]) -> bytes:
+    """Serialize entries into a log block (WAL frame or value-log block):
+    ``crc32 | body``, the inverse of :func:`parse_log_block`. The checksum
+    lets replay and dereference detect bit rot."""
     body = _encode_body(entries)
-    uncompressed_size = 4 + len(body)
-    if codec is not None and codec.codec_id != 0:
-        compressed = codec.compress(bytes(body))
-        frame = bytearray((_FRAME_MAGIC, codec.codec_id))
-        frame += encode_varint(len(body))
-        frame += compressed
-        if len(frame) + 4 < uncompressed_size:
-            frame += zlib.crc32(frame).to_bytes(4, "big")
-            return bytes(frame), uncompressed_size, len(frame)
-    payload = zlib.crc32(body).to_bytes(4, "big") + bytes(body)
-    return payload, uncompressed_size, uncompressed_size
-
-
-def serialize_block(entries: Sequence[Entry], codec: Optional[Codec] = None) -> bytes:
-    """Serialize entries into the on-device block payload.
-
-    The payload is checksummed, so every consumer of :func:`parse_block` —
-    data blocks, value-log blocks, WAL frames — detects bit rot (verified by
-    the fault-injection tests and the integrity scrubber). Pass a
-    :class:`~repro.storage.compression.Codec` to emit a compressed frame.
-    """
-    return encode_block(entries, codec)[0]
+    return zlib.crc32(body).to_bytes(4, "big") + bytes(body)
 
 
 # Fixed-width little-endian columns go through ``array`` in both directions;
@@ -487,8 +443,8 @@ def encode_block_v2(
     ``map``, ``accumulate``, ``join``), not a loop per entry.
 
     Returns:
-        ``(payload, uncompressed_size, stored_size)`` as :func:`encode_block`:
-        the raw payload's size and ``len(payload)``.
+        ``(payload, uncompressed_size, stored_size)``: the raw payload's size
+        and ``len(payload)`` — the compression-ratio counters' inputs.
     """
     keys = [entry.key for entry in entries]
     values = [entry.value for entry in entries]
@@ -540,7 +496,7 @@ def encode_block_v2(
 _ENTRY_KINDS = tuple(EntryKind(i) for i in range(4))
 
 
-def _index_body(buf: bytes, pos: int, hash_index: bool) -> DataBlock:
+def _index_body(buf: bytes, pos: int) -> DataBlock:
     """The structural pass: validate the body at ``buf[pos:]`` (``varint
     count`` + packed entries) field by field without building a single entry.
 
@@ -589,53 +545,58 @@ def _index_body(buf: bytes, pos: int, hash_index: bool) -> DataBlock:
     except IndexError:
         raise ValueError("truncated entry") from None
     charge = _BLOCK_RESIDENT_OVERHEAD + count * _ENTRY_RESIDENT_OVERHEAD + payload_bytes
-    return DataBlock._in_place(buf, offsets, keys, charge, hash_index)
+    return DataBlock._in_place(buf, offsets, keys, charge, False)
 
 
-def _parse_legacy(buf: bytes, hash_index: bool) -> DataBlock:
-    """Open a ``crc32 | body`` payload. The checksum is verified *after* the
-    body is read, preserving the legacy contract that truncation surfaces as
-    ``ValueError`` (spanning consumers like the value log's jumbo scan retry
-    with more blocks)."""
-    block = _index_body(buf, 4, hash_index)
-    if zlib.crc32(memoryview(buf)[4:]) != int.from_bytes(buf[:4], "big"):
+def parse_log_block(payload) -> DataBlock:
+    """Open a log block (WAL frame or value-log block; see
+    :func:`encode_log_block`) for search in place.
+
+    The checksum is verified *after* the body is walked, so a truncated
+    payload surfaces as ``ValueError``: spanning readers (the value log's
+    jumbo scan) extend the payload by a block and retry.
+
+    Raises:
+        CorruptionError: on a checksum mismatch, an invalid entry kind or a
+            payload shorter than its checksum.
+        ValueError: on a truncated or malformed body.
+    """
+    if payload.__class__ is not bytes:
+        payload = bytes(payload)  # blocks are immutable: own the buffer
+    if len(payload) < 4:
+        raise CorruptionError(f"block of {len(payload)} bytes is too short")
+    block = _index_body(payload, 4)
+    if zlib.crc32(memoryview(payload)[4:]) != int.from_bytes(payload[:4], "big"):
         raise CorruptionError("block checksum mismatch")
     return block
-
-
-def _parse_framed(buf: bytes, hash_index: bool) -> DataBlock:
-    """Open a compressed frame; raises only CorruptionError on any damage."""
-    view = memoryview(buf)
-    n = len(view)
-    stored_crc = int.from_bytes(view[n - 4 :], "big")
-    if zlib.crc32(view[: n - 4]) != stored_crc:
-        raise CorruptionError("compressed block checksum mismatch")
-    codec = codec_by_id(view[1])
-    try:
-        uncompressed_size, pos = decode_varint(view, 2)
-        if pos > n - 4:
-            raise ValueError("frame header overruns payload")
-        body = codec.decompress(view[pos : n - 4], uncompressed_size)
-        if body.__class__ is not bytes:
-            body = bytes(body)  # a registered codec may hand back any buffer
-        return _index_body(body, 0, hash_index)
-    except CorruptionError:
-        raise
-    except ValueError as exc:
-        # The checksum passed but the content is unusable: either a one-in-
-        # 2^32 legacy-block collision (the caller falls back) or mis-framed
-        # data. Both are corruption from this layer's point of view.
-        raise CorruptionError(f"invalid compressed frame: {exc}") from exc
 
 
 _KIND_OF_KK = bytes(b & 3 for b in range(256))  # bytes.translate tables over
 _KLEN_OF_KK = bytes(b >> 2 for b in range(256))  # one-byte kk cells
 
 
-def _open_v2(payload: bytes, hash_index: bool) -> DataBlock:
-    """Open a v2 payload: the checksum, then the structure, each proved by a
-    constant number of C-level operations — never a loop over the entries.
-    Raises only CorruptionError."""
+def parse_block(payload, hash_index: bool = False) -> DataBlock:
+    """Inverse of :func:`encode_block_v2`: open a table block for search in
+    place, and the one place a table block is verified.
+
+    The checksum comes first, then the structure — entry count, field
+    bounds, entry kinds, tombstones without a value — each proved by a
+    constant number of C-level operations, never a loop over the entries, so
+    the returned block never raises later. The entries stay packed in the
+    (decompressed) payload until ``find``, indexing, slicing or iteration asks
+    for them (see :class:`DataBlock`). A raw block references the caller's
+    ``bytes`` payload rather than copying it (anything else is copied once).
+
+    Args:
+        payload: the on-device bytes of one table data block.
+        hash_index: ``find`` uses a per-block hash map (built on its first
+            call) instead of binary search.
+
+    Raises:
+        CorruptionError: on any damage, and on nothing else.
+    """
+    if payload.__class__ is not bytes:
+        payload = bytes(payload)
     n = len(payload)
     if n < 6:
         raise CorruptionError(f"block of {n} bytes is too short")
@@ -656,8 +617,8 @@ def _open_v2(payload: bytes, hash_index: bool) -> DataBlock:
 
 
 def _open_columns(body: bytes, end: int, hash_index: bool) -> DataBlock:
-    """Check and open the v2 body ``body[:end]``. Proves what v1's walk
-    proves: the entry count (the offset column's length), every field in
+    """Check and open the v2 body ``body[:end]``. Proves what a log block's
+    walk proves: the entry count (the offset column's length), every field in
     bounds (one pass over the offsets), every kind valid (two bits of a
     ``kk`` cell, extracted by ``bytes.translate``), tombstones without a
     value (a ``find`` loop over the tombstones only) and the cache charge
@@ -714,75 +675,6 @@ def _open_columns(body: bytes, end: int, hash_index: bool) -> DataBlock:
     )
 
 
-def parse_block(
-    payload,
-    detect_frames: bool = True,
-    hash_index: bool = False,
-    block_format: int = BLOCK_FORMAT_V1,
-) -> DataBlock:
-    """Inverse of :func:`serialize_block` (v1) and :func:`encode_block_v2`,
-    and the one place a payload is verified.
-
-    Everything that can be wrong with a payload — checksum, entry count,
-    field bounds, entry kinds, a tombstone carrying a value — is rejected
-    here, so the returned block never raises later. The block is searched
-    **in place**: the entries stay packed in the (decompressed) payload until
-    ``find``, indexing, slicing or iteration asks for them (see
-    :class:`DataBlock`). An uncompressed block references the caller's
-    ``bytes`` payload rather than copying it.
-
-    A v2 payload (``block_format=2``, what a v2 table passes) is checked
-    checksum first and then structurally in a constant number of C-level
-    operations; it raises only CorruptionError. What follows describes v1,
-    the default, which WAL frames and value-log blocks always use.
-
-    A payload that *looks* framed (magic byte + known codec id) is decoded
-    through its codec; its trailing CRC disambiguates the one-in-2^32 legacy
-    block whose leading checksum happens to mimic a frame header — on frame
-    corruption the intact-legacy interpretation is tried before giving up.
-
-    Args:
-        payload: the on-device bytes (any bytes-like object; anything but
-            ``bytes`` is copied once).
-        detect_frames: consumers that never write compressed frames *and*
-            parse partial payloads (the value log's jumbo spans) pass False,
-            both skipping the header probe and keeping truncation errors
-            typed as ``ValueError`` — a frame-looking prefix must extend,
-            not quarantine.
-        hash_index: ``find`` uses a per-block hash map (built on its first
-            call) instead of binary search.
-        block_format: :data:`BLOCK_FORMAT_V1` or :data:`BLOCK_FORMAT_V2`, as
-            the owning table records it (``SSTable.block_format``).
-
-    Raises:
-        CorruptionError: when the checksum does not match under either
-            layout, or decompression fails.
-        ValueError: on truncated legacy input (spanning consumers retry with
-            more blocks; see the value log's jumbo scan).
-    """
-    if block_format == BLOCK_FORMAT_V2:
-        return _open_v2(payload if payload.__class__ is bytes else bytes(payload), hash_index)
-    if not payload:
-        return DataBlock([], hash_index)
-    n = len(payload)
-    if n < 4:
-        raise CorruptionError(f"block of {n} bytes is too short")
-    if payload.__class__ is not bytes:
-        payload = bytes(payload)  # blocks are immutable: own the buffer
-    if detect_frames and is_compressed_frame(payload):
-        try:
-            return _parse_framed(payload, hash_index)
-        except CorruptionError as framed_err:
-            # Frame-detecting consumers hand in whole payloads, so a valid
-            # legacy block parses fully here; any failure — including
-            # truncation — means the payload is a damaged frame.
-            try:
-                return _parse_legacy(payload, hash_index)
-            except (CorruptionError, ValueError):
-                raise framed_err from None
-    return _parse_legacy(payload, hash_index)
-
-
 #: Upper bound on one serialized entry beyond its key and value bytes: the
 #: kind byte plus three varints (lengths and seqno).
 _ENTRY_ENCODED_OVERHEAD = 12
@@ -810,16 +702,11 @@ class SSTable:
         aux_blocks: int,
         uncompressed_data_bytes: int = 0,
         compressed_data_bytes: int = 0,
-        block_format: int = BLOCK_FORMAT_V2,
     ) -> None:
         self._device = device
         self.file_id = file_id
-        # How this table's data blocks are laid out, read from its footer
-        # (v2) or from its absence (v1); every open of one of its blocks
-        # passes it to ``parse_block``.
-        self.block_format = block_format
         # Per-table compression accounting (equal when uncompressed): the
-        # legacy payload bytes the data region *would* occupy vs. what it
+        # raw payload bytes the data region *would* occupy vs. what it
         # actually does. The tree folds these into its ratio counters.
         self.uncompressed_data_bytes = uncompressed_data_bytes
         self.compressed_data_bytes = compressed_data_bytes
@@ -1041,10 +928,8 @@ class SSTable:
         last_key: Optional[bytes] = None
         for block_no in range(self.num_data_blocks):
             try:
-                entries = parse_block(
-                    self._device.read_block(self.file_id, block_no), True, False, self.block_format
-                )
-            except (StorageError, ValueError) as exc:
+                entries = parse_block(self._device.read_block(self.file_id, block_no))
+            except StorageError as exc:
                 findings.append(f"block {block_no}: {exc}")
                 continue
             for entry in entries:
@@ -1128,13 +1013,14 @@ class SSTable:
     def _open(self, payload) -> DataBlock:
         # ``parse_block`` is looked up in the module on every call:
         # perf/tracing.py times the read path by replacing that name.
-        return parse_block(payload, True, self._hash_index, self.block_format)
+        return parse_block(payload, self._hash_index)
 
-    def _open_charged(self, payload) -> "tuple[DataBlock, int]":
-        """A payload opened and paired with its cache charge (the decoded
-        size: the cache budget bounds resident memory)."""
+    def _open_charged(self, payload) -> "tuple[DataBlock, int, bool]":
+        """A payload opened, its cache charge (the decoded size: the cache
+        budget bounds resident memory), and whether the payload is a
+        compressed frame worth keeping in the compressed tier (byte 0 says)."""
         block = self._open(payload)
-        return block, block.charge_bytes
+        return block, block.charge_bytes, payload[0] == _FRAME_MAGIC
 
     def _load_block(
         self, block_no: int, cache, stats: Optional[ProbeStats], frames=None
@@ -1193,8 +1079,8 @@ IndexFactory = Callable[[Sequence[bytes], Sequence[int]], object]
 FilterFactory = Callable[[Sequence[bytes]], object]
 
 
-# The table footer: the last bytes of a v2 table's last auxiliary block (zero
-# padding before it). A table without one is a v1 table.
+# The table footer: the last bytes of a table's last auxiliary block (zero
+# padding before it). A table without an intact one is corrupt.
 _FOOTER = struct.Struct("<4sBI")  # magic, data-block format, data blocks
 _FOOTER_MAGIC = b"\x89SST"
 _FOOTER_SIZE = _FOOTER.size + 4  # + crc32 of the fields
@@ -1205,19 +1091,30 @@ def _encode_footer(data_blocks: int) -> bytes:
     return fields + zlib.crc32(fields).to_bytes(4, "big")
 
 
-def _read_footer(block: bytes) -> "Optional[tuple[int, int]]":
-    """``(block_format, data_blocks)`` from a table's last block, or None when
-    it carries no intact footer (a v1 table)."""
-    if len(block) < _FOOTER_SIZE:
-        return None
-    footer = block[-_FOOTER_SIZE:]
+def _read_footer(device: BlockDevice, file_id: int) -> int:
+    """The number of data blocks a table's footer records.
+
+    Raises:
+        CorruptionError: when the file's last block ends in no intact
+            footer, or in one that names a block format other than v2 or
+            leaves no block for itself.
+    """
+    total = device.num_blocks(file_id)
+    footer = device.read_block(file_id, total - 1)[-_FOOTER_SIZE:] if total else b""
     fields = footer[: _FOOTER.size]
-    if zlib.crc32(fields) != int.from_bytes(footer[_FOOTER.size :], "big"):
-        return None
-    magic, block_format, data_blocks = _FOOTER.unpack(fields)
-    if magic != _FOOTER_MAGIC:
-        return None
-    return block_format, data_blocks
+    if (
+        len(footer) < _FOOTER_SIZE
+        or zlib.crc32(fields) != int.from_bytes(footer[_FOOTER.size :], "big")
+        or not fields.startswith(_FOOTER_MAGIC)
+    ):
+        raise CorruptionError(f"file {file_id}: table footer damaged (last block {total - 1})")
+    _, version, data_blocks = _FOOTER.unpack(fields)
+    if version != BLOCK_FORMAT_V2 or not 0 < data_blocks < total:
+        raise CorruptionError(
+            f"file {file_id}: footer names block format {version} "
+            f"over {data_blocks} of {total} blocks"
+        )
+    return data_blocks
 
 
 def rebuild_sstable(
@@ -1234,11 +1131,11 @@ def rebuild_sstable(
     in-memory auxiliary structures (fences, filters, indexes) are rebuilt by
     the supplied factories — the real-engine equivalent of loading the filter
     and index blocks. The footer at the end of the file gives the data-block
-    format and count; a file without one is a v1 table, whose data region
-    ends at the first zero-filled auxiliary padding block.
+    count.
 
     Raises:
-        ValueError: if the file holds no data blocks.
+        CorruptionError: if the footer is missing, damaged or names another
+            format, or a data block fails to open.
     """
     first_keys: List[bytes] = []
     last_keys: List[bytes] = []
@@ -1248,43 +1145,17 @@ def rebuild_sstable(
     tombstones = 0
     uncompressed_bytes = 0
     compressed_bytes = 0
-    total_blocks = device.num_blocks(file_id)
-    footer = None
-    if total_blocks:
-        tail = device.read_block(file_id, total_blocks - 1)
-        footer = _read_footer(tail)
-        if footer is None and tail.strip(b"\x00"):
-            # A v1 table ends in zero padding, or in a data block when it has
-            # no auxiliary bytes; any other tail is a v2 footer that rotted.
-            try:
-                parse_block(tail, True, False)
-            except (CorruptionError, ValueError):
-                raise CorruptionError(
-                    f"file {file_id}: table footer damaged (last block {total_blocks - 1})"
-                ) from None
-    block_format, data_region = footer or (BLOCK_FORMAT_V1, total_blocks)
-    data_blocks = 0
-    for block_no in range(min(data_region, total_blocks)):
+    data_blocks = _read_footer(device, file_id)
+    for block_no in range(data_blocks):
         payload = device.read_block(file_id, block_no)
-        if footer is None and not payload.strip(b"\x00"):
-            break  # zero-filled auxiliary padding: end of a v1 data region
-        entries = parse_block(payload, True, False, block_format)
-        if not entries:
-            break
+        entries = parse_block(payload)
         compressed_bytes += len(payload)
-        # Byte 0 says what a v2 payload is; a v1 payload is sniffed.
-        framed = (
-            payload[0] == _FRAME_MAGIC
-            if block_format == BLOCK_FORMAT_V2
-            else is_compressed_frame(payload)
-        )
-        if framed:
+        if payload[0] == _FRAME_MAGIC:
             # The frame header declares the body's decoded size; +4 restores
             # the raw payload size the ratio counters compare against.
             uncompressed_bytes += 4 + decode_varint(payload, 2)[0]
         else:
             uncompressed_bytes += len(payload)
-        data_blocks += 1
         first_keys.append(entries[0].key)
         last_keys.append(entries[-1].key)
         for entry in entries:
@@ -1293,8 +1164,6 @@ def rebuild_sstable(
             entry_count += 1
             if entry.is_tombstone:
                 tombstones += 1
-    if not data_blocks:
-        raise ValueError(f"file {file_id} holds no data blocks")
     return SSTable(
         device=device,
         file_id=file_id,
@@ -1307,10 +1176,9 @@ def rebuild_sstable(
         point_filter=filter_factory(keys) if filter_factory else None,
         range_filter=range_filter_factory(keys) if range_filter_factory else None,
         hash_index=hash_index,
-        aux_blocks=total_blocks - data_blocks,
+        aux_blocks=device.num_blocks(file_id) - data_blocks,
         uncompressed_data_bytes=uncompressed_bytes,
         compressed_data_bytes=compressed_bytes,
-        block_format=block_format,
     )
 
 
@@ -1331,7 +1199,7 @@ class SSTableBuilder:
             workers buffer so their interleaved appends to one shared
             device stay sequential instead of paying a head switch each.
         codec: block compression codec (a :class:`Codec` instance or a
-            registry name); None or ``'none'`` writes the legacy layout.
+            registry name); None or ``'none'`` writes raw blocks.
             Blocks the codec cannot shrink are stored uncompressed, so the
             per-table ratio counters reflect what actually hit the device.
     """

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import parse_block, serialize_block
+from repro.storage.sstable import encode_log_block, parse_log_block
 from repro.common.entry import Entry, EntryKind
 
 
@@ -37,10 +37,7 @@ class ValuePointer:
 
     @staticmethod
     def decode(data: bytes) -> "ValuePointer":
-        parts = [int(part) for part in data.split(b":")]
-        if len(parts) == 3:  # legacy three-field form
-            parts.append(1)
-        file_id, block_no, slot, span = parts
+        file_id, block_no, slot, span = (int(part) for part in data.split(b":"))
         return ValuePointer(file_id, block_no, slot, span)
 
 
@@ -79,7 +76,7 @@ class ValueLog:
         if size > self._device.block_size:
             self._flush_pending()
             first, span = self._device.append_payload(
-                self._file_id, serialize_block([record])
+                self._file_id, encode_log_block([record])
             )
             return ValuePointer(self._file_id, first, 0, span)
         if self._pending and self._pending_size + size > self._device.block_size:
@@ -107,9 +104,7 @@ class ValueLog:
             payload = self._device.read_payload(
                 pointer.file_id, pointer.block_no, pointer.span
             )
-            # Value-log payloads are never compressed and may span blocks:
-            # skip frame detection so truncation stays typed as ValueError.
-            return parse_block(payload, detect_frames=False), len(payload)
+            return parse_log_block(payload), len(payload)
 
         if cache is not None:
             entries = cache.get_or_load(("vlog", pointer.file_id, pointer.block_no), loader)
@@ -158,7 +153,7 @@ class ValueLog:
             span = 1
             while True:
                 try:
-                    records = parse_block(payload, detect_frames=False)
+                    records = parse_log_block(payload)
                     break
                 except ValueError:
                     if block_no + span >= total:
@@ -177,7 +172,7 @@ class ValueLog:
             ):
                 return self._pending[pointer.slot].key
         payload = self._device.read_payload(pointer.file_id, pointer.block_no, pointer.span)
-        records = parse_block(payload, detect_frames=False)  # vlog: never framed
+        records = parse_log_block(payload)
         return records[pointer.slot].key if pointer.slot < len(records) else None
 
     def live_files(self) -> List[int]:
@@ -193,7 +188,7 @@ class ValueLog:
     # -- internals -----------------------------------------------------------
 
     def _flush_pending(self) -> None:
-        self._device.append_block(self._file_id, serialize_block(self._pending))
+        self._device.append_block(self._file_id, encode_log_block(self._pending))
         self._pending = []
         self._pending_size = 0
 

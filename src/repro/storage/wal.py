@@ -18,7 +18,7 @@ from repro.common.encoding import decode_varint, encode_varint
 from repro.common.entry import Entry
 from repro.errors import CorruptionError
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import parse_block, serialize_block
+from repro.storage.sstable import encode_log_block, parse_log_block
 
 
 class WriteAheadLog:
@@ -72,7 +72,7 @@ class WriteAheadLog:
         """Force buffered records to the device (the durability point)."""
         if not self._pending:
             return
-        payload = serialize_block(self._pending)
+        payload = encode_log_block(self._pending)
         frame = encode_varint(len(payload)) + payload
         self._device.append_payload(self._file_id, frame)
         self._device.crash_hook("wal_sync")
@@ -138,7 +138,7 @@ class WriteAheadLog:
             else:
                 payload = self._device.read_payload(target, block_no, span)
             try:
-                entries = parse_block(payload[offset : offset + length])
+                entries = parse_log_block(payload[offset : offset + length])
             except CorruptionError:
                 raise
             except Exception:

@@ -2,8 +2,8 @@
 
 from repro.cache.block_cache import BlockCache
 from repro.common.entry import Entry
-from repro.storage.compression import get_codec
-from repro.storage.sstable import parse_block, serialize_block
+from repro.storage.compression import FRAME_MAGIC, get_codec
+from repro.storage.sstable import encode_block_v2, parse_block
 
 
 def compressible_block(tag=0, n=8, value_size=200):
@@ -12,12 +12,14 @@ def compressible_block(tag=0, n=8, value_size=200):
               value=bytes([97 + (tag + i) % 5]) * value_size)
         for i in range(n)
     ]
-    return entries, serialize_block(entries, codec=get_codec("zlib"))
+    return entries, encode_block_v2(entries, get_codec("zlib"))[0]
 
 
 def decode(frame):
+    """What a table hands the cache: the block, its charge, and whether the
+    payload is a compressed frame (byte 0 of a table block says)."""
     block = parse_block(frame)
-    return block, block.charge_bytes
+    return block, block.charge_bytes, frame[0] == FRAME_MAGIC
 
 
 class TestTwoTierReads:
@@ -39,7 +41,7 @@ class TestTwoTierReads:
         # Uncompressed tier too small to retain the block; second read must
         # be served by decoding the retained frame, not by load_frame.
         entries, frame = compressible_block()
-        _, charge = decode(frame)
+        _, charge, _ = decode(frame)
         cache = BlockCache(charge // 2, compressed_capacity_bytes=64 << 10)
         loads = []
 
@@ -73,8 +75,8 @@ class TestTwoTierReads:
         # block, so only actual frames occupy the compressed tier.
         cache = BlockCache(64 << 10, compressed_capacity_bytes=64 << 10)
         entries, _ = compressible_block()
-        legacy = serialize_block(entries)
-        cache.get_or_load_block("b0", lambda key: legacy, decode)
+        raw = encode_block_v2(entries)[0]
+        cache.get_or_load_block("b0", lambda key: raw, decode)
         assert cache.compressed_used_bytes == 0
 
     def test_disabled_tier_keeps_single_tier_behavior(self):
@@ -96,7 +98,7 @@ class TestDecodedChargeBound:
         for tag in range(24):
             entries, frame = compressible_block(tag=tag)
             assert len(frame) < 1 << 10  # compressed: tiny on disk...
-            block, charge = decode(frame)
+            block, charge, _ = decode(frame)
             assert charge > 2 << 10  # ...but large decoded
             blocks[tag] = (frame, charge)
             cache.get_or_load_block(f"b{tag}", lambda key, f=frame: f, decode)

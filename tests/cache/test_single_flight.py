@@ -75,7 +75,9 @@ def test_an_uncontended_miss_builds_no_event(monkeypatch):
     )
     cache = BlockCache(1 << 16, compressed_capacity_bytes=1 << 16)
     assert cache.get_or_load("a", lambda: (b"one", 3)) == b"one"
-    assert cache.get_or_load_block("b", lambda key: b"raw", lambda frame: (frame + b"!", 4)) == b"raw!"
+    assert cache.get_or_load_block(
+        "b", lambda key: b"raw", lambda frame: (frame + b"!", 4, True)
+    ) == b"raw!"
     with pytest.raises(RuntimeError):
         cache.get_or_load("c", lambda: (_ for _ in ()).throw(RuntimeError("device error")))
     assert cache.get_or_load("a", lambda: pytest.fail("a hit ran its loader")) == b"one"
@@ -91,7 +93,7 @@ def test_a_second_thread_waits_for_the_first_threads_load(two_tier):
 
     def read():
         if two_tier:
-            return cache.get_or_load_block("k", lambda key: b"frame", lambda frame: loader())
+            return cache.get_or_load_block("k", lambda key: b"frame", lambda frame: (*loader(), False))
         return cache.get_or_load("k", loader)
 
     threads = [threading.Thread(target=lambda: results.append(read())) for _ in range(2)]

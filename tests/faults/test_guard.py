@@ -11,7 +11,8 @@ from repro import (
     TransientIOError,
     encode_uint_key,
 )
-from repro.storage.sstable import parse_block, serialize_block
+from repro.common.entry import Entry
+from repro.storage.sstable import encode_block_v2, parse_block
 
 from tests.faults.conftest import durable_config, faulty_device
 
@@ -22,10 +23,14 @@ def _raises(*args, **kwargs):
     raise ReproError("simulated broken auxiliary structure")
 
 
+BLOCK = [Entry(b"k", 1, value=b"v")]
+
+
 def _one_block_device(**faults):
+    """A device holding one table data block."""
     dev = faulty_device(**faults)
     fid = dev.create_file()
-    dev.append_block(fid, serialize_block([]))
+    dev.append_block(fid, encode_block_v2(BLOCK)[0])
     return dev, fid
 
 
@@ -37,7 +42,7 @@ class TestRetry:
         dev.arm()
         for _ in range(30):
             payload, parsed = guard.read_parsed(dev, fid, 0, parse_block)
-            assert parsed == []
+            assert parsed == BLOCK
         assert guard.transient_errors > 0
         assert guard.retry_successes > 0
         assert guard.retry_exhausted == 0
@@ -92,7 +97,7 @@ class TestQuarantine:
         guard.quarantine(fid)
         guard.release(fid)
         payload, parsed = guard.read_parsed(dev, fid, 0, parse_block)
-        assert parsed == []
+        assert parsed == BLOCK
 
     def test_quarantined_error_is_typed_corruption(self):
         # The contract: quarantine surfaces as a CorruptionError subclass,

@@ -11,8 +11,9 @@ from repro import (
     SimulatedCrashError,
     TransientIOError,
 )
+from repro.common.entry import Entry
 from repro.errors import ConfigError
-from repro.storage.sstable import parse_block, serialize_block
+from repro.storage.sstable import encode_block_v2, parse_block
 
 from tests.faults.conftest import faulty_device
 
@@ -117,7 +118,7 @@ class TestBitRot:
     def test_checksum_catches_rotten_block(self):
         dev = faulty_device(seed=9, bit_rot_prob=1.0)
         fid = dev.create_file()
-        payload = serialize_block([])
+        payload = encode_block_v2([Entry(b"k", 1, value=b"v")])[0]
         dev.arm()
         dev.append_block(fid, payload)
         dev.disarm()

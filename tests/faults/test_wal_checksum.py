@@ -1,17 +1,20 @@
-"""Property tests: WAL-frame and block checksums never pass silent damage.
+"""Property tests: WAL-frame and log-block checksums never pass silent damage.
 
-The contract under test (hypothesis-driven): whatever byte of a serialized
-block or durable WAL frame is flipped, a reader either gets the original
+The contract under test (hypothesis-driven): whatever byte of a log block
+or durable WAL frame is flipped, a reader either gets the original
 records (impossible after a real flip), a typed error, or — for an *unsealed*
 log's tail — a clean prefix of acknowledged records. Never a wrong answer.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CorruptionError
 from repro.common.entry import Entry, EntryKind
-from repro.storage.sstable import parse_block, serialize_block
+from repro.storage.compression import FRAME_MAGIC, available_codecs, get_codec
+from repro.storage.sstable import encode_log_block, parse_log_block
 from repro.storage.wal import WriteAheadLog
 
 from tests.faults.conftest import faulty_device
@@ -38,13 +41,13 @@ entries_strategy = st.lists(
 @given(entries=entries_strategy)
 @settings(max_examples=60, deadline=None)
 def test_serialize_parse_roundtrip(entries):
-    assert parse_block(serialize_block(entries)) == entries
+    assert parse_log_block(encode_log_block(entries)) == entries
 
 
 @given(entries=entries_strategy, data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_any_byte_flip_is_detected(entries, data):
-    payload = serialize_block(entries)
+    payload = encode_log_block(entries)
     pos = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
     bit = data.draw(st.integers(min_value=0, max_value=7))
     flipped = bytearray(payload)
@@ -53,7 +56,7 @@ def test_any_byte_flip_is_detected(entries, data):
     # or kind/short-block CorruptionError) or content (CRC catches it) — but
     # it must never silently return entries.
     try:
-        result = parse_block(bytes(flipped))
+        result = parse_log_block(bytes(flipped))
     except (CorruptionError, ValueError, IndexError, OverflowError):
         return  # detected: typed (or structural) failure, never silence
     pytest.fail(f"flip at byte {pos} bit {bit} went undetected: {result!r}")
@@ -100,3 +103,20 @@ def test_corrupt_middle_frame_is_never_skipped():
     device.corrupt_block(wal.current_file, 0)
     with pytest.raises(CorruptionError):
         list(wal.replay())
+
+
+def test_a_frame_that_opens_like_a_compressed_block_replays_intact():
+    # Log blocks are never compressed, and nothing reads one as if it might
+    # be: a record whose checksum happens to open with the frame magic and a
+    # registered codec id is still just a record.
+    codec_ids = {get_codec(name).codec_id for name in available_codecs()} - {0}
+    rng = random.Random(2023)
+    while True:
+        entry = Entry(key=b"k%d" % rng.randrange(1 << 30), seqno=1, value=rng.randbytes(16))
+        crc = encode_log_block([entry])[:2]
+        if crc[0] == FRAME_MAGIC and crc[1] in codec_ids:
+            break
+    wal = WriteAheadLog(faulty_device(), sync_interval=1)
+    wal.append(entry)
+    sealed = wal.roll()
+    assert list(wal.replay(sealed)) == [entry]

@@ -1,15 +1,22 @@
-"""Fuzz target for the data-block decoder, v1 and v2 payloads alike.
+"""Fuzz target for the two block decoders: table blocks and log blocks.
 
-Hypothesis draws sorted entry lists, encodes them in either format, raw or
-zlib-framed, and damages the result: truncations, bit flips, offset columns
-permuted or pointed out of range, entry counts that disagree with the body,
-kinds 4-255 and tombstones that carry a value. Every damage but truncation
-recomputes the checksum, so the structural checks behind it are reached.
+Hypothesis draws sorted entry lists, encodes them as a table block (raw or
+zlib-framed) or as a log block (always raw), and damages the result:
+truncations, bit flips, offset columns permuted or pointed out of range,
+entry counts that disagree with the body, kinds 4-255 and tombstones that
+carry a value. Every damage but truncation and ``rot`` recomputes the
+checksum, so the structural checks behind it are reached; ``rot`` flips a
+bit of the stored payload and leaves the checksum as it was.
 
-``parse_block`` may refuse a payload only with ``CorruptionError`` (v1 also
-with ``ValueError``, its truncation contract). A block it returns must then
-answer ``find``, indexing, slicing and iteration without raising, and an
-undamaged payload must give back exactly the entries it was built from.
+``parse_block`` may refuse a table block only with ``CorruptionError``.
+``parse_log_block`` refuses with ``CorruptionError`` or, for a body that
+runs short, ``ValueError``: its truncation contract, which the value log's
+jumbo scan extends on. (A flipped length cannot be told from a truncation
+before the checksum; the WAL types both as ``CorruptionError``, see
+``tests/faults/test_wal_checksum.py``.) Rot is always refused. A block a
+decoder returns must then answer ``find``, indexing, slicing and iteration
+without raising, and an undamaged payload must give back exactly the entries
+it was built from.
 
 CI runs this module under the ``block-fuzz`` profile (``tests/conftest.py``):
 derandomized, with a fixed example count.
@@ -24,13 +31,7 @@ from repro.common.encoding import encode_varint
 from repro.common.entry import Entry, EntryKind
 from repro.errors import CorruptionError
 from repro.storage.compression import FRAME_MAGIC, get_codec
-from repro.storage.sstable import (
-    BLOCK_FORMAT_V1,
-    BLOCK_FORMAT_V2,
-    _encode_body,
-    encode_block_v2,
-    parse_block,
-)
+from repro.storage.sstable import _encode_body, encode_block_v2, parse_block, parse_log_block
 
 _KEYS = st.one_of(
     st.binary(min_size=1, max_size=12),
@@ -43,9 +44,10 @@ _VALUES = st.one_of(
 )
 _SEQNOS = st.one_of(st.integers(0, 127), st.integers(128, 1 << 21), st.integers(1 << 35, 1 << 62))
 _MUTATIONS = (
-    "none", "truncate", "truncate-body", "flip", "offsets-permuted",
+    "none", "truncate", "rot", "truncate-body", "flip", "offsets-permuted",
     "offset-out-of-range", "count", "kind", "tombstone-value",
 )
+LOG, TABLE = "log", "table"
 
 
 @st.composite
@@ -60,7 +62,7 @@ def entry_lists(draw):
 
 
 def body_of(fmt, entries):
-    if fmt == BLOCK_FORMAT_V1:
+    if fmt == LOG:
         return bytes(_encode_body(entries))
     return encode_block_v2(entries)[0][:-4]
 
@@ -72,11 +74,11 @@ def frame(fmt, codec, body):
         framed = head + zlib.compress(body)
         return framed + zlib.crc32(framed).to_bytes(4, "big")
     crc = zlib.crc32(body).to_bytes(4, "big")
-    return crc + body if fmt == BLOCK_FORMAT_V1 else body + crc
+    return crc + body if fmt == LOG else body + crc
 
 
-def v1_kind_at(entries, slot):
-    """Where entry ``slot``'s kind byte sits in a v1 body."""
+def log_kind_at(entries, slot):
+    """Where entry ``slot``'s kind byte sits in a log block's body."""
     pos = len(encode_varint(len(entries)))
     for entry in entries[:slot]:
         pos += len(encode_varint(len(entry.key))) + len(entry.key)
@@ -112,9 +114,9 @@ def mutate(fmt, entries, body, what, data):
         if not candidates:
             return body
         slot = data.draw(st.sampled_from(list(candidates)))
-        if fmt == BLOCK_FORMAT_V1:
+        if fmt == LOG:
             kind = data.draw(st.integers(4, 255)) if what == "kind" else EntryKind.DELETE
-            body[v1_kind_at(entries, slot)] = kind
+            body[log_kind_at(entries, slot)] = kind
         else:
             # A v2 kind is two bits of its kk cell: "kind 4-255" can only
             # land as another key length, so write a whole random cell.
@@ -127,14 +129,14 @@ def mutate(fmt, entries, body, what, data):
         return body
     if what == "count":
         delta = data.draw(st.sampled_from([-2, -1, 1, 2, 64]))
-        if fmt == BLOCK_FORMAT_V1:
+        if fmt == LOG:
             return bytearray(encode_varint(max(0, count + delta))) + body[len(encode_varint(count)):]
         offset_width, kk_width, _ = v2_columns(body, count)
         stride = offset_width + kk_width + (body[0] & 0x0F)
         start = int.from_bytes(body[1 : 1 + offset_width], "little") + delta * stride
         body[1 : 1 + offset_width] = (start % (1 << 8 * offset_width)).to_bytes(offset_width, "little")
         return body
-    if fmt == BLOCK_FORMAT_V1:  # the offset mutations are v2's; v1 gets a flip
+    if fmt == LOG:  # the offset mutations are v2's; a log block gets a flip
         return mutate(fmt, entries, bytes(body), "flip", data)
     offset_width, _, kk_at = v2_columns(body, count)
     cells = [body[1 + i * offset_width : 1 + (i + 1) * offset_width] for i in range(count)]
@@ -167,7 +169,7 @@ def exercise(block, entries, keys):
 
 @given(
     entries=entry_lists(),
-    fmt=st.sampled_from([BLOCK_FORMAT_V1, BLOCK_FORMAT_V2]),
+    fmt=st.sampled_from([LOG, TABLE]),
     codec=st.sampled_from(["none", "zlib"]),
     what=st.sampled_from(_MUTATIONS),
     hash_index=st.booleans(),
@@ -177,26 +179,42 @@ def exercise(block, entries, keys):
 def test_a_damaged_block_is_refused_or_reads_without_raising(
     entries, fmt, codec, what, hash_index, data
 ):
-    body = body_of(fmt, entries)
-    if what == "truncate":
-        payload = frame(fmt, codec, body)
-        payload = payload[: data.draw(st.integers(0, len(payload) - 1))]
-    elif what == "none":
-        payload = frame(fmt, codec, body)
+    if fmt == LOG:
+        codec = "none"  # log blocks are never framed
+
+        def open_block(payload):
+            return parse_log_block(payload)
+
+        refused = (CorruptionError, ValueError)
     else:
+
+        def open_block(payload):
+            return parse_block(payload, hash_index)
+
+        refused = (CorruptionError,)
+    body = body_of(fmt, entries)
+    payload = frame(fmt, codec, body)
+    if what == "truncate":
+        payload = payload[: data.draw(st.integers(0, len(payload) - 1))]
+    elif what == "rot":
+        bit = data.draw(st.integers(0, 8 * len(payload) - 1))
+        payload = bytearray(payload)
+        payload[bit // 8] ^= 1 << bit % 8
+        payload = bytes(payload)
+    elif what != "none":
         payload = frame(fmt, codec, bytes(mutate(fmt, entries, body, what, data)))
-    refused = (CorruptionError,) if fmt == BLOCK_FORMAT_V2 else (CorruptionError, ValueError)
     probes = [entry.key for entry in entries] + [b"", b"\xff" * 13, entries[0].key + b"\x00"]
     try:
-        block = parse_block(payload, True, hash_index, fmt)
+        block = open_block(payload)
     except refused:
         assert what != "none"
         return
+    assert what not in ("truncate", "rot"), "a damaged stored payload opened"
     exercise(block, entries, probes)
-    fresh = parse_block(payload, True, hash_index, fmt)
+    fresh = open_block(payload)
     fresh[len(fresh) // 3 :]  # a window decoded before any find
     exercise(fresh, entries, probes)
     if what == "none":
-        assert list(parse_block(payload, True, hash_index, fmt)) == entries
-        block = parse_block(payload, True, hash_index, fmt)
+        assert list(open_block(payload)) == entries
+        block = open_block(payload)
         assert [block.find(entry.key) for entry in entries] == entries

@@ -1,10 +1,12 @@
 """Blocks searched in place: same answers, same errors, far fewer decodes.
 
-``parse_block`` opens a payload *in place* (offsets + key list; an entry is
-decoded when asked for). The block must be indistinguishable from what the
-eager decoder the engine used before returned — kept below, verbatim, as the
-oracle — in what it holds, in what it charges the cache, and in which
-exception class every possible defect raises.
+``parse_log_block`` and ``parse_block`` open a log block or a table block
+*in place* (offsets + key list or columns; an entry is decoded when asked
+for). A log block must be indistinguishable from what the eager decoder the
+engine used before returned — kept below as the oracle — in what it holds,
+in what it charges the cache, and in which exception class every possible
+defect raises. A table block must hold and charge the same, and refuse every
+defect as ``CorruptionError``.
 """
 
 import sys
@@ -21,21 +23,25 @@ from repro.common.entry import Entry, EntryKind
 from repro.errors import CorruptionError, ReproError
 from repro.storage import sstable
 from repro.storage.block_device import BlockDevice
-from repro.storage.compression import codec_by_id, get_codec, is_compressed_frame
+from repro.storage.compression import get_codec
 from repro.storage.sstable import (
     DataBlock,
     SSTableBuilder,
+    encode_block_v2,
+    encode_log_block,
     parse_block,
-    serialize_block,
+    parse_log_block,
 )
 from repro.storage.value_log import ValueLog
 
 from tests.conftest import make_tree
 
 
-# -- the oracle: the eager decoder as it stood before blocks were searched in
-# -- place (one deviation: a payload cut exactly at a kind byte used to leak
-# -- IndexError; it is a truncation like any other and now reads ValueError).
+# -- the oracle: the eager log-block decoder as it stood before blocks were
+# -- searched in place. Two deviations: a payload cut exactly at a kind byte
+# -- used to leak IndexError; it is a truncation like any other and now reads
+# -- ValueError. And an empty payload used to open as an empty block; it is
+# -- shorter than its checksum and now reads CorruptionError.
 
 
 def _seed_decode_entries(body, stored_crc):
@@ -59,38 +65,11 @@ def _seed_decode_entries(body, stored_crc):
     return entries
 
 
-def _seed_parse_framed(view):
-    n = len(view)
-    if zlib.crc32(view[: n - 4]) != int.from_bytes(view[n - 4 :], "big"):
-        raise CorruptionError("compressed block checksum mismatch")
-    codec = codec_by_id(view[1])
-    try:
-        uncompressed_size, pos = decode_varint(view, 2)
-        if pos > n - 4:
-            raise ValueError("frame header overruns payload")
-        body = codec.decompress(view[pos : n - 4], uncompressed_size)
-        return _seed_decode_entries(memoryview(body), None)
-    except CorruptionError:
-        raise
-    except ValueError as exc:
-        raise CorruptionError(f"invalid compressed frame: {exc}") from exc
-
-
-def seed_parse_block(payload, detect_frames=True):
-    if not payload:
-        return []
+def seed_parse_block(payload):
     n = len(payload)
     if n < 4:
         raise CorruptionError(f"block of {n} bytes is too short")
     view = memoryview(payload)
-    if detect_frames and is_compressed_frame(view):
-        try:
-            return _seed_parse_framed(view)
-        except CorruptionError as framed_err:
-            try:
-                return _seed_decode_entries(view[4:], int.from_bytes(view[:4], "big"))
-            except (CorruptionError, ValueError):
-                raise framed_err from None
     return _seed_decode_entries(view[4:], int.from_bytes(view[:4], "big"))
 
 
@@ -128,18 +107,29 @@ def entry_lists(draw):
 
 @given(
     entries=entry_lists(),
-    codec=st.sampled_from(["none", "zlib", "rle"]),
+    codec=st.sampled_from(["log", "none", "zlib", "rle"]),
     hash_index=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)
 def test_in_place_block_equals_the_eager_decode(entries, codec, hash_index, data):
-    payload = serialize_block(entries, codec=get_codec(codec))
-    oracle = seed_parse_block(payload)
-    assert oracle == entries
+    # ``log``: a log block against the oracle; otherwise a table block with
+    # that codec, against its own entries.
+    if codec == "log":
+        payload = encode_log_block(entries)
+        oracle = seed_parse_block(payload)
 
-    def fresh():
-        return parse_block(payload, hash_index=hash_index)
+        def fresh():
+            return parse_log_block(payload)
+
+    else:
+        payload = encode_block_v2(entries, get_codec(codec))[0]
+        oracle = list(entries)
+
+        def fresh():
+            return parse_block(payload, hash_index=hash_index)
+
+    assert oracle == entries
 
     n = len(entries)
     eager = DataBlock(oracle, hash_index)
@@ -243,38 +233,43 @@ def _sweep_entries():
     ]
 
 
-@pytest.mark.parametrize("codec", ["none", "zlib"])
-@pytest.mark.parametrize("detect_frames", [True, False])
-def test_every_truncation_and_bit_flip_raises_what_the_eager_decoder_raised(
-    codec, detect_frames
-):
-    payload = serialize_block(_sweep_entries(), codec=get_codec(codec))
-    assert is_compressed_frame(payload) == (codec != "none")
+@pytest.mark.parametrize("block", ["log", "table-none", "table-zlib"])
+def test_every_truncation_and_bit_flip_raises_what_the_eager_decoder_raised(block):
+    entries = _sweep_entries()
+    if block == "log":
+        payload, parse, oracle = encode_log_block(entries), parse_log_block, seed_parse_block
+    else:
+        payload = encode_block_v2(entries, get_codec(block[len("table-") :]))[0]
+        parse = parse_block
+
+        def oracle(mutated):
+            if mutated != payload:
+                raise CorruptionError("a table block refuses every defect")
+            return entries
+
     opened = 0
     for what, mutated in _mutations(payload):
-        expected = _outcome(lambda: seed_parse_block(mutated, detect_frames))
-        got = _outcome(lambda: parse_block(mutated, detect_frames))
+        expected = _outcome(lambda: oracle(mutated))
+        got = _outcome(lambda: parse(mutated))
         assert got == expected, what
         if got[0] != "ok":
             assert issubclass(got[0], (ReproError, ValueError)), what
             continue
         # A block that opened never raises afterwards.
         opened += 1
-        again = parse_block(mutated, detect_frames)
+        again = parse(mutated)
         for entry in expected[1]:
             assert again.find(entry.key) == entry
-    # Nothing damaged opens: only the empty cut (an empty block) and, unless
-    # it is a frame read with detection off, the intact payload.
-    assert opened == 1 + (codec == "none" or detect_frames)
+    assert opened == 1  # nothing damaged opens: only the intact payload
 
 
 def test_truncated_legacy_payload_is_a_value_error_before_the_crc_verdict():
     # The value log's jumbo-span retry extends the payload on ValueError and
     # gives up on CorruptionError: truncation must never read as a bad CRC.
-    payload = serialize_block([Entry(b"jumbo", 0, EntryKind.PUT, b"x" * 3000)])
+    payload = encode_log_block([Entry(b"jumbo", 0, EntryKind.PUT, b"x" * 3000)])
     for cut in (8, 512, len(payload) - 1):
         with pytest.raises(ValueError) as info:
-            parse_block(payload[:cut], detect_frames=False)
+            parse_log_block(payload[:cut])
         assert not isinstance(info.value, ReproError)
 
 
@@ -284,7 +279,7 @@ def test_payloads_past_64k_switch_to_wide_offsets():
         Entry(b"big", 7, EntryKind.PUT, b"x" * 70_000),
         Entry(b"tail", 8, EntryKind.PUT, b"y"),
     ]
-    block = parse_block(serialize_block(entries), detect_frames=False)
+    block = parse_log_block(encode_log_block(entries))
     assert block._offsets.typecode == "I"
     assert block[1] == entries[1] and list(block) == entries
     # A key that ends exactly at byte 65536 of a truncated payload is the
@@ -294,7 +289,7 @@ def test_payloads_past_64k_switch_to_wide_offsets():
     payload = zlib.crc32(body).to_bytes(4, "big") + body
     assert len(payload) == 1 << 16
     with pytest.raises(ValueError):
-        parse_block(payload, detect_frames=False)
+        parse_log_block(payload)
 
 
 # -- (iii) decode counts ----------------------------------------------------------
@@ -365,37 +360,44 @@ def test_a_scan_decodes_only_its_window_of_the_boundary_blocks(entries_built, re
     assert len(entries_built) == 50
 
 
+def _both_kinds(entries):
+    """Fresh openers of the same entries as a log block and a table block."""
+    log, table = encode_log_block(entries), encode_block_v2(entries)[0]
+    return (lambda: parse_log_block(log), lambda: parse_block(table))
+
+
 def test_a_fully_decoded_block_drops_its_payload_and_offsets():
     entries = _sweep_entries()
-    block = parse_block(serialize_block(entries))
-    block.find(b"banana")
-    assert block._buf is not None and block._offsets is not None
-    assert block[1:3] == entries[1:3]
-    assert block._buf is not None  # a window is not the whole block
-    assert list(block) == entries
-    assert block._buf is None and block._offsets is None
-    assert block.find(b"cherry" * 25) == entries[2] and block[-1] == entries[-1]
+    for fresh in _both_kinds(entries):
+        block = fresh()
+        block.find(b"banana")
+        assert block._buf is not None and block._offsets is not None
+        assert block[1:3] == entries[1:3]
+        assert block._buf is not None  # a window is not the whole block
+        assert list(block) == entries
+        assert block._buf is None and block._offsets is None
+        assert block.find(b"cherry" * 25) == entries[2] and block[-1] == entries[-1]
 
 
 def test_the_last_slot_filled_drops_the_payload_whichever_path_fills_it():
     # A hot block filled key by key (or window by window) must not keep its
     # payload beside a full set of decoded entries: that is ~2x its charge.
     entries = _sweep_entries()
-    payload = serialize_block(entries)
-    by_find = parse_block(payload)
-    for entry in entries[:-1]:
-        by_find.find(entry.key)
-    assert by_find._buf is not None
-    by_find.find(entries[-1].key)
-    assert by_find._buf is None and by_find._offsets is None
-    by_window = parse_block(payload)
-    assert by_window[:2] == entries[:2] and by_window._buf is not None
-    assert by_window[2:] == entries[2:]
-    assert by_window._buf is None and by_window._offsets is None
-    by_index = parse_block(payload, detect_frames=False)  # as the value log reads
-    for slot in (4, 2, 0, 3, 1):
-        assert by_index[slot] == entries[slot]
-    assert by_index._buf is None and by_index == entries
+    for fresh in _both_kinds(entries):
+        by_find = fresh()
+        for entry in entries[:-1]:
+            by_find.find(entry.key)
+        assert by_find._buf is not None
+        by_find.find(entries[-1].key)
+        assert by_find._buf is None and by_find._offsets is None
+        by_window = fresh()
+        assert by_window[:2] == entries[:2] and by_window._buf is not None
+        assert by_window[2:] == entries[2:]
+        assert by_window._buf is None and by_window._offsets is None
+        by_index = fresh()  # as the value log reads its records
+        for slot in (4, 2, 0, 3, 1):
+            assert by_index[slot] == entries[slot]
+        assert by_index._buf is None and by_index == entries
 
 
 # -- (iv) shared cached blocks need no lock -----------------------------------------
@@ -406,13 +408,16 @@ def test_threads_sharing_one_block_read_equal_entries():
         Entry(b"k%05d" % i, 1000 + i, EntryKind(i % 4), b"" if i % 4 == 1 else b"v%d" % i * 5)
         for i in range(64)
     ]
-    payload = serialize_block(entries)
+    log, table = encode_log_block(entries), encode_block_v2(entries)[0]
     failures = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for round_no in range(100):
-            block = parse_block(payload, hash_index=bool(round_no % 2))
+            if round_no % 3 == 0:
+                block = parse_log_block(log)
+            else:
+                block = parse_block(table, hash_index=bool(round_no % 3 - 1))
             start = threading.Barrier(3)
 
             def finder():

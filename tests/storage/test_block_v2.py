@@ -9,11 +9,13 @@ defects its open rejects.
   seqno costs a byte where v1's varint did not, and a codec compresses the
   offset column less well than v1's one-byte value lengths); EXPERIMENTS.md
   lists the worst blocks.
-* **Boundaries.** The split rule is the format-independent
-  ``_ENTRY_ENCODED_OVERHEAD``: a table has the same blocks, holding the same
-  first and last keys, whichever format it is written in.
-* **Open.** Every defect v1's per-entry walk rejects is rejected when a v2
-  block opens, as ``CorruptionError``.
+* **Boundaries.** The split rule alone places entries: it budgets
+  ``_ENTRY_ENCODED_OVERHEAD`` bytes per entry whatever the block format, so
+  a table has the blocks the rule makes of its stream, holding the same
+  first and last keys a v1 table had.
+* **Open.** Every defect a log block's per-entry walk rejects is rejected
+  when a v2 block opens, as ``CorruptionError``.
+* **Footer.** A table without an intact v2 footer is corrupt.
 """
 
 import random
@@ -28,10 +30,10 @@ from repro.errors import CorruptionError
 from repro.storage import sstable
 from repro.storage.block_device import BlockDevice
 from repro.storage.compression import get_codec
-from repro.storage.sstable import BLOCK_FORMAT_V2, SSTableBuilder, encode_block_v2, parse_block
+from repro.storage.sstable import SSTableBuilder, encode_block_v2, parse_block
 
 from tests.core.test_identity_goldens import CASES, _BASE
-from tests.storage.v1_tables import V1TableBuilder, encode_block_v1
+from tests.storage.v1_tables import encode_block_v1
 
 BUDGET = 1.02
 
@@ -61,12 +63,27 @@ def boundaries(table):
     return table.num_data_blocks, table.fence_keys, table._block_last_keys
 
 
+def rule_boundaries(entries, block_size):
+    """``boundaries`` of the table the split rule alone makes of ``entries``:
+    a block closes when the next entry's budgeted size would take it past
+    ``block_size``. No encoded size enters it."""
+    blocks, pending, used = [], [], 1  # 1: the empty block's varint count
+    for entry in entries:
+        cost = len(entry.key) + len(entry.value) + sstable._ENTRY_ENCODED_OVERHEAD
+        if pending and used + cost > block_size:
+            blocks.append(pending)
+            pending, used = [], 1
+        pending.append(entry)
+        used += cost
+    blocks.append(pending)
+    return len(blocks), [block[0].key for block in blocks], [block[-1].key for block in blocks]
+
+
 @pytest.mark.parametrize("codec", [None, "zlib"])
 def test_design_point_budget_and_boundaries(codec):
     entries = design_point_entries()
     v2 = build(SSTableBuilder, entries, 4096, codec)
-    v1 = build(V1TableBuilder, entries, 4096, codec)
-    assert v2.block_format == BLOCK_FORMAT_V2 and boundaries(v2) == boundaries(v1)
+    assert boundaries(v2) == rule_boundaries(entries, 4096)
     codec = get_codec(codec) if codec else None
     for block_no in range(v2.num_data_blocks):
         block = list(v2._load_block(block_no, None, None))
@@ -76,7 +93,7 @@ def test_design_point_budget_and_boundaries(codec):
 class BlockLedger:
     """Wraps ``SSTableBuilder`` to total each block it writes beside the v1
     encoding of the same entries, and to check each table it finishes
-    against the table a v1 builder makes of the same stream."""
+    against the blocks the split rule makes of the same stream."""
 
     def __init__(self, monkeypatch):
         self.blocks = 0
@@ -97,10 +114,7 @@ class BlockLedger:
 
         def checked_finish(builder):
             table = finish(builder)
-            if isinstance(builder, V1TableBuilder):
-                return table  # the twin itself
-            twin = build(V1TableBuilder, builder._stream, builder._block_size, builder._codec)
-            assert boundaries(table) == boundaries(twin)
+            assert boundaries(table) == rule_boundaries(builder._stream, builder._block_size)
             ledger.tables += 1
             return table
 
@@ -159,9 +173,9 @@ def test_wide_columns_round_trip():
         [Entry(b"k" * 100, 1, EntryKind.MERGE, b"m"), Entry(b"l" * 20_000, 1 << 50, EntryKind.PUT, b"v")],
     ):
         payload = encode_block_v2(entries)[0]
-        block = parse_block(payload, True, False, BLOCK_FORMAT_V2)
+        block = parse_block(payload)
         assert [block.find(entry.key) for entry in entries] == entries
-        assert list(parse_block(payload, True, False, BLOCK_FORMAT_V2)) == entries
+        assert list(parse_block(payload)) == entries
 
 
 # -- what open rejects -----------------------------------------------------------
@@ -216,13 +230,13 @@ DEFECTS = {
 
 
 def test_the_intact_body_opens():
-    assert list(parse_block(sealed(BODY), True, False, BLOCK_FORMAT_V2)) == ENTRIES
+    assert list(parse_block(sealed(BODY))) == ENTRIES
 
 
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_every_defect_is_refused_at_open_as_corruption(defect):
     with pytest.raises(CorruptionError):
-        parse_block(DEFECTS[defect], True, False, BLOCK_FORMAT_V2)
+        parse_block(DEFECTS[defect])
 
 
 # -- the table footer ------------------------------------------------------------
@@ -235,8 +249,7 @@ def footer_table():
 
 @pytest.mark.parametrize("byte", range(-sstable._FOOTER_SIZE, 0))
 def test_a_damaged_footer_is_reported_as_such(byte):
-    # Without its footer a v2 table would be read as v1 and fail on its first
-    # data block; the error names the footer instead.
+    # Without its footer a table cannot be read at all; the error names it.
     device, file_id, last = footer_table()
     device.corrupt_block(file_id, last, byte)
     with pytest.raises(CorruptionError, match=f"file {file_id}: table footer damaged"):
@@ -248,18 +261,37 @@ def test_rot_in_the_padding_before_the_footer_is_never_read():
     intact = sstable.rebuild_sstable(device, file_id)
     device.corrupt_block(file_id, last, 0)
     rebuilt = sstable.rebuild_sstable(device, file_id)
-    assert rebuilt.block_format == BLOCK_FORMAT_V2
     assert boundaries(rebuilt) == boundaries(intact)
 
 
-def test_a_v1_table_may_end_in_a_data_block():
-    # With no auxiliary bytes (one block, an empty first key, no filter or
-    # index) nothing follows the data: that tail is not a footer.
-    device = BlockDevice(block_size=4096)
-    builder = V1TableBuilder(device, block_size=4096)
-    builder.add_all([Entry(b"", 1, EntryKind.PUT, b"v"), Entry(b"k", 2, EntryKind.DELETE)])
-    table = builder.finish()
-    assert table.aux_blocks == 0
-    rebuilt = sstable.rebuild_sstable(device, table.file_id)
-    assert rebuilt.block_format == sstable.BLOCK_FORMAT_V1
-    assert list(rebuilt._load_block(0, None, None)) == list(table._load_block(0, None, None))
+def with_last_block(device, file_id, last, block):
+    """A copy of table ``file_id`` whose last block is ``block``."""
+    copy = device.create_file()
+    for block_no in range(last):
+        device.append_block(copy, device.read_block(file_id, block_no))
+    device.append_block(copy, block)
+    return copy
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_a_footer_naming_another_block_format_is_refused(version):
+    device, file_id, last = footer_table()
+    tail = device.read_block(file_id, last)
+    fields = sstable._FOOTER.pack(sstable._FOOTER_MAGIC, version, last)
+    footer = fields + zlib.crc32(fields).to_bytes(4, "big")  # intact, but not v2
+    copy = with_last_block(device, file_id, last, tail[: -len(footer)] + footer)
+    with pytest.raises(CorruptionError, match=f"names block format {version}"):
+        sstable.rebuild_sstable(device, copy)
+
+
+def test_a_table_ending_in_zeros_has_no_footer():
+    # What a table written before footers existed looked like: it is not
+    # read as some other format, it is corrupt.
+    device, file_id, last = footer_table()
+    zeros = bytes(len(device.read_block(file_id, last)))
+    copy = with_last_block(device, file_id, last, zeros)
+    with pytest.raises(CorruptionError, match=f"file {copy}: table footer damaged"):
+        sstable.rebuild_sstable(device, copy)
+    empty = device.create_file()
+    with pytest.raises(CorruptionError, match=f"file {empty}: table footer damaged"):
+        sstable.rebuild_sstable(device, empty)

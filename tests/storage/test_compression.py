@@ -1,4 +1,8 @@
-"""Block codecs: round-trip properties, corruption typing, framed format."""
+"""Block codecs: round-trip properties, corruption typing, framed format.
+
+Only table blocks are ever compressed; every payload here is a v2 table
+block, raw or framed.
+"""
 
 import zlib
 
@@ -9,25 +13,22 @@ from hypothesis import strategies as st
 from repro.common.entry import Entry, EntryKind
 from repro.errors import CorruptionError
 from repro.storage.block_device import BlockDevice
-from repro.storage.compression import (
-    FRAME_MAGIC,
-    available_codecs,
-    codec_by_id,
-    get_codec,
-    is_compressed_frame,
-)
+from repro.storage.compression import FRAME_MAGIC, available_codecs, codec_by_id, get_codec
 from repro.storage.sstable import (
     SSTableBuilder,
+    encode_block_v2,
+    encode_log_block,
     parse_block,
+    parse_log_block,
     rebuild_sstable,
-    serialize_block,
 )
 
 COMPRESSED = ("rle", "zlib")
 
-#: The legacy (unframed) block format predates typed corruption: a flip that
-#: destroys a frame header falls back to it and inherits its error classes.
-LEGACY_ERRORS = (CorruptionError, ValueError, IndexError, OverflowError)
+
+def table_block(entries, name=None):
+    """A v2 table block, compressed with codec ``name`` if that shrinks it."""
+    return encode_block_v2(entries, get_codec(name) if name else None)[0]
 
 
 def compressible_entries(n=40, value_size=80):
@@ -44,7 +45,7 @@ entry_lists = st.lists(
         st.binary(max_size=96),
         st.booleans(),
     ),
-    min_size=0,
+    min_size=1,
     max_size=24,
     unique_by=lambda kvt: kvt[0],
 )
@@ -92,28 +93,28 @@ class TestCodecRoundTrip:
     @given(triples=entry_lists)
     def test_block_roundtrip(self, name, triples):
         entries = _entries_from(triples)
-        payload = serialize_block(entries, codec=get_codec(name))
+        payload = table_block(entries, name)
         assert parse_block(payload) == entries
 
     @settings(max_examples=40, deadline=None)
     @given(triples=entry_lists)
     def test_legacy_and_framed_agree(self, triples):
+        # A raw (unframed) block and its frames open to the same entries.
         entries = _entries_from(triples)
-        legacy = serialize_block(entries)
+        raw = table_block(entries)
         for name in COMPRESSED:
-            framed = serialize_block(entries, codec=get_codec(name))
-            assert parse_block(framed) == parse_block(legacy)
+            framed = table_block(entries, name)
+            assert parse_block(framed) == parse_block(raw)
 
     @pytest.mark.parametrize("name", COMPRESSED)
     def test_runs_compress(self, name):
-        payload = serialize_block(compressible_entries(), codec=get_codec(name))
-        assert is_compressed_frame(payload)
-        legacy = serialize_block(compressible_entries())
-        assert len(payload) < len(legacy)
+        payload = table_block(compressible_entries(), name)
+        assert payload[0] == FRAME_MAGIC
+        assert len(payload) < len(table_block(compressible_entries()))
 
     def test_incompressible_blocks_stay_legacy(self):
-        # Store-compressed-only-if-smaller: high-entropy values fall back to
-        # the legacy framing, so compression never inflates a block.
+        # Store-compressed-only-if-smaller: high-entropy values stay in a
+        # raw block, so compression never inflates a block.
         import random
 
         rng = random.Random(9)
@@ -122,48 +123,36 @@ class TestCodecRoundTrip:
                   value=bytes(rng.randrange(256) for _ in range(40)))
             for i in range(8)
         ]
-        payload = serialize_block(entries, codec=get_codec("rle"))
-        assert not is_compressed_frame(payload)
-        assert payload == serialize_block(entries)
+        payload = table_block(entries, "rle")
+        assert payload[0] != FRAME_MAGIC
+        assert payload == table_block(entries)
 
 
 class TestCorruptionTyping:
     @pytest.mark.parametrize("name", COMPRESSED)
     def test_truncation_is_corruption(self, name):
-        payload = serialize_block(compressible_entries(), codec=get_codec(name))
-        for cut in range(1, len(payload)):
-            if cut < 7:
-                # Too short to still look framed: falls back to the legacy
-                # parse and inherits its (typed) error contract.
-                with pytest.raises(LEGACY_ERRORS):
-                    parse_block(payload[:cut])
-            else:
-                with pytest.raises(CorruptionError):
-                    parse_block(payload[:cut])
+        payload = table_block(compressible_entries(), name)
+        for cut in range(len(payload)):
+            with pytest.raises(CorruptionError):
+                parse_block(payload[:cut])
 
     @pytest.mark.parametrize("name", COMPRESSED)
     def test_bit_flips_never_return_garbage(self, name):
-        entries = compressible_entries()
-        payload = serialize_block(entries, codec=get_codec(name))
+        # Nothing falls back to a second reading of a damaged frame: the
+        # header bytes included, every single-bit flip is refused.
+        payload = table_block(compressible_entries(), name)
         assert payload[0] == FRAME_MAGIC
         for pos in range(len(payload)):
             flipped = bytearray(payload)
             flipped[pos] ^= 0x40
-            flipped = bytes(flipped)
-            try:
-                parsed = parse_block(flipped)
-            except LEGACY_ERRORS:
-                continue
-            # The 2^-32 CRC-collision escape hatch never fires for a
-            # single-bit flip: any accepted parse must be the truth.
-            assert parsed == entries, f"garbage accepted at byte {pos}"
+            with pytest.raises(CorruptionError):
+                parse_block(bytes(flipped))
 
     @pytest.mark.parametrize("name", COMPRESSED)
     def test_body_flips_are_typed_corruption(self, name):
-        # Positions past the frame header can't demote the payload to the
-        # legacy format, so they must raise the *typed* error the read
-        # guard retries/quarantines on — not a codec internal.
-        payload = serialize_block(compressible_entries(), codec=get_codec(name))
+        # A flip must raise the *typed* error the read guard retries and
+        # quarantines on — not a codec internal.
+        payload = table_block(compressible_entries(), name)
         for pos in range(2, len(payload)):
             flipped = bytearray(payload)
             flipped[pos] ^= 0x01
@@ -228,15 +217,17 @@ class TestFrameFormat:
         # magic | codec_id | varint(uncompressed) | data | crc32 — the crc
         # covers everything before it, over the *compressed* bytes.
         codec = get_codec("zlib")
-        payload = serialize_block(compressible_entries(), codec=codec)
+        payload = table_block(compressible_entries(), "zlib")
         assert payload[0] == FRAME_MAGIC
         assert payload[1] == codec.codec_id
         body, crc = payload[:-4], payload[-4:]
         assert zlib.crc32(body).to_bytes(4, "big") == crc
 
     def test_detect_frames_optout(self):
-        payload = serialize_block(compressible_entries(), codec=get_codec("rle"))
-        # Spanning consumers (the value log) parse with detection off and
-        # must see the legacy ValueError contract, not frame handling.
-        with pytest.raises(LEGACY_ERRORS):
-            parse_block(payload, detect_frames=False)
+        # The log decoder has no frame handling to opt out of: a compressed
+        # table block is not a log block, and it says so with the log
+        # block's own error contract.
+        payload = table_block(compressible_entries(), "rle")
+        with pytest.raises((CorruptionError, ValueError)):
+            parse_log_block(payload)
+        assert parse_log_block(encode_log_block(compressible_entries())) == compressible_entries()

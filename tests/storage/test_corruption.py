@@ -6,34 +6,51 @@ from repro import encode_uint_key
 from repro.common.entry import Entry
 from repro.errors import CorruptionError
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import parse_block, serialize_block
+from repro.storage.sstable import encode_block_v2, encode_log_block, parse_block, parse_log_block
 from tests.conftest import make_tree
+
+
+def table_block(entries):
+    return encode_block_v2(entries)[0]
+
+
+# Each stored block kind with its one decoder: table blocks, log blocks.
+PAIRS = ((table_block, parse_block), (encode_log_block, parse_log_block))
 
 
 class TestBlockChecksums:
     def test_roundtrip_clean(self):
         entries = [Entry(key=b"k%d" % i, seqno=i + 1, value=b"v") for i in range(5)]
-        assert parse_block(serialize_block(entries)) == entries
+        for encode, parse in PAIRS:
+            assert parse(encode(entries)) == entries
 
     def test_flipped_value_byte_detected(self):
         entries = [Entry(key=b"key", seqno=1, value=b"A" * 50)]
-        payload = bytearray(serialize_block(entries))
-        payload[-10] ^= 0xFF  # inside the value bytes
-        with pytest.raises(CorruptionError):
-            parse_block(bytes(payload))
+        for encode, parse in PAIRS:
+            payload = bytearray(encode(entries))
+            payload[-10] ^= 0xFF  # inside the value bytes
+            with pytest.raises(CorruptionError):
+                parse(bytes(payload))
 
     def test_flipped_crc_byte_detected(self):
-        payload = bytearray(serialize_block([Entry(key=b"k", seqno=1, value=b"v")]))
-        payload[0] ^= 0xFF
-        with pytest.raises(CorruptionError):
-            parse_block(bytes(payload))
+        entries = [Entry(key=b"k", seqno=1, value=b"v")]
+        table, log = table_block(entries), encode_log_block(entries)
+        for payload, parse, crc_at in ((table, parse_block, -1), (log, parse_log_block, 0)):
+            payload = bytearray(payload)
+            payload[crc_at] ^= 0xFF
+            with pytest.raises(CorruptionError):
+                parse(bytes(payload))
 
     def test_empty_payload_parses_empty(self):
-        assert parse_block(b"") == []
+        # A log block may hold no records (the value log writes one when a
+        # jumbo value arrives with nothing pending); a table block never.
+        assert parse_log_block(encode_log_block([])) == []
 
     def test_too_short_payload_rejected(self):
-        with pytest.raises(CorruptionError):
-            parse_block(b"ab")
+        for parse in (parse_block, parse_log_block):
+            for payload in (b"", b"ab"):
+                with pytest.raises(CorruptionError):
+                    parse(payload)
 
 
 class TestDeviceFaultInjection:

@@ -65,8 +65,6 @@ class TestValueLogJumbo:
     def test_pointer_span_encoding(self):
         pointer = ValuePointer(3, 7, 0, span=5)
         assert ValuePointer.decode(pointer.encode()) == pointer
-        # Legacy 3-field pointers decode with span 1.
-        assert ValuePointer.decode(b"3:7:2") == ValuePointer(3, 7, 2, 1)
 
 
 class TestWALFrames:
