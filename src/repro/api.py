@@ -63,7 +63,8 @@ class KVStore(Protocol):
       ``seqno`` fingerprints the newest observed version (0 when absent) —
       the token optimistic transactions validate against;
     * ``multi_get`` returns ``{key: GetResult}`` over the *distinct*
-      requested keys, iterating in sorted key order;
+      requested keys, iterating in sorted key order; a closed handle (or a
+      released snapshot) refuses every batch, the empty one included;
     * ``write`` applies a :class:`repro.txn.WriteBatch` (or op-tuple
       iterable) atomically — one WAL frame (per shard, when sharded);
     * ``merge`` enqueues an operand for a registered merge operator;

@@ -1,10 +1,12 @@
 """The read path: one newest-first walk, one chain resolution, one result.
 
 Every point read — ``LSMTree.get``, ``DBService.get``, ``Snapshot.get`` (and
-through it transactional reads), ``multi_get``, the raw lookups behind
-``Version.get`` and transaction validation — is :func:`lookup` over a key's
-in-memory versions and a list of levels, then :meth:`ReadPath.resolve` and
-:func:`assemble`. Callers keep only what genuinely differs: *which* data
+through it transactional reads), the raw lookups behind ``Version.get`` and
+transaction validation — is :func:`lookup` over a key's in-memory versions
+and a list of levels, then :meth:`ReadPath.resolve` and :func:`assemble`.
+Every batch of them (``multi_get`` on every handle) is
+:meth:`ReadPath.multi_get`, the same walk taken level by level over the
+whole batch. Callers keep only what genuinely differs: *which* data
 they walk, how it is kept alive (the single-caller contract, runs pinned by
 the service, a snapshot's version) and the TTL clock. Nothing here refers
 back to the tree.
@@ -202,6 +204,8 @@ class ReadPath:
         )
         parallel = config.parallel
         self._scan_readahead = parallel.scan_readahead_blocks if parallel is not None else 1
+        # Blocks a batch's cache miss may read in one device request.
+        self._batch_span = 8 if parallel is not None else 1
 
     def resolve(self, base: Optional[Entry], operands: List[Entry], now: float) -> Optional[bytes]:
         """Fold a merge chain (operand entries newest-first) over ``base``;
@@ -254,22 +258,31 @@ class ReadPath:
             trace.finish(result, probe)
         return result
 
-    def multi_get_coalesced(
-        self, memory_chains: "Dict[bytes, List[Entry]]", levels: Levels, span: int = 8
+    def multi_get(
+        self,
+        memory_chains: "Dict[bytes, Iterable[Entry]]",
+        levels: Levels,
+        now: Optional[float] = None,
+        observer=None,
     ) -> "Dict[bytes, GetResult]":
-        """Resolve a batch level by level, each run's cache misses reading up
-        to ``span`` adjacent candidate blocks per device request (1: every
-        miss reads its own block — the same walk, uncoalesced).
+        """:meth:`get` for a batch, walked level by level: each run is asked
+        once for every key still open at it, so a block several keys need
+        is loaded once per batch (a ``ParallelConfig`` lets a cache miss
+        read up to 8 adjacent candidate blocks). ``memory_chains`` maps each
+        key to its in-memory versions, newest first.
 
         Per-key ``found`` / ``value`` / ``seqno`` / ``source_level`` /
-        ``runs_probed`` match :meth:`get` exactly; the batch's I/O provenance
-        is aggregated into the tree's probe counters rather than split
-        across per-key results.
+        ``runs_probed`` match :meth:`get`, shared digests are computed as
+        :func:`lookup` computes them, and the batch's I/O provenance goes
+        into the tree's probe counters, not into per-key results.
+        ``observer`` counts the found keys.
         """
         probe = ProbeStats()
         chains = {key: split_chain(chain) for key, chain in memory_chains.items()}
         served: Dict[bytes, int] = {}
         runs_probed = dict.fromkeys(chains, 0)
+        hash_seed = self._hash_seed
+        digests: Dict[bytes, int] = {}
         pending = [key for key, (base, _) in chains.items() if base is None]
         for level_no, runs in enumerate(levels, start=1):
             for run in runs:
@@ -277,7 +290,10 @@ class ReadPath:
                     break
                 for key in pending:
                     runs_probed[key] += 1
-                found = run.get_many(pending, probe, self.cache, span)
+                    if (hash_seed is not None and key not in digests
+                            and run.min_key <= key <= run.max_key):
+                        digests[key] = hash64(key, hash_seed)
+                found = run.get_many(pending, probe, self.cache, self._batch_span, digests)
                 for key, entry in found.items():
                     if entry.is_merge:
                         chains[key][1].append(entry)  # keep descending for its base
@@ -286,7 +302,8 @@ class ReadPath:
                         served[key] = level_no
                 if found:
                     pending = [key for key in pending if key not in served]
-        now = self._device_stats.simulated_time
+        if now is None:
+            now = self._device_stats.simulated_time
         results = {
             key: assemble(
                 base, operands, self.resolve(base, operands, now),
@@ -294,11 +311,18 @@ class ReadPath:
             )
             for key, (base, operands) in chains.items()
         }
+        stats = self._stats
         with self._stats_lock:
-            self._stats.gets += len(results)
-            self._stats.probe.merge(probe)
-            # get_many is handed no shared digest: every filter probe hashed.
-            self._stats.get_hash_evaluations += probe.filter_probes
+            stats.multi_gets += 1
+            stats.multi_get_keys += len(results)
+            stats.gets += len(results)
+            # Without sharing, every filter probe computes its own digest.
+            stats.get_hash_evaluations += (
+                len(digests) if self._shared_hashing else probe.filter_probes
+            )
+            stats.probe.merge(probe)
+        if observer is not None:
+            observer.record_multi_get(sum(result.found for result in results.values()))
         return results
 
     def scan(

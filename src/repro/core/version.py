@@ -121,8 +121,14 @@ class Snapshot:
         )
 
     def multi_get(self, keys) -> "dict[bytes, GetResult]":
-        """Batched point lookups as of the snapshot (sorted, deduplicated)."""
-        return {key: self.get(key) for key in sorted(set(keys))}
+        """Batched point lookups as of the snapshot (sorted, deduplicated),
+        one level-by-level walk of the pinned version."""
+        version = self._version
+        version.ensure_open()
+        return self._tree.reads.multi_get(
+            {key: version.memory_chain(key) for key in sorted(set(keys))},
+            version.levels, now=self.created_at,
+        )
 
     def scan(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None

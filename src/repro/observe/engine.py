@@ -207,6 +207,11 @@ class EngineObserver:
         if found:
             self.gets_found.inc()
 
+    def record_multi_get(self, found: int) -> None:
+        """A ``multi_get`` batch: its found keys count as found lookups. The
+        latency histograms and per-level series stay point-get series."""
+        self.gets_found.inc(found)
+
     def record_put(self, wall_s: float) -> None:
         self.put_wall.record(wall_s)
 

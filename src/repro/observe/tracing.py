@@ -207,23 +207,6 @@ class TraceRecorder:
             self._spans.append(span)
             self.sampled += 1
 
-    def run_batch(self, name: str, keys, get) -> dict:
-        """Run ``get`` over ``keys`` under one sampling decision: as the
-        outermost span (no active context) the dice are rolled once here and
-        inherited by every per-key lookup — a batch is fully traced under one
-        ``name`` parent or not at all, never half-traced."""
-        if self.active() is not None:
-            return {key: get(key) for key in keys}
-        span = self.maybe_start(name)
-        ctx = span.context() if span is not None else TraceContext("", sampled=False)
-        token = self.activate(ctx)
-        try:
-            return {key: get(key) for key in keys}
-        finally:
-            self.deactivate(token)
-            if span is not None:
-                self.finish(span, op="multi_get", keys=len(keys))
-
     # -- thread-local context propagation --------------------------------------
 
     def activate(self, ctx: Optional[TraceContext]) -> Optional[TraceContext]:

@@ -29,9 +29,7 @@ class ParallelConfig:
     was asked: ``seeks`` / sequential vs random reads, ``coalesced_reads`` /
     ``coalesced_blocks``, simulated and wall time, and — only when a scan
     stops before its end — blocks read ahead and never used
-    (``blocks_read`` / ``bytes_read``). (``LSMTree.multi_get`` with a config
-    set also walks the batch level by level instead of key by key: the same
-    lookups in another order.)
+    (``blocks_read`` / ``bytes_read``).
 
     Attributes:
         max_subcompactions: upper bound on the key-range partitions one

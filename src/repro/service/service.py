@@ -23,11 +23,20 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common.entry import GetResult
 from repro.core.lsm_tree import LSMTree, Snapshot
 from repro.core.read_path import chain_is_open
-from repro.errors import ClosedError, ConflictError
+from repro.errors import ClosedError, ConflictError, ReproError
 from repro.service.backpressure import BackpressureController
 from repro.service.batcher import WriteBatcher, WriteOp
 from repro.service.config import ServiceConfig
 from repro.service.scheduler import CompactionScheduler, RateLimiter
+
+
+def _member_ops(op: WriteOp):
+    """The ``(kind, key, value[, meta])`` writes one queued op stands for."""
+    if op.kind == "txn":
+        return op.meta[1]
+    if op.kind == "write":
+        return op.meta
+    return ((op.kind, op.key, op.value, op.meta),)
 
 
 class DBService:
@@ -235,13 +244,15 @@ class DBService:
             histogram.record(time.perf_counter() - wall0)
 
     def _apply_batch(self, ops) -> Optional[List[Optional[BaseException]]]:
-        """Commit one drained group: validate transactions, apply the rest.
+        """Commit one drained group: validate each member, apply the rest.
 
-        Returns per-op errors (transactions that lose validation get a
-        :class:`ConflictError`; everything else in the group still
-        commits). Expansion and validation happen together under the tree
-        mutex so no write can slip between a transaction's validation and
-        its apply.
+        Returns per-op errors: a member with an op staging would reject (an
+        entry too big for a block, a NaN TTL, an unknown kind or operator)
+        gets that error, and a transaction that loses validation a
+        :class:`ConflictError`; everything else in the group still commits,
+        in one frame. Expansion and validation happen together under the
+        tree mutex so no write can slip between a transaction's validation
+        and its apply.
         """
         tree = self.tree
         errors: List[Optional[BaseException]] = [None] * len(ops)
@@ -249,8 +260,15 @@ class DBService:
             flat: List[tuple] = []
             written: set = set()
             for index, op in enumerate(ops):
+                member = _member_ops(op)
+                try:
+                    for member_op in member:
+                        tree.validate_write(*member_op)
+                except (ReproError, ValueError, TypeError) as exc:  # what staging rejects
+                    errors[index] = exc
+                    continue
                 if op.kind == "txn":
-                    read_set, txn_ops = op.meta
+                    read_set = op.meta[0]
                     try:
                         # A key written earlier in this very group is as
                         # much a conflict as one already committed.
@@ -265,15 +283,9 @@ class DBService:
                     except ConflictError as exc:
                         errors[index] = exc
                         continue
-                    flat.extend(txn_ops)
-                    written.update(txn_op[1] for txn_op in txn_ops)
                     tree.stats.txn_commits += 1
-                elif op.kind == "write":
-                    flat.extend(op.meta)
-                    written.update(batch_op[1] for batch_op in op.meta)
-                else:
-                    flat.append((op.kind, op.key, op.value, op.meta))
-                    written.add(op.key)
+                flat.extend(member)
+                written.update(member_op[1] for member_op in member)
             if flat:
                 tree.write_batch(flat)
             # Under the mutex: the next group's leader may already be here.
@@ -329,13 +341,35 @@ class DBService:
         return self.tree.scan(start, end)
 
     def multi_get(self, keys) -> "dict[bytes, GetResult]":
-        """Batched point lookups in sorted key order, traced under one
-        sampling decision (:meth:`TraceRecorder.run_batch`)."""
+        """Batched point lookups over one view, in sorted key order.
+
+        Every key's in-memory versions are collected and, when any of them
+        leaves its key open, the storage runs pinned in one critical
+        section; the batch is then walked outside the mutex
+        (:meth:`ReadPath.multi_get`). A write that commits meanwhile is
+        invisible to the whole batch. A sampled batch is one
+        ``service:multi_get`` span.
+        """
+        self._check_open()
+        recorder = self.recorder
+        span = recorder.maybe_start("service:multi_get") if recorder is not None else None
         unique = sorted(set(keys))
-        self.tree.note_multi_get(len(unique))
-        if self.recorder is None:
-            return {key: self.get(key) for key in unique}
-        return self.recorder.run_batch("service:multi_get", unique, self.get)
+        tree = self.tree
+        with tree.mutex:
+            chains = {key: tree.memory_chain(key) for key in unique}
+            open_chain = any(chain_is_open(chain) for chain in chains.values())
+            version = tree.pin_version(memory=False) if open_chain else None
+        try:
+            results = tree.reads.multi_get(
+                chains, version.levels if version is not None else (),
+                observer=tree.observer,
+            )
+        finally:
+            if version is not None:
+                version.close()
+        if span is not None:
+            recorder.finish(span, op="multi_get", keys=len(unique))
+        return results
 
     def snapshot(self) -> Snapshot:
         """A consistent read view of the tree (see :meth:`LSMTree.snapshot`).

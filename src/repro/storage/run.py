@@ -98,11 +98,13 @@ class Run:
         stats: Optional[ProbeStats] = None,
         cache=None,
         span: int = 8,
+        digests: "Optional[dict[bytes, int]]" = None,
     ) -> "dict[bytes, Entry]":
         """Batched point lookup: group keys by owning file, coalesce I/O per file.
 
         Returns ``key -> Entry`` (tombstones included) for keys present in
-        this run; same per-key accounting as :meth:`get`.
+        this run; same per-key accounting as :meth:`get`. ``digests`` holds
+        the keys' shared filter digests, as ``digest`` does for :meth:`get`.
         """
         grouped: "dict[int, tuple[SSTable, List[bytes]]]" = {}
         for key in keys:
@@ -111,7 +113,7 @@ class Run:
                 grouped.setdefault(table.file_id, (table, []))[1].append(key)
         out: "dict[bytes, Entry]" = {}
         for table, table_keys in grouped.values():
-            found = table.get_many(table_keys, stats=stats, cache=cache, span=span)
+            found = table.get_many(table_keys, stats, cache, span, digests)
             table.hotness += len(found)
             out.update(found)
         return out

@@ -860,6 +860,7 @@ class SSTable:
         stats: Optional[ProbeStats] = None,
         cache=None,
         span: int = 8,
+        digests: "Optional[dict[bytes, int]]" = None,
     ) -> "dict[bytes, Entry]":
         """Batched point lookup: resolve many keys, loading each block once.
 
@@ -871,13 +872,15 @@ class SSTable:
         up to ``span - 1`` of the batch's candidate blocks that follow
         without a gap (:meth:`_frame_source`).
 
-        Returns a dict of ``key -> Entry`` (tombstones included) for the
-        keys present in this table; absent keys are simply omitted.
+        ``digests`` maps keys to their shared filter digests (shared hashing;
+        a key without one hashes itself, as in :meth:`get`). Returns a dict of
+        ``key -> Entry`` (tombstones included) for the keys present in this
+        table; absent keys are simply omitted.
         """
         candidates: "List[tuple[bytes, Sequence[int]]]" = []
         needed: "set[int]" = set()
         for key in keys:
-            blocks = self._candidate_blocks(key, stats)
+            blocks = self._candidate_blocks(key, stats, digests.get(key) if digests else None)
             if blocks is not None:
                 candidates.append((key, blocks))
                 needed.update(blocks)

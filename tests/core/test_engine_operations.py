@@ -20,16 +20,34 @@ class TestMultiGet:
         assert not results[encode_uint_key(999)].found
 
     def test_sorted_probing_improves_cache_locality(self):
-        tree = make_tree(cache_bytes=4 << 10)
-        for i in range(2000):
-            tree.put(encode_uint_key(i), b"x" * 30)
-        tree.flush()
+        """A batch looks each block it needs up once: one cache lookup per
+        distinct candidate block, where key-by-key gets look a block up once
+        for every key that needs it."""
         import random
 
+        def build():
+            tree = make_tree(cache_bytes=4 << 10)
+            for i in range(2000):
+                tree.put(encode_uint_key(i), b"x" * 30)
+            tree.flush()
+            return tree
+
         keys = [encode_uint_key(k) for k in random.Random(1).sample(range(2000), 400)]
-        tree.multi_get(keys)
-        batched_hits = tree.cache.stats.hit_rate
-        assert batched_hits > 0  # consecutive sorted keys share blocks
+        batched, serial = build(), build()
+        counts = [dict(tree.cache.access_counts) for tree in (batched, serial)]
+        lookups = [tree.cache.stats.lookups for tree in (batched, serial)]
+        batched.multi_get(keys)
+        for key in sorted(keys):
+            serial.get(key)
+        loads = [
+            {block: n - before.get(block, 0) for block, n in tree.cache.access_counts.items()}
+            for tree, before in zip((batched, serial), counts)
+        ]
+        candidates = {block for block, n in loads[1].items() if n}
+        assert {block for block, n in loads[0].items() if n} == candidates
+        assert set(loads[0].values()) <= {0, 1}
+        assert batched.cache.stats.lookups - lookups[0] == len(candidates)
+        assert serial.cache.stats.lookups - lookups[1] > len(candidates)  # sorted keys share blocks
 
 
 class TestDeleteRange:

@@ -257,24 +257,22 @@ class TestOneReadPath:
 
         service = DBService(tree)
         live = {
-            "multi_get": lambda: tree.multi_get(keys),
             "service.get": lambda: {k: service.get(k) for k in keys},
-            "service.multi_get": lambda: service.multi_get(keys),
         }
         for name, read in live.items():
             assert self.answers(tree, read) == (reference, cost), name
         with tree.snapshot() as snapshot, Transaction(tree) as txn:
             pinned = {
                 "snapshot.get": lambda: {k: snapshot.get(k) for k in keys},
-                "snapshot.multi_get": lambda: snapshot.multi_get(keys),
                 "transaction.get": lambda: {k: txn.get(k) for k in keys},
             }
             for name, read in pinned.items():
                 assert self.answers(tree, read) == (reference, cost), name
-        service.close()
 
-        # The coalesced batch is a different algorithm over the same data; an
-        # identically built tree must give the same answers and filter work.
+        # A batch is one level-by-level walk on every handle and under every
+        # ParallelConfig: the same answers and the same filter and hash work
+        # as key-by-key gets, and no more block loads (a block several keys
+        # share is loaded once per batch).
         coalescing, _ = self.build(
             layout, shared_hashing=shared_hashing,
             parallel=ParallelConfig(
@@ -282,7 +280,18 @@ class TestOneReadPath:
                 scan_readahead_blocks=1, write_buffer_blocks=1,
             ),
         )
-        batched, batch_cost = self.answers(coalescing, lambda: coalescing.multi_get(keys))
-        assert coalescing.stats.multi_gets == 1
-        assert batched == reference
-        assert batch_cost[:3] == cost[:3]
+        with tree.snapshot() as snapshot:
+            batches = {
+                "multi_get": (tree, lambda: tree.multi_get(keys)),
+                "service.multi_get": (tree, lambda: service.multi_get(keys)),
+                "snapshot.multi_get": (tree, lambda: snapshot.multi_get(keys)),
+                "parallel multi_get": (coalescing, lambda: coalescing.multi_get(keys)),
+            }
+            for name, (owner, read) in batches.items():
+                batches_before = owner.stats.multi_gets
+                batched, batch_cost = self.answers(owner, read)
+                assert owner.stats.multi_gets == batches_before + 1, name
+                assert batched == reference, name
+                assert batch_cost[:3] == cost[:3] and batch_cost[4] == cost[4], name
+                assert batch_cost[3] <= cost[3], name
+        service.close()

@@ -184,7 +184,7 @@ class TestRegistryIsAViewOfTheEngine:
             db.close()
 
     @pytest.mark.parametrize("parallel", [None, ParallelConfig(max_subcompactions=1)],
-                             ids=["key-by-key", "level-by-level"])
+                             ids=["serial", "parallel"])
     def test_every_multi_get_batch_is_counted_once_on_every_fork(self, parallel):
         tree = make_tree(parallel=parallel)
         registry = MetricsRegistry()

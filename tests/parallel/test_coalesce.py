@@ -188,8 +188,10 @@ class TestMultiGetCoalescing:
         assert batched.seeks * 2 <= max(1, single.seeks)
 
     def test_shared_hashing_batch_counts_every_digest_it_computed(self):
-        """``get_many`` is handed no shared digest, so each filter probe of a
-        coalesced batch hashes its key — and each is counted."""
+        """Under shared hashing a batch computes one digest per key, at the
+        first run whose range covers it, and hands it to every filter it
+        probes: no filter hashes a key itself, and the batch counts exactly
+        the digests per-key gets count."""
         tree = make_tree(
             shared_hashing=True,
             parallel=ParallelConfig(max_subcompactions=1),
@@ -204,14 +206,18 @@ class TestMultiGetCoalescing:
                     table.point_filter.may_contain, hashed
                 )
         keys = [encode_uint_key(i) for i in range(0, 800, 16)]
-        before = tree.stats.get_hash_evaluations
+        before = (tree.stats.get_hash_evaluations, tree.stats.probe.filter_probes)
         batched = tree.multi_get(keys)
-        assert len(hashed) >= len(keys)
-        assert tree.stats.get_hash_evaluations - before == len(hashed)
+        digests = tree.stats.get_hash_evaluations - before[0]
+        assert hashed == []
+        assert digests == len(keys)  # every key lies inside some run's range
+        assert tree.stats.probe.filter_probes - before[1] > len(keys)
         for key in keys:
             got = tree.get(key)
             assert got.found
             assert (batched[key].found, batched[key].value) == (got.found, got.value)
+        assert hashed == []
+        assert tree.stats.get_hash_evaluations - before[0] == 2 * digests
 
 
 def _broken(*args):

@@ -8,11 +8,9 @@ state: every field of both tiers' ``CacheStats``, ``access_counts``, the
 eviction order, ``ProbeStats``. Only the device may tell them apart: same
 bytes for every scan run to its end, strictly fewer seeks when coalesced.
 
-A batch's uncoalesced reference is the same level-by-level walk at span 1
-(``ReadPath.multi_get_coalesced(..., span=1)``): ``LSMTree.multi_get`` on a
-``parallel=None`` tree is per-key gets, key by key — the same keys against
-the same runs in another order, which an LRU cache can tell apart
-(``test_public_multi_get_*`` pins what still holds across the two walks).
+A batch is the public ``multi_get`` on both trees: one level-by-level walk,
+whose cache misses read one block per device request on the serial tree and
+up to 8 adjacent candidate blocks on the coalesced one.
 """
 
 import dataclasses
@@ -72,7 +70,7 @@ def answer(result):
     return (result.found, result.value, result.seqno, result.source_level, result.runs_probed)
 
 
-def run_op(tree, kind, arg, span):
+def run_op(tree, kind, arg):
     if kind == "get":
         return answer(tree.get(arg))
     if kind == "scan":
@@ -83,14 +81,7 @@ def run_op(tree, kind, arg, span):
             return list(itertools.islice(scan, 25))
         finally:
             scan.close()
-    keys = sorted(set(arg))
-    if span is None:  # the public entry point of a tree with a ParallelConfig
-        results = tree.multi_get(keys)
-    else:
-        results = tree.reads.multi_get_coalesced(
-            {key: tree.memory_chain(key) for key in keys}, tree._level_set.levels, span=span
-        )
-    return {key: answer(result) for key, result in results.items()}
+    return {key: answer(result) for key, result in tree.multi_get(arg).items()}
 
 
 def cache_state(tree):
@@ -118,8 +109,8 @@ def test_coalescing_changes_device_request_shapes_and_nothing_else(codec, cache_
     for step, (kind, arg) in enumerate(stream(seed=23)):
         before_s = serial.device.stats.snapshot()
         before_c = coalesced.device.stats.snapshot()
-        expected = run_op(serial, kind, arg, span=1)
-        assert run_op(coalesced, kind, arg, span=None) == expected, (step, kind)
+        expected = run_op(serial, kind, arg)
+        assert run_op(coalesced, kind, arg) == expected, (step, kind)
         assert cache_state(coalesced) == cache_state(serial), (step, kind)
         delta_s = serial.device.stats.delta(before_s)
         delta_c = coalesced.device.stats.delta(before_c)
@@ -145,41 +136,37 @@ def test_coalescing_changes_device_request_shapes_and_nothing_else(codec, cache_
 
 @pytest.mark.parametrize("codec", sorted(CODECS))
 def test_public_multi_get_agrees_across_the_two_walks(codec):
-    """Key by key (``parallel=None``) against level by level: equal answers
-    and equal admission counts, each side true to its own cache accounting."""
+    """The one batch walk at its two spans — 1 block per cache miss on the
+    serial tree, up to 8 on the coalesced one — batch by batch, with no
+    decoded cache: equal answers, equal admission counts, each block loaded
+    once per batch on both trees, the same frames fetched, and coalesced
+    device requests only where the ParallelConfig allows them."""
     serial = build(None, 0, codec)
     coalesced = build(COALESCED, 0, codec)
-    seeks = {"serial": 0, "coalesced": 0}
     for kind, arg in stream(seed=5, ops=120):
         if kind != "batch":
             continue
-        before_s = serial.device.stats.snapshot()
-        before_c = coalesced.device.stats.snapshot()
-        tier_hits_s = serial.cache.compressed_stats.hits
-        tier_hits_c = coalesced.cache.compressed_stats.hits
-        loads_before = dict(coalesced.cache.access_counts)
+        before = {"serial": serial.device.stats.snapshot(),
+                  "coalesced": coalesced.device.stats.snapshot()}
+        loads_before = {"serial": dict(serial.cache.access_counts),
+                        "coalesced": dict(coalesced.cache.access_counts)}
+        tier_before = {"serial": serial.cache.compressed_stats.hits,
+                       "coalesced": coalesced.cache.compressed_stats.hits}
         expected = {key: answer(r) for key, r in serial.multi_get(arg).items()}
         assert {key: answer(r) for key, r in coalesced.multi_get(arg).items()} == expected
-        # Level by level loads a block once per batch, not once per key.
-        loads = coalesced.cache.access_counts
-        assert all(count - loads_before.get(block, 0) <= 1 for block, count in loads.items())
-        delta_s = serial.device.stats.delta(before_s)
-        delta_c = coalesced.device.stats.delta(before_c)
-        # So it never fetches more frames than key by key, each one off the
-        # device or out of the compressed tier. The device alone is no bound
-        # for one batch: the two walks touch frames in another order, so the
-        # tier's LRU keeps other frames across batches (v1 tables give this
-        # stream at seeds 1 and 4, v2 tables at seeds 1 and 5, a batch that
-        # reads more blocks level by level). Without a codec the tier is
-        # empty and this is the device count.
-        fetched_s = delta_s.blocks_read + serial.cache.compressed_stats.hits - tier_hits_s
-        fetched_c = delta_c.blocks_read + coalesced.cache.compressed_stats.hits - tier_hits_c
-        assert fetched_c <= fetched_s
-        seeks["serial"] += delta_s.seeks
-        seeks["coalesced"] += delta_c.seeks
-    assert seeks["coalesced"] < seeks["serial"]
+        blocks = {}
+        for name, tree in (("serial", serial), ("coalesced", coalesced)):
+            loads = tree.cache.access_counts
+            loaded = {b: n - loads_before[name].get(b, 0) for b, n in loads.items()}
+            assert all(n <= 1 for n in loaded.values()), name  # once per batch
+            blocks[name] = {b for b, n in loaded.items() if n}
+            # No decoded tier: each load is a device read or a compressed-tier hit.
+            fetched = (tree.device.stats.delta(before[name]).blocks_read
+                       + tree.cache.compressed_stats.hits - tier_before[name])
+            assert fetched == len(blocks[name]), name
+        assert blocks["coalesced"] == blocks["serial"]
+    assert serial.device.stats.coalesced_reads == 0 < coalesced.device.stats.coalesced_reads
     for tree in (serial, coalesced):
         assert tree.cache.stats.lookups == tree.stats.probe.blocks_read > 0
         assert tree.stats.probe.cache_hits == tree.cache.stats.hits == 0
-    probes = lambda p: (p.filter_probes, p.filter_negatives, p.false_positives, p.index_probes)
-    assert probes(coalesced.stats.probe) == probes(serial.stats.probe)
+    assert dataclasses.asdict(coalesced.stats.probe) == dataclasses.asdict(serial.stats.probe)

@@ -128,13 +128,15 @@ class TestServerRootedTraces:
             assert len(multi) == 1
             trace = spans_of_trace(srv.recorder, multi[0].trace_id)
             # One root (the server span), everything else links beneath it:
-            # with the server's context active, the service skips its own
-            # multi_get wrapper and the per-key probes parent directly here.
+            # the batch is one walk, so one service:multi_get span under the
+            # server's, carrying the batch size, and no per-key spans.
             roots = [s for s in trace if s.parent_id == ""]
             assert roots == [multi[0]]
-            per_key = [s for s in trace if s.name == "service:get"]
-            assert len(per_key) == 3
-            assert all(s.parent_id == multi[0].span_id for s in per_key)
+            batch = [s for s in trace if s.name == "service:multi_get"]
+            assert len(batch) == 1
+            assert batch[0].parent_id == multi[0].span_id
+            assert batch[0].attrs["keys"] == 3
+            assert not [s for s in trace if s.name == "service:get"]
             assert_no_orphans(trace)
         finally:
             srv.shutdown()
