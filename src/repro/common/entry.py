@@ -50,6 +50,7 @@ MERGE = EntryKind.MERGE
 PUT_TTL = EntryKind.PUT_TTL
 
 _TTL_DEADLINE = struct.Struct(">d")
+TTL_DEADLINE_SIZE = _TTL_DEADLINE.size  # bytes a PUT_TTL value adds
 
 
 def encode_merge_value(operator: str, operand: bytes) -> bytes:

@@ -91,6 +91,27 @@ class TestEngineJumbo:
         with pytest.raises(ConfigError, match="kv_separation"):
             tree.put(b"k", b"x" * 2000)
 
+    @pytest.mark.parametrize("kv_separation", [False, True], ids=["raw", "kv-separated"])
+    def test_a_ttl_put_counts_its_deadline_against_the_block(self, kv_separation):
+        """An entry of exactly one block fits; its TTL form is eight bytes
+        more (the deadline) and is refused before it is logged or applied."""
+        tree = make_tree(
+            kv_separation=kv_separation, value_threshold=4096,  # values stay inline
+            wal_enabled=True, wal_sync_interval=1,
+        )
+        key = b"k"
+        inline_tag = 1 if kv_separation else 0
+        edge = b"e" * (tree.config.block_size - len(key) - inline_tag - 12)
+        tree.put(key, edge)  # exactly one block
+        with pytest.raises(ConfigError, match="kv_separation"):
+            tree.put(b"t", edge, ttl=100.0)
+        tree.put(b"t", edge[:-8], ttl=100.0)  # deadline included: one block
+        tree.flush()
+        assert tree.get(key).value == edge
+        assert tree.get(b"t").value == edge[:-8]
+        recovered = LSMTree.recover(tree.config, tree.device)
+        assert recovered.get(b"t").value == edge[:-8]
+
     def test_kv_separation_handles_any_size(self):
         tree = make_tree(kv_separation=True, value_threshold=64)
         sizes = [10, 500, 2000, 10_000]
