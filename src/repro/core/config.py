@@ -113,8 +113,8 @@ class LSMConfig:
             'zlib', 'rle' — see :mod:`repro.storage.compression`). Trades
             flush/compaction/read CPU for device bytes; tables written under
             any setting stay readable under any other (byte 0 of a table
-            block says whether it is a compressed frame). WAL and
-            value-log blocks are never compressed.
+            block says whether it is a compressed frame). WAL frames and
+            value-log records are never compressed.
         compressed_cache_bytes: budget for the block cache's compressed
             tier, which retains raw on-device frames so a miss in the
             (decoded) ``cache_bytes`` tier costs a decompression instead of

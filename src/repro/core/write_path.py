@@ -25,6 +25,7 @@ from repro.common.entry import (
     live_value,
 )
 from repro.errors import ConfigError, MergeError, ReproError
+from repro.storage.sstable import ENTRY_OVERHEAD
 
 
 def validate(kind: str, key: bytes, value, meta, operators, block_size: int, values=None) -> None:
@@ -109,7 +110,7 @@ def _check_fits(kind: str, key: bytes, value: bytes, stored: int, block_size: in
     deadline) takes ``stored`` bytes fits one ``block_size``-byte data block."""
     if kind == "put_ttl":
         stored += TTL_DEADLINE_SIZE
-    if len(key) + stored + 12 > block_size:
+    if len(key) + stored + ENTRY_OVERHEAD > block_size:
         raise ConfigError(
             f"entry of {len(key) + len(value)} bytes cannot fit one "
             f"{block_size}-byte data block; raise block_size or enable "

@@ -169,8 +169,8 @@ class RleCodec(Codec):
 # -- the frame header --------------------------------------------------------
 
 # Byte 0 of every compressed table block. A raw v2 table block opens with a
-# head byte below 0x80, so this byte alone tells the two apart; log blocks are
-# never framed. A persistent format constant: never change.
+# head byte below 0x80, so this byte alone tells the two apart; a log frame's
+# block is never compressed. A persistent format constant: never change.
 FRAME_MAGIC = 0xC7
 
 

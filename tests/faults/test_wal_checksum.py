@@ -1,9 +1,9 @@
-"""Property tests: WAL-frame and log-block checksums never pass silent damage.
+"""Property tests: WAL-frame checksums never pass silent damage.
 
-The contract under test (hypothesis-driven): whatever byte of a log block
-or durable WAL frame is flipped, a reader either gets the original
-records (impossible after a real flip), a typed error, or — for an *unsealed*
-log's tail — a clean prefix of acknowledged records. Never a wrong answer.
+The contract under test (hypothesis-driven): whatever byte of a durable WAL
+frame is flipped, a reader either gets the original records (impossible
+after a real flip), a typed error, or — for an *unsealed* log's tail — a
+clean prefix of acknowledged records. Never a wrong answer.
 """
 
 import random
@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CorruptionError
 from repro.common.entry import Entry, EntryKind
-from repro.storage.compression import FRAME_MAGIC, available_codecs, get_codec
-from repro.storage.sstable import encode_log_block, parse_log_block
-from repro.storage.wal import WriteAheadLog
+from repro.storage.compression import FRAME_MAGIC
+from repro.storage.wal import WriteAheadLog, read_frame, write_frame
 
 from tests.faults.conftest import faulty_device
 
@@ -38,27 +37,39 @@ entries_strategy = st.lists(
 )
 
 
+def _written_frame(entries):
+    """``entries`` as one frame on a fresh device: ``(device, file, span)``."""
+    device = faulty_device()
+    fid = device.create_file()
+    return (device, fid) + write_frame(device, fid, entries)[1:]
+
+
 @given(entries=entries_strategy)
 @settings(max_examples=60, deadline=None)
 def test_serialize_parse_roundtrip(entries):
-    assert parse_log_block(encode_log_block(entries)) == entries
+    device, fid, span = _written_frame(entries)
+    assert read_frame(device, fid, 0, span)[0] == entries
 
 
 @given(entries=entries_strategy, data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_any_byte_flip_is_detected(entries, data):
-    payload = encode_log_block(entries)
+    device, fid, span = _written_frame(entries)
+    payload = device.read_payload(fid, 0, span)
     pos = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
     bit = data.draw(st.integers(min_value=0, max_value=7))
-    flipped = bytearray(payload)
-    flipped[pos] ^= 1 << bit
-    # A flip may corrupt structure (parse fails mid-decode with a ValueError
-    # or kind/short-block CorruptionError) or content (CRC catches it) — but
-    # it must never silently return entries.
+    with device._lock:
+        blocks = device._file(fid).blocks
+        flipped = bytearray(blocks[pos // device.block_size])
+        flipped[pos % device.block_size] ^= 1 << bit
+        blocks[pos // device.block_size] = bytes(flipped)
+    # A flip may damage the length prefix, the structure or the content —
+    # but it must never silently return entries, and the only way to say so
+    # is CorruptionError.
     try:
-        result = parse_log_block(bytes(flipped))
-    except (CorruptionError, ValueError, IndexError, OverflowError):
-        return  # detected: typed (or structural) failure, never silence
+        result = read_frame(device, fid, 0, span)
+    except CorruptionError:
+        return  # detected, and typed
     pytest.fail(f"flip at byte {pos} bit {bit} went undetected: {result!r}")
 
 
@@ -106,17 +117,20 @@ def test_corrupt_middle_frame_is_never_skipped():
 
 
 def test_a_frame_that_opens_like_a_compressed_block_replays_intact():
-    # Log blocks are never compressed, and nothing reads one as if it might
-    # be: a record whose checksum happens to open with the frame magic and a
-    # registered codec id is still just a record.
-    codec_ids = {get_codec(name).codec_id for name in available_codecs()} - {0}
+    # Log frames are never compressed, and nothing reads one as if it might
+    # be: whatever a record holds, the block behind a frame's length prefix
+    # opens with a v2 head byte (bit 7 clear), never the frame magic.
     rng = random.Random(2023)
-    while True:
-        entry = Entry(key=b"k%d" % rng.randrange(1 << 30), seqno=1, value=rng.randbytes(16))
-        crc = encode_log_block([entry])[:2]
-        if crc[0] == FRAME_MAGIC and crc[1] in codec_ids:
-            break
-    wal = WriteAheadLog(faulty_device(), sync_interval=1)
-    wal.append(entry)
+    entries = [
+        Entry(key=bytes([FRAME_MAGIC]) * 3, seqno=rng.randrange(1 << 40), value=rng.randbytes(16))
+        for _ in range(20)
+    ]
+    device = faulty_device()
+    wal = WriteAheadLog(device, sync_interval=1)
+    for entry in entries:
+        wal.append(entry)
     sealed = wal.roll()
-    assert list(wal.replay(sealed)) == [entry]
+    for block_no in range(device.num_blocks(sealed)):
+        head = device.read_block(sealed, block_no)
+        assert head[1] != FRAME_MAGIC and not head[1] & 0x80  # a one-byte prefix
+    assert list(wal.replay(sealed)) == entries

@@ -1,22 +1,21 @@
-"""Fuzz target for the two block decoders: table blocks and log blocks.
+"""Fuzz targets for the one block decoder and the log frames around it.
 
-Hypothesis draws sorted entry lists, encodes them as a table block (raw or
-zlib-framed) or as a log block (always raw), and damages the result:
-truncations, bit flips, offset columns permuted or pointed out of range,
-entry counts that disagree with the body, kinds 4-255 and tombstones that
-carry a value. Every damage but truncation and ``rot`` recomputes the
-checksum, so the structural checks behind it are reached; ``rot`` flips a
-bit of the stored payload and leaves the checksum as it was.
+**Blocks.** Hypothesis draws sorted entry lists, encodes them as a table
+block (raw or zlib-framed), and damages the result: truncations, bit flips,
+offset columns permuted or pointed out of range, entry counts that disagree
+with the body, kinds 4-255 and tombstones that carry a value. Every damage
+but truncation and ``rot`` recomputes the checksum, so the structural checks
+behind it are reached; ``rot`` flips a bit of the stored payload and leaves
+the checksum as it was. ``parse_block`` may refuse a block only with
+``CorruptionError``, and rot is always refused. A block it returns must then
+answer ``find``, indexing, slicing and iteration without raising, and an
+undamaged payload must give back exactly the entries it was built from.
 
-``parse_block`` may refuse a table block only with ``CorruptionError``.
-``parse_log_block`` refuses with ``CorruptionError`` or, for a body that
-runs short, ``ValueError``: its truncation contract, which the value log's
-jumbo scan extends on. (A flipped length cannot be told from a truncation
-before the checksum; the WAL types both as ``CorruptionError``, see
-``tests/faults/test_wal_checksum.py``.) Rot is always refused. A block a
-decoder returns must then answer ``find``, indexing, slicing and iteration
-without raising, and an undamaged payload must give back exactly the entries
-it was built from.
+**Frames.** Hypothesis draws unsorted records that repeat keys, writes them
+through a ``WriteAheadLog`` or a ``ValueLog`` (sealed or not), then cuts the
+file at any byte or flips any bit. Replay, the value log's segment scan and
+``ValueLog.get`` may end only in ``CorruptionError`` or in a counted torn
+tail: whatever they return is every frame before the damage, exactly.
 
 CI runs this module under the ``block-fuzz`` profile (``tests/conftest.py``):
 derandomized, with a fixed example count.
@@ -27,11 +26,15 @@ import zlib
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.block_cache import BlockCache
 from repro.common.encoding import encode_varint
 from repro.common.entry import Entry, EntryKind
-from repro.errors import CorruptionError
+from repro.errors import BlockNotFoundError, CorruptionError
+from repro.storage.block_device import BlockDevice
 from repro.storage.compression import FRAME_MAGIC, get_codec
-from repro.storage.sstable import _encode_body, encode_block_v2, parse_block, parse_log_block
+from repro.storage.sstable import encode_block_v2, parse_block
+from repro.storage.value_log import ValueLog
+from repro.storage.wal import WriteAheadLog, walk_frames
 
 _KEYS = st.one_of(
     st.binary(min_size=1, max_size=12),
@@ -47,7 +50,6 @@ _MUTATIONS = (
     "none", "truncate", "rot", "truncate-body", "flip", "offsets-permuted",
     "offset-out-of-range", "count", "kind", "tombstone-value",
 )
-LOG, TABLE = "log", "table"
 
 
 @st.composite
@@ -61,31 +63,17 @@ def entry_lists(draw):
     return entries
 
 
-def body_of(fmt, entries):
-    if fmt == LOG:
-        return bytes(_encode_body(entries))
+def body_of(entries):
     return encode_block_v2(entries)[0][:-4]
 
 
-def frame(fmt, codec, body):
+def frame(codec, body):
     """The payload around ``body``, with a checksum that matches it."""
     if codec == "zlib":
         head = bytes((FRAME_MAGIC, get_codec("zlib").codec_id)) + encode_varint(len(body))
         framed = head + zlib.compress(body)
         return framed + zlib.crc32(framed).to_bytes(4, "big")
-    crc = zlib.crc32(body).to_bytes(4, "big")
-    return crc + body if fmt == LOG else body + crc
-
-
-def log_kind_at(entries, slot):
-    """Where entry ``slot``'s kind byte sits in a log block's body."""
-    pos = len(encode_varint(len(entries)))
-    for entry in entries[:slot]:
-        pos += len(encode_varint(len(entry.key))) + len(entry.key)
-        pos += len(encode_varint(entry.seqno)) + 1
-        pos += len(encode_varint(len(entry.value))) + len(entry.value)
-    entry = entries[slot]
-    return pos + len(encode_varint(len(entry.key))) + len(entry.key) + len(encode_varint(entry.seqno))
+    return body + zlib.crc32(body).to_bytes(4, "big")
 
 
 def v2_columns(body, count):
@@ -96,7 +84,7 @@ def v2_columns(body, count):
     return offset_width, kk_width, 1 + count * offset_width
 
 
-def mutate(fmt, entries, body, what, data):
+def mutate(entries, body, what, data):
     """A damaged copy of ``body`` (``truncate`` cuts the framed payload
     instead and never comes here)."""
     body = bytearray(body)
@@ -114,30 +102,22 @@ def mutate(fmt, entries, body, what, data):
         if not candidates:
             return body
         slot = data.draw(st.sampled_from(list(candidates)))
-        if fmt == LOG:
-            kind = data.draw(st.integers(4, 255)) if what == "kind" else EntryKind.DELETE
-            body[log_kind_at(entries, slot)] = kind
+        # A v2 kind is two bits of its kk cell: "kind 4-255" can only land
+        # as another key length, so write a whole random cell.
+        _, kk_width, kk_at = v2_columns(body, count)
+        cell = kk_at + slot * kk_width
+        if what == "kind":
+            body[cell] = data.draw(st.integers(0, 255))
         else:
-            # A v2 kind is two bits of its kk cell: "kind 4-255" can only
-            # land as another key length, so write a whole random cell.
-            _, kk_width, kk_at = v2_columns(body, count)
-            cell = kk_at + slot * kk_width
-            if what == "kind":
-                body[cell] = data.draw(st.integers(0, 255))
-            else:
-                body[cell] = body[cell] & 0xFC | EntryKind.DELETE
+            body[cell] = body[cell] & 0xFC | EntryKind.DELETE
         return body
     if what == "count":
         delta = data.draw(st.sampled_from([-2, -1, 1, 2, 64]))
-        if fmt == LOG:
-            return bytearray(encode_varint(max(0, count + delta))) + body[len(encode_varint(count)):]
         offset_width, kk_width, _ = v2_columns(body, count)
         stride = offset_width + kk_width + (body[0] & 0x0F)
         start = int.from_bytes(body[1 : 1 + offset_width], "little") + delta * stride
         body[1 : 1 + offset_width] = (start % (1 << 8 * offset_width)).to_bytes(offset_width, "little")
         return body
-    if fmt == LOG:  # the offset mutations are v2's; a log block gets a flip
-        return mutate(fmt, entries, bytes(body), "flip", data)
     offset_width, _, kk_at = v2_columns(body, count)
     cells = [body[1 + i * offset_width : 1 + (i + 1) * offset_width] for i in range(count)]
     if what == "offsets-permuted":
@@ -169,7 +149,6 @@ def exercise(block, entries, keys):
 
 @given(
     entries=entry_lists(),
-    fmt=st.sampled_from([LOG, TABLE]),
     codec=st.sampled_from(["none", "zlib"]),
     what=st.sampled_from(_MUTATIONS),
     hash_index=st.booleans(),
@@ -177,23 +156,13 @@ def exercise(block, entries, keys):
 )
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_a_damaged_block_is_refused_or_reads_without_raising(
-    entries, fmt, codec, what, hash_index, data
+    entries, codec, what, hash_index, data
 ):
-    if fmt == LOG:
-        codec = "none"  # log blocks are never framed
+    def open_block(payload):
+        return parse_block(payload, hash_index)
 
-        def open_block(payload):
-            return parse_log_block(payload)
-
-        refused = (CorruptionError, ValueError)
-    else:
-
-        def open_block(payload):
-            return parse_block(payload, hash_index)
-
-        refused = (CorruptionError,)
-    body = body_of(fmt, entries)
-    payload = frame(fmt, codec, body)
+    body = body_of(entries)
+    payload = frame(codec, body)
     if what == "truncate":
         payload = payload[: data.draw(st.integers(0, len(payload) - 1))]
     elif what == "rot":
@@ -202,11 +171,11 @@ def test_a_damaged_block_is_refused_or_reads_without_raising(
         payload[bit // 8] ^= 1 << bit % 8
         payload = bytes(payload)
     elif what != "none":
-        payload = frame(fmt, codec, bytes(mutate(fmt, entries, body, what, data)))
+        payload = frame(codec, bytes(mutate(entries, body, what, data)))
     probes = [entry.key for entry in entries] + [b"", b"\xff" * 13, entries[0].key + b"\x00"]
     try:
         block = open_block(payload)
-    except refused:
+    except CorruptionError:
         assert what != "none"
         return
     assert what not in ("truncate", "rot"), "a damaged stored payload opened"
@@ -218,3 +187,147 @@ def test_a_damaged_block_is_refused_or_reads_without_raising(
         assert list(open_block(payload)) == entries
         block = open_block(payload)
         assert [block.find(entry.key) for entry in entries] == entries
+
+
+# -- log frames ------------------------------------------------------------------
+
+LOG_BLOCK = 128  # small blocks: frames of a few records already span several
+_LOG_KEYS = st.binary(min_size=1, max_size=8)
+_LOG_VALUES = st.one_of(st.binary(max_size=16), st.binary(min_size=100, max_size=400))
+
+
+@st.composite
+def log_records(draw):
+    """Records in append order, as a log holds them: unsorted, keys repeated."""
+    pool = draw(st.lists(_LOG_KEYS, min_size=1, max_size=4, unique=True))
+    records = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(list(EntryKind)))
+        value = b"" if kind is EntryKind.DELETE else draw(_LOG_VALUES)
+        records.append(Entry(draw(st.sampled_from(pool)), draw(_SEQNOS), kind, value))
+    return records
+
+
+def damage(device, file_id, what, data):
+    """Cut the file at any byte or flip any bit of it, as a crash or bit rot
+    would; returns the first block the damage reaches."""
+    blocks = device._file(file_id).blocks
+    at = data.draw(st.integers(0, sum(map(len, blocks)) - 1))
+    block_no = 0
+    while at >= len(blocks[block_no]):
+        at -= len(blocks[block_no])
+        block_no += 1
+    if what == "truncate":
+        blocks[block_no:] = [blocks[block_no][:at]] if at else []
+    else:
+        block = bytearray(blocks[block_no])
+        block[at] ^= 1 << data.draw(st.integers(0, 7))
+        blocks[block_no] = bytes(block)
+    return block_no
+
+
+def assert_a_frame_prefix(layout, touched, kept, sealed, torn, what, device, file_id):
+    """What a walk that did not raise may read: the first ``kept`` frames of
+    ``layout`` (``(first, span)`` in file order), which must be every frame
+    that ends before the damage and nothing after it. Short of the last
+    frame, it stopped at a torn tail of an unsealed file (``torn``: the
+    WAL's count, None where nothing counts), or the file now ends on a frame
+    boundary: a cut there is a shorter log, indistinguishable from one."""
+    if touched is None:
+        assert kept == len(layout) and not torn
+        return
+    assert kept == sum(1 for first, span in layout if first + span <= touched)
+    if torn:
+        assert not sealed
+    elif kept < len(layout) and not (torn is None and not sealed):
+        assert what == "truncate" and device.num_blocks(file_id) == layout[kept][0]
+
+
+@given(
+    records=log_records(),
+    sync_interval=st.integers(1, 8),
+    sealed=st.booleans(),
+    what=st.sampled_from(["none", "truncate", "flip"]),
+    data=st.data(),
+)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_damaged_wal_replays_every_frame_before_the_damage_or_is_refused(
+    records, sync_interval, sealed, what, data
+):
+    device = BlockDevice(block_size=LOG_BLOCK)
+    wal = WriteAheadLog(device, sync_interval=sync_interval)
+    for record in records:
+        wal.append(record)
+    wal.sync()
+    file_id = wal.roll() if sealed else wal.current_file
+    layout = [(first, span) for first, span, _ in walk_frames(device, file_id)]
+    groups = [records[i : i + sync_interval] for i in range(0, len(records), sync_interval)]
+    assert len(layout) == len(groups)
+    touched = None if what == "none" else damage(device, file_id, what, data)
+    try:
+        replayed = list(wal.replay(file_id))
+    except CorruptionError:
+        assert touched is not None
+        return
+    prefixes = [sum(groups[:k], []) for k in range(len(groups) + 1)]
+    assert replayed in prefixes
+    assert wal.torn_frames_dropped in (0, 1)
+    assert_a_frame_prefix(
+        layout, touched, prefixes.index(replayed), sealed, wal.torn_frames_dropped,
+        what, device, file_id,
+    )
+
+
+@given(
+    records=log_records(),
+    sealed=st.booleans(),
+    what=st.sampled_from(["none", "truncate", "flip"]),
+    cached=st.booleans(),
+    data=st.data(),
+)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_damaged_value_log_reads_back_or_is_refused(records, sealed, what, cached, data):
+    device = BlockDevice(block_size=LOG_BLOCK)
+    writer = ValueLog(device)
+    pointers = [writer.append(record.key, record.value) for record in records]
+    writer.flush()
+    file_id = writer.current_file
+    if sealed:
+        device.seal_file(file_id)
+    reader = ValueLog(device)  # the log as recovery reopens it
+    reader.adopt([file_id])
+    layout = [(first, span) for first, span, _ in walk_frames(device, file_id)]
+    touched = None if what == "none" else damage(device, file_id, what, data)
+    remaining = device.num_blocks(file_id)
+    cache = BlockCache(1 << 20) if cached else None
+    for pointer, record in zip(pointers, records):
+        end = pointer.block_no + pointer.span
+        if touched is None:
+            hit = False
+        elif what == "truncate":
+            hit = end > touched
+        else:
+            hit = pointer.block_no <= touched < end
+        try:
+            value = reader.get(pointer, cache=cache)
+        except CorruptionError:
+            assert hit
+            continue
+        except BlockNotFoundError:
+            assert end > remaining  # cut away: the block is simply not there
+            continue
+        assert not hit and value == record.value
+    stored = [(Entry(r.key, 0, EntryKind.PUT, r.value), p) for r, p in zip(records, pointers)]
+    try:
+        scanned = list(reader._scan_file(file_id))
+    except CorruptionError:
+        assert touched is not None
+        return
+    firsts = [first for first, _ in layout]
+    frame_of = [firsts.index(pointer.block_no) for pointer in pointers]
+    ends = [frame_of.count(k) for k in range(len(layout))]  # records per frame
+    ends = [sum(ends[:k]) for k in range(len(layout) + 1)]  # in the first k frames
+    assert len(scanned) in ends and scanned == stored[: len(scanned)]
+    assert_a_frame_prefix(
+        layout, touched, ends.index(len(scanned)), sealed, None, what, device, file_id
+    )

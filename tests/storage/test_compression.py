@@ -17,11 +17,10 @@ from repro.storage.compression import FRAME_MAGIC, available_codecs, codec_by_id
 from repro.storage.sstable import (
     SSTableBuilder,
     encode_block_v2,
-    encode_log_block,
     parse_block,
-    parse_log_block,
     rebuild_sstable,
 )
+from repro.storage.wal import read_frame, write_frame
 
 COMPRESSED = ("rle", "zlib")
 
@@ -224,10 +223,14 @@ class TestFrameFormat:
         assert zlib.crc32(body).to_bytes(4, "big") == crc
 
     def test_detect_frames_optout(self):
-        # The log decoder has no frame handling to opt out of: a compressed
-        # table block is not a log block, and it says so with the log
-        # block's own error contract.
-        payload = table_block(compressible_entries(), "rle")
-        with pytest.raises((CorruptionError, ValueError)):
-            parse_log_block(payload)
-        assert parse_log_block(encode_log_block(compressible_entries())) == compressible_entries()
+        # A log has no compression to opt out of: a log frame stores its
+        # block raw however well it would compress, so its first byte is a
+        # v2 head, never the frame magic.
+        entries = compressible_entries()
+        device = BlockDevice(block_size=1 << 16)
+        fid = device.create_file()
+        write_frame(device, fid, entries)
+        raw = encode_block_v2(entries)[0]
+        assert len(table_block(entries, "rle")) < len(raw)
+        assert device.read_block(fid, 0).endswith(raw) and raw[0] != FRAME_MAGIC
+        assert read_frame(device, fid, 0, 1)[0] == entries

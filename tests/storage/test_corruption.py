@@ -6,51 +6,64 @@ from repro import encode_uint_key
 from repro.common.entry import Entry
 from repro.errors import CorruptionError
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import encode_block_v2, encode_log_block, parse_block, parse_log_block
+from repro.storage.sstable import encode_block_v2, parse_block
+from repro.storage.wal import read_frame, write_frame
 from tests.conftest import make_tree
 
 
-def table_block(entries):
+def block(entries):
     return encode_block_v2(entries)[0]
 
 
-# Each stored block kind with its one decoder: table blocks, log blocks.
-PAIRS = ((table_block, parse_block), (encode_log_block, parse_log_block))
+def frame(entries, device):
+    """``entries`` written as a log frame; returns ``(file, span)``."""
+    fid = device.create_file()
+    return fid, write_frame(device, fid, entries)[1]
 
 
 class TestBlockChecksums:
-    def test_roundtrip_clean(self):
+    def test_roundtrip_clean(self, device):
         entries = [Entry(key=b"k%d" % i, seqno=i + 1, value=b"v") for i in range(5)]
-        for encode, parse in PAIRS:
-            assert parse(encode(entries)) == entries
+        assert parse_block(block(entries)) == entries
+        fid, span = frame(entries, device)
+        assert read_frame(device, fid, 0, span)[0] == entries
 
-    def test_flipped_value_byte_detected(self):
+    def test_flipped_value_byte_detected(self, device):
         entries = [Entry(key=b"key", seqno=1, value=b"A" * 50)]
-        for encode, parse in PAIRS:
-            payload = bytearray(encode(entries))
-            payload[-10] ^= 0xFF  # inside the value bytes
-            with pytest.raises(CorruptionError):
-                parse(bytes(payload))
+        payload = bytearray(block(entries))
+        payload[-10] ^= 0xFF  # inside the value bytes
+        with pytest.raises(CorruptionError):
+            parse_block(bytes(payload))
+        fid, span = frame(entries, device)
+        device.corrupt_block(fid, 0, byte_offset=-10)
+        with pytest.raises(CorruptionError):
+            read_frame(device, fid, 0, span)
 
-    def test_flipped_crc_byte_detected(self):
+    def test_flipped_crc_byte_detected(self, device):
         entries = [Entry(key=b"k", seqno=1, value=b"v")]
-        table, log = table_block(entries), encode_log_block(entries)
-        for payload, parse, crc_at in ((table, parse_block, -1), (log, parse_log_block, 0)):
-            payload = bytearray(payload)
-            payload[crc_at] ^= 0xFF
+        payload = bytearray(block(entries))
+        payload[-1] ^= 0xFF
+        with pytest.raises(CorruptionError):
+            parse_block(bytes(payload))
+        fid, span = frame(entries, device)
+        device.corrupt_block(fid, 0, byte_offset=-1)
+        with pytest.raises(CorruptionError):
+            read_frame(device, fid, 0, span)
+
+    def test_an_empty_list_is_not_a_block(self):
+        # Every block holds at least one entry: the value log writes no
+        # block for an empty pending list, the WAL no frame.
+        with pytest.raises(ValueError):
+            encode_block_v2([])
+
+    def test_too_short_payload_rejected(self, device):
+        for payload in (b"", b"ab"):
             with pytest.raises(CorruptionError):
-                parse(bytes(payload))
-
-    def test_empty_payload_parses_empty(self):
-        # A log block may hold no records (the value log writes one when a
-        # jumbo value arrives with nothing pending); a table block never.
-        assert parse_log_block(encode_log_block([])) == []
-
-    def test_too_short_payload_rejected(self):
-        for parse in (parse_block, parse_log_block):
-            for payload in (b"", b"ab"):
-                with pytest.raises(CorruptionError):
-                    parse(payload)
+                parse_block(payload)
+            fid = device.create_file()
+            device.append_block(fid, payload)
+            with pytest.raises(CorruptionError):
+                read_frame(device, fid, 0, 1)
 
 
 class TestDeviceFaultInjection:
@@ -129,5 +142,5 @@ class TestEngineCorruptionDetection:
             tree.put(encode_uint_key(i), b"v%d" % i)
         wal_file = tree._wal.current_file
         tree.device.corrupt_block(wal_file, 0, byte_offset=20)
-        with pytest.raises((CorruptionError, ValueError)):
+        with pytest.raises(CorruptionError):
             LSMTree.recover(config, tree.device)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.encoding import encode_varint
 from repro.cache.block_cache import BlockCache
 from repro.common.entry import Entry, EntryKind
 from repro.faults.guard import ReadGuard
@@ -15,10 +14,9 @@ from repro.storage.sstable import (
     ProbeStats,
     SSTableBuilder,
     encode_block_v2,
-    encode_log_block,
     parse_block,
-    parse_log_block,
 )
+from repro.storage.wal import read_frame, write_frame
 
 
 def entries_for(keys, value=b"v"):
@@ -46,31 +44,28 @@ class TestBlockFormat:
         entries = [
             Entry(key=k, seqno=i + 1, value=v) for i, (k, v) in enumerate(pairs)
         ]
-        assert parse_log_block(encode_log_block(entries)) == entries
-        if entries:  # a table block holds at least one entry
+        if entries:  # a block holds at least one entry
             assert parse_block(encode_block_v2(entries)[0]) == entries
 
     def test_tombstones_roundtrip(self):
         entries = [Entry(key=b"a", seqno=1, kind=EntryKind.DELETE)]
-        assert parse_log_block(encode_log_block(entries))[0].is_tombstone
         assert parse_block(encode_block_v2(entries)[0])[0].is_tombstone
 
-    def test_body_is_four_varint_framed_fields_per_entry(self):
-        """The log-block format, spelled with ``encode_varint`` — the encoder
-        inlines its varints and must write these bytes whatever their widths."""
+    def test_a_log_frame_keeps_append_order_and_repeated_keys(self, device):
+        """A log frame is the same block in a length prefix: its entries stay
+        in the order they were logged, repeats included, read by slot."""
         entries = [
-            Entry(b"k" * key_len, seqno, kind, b"" if kind is EntryKind.DELETE else b"v" * size)
-            for key_len in (0, 1, 127, 128, 300)
-            for seqno in (0, 1, 127, 128, 16383, 16384, 2**21, 2**35, 2**63)
-            for kind in EntryKind
-            for size in (0, 5, 127, 128, 20_000)
+            Entry(b"b", 7, EntryKind.PUT, b"x" * 300),
+            Entry(b"a", 2**40, EntryKind.DELETE),
+            Entry(b"b", 0, EntryKind.MERGE, b"m"),
+            Entry(b"k" * 200, 3, EntryKind.PUT_TTL, b"\x00" * 8 + b"t"),
         ]
-        body = bytearray(encode_varint(len(entries)))
-        for entry in entries:
-            body += encode_varint(len(entry.key)) + entry.key + encode_varint(entry.seqno)
-            body += bytes([entry.kind]) + encode_varint(len(entry.value)) + entry.value
-        assert encode_log_block(entries)[4:] == body
-        assert encode_log_block([])[4:] == encode_varint(0)
+        fid = device.create_file()
+        first, span = write_frame(device, fid, entries)
+        assert (first, span) == (0, 2)  # 300 + 200 bytes of data over 512B blocks
+        block, stored = read_frame(device, fid, first, span)
+        assert list(block) == entries and [block[i] for i in range(4)] == entries
+        assert stored == device.file_size(fid)
 
 
 class TestBuilder:
