@@ -116,10 +116,14 @@ _FIELDS = (
     "tombstones_purged",
     "scan_sha256",
 )
+# Re-pinned once, for a reason outside these pipelines: kv_separation_partial
+# read one block and one seek fewer when value-log blocks became v2 frames.
+# The cache charges a value-log block its stored size, which v2 shortens, so
+# one more block stays cached; charging the v1 size reproduces 4110 / 3741.
 # fmt: off
 _ROWS = {
     "kv_separation": (3703, 2804, 3245, 84, 1, 762252, 634203, 765, '9635cb4896495fd1'),
-    "kv_separation_partial": (4110, 4124, 3741, 136, 6, 882199, 751925, 768, '9635cb4896495fd1'),
+    "kv_separation_partial": (4109, 4124, 3740, 136, 6, 882199, 751925, 768, '9635cb4896495fd1'),
     "lazy_leveling": (4916, 4377, 3810, 120, 2, 1630884, 1324291, 868, '9635cb4896495fd1'),
     "leveling": (6010, 5548, 4472, 166, 4, 2059389, 1800605, 744, 'aec0cfe3fceafe8c'),
     "leveling_files": (7275, 8695, 5975, 167, 4, 2199415, 1890796, 871, 'df3b1b44e1bfdf4a'),
