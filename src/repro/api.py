@@ -15,8 +15,8 @@ a context manager::
     with repro.open(config=cfg, service=True, observe=True, faults=faults) as db:
         ...
 
-Reopening the same device recovers the durable state (manifest + WAL
-replay) instead of starting fresh, so ``open → crash → open`` is the whole
+A durable handle always opens through recovery (manifest + WAL replay;
+a fresh device opens empty), so ``open → crash → open`` is the whole
 recovery story.
 """
 
@@ -36,7 +36,6 @@ from typing import (
 from repro.common.entry import GetResult
 from repro.core.config import LSMConfig
 from repro.core.lsm_tree import LSMTree
-from repro.core.manifest import find_manifest
 from repro.errors import ConfigError
 from repro.faults import FaultConfig, FaultyBlockDevice, ReadGuard
 from repro.service import DBService, ServiceConfig
@@ -155,6 +154,8 @@ def open(
     Raises:
         ConfigError: on contradictory wiring (e.g. ``faults`` together with
             an existing non-fault device).
+        CorruptionError: a durable open of a device whose data no valid
+            manifest lists.
     """
     if config is None:
         config = LSMConfig(wal_enabled=True)
@@ -192,15 +193,14 @@ def open(
         from repro.sharding import ShardedStore
 
         boundaries = list(sharding)
-        shard0 = f"{config.name}-shard0"
-        if config.wal_enabled and find_manifest(device, name=shard0) is not None:
+        if config.wal_enabled:
             handle = ShardedStore.recover(config, boundaries, device)
         else:
             handle = ShardedStore(config, boundaries, device=device)
         if observe:
             handle.attach_observability(sampling=sampling)
     else:
-        if config.wal_enabled and find_manifest(device, name=config.name) is not None:
+        if config.wal_enabled:
             tree = LSMTree.recover(config, device)
         else:
             tree = LSMTree(config, device=device)

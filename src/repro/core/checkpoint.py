@@ -39,7 +39,7 @@ def create_checkpoint(tree: LSMTree, target: BlockDevice) -> None:
     manifest.wal_files = []  # a checkpoint has no log: it is complete as-of flush
     for file_id in sorted(manifest.referenced_files()):
         _copy_file(tree.device, file_id, target)
-    write_manifest(target, manifest, previous=None)
+    write_manifest(target, manifest)
 
 
 def open_checkpoint(config: LSMConfig, device: BlockDevice) -> LSMTree:

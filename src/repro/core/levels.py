@@ -7,9 +7,9 @@ re-arriving during recovery — is one :class:`LevelEdit` applied by
 
 Tables are reference-counted (``SSTable.refs``): one reference per run
 holding the table, per open :class:`~repro.core.version.Version` and per
-in-flight compaction plan. At zero a table is retired: evicted from the
-caches and deleted — on a tree with a manifest, only once a durable
-manifest no longer references it.
+in-flight compaction plan. At zero a table is handed to ``on_retire``; the
+tree evicts it from the caches and queues its file in its retire queue,
+which it drains only once a durable manifest no longer lists the file.
 """
 
 from __future__ import annotations
@@ -37,17 +37,13 @@ class LevelEdit:
 class LevelSet:
     """Levels of runs plus the pin accounting that keeps their files alive.
 
-    ``on_retire(table)`` runs when a table's last reference drops, before its
-    file goes (the tree evicts caches there); ``defer_deletes`` queues the
-    file in :attr:`pending_deletions` instead of deleting it (the
-    delete-after-persist ordering a manifest needs).
+    ``on_retire(table)`` runs when a table's last reference drops; the file
+    itself is the caller's to retire.
     """
 
-    def __init__(self, on_retire: Callable[[SSTable], None], defer_deletes: bool) -> None:
+    def __init__(self, on_retire: Callable[[SSTable], None]) -> None:
         self.levels: List[List[Run]] = []
-        self.pending_deletions: List[int] = []
         self._on_retire = on_retire
-        self._defer_deletes = defer_deletes
 
     # -- pins ----------------------------------------------------------------
 
@@ -60,10 +56,6 @@ class LevelSet:
             table.refs -= 1
             if table.refs <= 0:
                 self._on_retire(table)
-                if self._defer_deletes:
-                    self.pending_deletions.append(table.file_id)
-                else:
-                    table.delete()
 
     def pin_all(self) -> List[List[Run]]:
         """A pinned copy of the structure (:meth:`unpin` each run's tables)."""

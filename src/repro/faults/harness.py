@@ -23,7 +23,8 @@ shared device), and ``txn`` (bank transfers through optimistic
 :class:`~repro.txn.Transaction` commits against a service — checking, on
 top of the durability contract, that no transaction is ever torn: a
 transfer's two account writes land together or not at all, and the total
-balance is conserved across every crash). Run it from the command line for
+balance is conserved across every crash). Tree mode runs value-log GC
+every 50th op under ``kv_separation``. Run it from the command line for
 the CI crash matrix::
 
     PYTHONPATH=src python -m repro.faults.harness --cycles 50 --seed 1
@@ -141,6 +142,7 @@ class CrashHarness:
         self.delete_fraction = delete_fraction
         self.crash_points = tuple(crash_points)
         self.num_shards = num_shards
+        self._value_gc = mode == "tree" and config.kv_separation
         self._boundaries = self._shard_boundaries() if mode == "sharded" else None
         self.device = FaultyBlockDevice(
             block_size=config.block_size,
@@ -399,6 +401,9 @@ class CrashHarness:
                     if self._crashed_in_background(engine):
                         result.fired = True
                         break
+                    if self._value_gc and self._op_counter % 50 == 0:
+                        batch = {}
+                        engine.collect_value_garbage()
         except SimulatedCrashError:
             result.fired = True
             pending = dict(batch)

@@ -6,7 +6,7 @@ and levels, write-stall enter/exit, backpressure state transitions, file
 quarantines, tenant throttling. Each event is a :class:`JournalEvent` — a
 monotonic sequence number, a timestamp, a ``kind`` from :data:`EVENT_KINDS`,
 and a flat field dict — and the whole journal exports as JSONL so offline
-tooling (and ROADMAP item 2's tuning daemon) can replay the history.
+tooling (and an online tuning daemon) can replay the history.
 
 The journal is bounded (ring semantics, oldest evicted) and every ``emit`` is
 lock-protected, so flush threads, compaction workers, and server connection

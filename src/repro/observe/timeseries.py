@@ -5,7 +5,7 @@ The :class:`TimeSeriesSampler` turns the point-in-time observability surface
 engine's ``metrics_snapshot()``) into *history*: each :meth:`~TimeSeriesSampler.scrape`
 appends one ``(t, value)`` point per series into a bounded :class:`RingSeries`,
 so dashboards (``python -m repro stats --live``), the ``stats_history`` server
-frame, and ROADMAP item 2's tuning daemon can all read rates and trends
+frame, and an online tuning daemon can all read rates and trends
 instead of raw monotone totals.
 
 Series come in two kinds. ``cumulative`` series (registry counters, histogram

@@ -809,7 +809,8 @@ class SSTable:
         return self.num_data_blocks, findings
 
     def delete(self) -> None:
-        """Drop the underlying file (called when a compaction obsoletes it)."""
+        """Drop the file of a table never published (a failed build); a
+        published table's file leaves through the tree's retire queue."""
         if self._device.file_exists(self.file_id):
             self._device.delete_file(self.file_id)
 

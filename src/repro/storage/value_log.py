@@ -4,8 +4,9 @@ The tutorial (§II-A.2) notes that separating keys from values improves
 ingestion and compaction at the expense of extra accesses for queries. The
 LSM then stores small :class:`ValuePointer` records; each pointer dereference
 costs one (typically random) block read, which is exactly the tradeoff E12
-measures. Garbage collection rewrites a log segment keeping only values the
-LSM still references.
+measures. Garbage collection copies the values the LSM still references out
+of the sealed segments; the tree deletes a copied segment only after the
+relocations are logged and a manifest no longer lists it.
 
 Values are stored as the WAL's frames (:mod:`repro.storage.wal`): a packed
 frame of records fills one block, a jumbo record is a frame of its own.
@@ -14,7 +15,7 @@ frame of records fills one block, a jumbo record is a frame of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.entry import Entry, EntryKind
 from repro.storage.block_device import BlockDevice
@@ -118,29 +119,37 @@ class ValueLog:
 
     def collect_garbage(
         self, is_live: Callable[[bytes, ValuePointer], bool]
-    ) -> Dict[ValuePointer, ValuePointer]:
-        """Rewrite sealed segments keeping only live values.
+    ) -> Tuple[Dict[ValuePointer, ValuePointer], List[int]]:
+        """Copy the live values of every sealed segment to the log's head.
+
+        The segments stay in :meth:`live_files` (so in every manifest) until
+        the caller has made the relocations durable and calls :meth:`release`.
 
         Args:
             is_live: oracle (key, old_pointer) -> bool, typically a closure
                 over the LSM that checks the key still points at ``old_pointer``.
 
         Returns:
-            Mapping from old pointers to their relocated pointers, which the
-            caller must re-install in the LSM.
+            ``(relocations, segments)``: old pointer to relocated pointer,
+            which the caller must re-install in the LSM, and the segments
+            copied.
         """
         self.flush()
         relocations: Dict[ValuePointer, ValuePointer] = {}
-        sealed = [fid for fid in self._device.live_files if fid != self._file_id and fid in self._live_bytes]
-        for file_id in sealed:
+        segments = sorted(fid for fid in self._live_bytes if fid != self._file_id)
+        for file_id in segments:
             for record, old in self._scan_file(file_id):
                 if is_live(record.key, old):
                     relocations[old] = self.append(record.key, record.value)
-            self._device.delete_file(file_id)
-            self._live_bytes.pop(file_id, None)
         self.garbage_bytes = 0
         self.flush()
-        return relocations
+        return relocations, segments
+
+    def release(self, segments: List[int]) -> None:
+        """Stop listing segments :meth:`collect_garbage` copied; the caller
+        deletes them once no durable manifest lists them."""
+        for file_id in segments:
+            del self._live_bytes[file_id]
 
     def _scan_file(self, file_id: int):
         """Yield every (record, pointer) in a segment, jumbo-aware; the torn
@@ -162,8 +171,8 @@ class ValueLog:
         return records[pointer.slot].key if pointer.slot < len(records) else None
 
     def live_files(self) -> List[int]:
-        """Segments that still exist on the device, in id order (for manifests)."""
-        return sorted(fid for fid in self._live_bytes if self._device.file_exists(fid))
+        """Every segment the log holds, in id order (for manifests)."""
+        return sorted(self._live_bytes)
 
     def adopt(self, file_ids) -> None:
         """Track segments a recovered manifest lists (their garbage is unknown)."""

@@ -164,7 +164,7 @@ class WriteAheadLog:
         """Seal the current log and start a new one (called at flush).
 
         Returns:
-            The sealed file's id, which the caller deletes once the flush
+            The sealed file's id, which the caller retires once the flush
             it covers is durable.
         """
         self.sync()
@@ -204,8 +204,3 @@ class WriteAheadLog:
     def unsynced_records(self) -> int:
         """Records that would be LOST by a crash right now."""
         return len(self._pending)
-
-    def delete(self, file_id: int) -> None:
-        """Drop a sealed log once its data reached storage."""
-        if self._device.file_exists(file_id):
-            self._device.delete_file(file_id)

@@ -57,7 +57,7 @@ class TestValueLogJumbo:
         for i in range(10):
             live[b"k%d" % i] = log.append(b"k%d" % i, b"X" * 1500)
         log.flush()
-        relocations = log.collect_garbage(lambda key, p: live.get(key) == p)
+        relocations, _ = log.collect_garbage(lambda key, p: live.get(key) == p)
         for key, old in live.items():
             new = relocations.get(old, old)
             assert log.get(new) == b"X" * 1500

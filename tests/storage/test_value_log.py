@@ -65,9 +65,12 @@ class TestGarbageCollection:
         log.flush()
         used_before = device.used_bytes
 
-        relocations = log.collect_garbage(
+        relocations, segments = log.collect_garbage(
             lambda key, pointer: live.get(key) == pointer
         )
+        log.release(segments)  # the caller deletes what GC emptied
+        for file_id in segments:
+            device.delete_file(file_id)
         for key in live:
             if live[key] in relocations:
                 live[key] = relocations[live[key]]

@@ -124,7 +124,7 @@ def test_a_record_filling_the_budget_reads_back_where_its_frame_does_not_fit(cas
         assert log.get(pointer) == value
         assert log.get(pointer, cache=BlockCache(1 << 24)) == value
         assert log.key_of(pointer) == key
-    relocated = log.collect_garbage(lambda key, pointer: True)
+    relocated, _ = log.collect_garbage(lambda key, pointer: True)
     assert [log.get(relocated[pointer]) for pointer in pointers] == [v for _, v in items]
 
 
