@@ -83,7 +83,7 @@ class LSMStats:
     txn_commits: int = 0  # optimistic transactions committed
     txn_conflicts: int = 0  # commits rejected by read-set validation
     # -- crash-recovery counters (repro.faults) --
-    recoveries: int = 0  # times this tree was rebuilt via LSMTree.recover
+    recoveries: int = 0  # times LSMTree.recover rebuilt this tree from a manifest
     wal_replayed_records: int = 0  # entries re-applied from WALs at recovery
     wal_torn_frames: int = 0  # incomplete tail frames dropped at recovery
     last_recovery_wall: float = 0.0  # wall seconds of the last recovery
