@@ -80,6 +80,34 @@ def test_a_kv_separated_ttl_put_over_the_block_fails_only_itself():
         db.close()
 
 
+def test_a_kv_separated_key_too_long_beside_its_pointer_fails_only_itself():
+    """A log-bound value leaves a pointer beside its key; a key too long for
+    that is refused by the member's own check, before its value reaches the
+    value log, and the rest of the group commits."""
+    config = LSMConfig(
+        buffer_bytes=2 << 10, block_size=512, size_ratio=3, seed=3,
+        kv_separation=True, value_threshold=64,
+    )
+    db = DBService(LSMTree(config), ServiceConfig(num_workers=1))
+    try:
+        tree = db.tree
+        log = tree._value_log
+        blocks = tree.device.num_blocks(log.current_file)
+        errors = db._apply_batch([
+            WriteOp("put", b"good-1", b"1"),
+            WriteOp("put", b"k" * 500, b"v" * 700),
+            WriteOp("put", b"good-2", b"2"),
+        ])
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], ConfigError)
+        assert tree.device.num_blocks(log.current_file) == blocks
+        assert db.get(b"good-1").value == b"1"
+        assert db.get(b"good-2").value == b"2"
+        assert not db.get(b"k" * 500).found
+    finally:
+        db.close()
+
+
 def test_grouped_submitters_keep_their_own_outcome():
     """Three threads meet at a barrier and commit as one group: the two
     valid puts are acknowledged and applied, the oversized one alone fails."""
