@@ -259,11 +259,12 @@ class DBService:
         with tree.mutex:
             flat: List[tuple] = []
             written: set = set()
-            for index, op in enumerate(ops):
-                member = _member_ops(op)
+            members = [_member_ops(op) for op in ops]
+            group = sum(map(len, members))  # the seqnos the group can take
+            for index, (op, member) in enumerate(zip(ops, members)):
                 try:
                     for member_op in member:
-                        tree.validate_write(*member_op)
+                        tree.validate_write(*member_op, group=group)
                 except (ReproError, ValueError, TypeError) as exc:  # what staging rejects
                     errors[index] = exc
                     continue

@@ -9,7 +9,7 @@ seals the current log and starts a fresh one, so recovery only replays logs
 newer than the last flush.
 
 The frame is the one log format, shared with the value log: ``varint len |
-v2 block`` (:func:`~repro.storage.sstable.encode_block_v2`, never
+v2 block`` (:func:`~repro.storage.block.encode_block_v2`, never
 compressed), written by :func:`write_frame`, read back by its span with
 :func:`read_frame`, and walked in file order by :func:`walk_frames`.
 """
@@ -21,8 +21,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.common.encoding import decode_varint, encode_varint
 from repro.common.entry import Entry
 from repro.errors import CorruptionError
+from repro.storage.block import DataBlock, block_bytes, encode_block_v2, parse_block
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import DataBlock, block_layout, encode_block_v2, parse_block
 
 
 def write_frame(device: BlockDevice, file_id: int, entries: Sequence[Entry]) -> Tuple[int, int]:
@@ -35,7 +35,7 @@ def write_frame(device: BlockDevice, file_id: int, entries: Sequence[Entry]) -> 
 def frame_size(count: int, data: int, longest_key: int) -> int:
     """The bytes :func:`write_frame` stores for ``count`` entries of seqno 0
     whose keys and values total ``data`` bytes."""
-    block = block_layout(count, data, longest_key, 0)[2] + data + 4
+    block = block_bytes(count, data, longest_key, 0)
     return len(encode_varint(block)) + block
 
 

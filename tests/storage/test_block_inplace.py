@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.cache.block_cache import BlockCache
 from repro.common.entry import Entry, EntryKind
 from repro.errors import CorruptionError
-from repro.storage import sstable
+from repro.storage import block as block_module, sstable
 from repro.storage.block_device import BlockDevice
 from repro.storage.compression import get_codec
 from repro.storage.sstable import DataBlock, SSTableBuilder, encode_block_v2, parse_block
@@ -255,7 +255,7 @@ def entries_built(monkeypatch):
         built.append(entry)
         return entry
 
-    monkeypatch.setattr(sstable, "Entry", counting_entry)
+    monkeypatch.setattr(block_module, "Entry", counting_entry)
     return built
 
 

@@ -27,10 +27,11 @@ from repro import LSMConfig, LSMTree
 from repro.common.encoding import encode_uint_key
 from repro.common.entry import Entry, EntryKind
 from repro.errors import CorruptionError
-from repro.storage import sstable
+from repro.storage import block as block_module, sstable
 from repro.storage.block_device import BlockDevice
 from repro.storage.compression import get_codec
-from repro.storage.sstable import SSTableBuilder, encode_block_v2, parse_block
+from repro.storage.block import encode_block_v2, parse_block
+from repro.storage.sstable import SSTableBuilder
 
 from tests.core.test_identity_goldens import CASES, _BASE
 from tests.storage.v1_tables import encode_block_v1
@@ -69,7 +70,7 @@ def rule_boundaries(entries, block_size):
     ``block_size``. No encoded size enters it."""
     blocks, pending, used = [], [], 1  # 1: the block's head byte
     for entry in entries:
-        cost = len(entry.key) + len(entry.value) + sstable.ENTRY_OVERHEAD
+        cost = len(entry.key) + len(entry.value) + block_module.ENTRY_OVERHEAD
         if pending and used + cost > block_size:
             blocks.append(pending)
             pending, used = [], 1
@@ -154,15 +155,20 @@ def test_golden_configs_budget_and_boundaries(case, monkeypatch):
     assert ledger.v2_bytes <= (1.05 if compressed else BUDGET) * ledger.v1_bytes
 
 
-def test_the_encoder_refuses_a_block_over_the_block_size(monkeypatch):
-    # The split rule is trusted, never second-guessed by a re-split: a block
-    # that comes out too big is an error.
-    monkeypatch.setattr(sstable, "ENTRY_OVERHEAD", 0)
-    builder = SSTableBuilder(BlockDevice(block_size=256), block_size=256)
-    with pytest.raises(ValueError, match="over the 256-byte block size"):
-        for i in range(40):
-            builder.add(Entry(b"key%03d" % i, 1 << 40, EntryKind.PUT, b"v" * 20))
-        builder.finish()
+def test_a_block_the_budget_overfills_closes_before_its_last_entry(monkeypatch):
+    # With no budget at all the split rule packs every entry into one block;
+    # each block still closes where its encoded size would pass the block
+    # size, and every entry reads back.
+    monkeypatch.setattr(block_module, "ENTRY_OVERHEAD", 0)
+    device = BlockDevice(block_size=256)
+    builder = SSTableBuilder(device, block_size=256)
+    entries = [Entry(b"key%03d" % i, 1 << 40, EntryKind.PUT, b"v" * 20) for i in range(40)]
+    builder.add_all(entries)
+    table = builder.finish()
+    assert table.num_data_blocks > 1
+    for block_no in range(table.num_data_blocks):
+        assert len(device.read_block(table.file_id, block_no)) <= 256
+    assert list(table.iter_entries()) == entries
 
 
 def test_wide_columns_round_trip():

@@ -18,7 +18,7 @@ from repro.cache.block_cache import BlockCache
 from repro.common.entry import Entry
 from repro.errors import CorruptionError
 from repro.storage.block_device import BlockDevice
-from repro.storage.sstable import ENTRY_OVERHEAD
+from repro.storage.block import ENTRY_OVERHEAD
 from repro.storage.value_log import ValueLog
 from repro.storage.wal import frame_size, write_frame
 from tests.conftest import make_tree
