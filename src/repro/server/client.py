@@ -191,6 +191,9 @@ class LSMClient:
         self._registry = registry
         self._rng = random.Random(retry.seed if retry is not None else None)
         self._sock: Optional[socket.socket] = None
+        #: The timeout the live socket has, so an attempt sets it only when
+        #: it changes (a retry deadline clamps it); each connect resets it.
+        self._sock_timeout: Optional[float] = None
         self._decoder: Optional[FrameDecoder] = None
         self._closed = False
         self.stats_retries = 0
@@ -217,6 +220,7 @@ class LSMClient:
         # connection must never leak into the new stream.
         self._decoder = FrameDecoder(**kwargs)
         self._sock = sock
+        self._sock_timeout = self.timeout_s  # create_connection set it
 
     def _drop_connection(self) -> None:
         sock, self._sock, self._decoder = self._sock, None, None
@@ -356,7 +360,9 @@ class LSMClient:
                 raise DeadlineExceededError("deadline exhausted before send")
             timeout = min(timeout, remaining)
         try:
-            self._sock.settimeout(timeout)
+            if timeout != self._sock_timeout:
+                self._sock.settimeout(timeout)
+                self._sock_timeout = timeout
             send0 = time.perf_counter()
             send_message(self._sock, request)
             sent = time.perf_counter()

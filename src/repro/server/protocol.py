@@ -26,9 +26,13 @@ whose fields, in payload order, each name a :class:`Kind` from the
 vocabulary below (``STR``, ``BYTES``, ``BOOL``, ``VARINT``, ``F64``,
 ``optional(x)``, ``repeated(x, ...)``, ``WIRE_OPS``, the trailing
 ``TRACE``/``IDEM`` blocks, and ``may_end(x)`` for fields appended to a
-message after its first release). :meth:`Message.encode_payload` and
-:meth:`Message.decode_payload` walk that list and are the only codec; a
-request's ``OP`` name and whether it is ``MUTATING`` are read from the same
+message after its first release). :func:`wire_message` compiles that list
+once per class, at import, into one encoder and one decoder (generated
+source, kept in the class's ``_CODEC``); :meth:`Message.encode_payload`,
+:meth:`Message.decode_payload`, :func:`encode_frame` and
+:func:`try_decode_frame` all call that pair, and there is no other codec.
+The decoder reads each field in place from the buffer the frame arrived in.
+A request's ``OP`` name and whether it is ``MUTATING`` are read from the same
 class by the server and the client. ``docs/API.md`` renders the table.
 
 The module is transport-agnostic: :func:`encode_frame` /
@@ -39,13 +43,13 @@ The module is transport-agnostic: :func:`encode_frame` /
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
-from repro.common.encoding import encode_varint, put_length_prefixed
 from repro.errors import ReproError
 from repro.observe.tracing import TraceContext
 
@@ -56,10 +60,10 @@ VERSION = 1
 DEFAULT_MAX_PAYLOAD = 8 << 20
 
 _HEADER = struct.Struct(">HBBI")  # magic, version, type, payload length
-_CRC = struct.Struct(">I")
+_U32 = struct.Struct(">I")  # the CRC trailer; also the header's closing length field
 _F64 = struct.Struct(">d")
 HEADER_SIZE = _HEADER.size
-TRAILER_SIZE = _CRC.size
+TRAILER_SIZE = _U32.size
 
 
 class ProtocolError(ReproError):
@@ -79,17 +83,16 @@ class RemoteError(ReproError):
 
 
 class Kind(NamedTuple):
-    """One word of the payload vocabulary: how a field value is written and read.
+    """One word of the payload vocabulary: what a field holds on the wire.
 
-    ``put(out, value)`` appends the encoding to a bytearray; ``get(buf,
-    offset)`` returns ``(value, next_offset)`` or raises ``ProtocolError``.
+    A kind is data only. :func:`wire_message` compiles a class's kinds into
+    one encoder and one decoder (see :func:`_compile`); ``docs/API.md`` and
+    the property tests read the same kinds.
     """
 
     label: str
-    put: Callable[[bytearray, Any], None]
-    get: Callable[[bytes, int], Tuple[Any, int]]
-    #: The kinds a composite (``optional``/``repeated``) is built from, so a
-    #: test can derive values for a message from its ``WIRE`` table alone.
+    #: The kinds a composite (``optional``/``record``/``repeated``) is built
+    #: from, so a test can derive values for a message from its ``WIRE`` table alone.
     inner: Tuple["Kind", ...] = ()
     #: Decode: the payload may end before this field, which then keeps its
     #: dataclass default. This is how a field added to a message later stays
@@ -101,35 +104,28 @@ class Kind(NamedTuple):
     #: is present, which forces an explicit ``0x00`` so the two flag-prefixed
     #: blocks never alias. Decoding treats end-of-payload as absent.
     trailing: bool = False
+    #: A record's value type: a dataclass whose fields, in order, are the
+    #: record's parts. ``None`` reads and writes a plain tuple.
+    build: Optional[type] = None
 
 
 _U64_MAX = (1 << 64) - 1
 _MAX_VARINT_BYTES = 10  # ceil(64 / 7)
 
 
-def _put_varint(out: bytearray, value: int) -> None:
-    out += encode_varint(value)
+def _get_varint(buf: bytes, offset: int, end: int) -> Tuple[int, int]:
+    """Read an unsigned LEB128 varint of at most 10 bytes / 64 bits from
+    ``buf[offset:end]``.
 
-
-def _get_varint(buf: bytes, offset: int) -> Tuple[int, int]:
-    """Read an unsigned LEB128 varint of at most 10 bytes / 64 bits.
-
-    Every count, length and integer on the wire comes through here. The bound
-    matters because the bytes are a peer's: an unbounded continuation run
-    makes each step shift a longer bigint, so one CRC-valid frame of a few
-    hundred kilobytes of ``0xff`` would pin a handler thread (and the GIL)
-    for seconds. The block decoder's ``decode_varint`` reads only bytes this
-    process wrote and keeps its unbounded fast path.
+    The compiled decoders read a one-byte varint inline and every longer one
+    through here. The bound matters because the bytes are a peer's: an
+    unbounded continuation run makes each step shift a longer bigint, so one
+    CRC-valid frame of a few hundred kilobytes of ``0xff`` would pin a handler
+    thread (and the GIL) for seconds. The block decoder's ``decode_varint``
+    reads only bytes this process wrote and keeps its unbounded fast path.
     """
-    end = len(buf)
-    if offset >= end:
-        raise ProtocolError("truncated varint")
-    byte = buf[offset]
-    if byte < 0x80:
-        return byte, offset + 1
-    result = byte & 0x7F
-    shift = 7
-    for pos in range(offset + 1, min(end, offset + _MAX_VARINT_BYTES)):
+    result = shift = 0
+    for pos in range(offset, min(end, offset + _MAX_VARINT_BYTES)):
         byte = buf[pos]
         result |= (byte & 0x7F) << shift
         if byte < 0x80:
@@ -142,110 +138,27 @@ def _get_varint(buf: bytes, offset: int) -> Tuple[int, int]:
     raise ProtocolError(f"varint longer than {_MAX_VARINT_BYTES} bytes")
 
 
-def _get_bytes(buf: bytes, offset: int) -> Tuple[bytes, int]:
-    length, start = _get_varint(buf, offset)
-    end = start + length
-    if end > len(buf):
-        raise ProtocolError("truncated length-prefixed field")
-    return bytes(buf[start:end]), end
-
-
-def _put_str(out: bytearray, text: str) -> None:
-    put_length_prefixed(out, text.encode("utf-8"))
-
-
-def _get_str(buf: bytes, offset: int) -> Tuple[str, int]:
-    raw, offset = _get_bytes(buf, offset)
-    try:
-        return raw.decode("utf-8"), offset
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"invalid utf-8 in string field: {exc}") from None
-
-
-def _put_bool(out: bytearray, flag: bool) -> None:
-    out.append(1 if flag else 0)
-
-
-def _get_bool(buf: bytes, offset: int) -> Tuple[bool, int]:
-    if offset >= len(buf):
-        raise ProtocolError("truncated boolean field")
-    byte = buf[offset]
-    if byte not in (0, 1):
-        raise ProtocolError(f"boolean field holds {byte}, expected 0 or 1")
-    return bool(byte), offset + 1
-
-
-def _put_f64(out: bytearray, value: float) -> None:
-    out += _F64.pack(value)
-
-
-def _get_f64(buf: bytes, offset: int) -> Tuple[float, int]:
-    if offset + _F64.size > len(buf):
-        raise ProtocolError("truncated f64 field")
-    return _F64.unpack_from(buf, offset)[0], offset + _F64.size
-
-
-STR = Kind("str", _put_str, _get_str)
-BYTES = Kind("bytes", put_length_prefixed, _get_bytes)
-BOOL = Kind("bool", _put_bool, _get_bool)
-VARINT = Kind("varint", _put_varint, _get_varint)
-F64 = Kind("f64", _put_f64, _get_f64)
+STR = Kind("str")
+BYTES = Kind("bytes")
+BOOL = Kind("bool")
+VARINT = Kind("varint")
+F64 = Kind("f64")
 
 
 def optional(kind: Kind) -> Kind:
     """A presence flag byte, then ``kind`` when the value is not ``None``."""
-
-    def put(out: bytearray, value: Any) -> None:
-        _put_bool(out, value is not None)
-        if value is not None:
-            kind.put(out, value)
-
-    def get(buf: bytes, offset: int) -> Tuple[Any, int]:
-        present, offset = _get_bool(buf, offset)
-        return kind.get(buf, offset) if present else (None, offset)
-
-    return Kind("optional", put, get, inner=(kind,))
+    return Kind("optional", (kind,))
 
 
-def record(*kinds: Kind, build: Callable = tuple, parts: Callable = tuple) -> Kind:
-    """The ``kinds`` back to back. ``parts(value)`` yields one part per kind
-    and ``build(parts)`` reassembles the value; both default to a tuple."""
-    puts = tuple(kind.put for kind in kinds)
-    gets = tuple(kind.get for kind in kinds)
-
-    def put(out: bytearray, value: Any) -> None:
-        for put_part, part in zip(puts, parts(value)):
-            put_part(out, part)
-
-    def get(buf: bytes, offset: int) -> Tuple[Any, int]:
-        decoded = []
-        for get_part in gets:
-            part, offset = get_part(buf, offset)
-            decoded.append(part)
-        return build(decoded), offset
-
-    return Kind("record", put, get, inner=kinds)
+def record(*kinds: Kind, build: Optional[type] = None) -> Kind:
+    """The ``kinds`` back to back, read as a tuple or as ``build(*parts)``."""
+    return Kind("record", kinds, build=build)
 
 
 def repeated(*kinds: Kind) -> Kind:
     """A varint count, then that many items: a bare value for one kind, a
     :func:`record` tuple for several."""
-    item = kinds[0] if len(kinds) == 1 else record(*kinds)
-
-    def put(out: bytearray, items: tuple) -> None:
-        out += encode_varint(len(items))
-        for value in items:
-            item.put(out, value)
-
-    def get(buf: bytes, offset: int) -> Tuple[tuple, int]:
-        count, offset = _get_varint(buf, offset)
-        items = []
-        for _ in range(count):
-            value, offset = item.get(buf, offset)
-            items.append(value)
-        return tuple(items), offset
-
-    return Kind("repeated", put, get, inner=(item,))
+    return Kind("repeated", (kinds[0] if len(kinds) == 1 else record(*kinds),))
 
 
 def may_end(kind: Kind) -> Kind:
@@ -261,11 +174,7 @@ def _trailing(label: str, block: Kind) -> Kind:
 #: span_id + sampled flag. A payload that simply ends (the pre-trace wire
 #: image, or a tracing-unaware client) decodes as no context; the CRC covers
 #: the block when present, and trailing junk after it is still rejected.
-TRACE = _trailing("trace", record(
-    STR, STR, BOOL,
-    build=lambda parts: TraceContext(*parts),
-    parts=lambda trace: (trace.trace_id, trace.span_id, trace.sampled),
-))
+TRACE = _trailing("trace", record(STR, STR, BOOL, build=TraceContext))
 #: The optional ``(client_id, token)`` idempotency pair after the trace
 #: block: a string and a varint. Together with ``(tenant,)`` the pair keys
 #: the server's request-dedup table, so a retried mutation is applied at most
@@ -305,32 +214,352 @@ def _normalize_wire_ops(ops) -> "Tuple[tuple, ...]":
     return tuple(normalized)
 
 
-def _put_wire_op(out: bytearray, op: tuple) -> None:
-    kind, key, value, extra = op
-    out.append(_WIRE_OP_KINDS.index(kind))
-    put_length_prefixed(out, key)
-    put_length_prefixed(out, value)
-    if kind in _WIRE_OP_EXTRA:
-        _WIRE_OP_EXTRA[kind].put(out, extra)
-
-
-def _get_wire_op(buf: bytes, offset: int) -> Tuple[tuple, int]:
-    if offset >= len(buf):
-        raise ProtocolError("truncated batch op")
-    if buf[offset] >= len(_WIRE_OP_KINDS):
-        raise ProtocolError(f"unknown batch op kind {buf[offset]}")
-    kind = _WIRE_OP_KINDS[buf[offset]]
-    key, offset = _get_bytes(buf, offset + 1)
-    value, offset = _get_bytes(buf, offset)
-    extra = None
-    if kind in _WIRE_OP_EXTRA:
-        extra, offset = _WIRE_OP_EXTRA[kind].get(buf, offset)
-    return (kind, key, value, extra), offset
-
-
 #: A count, then per op: kind byte, key, value and the kind's extra (the
 #: operator name for ``merge``, the TTL in simulated seconds for ``put_ttl``).
-WIRE_OPS = repeated(Kind("wire_op", _put_wire_op, _get_wire_op))
+WIRE_OPS = repeated(Kind("wire_op"))
+
+
+# -- the compiler -------------------------------------------------------------
+#
+# Each message's field list becomes two straight-line functions, generated as
+# source once per class at import (the way ``dataclasses`` builds
+# ``__init__``): ``frame(message)`` writes the message as a whole frame,
+# header to CRC, and ``decode(buf, pos, end)`` reads one from
+# ``buf[pos:end]`` in place, where ``buf`` is the bytes or bytearray the frame
+# arrived in. Every read is bounded by ``end``; a one-byte varint is read
+# inline.
+
+
+class _Codec(NamedTuple):
+    #: ``frame(message)``: the message as one complete frame, header to CRC.
+    frame: Callable[["Message"], bytes]
+    #: ``decode(buf, pos, end)``: the message whose payload is ``buf[pos:end]``.
+    decode: Callable[[bytes, int, int], "Message"]
+
+
+class _Source:
+    """Generated lines under construction: fresh local names, and the
+    constants the code refers to."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.env: Dict[str, Any] = {
+            "ProtocolError": ProtocolError,
+            "_get_varint": _get_varint,
+            "_unpack_f64": _F64.unpack_from,
+            "_pack_f64": _F64.pack,
+            "_pack_u32_into": _U32.pack_into,
+            "_pack_u32": _U32.pack,
+            "_crc32": zlib.crc32,
+            "_WIRE_OP_KINDS": _WIRE_OP_KINDS,
+            "_new": object.__new__,
+        }
+        self._names = itertools.count()
+
+    def fresh(self, stem: str) -> str:
+        return f"{stem}{next(self._names)}"
+
+    def const(self, value: Any) -> str:
+        name = self.fresh("_const")
+        self.env[name] = value
+        return name
+
+    def add(self, depth: int, *lines: str) -> None:
+        self.lines.extend("    " * depth + line for line in lines)
+
+
+def _record_parts(kind: Kind) -> Tuple[str, ...]:
+    names = tuple(f.name for f in dataclasses.fields(kind.build))
+    if len(names) != len(kind.inner):  # pragma: no cover - module definition bug
+        raise TypeError(f"{kind.build.__name__} has {len(names)} fields, its record {len(kind.inner)}")
+    return names
+
+
+# Decoders: each emits code that reads one value into ``target`` and
+# advances ``pos``, or raises ProtocolError.
+
+
+def _read_varint(src: _Source, target: str, depth: int) -> None:
+    src.add(
+        depth,
+        "if pos >= end:",
+        "    raise ProtocolError('truncated varint')",
+        f"{target} = buf[pos]",
+        f"if {target} < 0x80:",
+        "    pos += 1",
+        "else:",
+        f"    {target}, pos = _get_varint(buf, pos, end)",
+    )
+
+
+def _read_span(src: _Source, depth: int) -> str:
+    """A length prefix; returns the name holding the field's end offset."""
+    size, stop = src.fresh("size"), src.fresh("stop")
+    _read_varint(src, size, depth)
+    src.add(
+        depth,
+        f"{stop} = pos + {size}",
+        f"if {stop} > end:",
+        "    raise ProtocolError('truncated length-prefixed field')",
+    )
+    return stop
+
+
+def _read_bytes(src: _Source, target: str, depth: int) -> None:
+    stop = _read_span(src, depth)
+    src.add(depth, f"{target} = bytes(buf[pos:{stop}])", f"pos = {stop}")
+
+
+def _read_str(src: _Source, target: str, depth: int) -> None:
+    stop = _read_span(src, depth)
+    src.add(
+        depth,
+        "try:",
+        f"    {target} = buf[pos:{stop}].decode()",
+        "except UnicodeDecodeError as exc:",
+        "    raise ProtocolError(f'invalid utf-8 in string field: {exc}') from None",
+        f"pos = {stop}",
+    )
+
+
+def _read_bool(src: _Source, target: str, depth: int) -> None:
+    src.add(
+        depth,
+        "if pos >= end:",
+        "    raise ProtocolError('truncated boolean field')",
+        f"{target} = buf[pos]",
+        f"if {target} > 1:",
+        f"    raise ProtocolError(f'boolean field holds {{{target}}}, expected 0 or 1')",
+        "pos += 1",
+        f"{target} = {target} == 1",
+    )
+
+
+def _read_f64(src: _Source, target: str, depth: int) -> None:
+    src.add(
+        depth,
+        f"if pos + {_F64.size} > end:",
+        "    raise ProtocolError('truncated f64 field')",
+        f"{target} = _unpack_f64(buf, pos)[0]",
+        f"pos += {_F64.size}",
+    )
+
+
+def _read_wire_op(src: _Source, target: str, depth: int) -> None:
+    code, key, value, extra = (src.fresh(stem) for stem in ("code", "key", "value", "extra"))
+    src.add(
+        depth,
+        "if pos >= end:",
+        "    raise ProtocolError('truncated batch op')",
+        f"{code} = buf[pos]",
+        f"if {code} >= {len(_WIRE_OP_KINDS)}:",
+        f"    raise ProtocolError(f'unknown batch op kind {{{code}}}')",
+        "pos += 1",
+    )
+    _read_bytes(src, key, depth)
+    _read_bytes(src, value, depth)
+    branch = "if"
+    for name, extra_kind in _WIRE_OP_EXTRA.items():
+        src.add(depth, f"{branch} {code} == {_WIRE_OP_KINDS.index(name)}:")
+        _read(src, extra_kind, extra, depth + 1)
+        branch = "elif"
+    src.add(
+        depth,
+        "else:",
+        f"    {extra} = None",
+        f"{target} = (_WIRE_OP_KINDS[{code}], {key}, {value}, {extra})",
+    )
+
+
+_READERS = {
+    "str": _read_str, "bytes": _read_bytes, "bool": _read_bool,
+    "varint": _read_varint, "f64": _read_f64, "wire_op": _read_wire_op,
+}
+
+
+def _read(src: _Source, kind: Kind, target: str, depth: int) -> None:
+    leaf = _READERS.get(kind.label)
+    if leaf is not None:
+        leaf(src, target, depth)
+    elif kind.label == "optional":
+        present = src.fresh("present")
+        _read_bool(src, present, depth)
+        src.add(depth, f"if {present}:")
+        _read(src, kind.inner[0], target, depth + 1)
+        src.add(depth, "else:", f"    {target} = None")
+    elif kind.label == "repeated":
+        count, items, item = src.fresh("count"), src.fresh("items"), src.fresh("item")
+        _read_varint(src, count, depth)
+        src.add(depth, f"{items} = []", f"for _ in range({count}):")
+        _read(src, kind.inner[0], item, depth + 1)
+        src.add(depth + 1, f"{items}.append({item})")
+        src.add(depth, f"{target} = tuple({items})")
+    elif kind.inner:  # a record, trailing blocks included
+        parts = [src.fresh("part") for _ in kind.inner]
+        for part, part_kind in zip(parts, kind.inner):
+            _read(src, part_kind, part, depth)
+        if kind.build is None:
+            src.add(depth, f"{target} = ({', '.join(parts)},)")
+        else:
+            src.add(depth, f"{target} = {src.const(kind.build)}({', '.join(parts)})")
+    else:  # pragma: no cover - module definition bug
+        raise TypeError(f"no codec for wire kind {kind.label!r}")
+
+
+# Encoders: each emits code that appends the value named ``value`` to ``out``.
+
+
+def _write_varint(src: _Source, value: str, depth: int) -> None:
+    """LEB128, seven bits a byte; consumes ``value`` (a negative one fails
+    in ``append``)."""
+    src.add(
+        depth,
+        f"while {value} >= 0x80:",
+        f"    out.append({value} & 0x7F | 0x80)",
+        f"    {value} >>= 7",
+        f"out.append({value})",
+    )
+
+
+def _write_bytes(src: _Source, value: str, depth: int) -> None:
+    size = src.fresh("size")
+    src.add(depth, f"{size} = len({value})")
+    _write_varint(src, size, depth)
+    src.add(depth, f"out += {value}")
+
+
+def _write_str(src: _Source, value: str, depth: int) -> None:
+    raw = src.fresh("raw")
+    src.add(depth, f"{raw} = {value}.encode()")
+    _write_bytes(src, raw, depth)
+
+
+def _write_bool(src: _Source, value: str, depth: int) -> None:
+    src.add(depth, f"out.append(1 if {value} else 0)")
+
+
+def _write_f64(src: _Source, value: str, depth: int) -> None:
+    src.add(depth, f"out += _pack_f64({value})")
+
+
+def _write_wire_op(src: _Source, value: str, depth: int) -> None:
+    name, key, data, extra = (src.fresh(stem) for stem in ("name", "key", "data", "extra"))
+    src.add(
+        depth,
+        f"{name}, {key}, {data}, {extra} = {value}",
+        f"out.append(_WIRE_OP_KINDS.index({name}))",
+    )
+    _write_bytes(src, key, depth)
+    _write_bytes(src, data, depth)
+    branch = "if"
+    for op_name, extra_kind in _WIRE_OP_EXTRA.items():
+        src.add(depth, f"{branch} {name} == {op_name!r}:")
+        _write(src, extra_kind, extra, depth + 1)
+        branch = "elif"
+
+
+_WRITERS = {
+    "str": _write_str, "bytes": _write_bytes, "bool": _write_bool,
+    "varint": _write_varint, "f64": _write_f64, "wire_op": _write_wire_op,
+}
+
+
+def _write(src: _Source, kind: Kind, value: str, depth: int) -> None:
+    leaf = _WRITERS.get(kind.label)
+    if leaf is not None:
+        leaf(src, value, depth)
+    elif kind.label == "optional":
+        src.add(depth, f"if {value} is None:", "    out.append(0)", "else:", "    out.append(1)")
+        _write(src, kind.inner[0], value, depth + 1)
+    elif kind.label == "repeated":
+        count, item = src.fresh("count"), src.fresh("item")
+        src.add(depth, f"{count} = len({value})")
+        _write_varint(src, count, depth)
+        src.add(depth, f"for {item} in {value}:")
+        _write(src, kind.inner[0], item, depth + 1)
+    elif kind.inner:  # a record, trailing blocks included
+        parts = [src.fresh("part") for _ in kind.inner]
+        if kind.build is None:
+            src.add(depth, f"{', '.join(parts)}, = {value}")
+        else:
+            for part, attr in zip(parts, _record_parts(kind)):
+                src.add(depth, f"{part} = {value}.{attr}")
+        for part, part_kind in zip(parts, kind.inner):
+            _write(src, part_kind, part, depth)
+    else:  # pragma: no cover - module definition bug
+        raise TypeError(f"no codec for wire kind {kind.label!r}")
+
+
+def _compile(cls: Type["Message"]) -> _Codec:
+    """Generate ``cls``'s encoder and decoder from its field spec.
+
+    The decoder builds the instance as the frozen dataclass ``__init__``
+    would — every field set, then ``__post_init__`` — but writes the fields
+    into ``__dict__`` directly instead of through one ``object.__setattr__``
+    call each.
+    """
+    src = _Source()
+    fields = dataclasses.fields(cls)
+    # The frame: the header with a zero length, the payload, the length (the
+    # header's last field) filled in, then the CRC. ``elided`` counts absent
+    # trailing blocks not yet written (Kind.trailing).
+    head = src.const(_HEADER.pack(MAGIC, VERSION, cls.TYPE, 0))
+    src.add(0, "def frame(message):", f"    out = bytearray({head})", "    elided = 0")
+    for f in fields:
+        kind = f.metadata["kind"]
+        value = src.fresh("value")
+        src.add(1, f"{value} = message.{f.name}")
+        if not kind.trailing:
+            _write(src, kind, value, 1)
+            continue
+        src.add(
+            1,
+            f"if {value} is None:",
+            "    elided += 1",
+            "else:",
+            "    if elided:",
+            "        out += bytes(elided)",
+            "        elided = 0",
+            "    out.append(1)",
+        )
+        _write(src, kind, value, 2)
+    src.add(
+        1,
+        f"_pack_u32_into(out, {HEADER_SIZE - _U32.size}, len(out) - {HEADER_SIZE})",
+        "out += _pack_u32(_crc32(out))",
+        "return bytes(out)",
+    )
+
+    src.add(0, "def decode(buf, pos, end):")
+    for f in fields:
+        kind, target, depth = f.metadata["kind"], f"field_{f.name}", 1
+        if kind.may_end:
+            default = src.const(f.default)
+            src.add(1, "if pos == end:", f"    {target} = {default}", "else:")
+            depth = 2
+        if kind.trailing:
+            present = src.fresh("present")
+            _read_bool(src, present, depth)
+            src.add(depth, f"if {present}:")
+            _read(src, kind, target, depth + 1)
+            src.add(depth, "else:", f"    {target} = {default}")
+        else:
+            _read(src, kind, target, depth)
+    src.add(
+        1,
+        "if pos != end:",
+        "    raise ProtocolError(f'{end - pos} trailing byte(s) after payload decode')",
+        f"message = _new({src.const(cls)})",
+        "state = message.__dict__",
+        *(f"state[{f.name!r}] = field_{f.name}" for f in fields),
+    )
+    if hasattr(cls, "__post_init__"):
+        src.add(1, "message.__post_init__()")
+    src.add(1, "return message")
+
+    source = "\n".join(src.lines) + "\n"
+    exec(compile(source, f"<wire codec {cls.__name__}>", "exec"), src.env)
+    return _Codec(src.env["frame"], src.env["decode"])
 
 
 # -- message classes ----------------------------------------------------------
@@ -353,10 +582,7 @@ def wire_message(cls: Type["Message"]) -> Type["Message"]:
         # A short payload must decode to defaults, never to a TypeError.
         if cls.WIRE[f.name].may_end and f.default is dataclasses.MISSING:  # pragma: no cover
             raise TypeError(f"{cls.__name__}.{f.name} may be absent on the wire: needs a default")
-    cls._CODEC = tuple(
-        (name, kind.put, kind.get, kind.may_end, kind.trailing)
-        for name, kind in cls.WIRE.items()
-    )
+    cls._CODEC = _compile(cls)
     cls.MUTATING = IDEM in cls.WIRE.values()
     _MESSAGE_TYPES[cls.TYPE] = cls
     return cls
@@ -370,44 +596,22 @@ class Message:
     :class:`Kind` (collected into ``WIRE``), and, for requests, ``OP`` — the
     name the server dispatches, meters, sheds and traces it under.
     ``MUTATING`` is derived: a request changes state exactly when its spec
-    carries the ``IDEM`` block.
+    carries the ``IDEM`` block. ``_CODEC`` holds the compiled encoder and
+    decoder.
     """
 
     TYPE = -1
     OP: Optional[str] = None
     WIRE: Dict[str, Kind] = {}
     MUTATING = False
-    _CODEC: tuple = ()
+    _CODEC: _Codec
 
     def encode_payload(self) -> bytes:
-        out = bytearray()
-        elided = 0  # absent trailing blocks not (yet) written; see Kind.trailing
-        for name, put, _get, _may_end, trailing in self._CODEC:
-            value = getattr(self, name)
-            if trailing:
-                if value is None:
-                    elided += 1
-                    continue
-                out += b"\x00" * elided + b"\x01"
-                elided = 0
-            put(out, value)
-        return bytes(out)
+        return self._CODEC.frame(self)[HEADER_SIZE:-TRAILER_SIZE]
 
     @classmethod
     def decode_payload(cls, buf: bytes) -> "Message":
-        values = {}
-        offset, end = 0, len(buf)
-        for name, _put, get, may_end, trailing in cls._CODEC:
-            if may_end and offset == end:
-                continue
-            if trailing:
-                present, offset = _get_bool(buf, offset)
-                if not present:
-                    continue
-            values[name], offset = get(buf, offset)
-        if offset != end:
-            raise ProtocolError(f"{end - offset} trailing byte(s) after payload decode")
-        return cls(**values)
+        return cls._CODEC.decode(buf, 0, len(buf))
 
 
 @wire_message
@@ -664,19 +868,16 @@ RESPONSE_TYPES = tuple(cls for cls in _BY_TYPE if cls.OP is None)
 
 # -- framing ------------------------------------------------------------------
 
-
 def encode_frame(message: Message) -> bytes:
     """Serialize one message into a complete CRC-trailed frame."""
-    payload = message.encode_payload()
-    header = _HEADER.pack(MAGIC, VERSION, message.TYPE, len(payload))
-    body = header + payload
-    return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
+    return message._CODEC.frame(message)
 
 
 def try_decode_frame(
     buf: bytes, offset: int = 0, max_payload: int = DEFAULT_MAX_PAYLOAD
 ) -> Optional[Tuple[Message, int]]:
-    """Decode one frame at ``offset`` if fully buffered.
+    """Decode one frame at ``offset`` of ``buf`` (bytes or bytearray) if fully
+    buffered. The payload is decoded in place, without a copy.
 
     Returns:
         ``(message, next_offset)``, or None when more bytes are needed.
@@ -699,13 +900,10 @@ def try_decode_frame(
     if available < total:
         return None
     body_end = offset + HEADER_SIZE + length
-    (expected_crc,) = _CRC.unpack_from(buf, body_end)
-    # One view serves the CRC and the payload copy (a bytearray slice would
-    # copy twice each); released at once, since a live view pins a bytearray
-    # against the decoder's next feed.
-    with memoryview(buf)[offset:body_end] as body:
-        actual_crc = zlib.crc32(body) & 0xFFFFFFFF
-        payload = bytes(body[HEADER_SIZE:])
+    (expected_crc,) = _U32.unpack_from(buf, body_end)
+    # A slice is cheaper than a memoryview for the few hundred bytes of a
+    # typical frame, and leaves no export pinning a bytearray buffer.
+    actual_crc = zlib.crc32(buf[offset:body_end])
     if actual_crc != expected_crc:
         raise ProtocolError(
             f"frame CRC mismatch (stored 0x{expected_crc:08x}, "
@@ -715,7 +913,7 @@ def try_decode_frame(
     if cls is None:
         raise ProtocolError(f"unknown message type 0x{msg_type:02x}")
     try:
-        message = cls.decode_payload(payload)
+        message = cls._CODEC.decode(buf, offset + HEADER_SIZE, body_end)
     except ProtocolError:
         raise
     except (ValueError, struct.error) as exc:
@@ -738,10 +936,12 @@ class FrameDecoder:
     """A streaming frame accumulator for a byte-oriented transport.
 
     Feed it arbitrary chunks; it returns every newly completed message (and
-    also queues them for :meth:`next_message`), keeping the unconsumed tail
-    buffered. A :class:`ProtocolError` raised by :meth:`feed` poisons the
-    stream (resynchronizing inside a corrupt byte stream is not safe for a
-    length-prefixed format).
+    also queues them for :meth:`next_message`). Whole frames are decoded
+    straight from the chunk they arrived in; only a partial frame at its end
+    is buffered, to be completed by the next chunks. A :class:`ProtocolError`
+    raised by :meth:`feed` poisons the stream: the offending bytes stay
+    buffered, so every later feed raises again (resynchronizing inside a
+    corrupt byte stream is not safe for a length-prefixed format).
     """
 
     max_payload: int = DEFAULT_MAX_PAYLOAD
@@ -749,17 +949,26 @@ class FrameDecoder:
     _ready: "deque" = field(default_factory=deque)
 
     def feed(self, data: bytes) -> List[Message]:
-        self._buffer.extend(data)
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = buffer
         messages: List[Message] = []
-        offset = 0
-        while True:
-            decoded = try_decode_frame(self._buffer, offset, self.max_payload)
-            if decoded is None:
-                break
-            message, offset = decoded
-            messages.append(message)
-        if offset:
-            del self._buffer[:offset]
+        offset, size = 0, len(data)
+        try:
+            while offset < size:
+                decoded = try_decode_frame(data, offset, self.max_payload)
+                if decoded is None:
+                    break
+                message, offset = decoded
+                messages.append(message)
+        finally:
+            # Keep what is left from the first undecoded byte: a partial
+            # frame, or (when raising) the frame that poisoned the stream.
+            if data is buffer:
+                del buffer[:offset]
+            elif offset < size:
+                buffer += memoryview(data)[offset:]
         self._ready.extend(messages)
         return messages
 

@@ -25,7 +25,7 @@ import json
 import socket
 import threading
 import time
-from typing import Optional, Set
+from typing import Optional, Set, Tuple
 
 from repro.common.entry import GetResult
 from repro.errors import ConflictError, ReproError
@@ -58,13 +58,7 @@ from repro.server.protocol import (
     encode_frame,
     send_message,
 )
-from repro.server.tenancy import (
-    FairShareAdmission,
-    namespaced_key,
-    strip_namespace,
-    tenant_range,
-    validate_tenant,
-)
+from repro.server.tenancy import FairShareAdmission, prefix_range, tenant_prefix
 
 
 #: The negative sampling decision, activated around every untraced request so
@@ -519,10 +513,11 @@ class LSMServer:
         except OSError:
             pass
 
-    def _resolve_tenant(self, request: Message) -> str:
+    def _resolve_tenant(self, request: Message) -> Tuple[str, bytes]:
+        """The request's tenant and its key prefix: the one validation of
+        the id per request (every key below is ``prefix + key``)."""
         tenant = getattr(request, "tenant", "") or self.config.default_tenant
-        validate_tenant(tenant)
-        return tenant
+        return tenant, tenant_prefix(tenant)
 
     def _admit(self, tenant: str, cost: int, stages: Optional[dict] = None) -> None:
         if self.admission is None:
@@ -552,7 +547,7 @@ class LSMServer:
     def _execute(
         self, op: str, request: Message, stages: dict, load_state: str = STATE_OK
     ) -> Message:
-        tenant = self._resolve_tenant(request)
+        tenant, prefix = self._resolve_tenant(request)
         if op not in self._ALWAYS_SERVED:
             if load_state == STATE_SHED:
                 self._shed_total.inc()
@@ -575,7 +570,7 @@ class LSMServer:
         # Only mutating requests carry the field (Message.MUTATING ⇔ IDEM block).
         idem = getattr(request, "idem", None)
         if idem is None or self.dedup is None:
-            return self._execute_op(op, request, tenant, stages, load_state)
+            return self._execute_op(op, request, tenant, prefix, stages, load_state)
         # Exactly-once: admit, replay, or park behind an in-flight original.
         client_id, idem_token = idem
         key = (tenant, client_id, idem_token)
@@ -602,7 +597,7 @@ class LSMServer:
             )
         response: Optional[Message] = None
         try:
-            response = self._execute_op(op, request, tenant, stages, load_state)
+            response = self._execute_op(op, request, tenant, prefix, stages, load_state)
             return response
         finally:
             # Only a success is cached for replay: an error frame means the
@@ -620,8 +615,8 @@ class LSMServer:
             return False
 
     def _execute_op(
-        self, op: str, request: Message, tenant: str, stages: dict,
-        load_state: str = STATE_OK,
+        self, op: str, request: Message, tenant: str, prefix: bytes,
+        stages: dict, load_state: str = STATE_OK,
     ) -> Message:
         service = self.service
         if op == "ping":
@@ -638,7 +633,7 @@ class LSMServer:
             return StatsHistoryResponse(payload_json=json.dumps(payload))
         if op == "get":
             self._admit(tenant, 1, stages)
-            result = service.get(namespaced_key(tenant, request.key))
+            result = service.get(prefix + request.key)
             return GetResponse(
                 found=result.found, value=result.value or b"",
                 seqno=result.seqno,
@@ -646,24 +641,24 @@ class LSMServer:
         if op == "put":
             self._admit(tenant, 1, stages)
             service.put(
-                namespaced_key(tenant, request.key), request.value,
+                prefix + request.key, request.value,
                 ttl=request.ttl,
             )
             return OkResponse(count=1)
         if op == "merge":
             self._admit(tenant, 1, stages)
             service.merge(
-                namespaced_key(tenant, request.key), request.operand,
+                prefix + request.key, request.operand,
                 operator=request.operator,
             )
             return OkResponse(count=1)
         if op == "delete":
             self._admit(tenant, 1, stages)
-            service.delete(namespaced_key(tenant, request.key))
+            service.delete(prefix + request.key)
             return OkResponse(count=1)
         if op == "multi_get":
             self._admit(tenant, len(request.keys), stages)
-            stored = [namespaced_key(tenant, key) for key in request.keys]
+            stored = [prefix + key for key in request.keys]
             results = service.multi_get(stored)
             entries = []
             for user_key, stored_key in zip(request.keys, stored):
@@ -674,38 +669,35 @@ class LSMServer:
             self._admit(tenant, 1, stages)
             limit = min(max(1, request.limit), self.config.scan_limit_max)
             limit = self.overload.clamp_scan_limit(limit, load_state)
-            lo, hi = tenant_range(tenant, request.start, request.end)
+            lo, hi = prefix_range(prefix, request.start, request.end)
+            cut = len(prefix)  # every key in the range carries it
             items = []
             truncated = False
             for stored_key, value in service.scan(lo, hi):
                 if len(items) >= limit:
                     truncated = True
                     break
-                items.append((strip_namespace(tenant, stored_key), value))
+                items.append((stored_key[cut:], value))
             return ScanResponse(items=tuple(items), truncated=truncated)
         if op == "batch":
             self._admit(tenant, len(request.ops), stages)
-            service.write(self._namespace_ops(tenant, request.ops))
+            service.write(self._namespace_ops(prefix, request.ops))
             return OkResponse(count=len(request.ops))
         if op == "txn_commit":
             self._admit(tenant, max(1, len(request.ops)), stages)
             read_set = {
-                namespaced_key(tenant, key): seqno
-                for key, seqno in request.read_set
+                prefix + key: seqno for key, seqno in request.read_set
             }
             count = service.commit_transaction(
-                read_set, self._namespace_ops(tenant, request.ops)
+                read_set, self._namespace_ops(prefix, request.ops)
             )
             return OkResponse(count=count)
         raise ProtocolError(f"unhandled op {op!r}")  # pragma: no cover
 
     @staticmethod
-    def _namespace_ops(tenant: str, ops) -> list:
+    def _namespace_ops(prefix: bytes, ops) -> list:
         """Rewrite wire op keys into the tenant's namespace."""
-        return [
-            (kind, namespaced_key(tenant, key), value, extra)
-            for kind, key, value, extra in ops
-        ]
+        return [(kind, prefix + key, value, extra) for kind, key, value, extra in ops]
 
     # -- stats -----------------------------------------------------------------
 

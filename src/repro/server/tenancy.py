@@ -84,9 +84,17 @@ def tenant_range(
     namespaced key of this tenant (they all continue with ``0x00``) and
     never equal to a stored key, so it is safe as an inclusive bound.
     """
-    prefix = tenant_prefix(tenant)
+    return prefix_range(tenant_prefix(tenant), start, end)
+
+
+def prefix_range(
+    prefix: bytes, start: Optional[bytes], end: Optional[bytes]
+) -> Tuple[bytes, bytes]:
+    """:func:`tenant_range` for a tenant whose :func:`tenant_prefix` is
+    already known, so a request validates its tenant once. Every key in
+    the range starts with ``prefix``."""
     lo = prefix + (start or b"")
-    hi = prefix + end if end is not None else validate_tenant(tenant) + _TENANT_END
+    hi = prefix + end if end is not None else prefix[:-1] + _TENANT_END
     return lo, hi
 
 
