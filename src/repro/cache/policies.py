@@ -105,14 +105,8 @@ class ClockPolicy(EvictionPolicy):
         return None
 
 
-_POLICIES = {"lru": LRUPolicy, "lfu": LFUPolicy, "clock": ClockPolicy}
-
-
 def make_policy(name: str) -> EvictionPolicy:
-    """Instantiate an eviction policy by name ('lru', 'lfu', 'clock')."""
-    try:
-        return _POLICIES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown eviction policy {name!r}; expected one of {sorted(_POLICIES)}"
-        ) from None
+    """Instantiate a ``DESIGN_SPACE["cache_policy"]`` choice (ConfigError if unknown)."""
+    from repro.core.design_space import DESIGN_SPACE  # the table imports this module
+
+    return DESIGN_SPACE["cache_policy"].resolve(name)()

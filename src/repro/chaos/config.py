@@ -13,9 +13,11 @@ replay any failing cycle locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Annotated, Dict
 
-from repro.common.config_base import kwonly_dataclass
+from repro.common.config_base import (
+    NON_NEGATIVE, UNIT_INTERVAL, at_least, check_fields, kwonly_dataclass,
+)
 from repro.errors import ConfigError
 
 #: Named connection boundaries the injector can kill at. Each is a
@@ -76,47 +78,26 @@ class NetworkFaultConfig:
     """
 
     seed: int = 0
-    connect_fail_prob: float = 0.0
-    reset_prob: float = 0.0
-    send_truncate_prob: float = 0.0
-    drop_reply_prob: float = 0.0
-    duplicate_prob: float = 0.0
-    recv_truncate_prob: float = 0.0
-    delay_prob: float = 0.0
-    delay_s: float = 0.001
-    crash_points: Dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.validate()
+    connect_fail_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    reset_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    send_truncate_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    drop_reply_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    duplicate_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    recv_truncate_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    delay_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    delay_s: Annotated[float, NON_NEGATIVE] = 0.001
+    crash_points: Annotated[Dict[str, int], at_least(1)] = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check value ranges; raises ConfigError (never a deep ValueError)."""
-        for name in (
-            "connect_fail_prob", "reset_prob", "send_truncate_prob",
-            "drop_reply_prob", "duplicate_prob", "recv_truncate_prob",
-            "delay_prob",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.delay_s < 0:
-            raise ConfigError("delay_s must be non-negative")
-        for name, point in self.crash_points.items():
+        """Check every field and the crash-point names; raises ConfigError
+        (never a deep ValueError)."""
+        check_fields(self)
+        for name in self.crash_points:
             if name not in NETWORK_CRASH_POINTS:
                 raise ConfigError(
                     f"unknown network crash point {name!r}; "
                     f"valid: {', '.join(NETWORK_CRASH_POINTS)}"
                 )
-            if point < 1:
-                raise ConfigError(
-                    f"crash point countdown for {name!r} must be >= 1"
-                )
-
-    def replace(self, **changes) -> "NetworkFaultConfig":
-        """A copy with some fields changed (mirrors FaultConfig.replace)."""
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)
 
     @property
     def fault_rate(self) -> float:

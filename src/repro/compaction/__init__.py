@@ -28,7 +28,7 @@ from repro.compaction.trigger import (
     RunCountTrigger,
     SaturationTrigger,
 )
-from repro.compaction.picker import PICKERS, make_picker
+from repro.compaction.picker import make_picker
 from repro.compaction.granularity import CompactionPlan, FullLevel, PartialFile
 from repro.compaction.policy import CompactionPolicy
 
@@ -38,7 +38,6 @@ __all__ = [
     "RunCountTrigger",
     "SaturationTrigger",
     "CompositeTrigger",
-    "PICKERS",
     "make_picker",
     "CompactionPlan",
     "CompactionPolicy",

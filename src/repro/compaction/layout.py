@@ -99,16 +99,7 @@ class LayoutPolicy:
 
     @staticmethod
     def by_name(name: str, size_ratio: int) -> "LayoutPolicy":
-        """Resolve a policy from its registry name."""
-        factories = {
-            "leveling": LayoutPolicy.leveling,
-            "tiering": lambda: LayoutPolicy.tiering(size_ratio),
-            "lazy_leveling": lambda: LayoutPolicy.lazy_leveling(size_ratio),
-            "bush": lambda: LayoutPolicy.bush(size_ratio),
-        }
-        try:
-            return factories[name]()
-        except KeyError:
-            raise ConfigError(
-                f"unknown layout {name!r}; expected one of {sorted(factories)}"
-            ) from None
+        """Resolve a ``DESIGN_SPACE["layout"]`` choice (ConfigError if unknown)."""
+        from repro.core.design_space import DESIGN_SPACE  # the table imports this module
+
+        return DESIGN_SPACE["layout"].resolve(name)(size_ratio)

@@ -98,23 +98,8 @@ class OldestPicker(FilePicker):
         return min(level_tables, key=lambda table: table.file_id)
 
 
-PICKERS = {
-    cls.name: cls
-    for cls in (
-        RoundRobinPicker,
-        LeastOverlapPicker,
-        ColdestPicker,
-        MostTombstonesPicker,
-        OldestPicker,
-    )
-}
-
-
 def make_picker(name: str) -> FilePicker:
-    """Instantiate a picker by registry name."""
-    try:
-        return PICKERS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown picker {name!r}; expected one of {sorted(PICKERS)}"
-        ) from None
+    """Instantiate a ``DESIGN_SPACE["picker"]`` choice (ConfigError if unknown)."""
+    from repro.core.design_space import DESIGN_SPACE  # the table imports this module
+
+    return DESIGN_SPACE["picker"].resolve(name)()

@@ -11,9 +11,11 @@ failing seed locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Annotated, Dict
 
-from repro.common.config_base import kwonly_dataclass
+from repro.common.config_base import (
+    NON_NEGATIVE, UNIT_INTERVAL, at_least, check_fields, kwonly_dataclass,
+)
 from repro.errors import ConfigError
 
 #: Named engine boundaries the injector can crash at. The engine calls
@@ -62,42 +64,23 @@ class FaultConfig:
     """
 
     seed: int = 0
-    read_error_prob: float = 0.0
-    bit_rot_prob: float = 0.0
-    torn_write_prob: float = 0.5
-    crash_points: Dict[str, int] = field(default_factory=dict)
-    max_read_retries: int = 4
-    backoff_base: float = 1.0
+    read_error_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    bit_rot_prob: Annotated[float, UNIT_INTERVAL] = 0.0
+    torn_write_prob: Annotated[float, UNIT_INTERVAL] = 0.5
+    crash_points: Annotated[Dict[str, int], at_least(1)] = field(default_factory=dict)
+    max_read_retries: Annotated[int, NON_NEGATIVE] = 4
+    backoff_base: Annotated[float, NON_NEGATIVE] = 1.0
     backoff_cap: float = 32.0
-    quarantine_after: int = 2
-
-    def __post_init__(self) -> None:
-        self.validate()
+    quarantine_after: Annotated[int, at_least(1)] = 2
 
     def validate(self) -> None:
-        """Check value ranges; raises ConfigError (never a deep ValueError)."""
-        for name in ("read_error_prob", "bit_rot_prob", "torn_write_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        for name, point in self.crash_points.items():
+        """Check every field, the crash-point names and the backoff order;
+        raises ConfigError (never a deep ValueError)."""
+        check_fields(self)
+        for name in self.crash_points:
             if name not in CRASH_POINTS:
                 raise ConfigError(
                     f"unknown crash point {name!r}; valid: {', '.join(CRASH_POINTS)}"
                 )
-            if point < 1:
-                raise ConfigError(f"crash point countdown for {name!r} must be >= 1")
-        if self.max_read_retries < 0:
-            raise ConfigError("max_read_retries must be non-negative")
-        if self.backoff_base < 0:
-            raise ConfigError("backoff_base must be non-negative")
         if self.backoff_cap < self.backoff_base:
             raise ConfigError("backoff_cap must be >= backoff_base")
-        if self.quarantine_after < 1:
-            raise ConfigError("quarantine_after must be at least 1")
-
-    def replace(self, **changes) -> "FaultConfig":
-        """A copy with some fields changed (mirrors LSMConfig.replace)."""
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.encoding import encode_uint_key
 from repro.core.config import LSMConfig
+from repro.core.design_space import DESIGN_SPACE
 from repro.core.lsm_tree import LSMTree
 from repro.errors import SimulatedCrashError
 from repro.faults.config import CRASH_POINTS, FaultConfig
@@ -57,7 +58,6 @@ from repro.faults.kernel import (
     run_grid,
 )
 from repro.storage.block_device import LatencyModel
-from repro.storage.compression import available_codecs
 
 #: How many times each hook may fire before the scheduled crash triggers.
 #: Frequent hooks get a wide window so the crash lands at a varied depth;
@@ -495,7 +495,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--mode", action="append", default=None,
                         choices=["tree", "service", "sharded", "txn"])
     parser.add_argument("--layout", action="append", default=None,
-                        choices=["leveling", "tiering", "lazy_leveling"])
+                        choices=list(DESIGN_SPACE["layout"].choices))
     parser.add_argument("--latency", action="append", default=None,
                         choices=sorted(_LATENCY_MODELS))
     parser.add_argument("--crash-point", action="append", default=None,
@@ -503,7 +503,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--parallel", action="store_true",
                         help="run compactions as key-range subcompactions")
     parser.add_argument("--compression", default="none",
-                        choices=sorted(available_codecs()),
+                        choices=list(DESIGN_SPACE["compression"].choices),
                         help="block codec the matrix builds tables with")
     args = parser.parse_args(argv)
 

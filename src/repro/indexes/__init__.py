@@ -15,36 +15,15 @@ from repro.indexes.learned.pgm import PGMIndex
 from repro.indexes.learned.radix_spline import RadixSplineIndex
 from repro.indexes.remix import RemixView
 
-INDEX_KINDS = {
-    "fence": FencePointers,
-    "hash": HashIndex,
-    "rmi": RMIIndex,
-    "pgm": PGMIndex,
-    "radix_spline": RadixSplineIndex,
-}
-
 
 def make_index_factory(kind: str, **kwargs):
-    """Return an ``index_factory`` callable for :class:`SSTableBuilder`.
+    """Return an ``index_factory`` callable for :class:`SSTableBuilder` that
+    builds the ``DESIGN_SPACE["index"]`` choice ``kind`` with ``kwargs``; None
+    for ``"none"`` (no block index). ConfigError for an unknown kind."""
+    from repro.core.design_space import DESIGN_SPACE, bind  # the table imports this package
 
-    Args:
-        kind: one of ``INDEX_KINDS``.
-        **kwargs: forwarded to the index constructor.
-
-    Raises:
-        KeyError: for unknown kinds.
-    """
-    try:
-        cls = INDEX_KINDS[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown index kind {kind!r}; expected one of {sorted(INDEX_KINDS)}"
-        ) from None
-
-    def factory(keys, block_of_key):
-        return cls(keys, block_of_key, **kwargs)
-
-    return factory
+    build = DESIGN_SPACE["index"].resolve(kind)
+    return None if build is None else bind(build, kwargs)
 
 
 __all__ = [
@@ -55,6 +34,5 @@ __all__ = [
     "RMIIndex",
     "PGMIndex",
     "RadixSplineIndex",
-    "INDEX_KINDS",
     "make_index_factory",
 ]

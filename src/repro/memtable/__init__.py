@@ -17,26 +17,12 @@ from repro.memtable.skiplist import SkipList, SkipListMemtable
 from repro.memtable.vector import VectorMemtable
 from repro.memtable.flodb import FloDBMemtable
 
-MEMTABLE_KINDS = {
-    "skiplist": SkipListMemtable,
-    "vector": VectorMemtable,
-    "flodb": FloDBMemtable,
-}
-
 
 def make_memtable(kind: str) -> Memtable:
-    """Instantiate a memtable by its registry name.
+    """Instantiate a ``DESIGN_SPACE["memtable"]`` choice (ConfigError if unknown)."""
+    from repro.core.design_space import DESIGN_SPACE  # the table imports this package
 
-    Raises:
-        KeyError: for unknown kinds (the valid names are the keys of
-        ``MEMTABLE_KINDS``).
-    """
-    try:
-        return MEMTABLE_KINDS[kind]()
-    except KeyError:
-        raise KeyError(
-            f"unknown memtable kind {kind!r}; expected one of {sorted(MEMTABLE_KINDS)}"
-        ) from None
+    return DESIGN_SPACE["memtable"].resolve(kind)()
 
 
 __all__ = [
@@ -46,6 +32,5 @@ __all__ = [
     "SkipListMemtable",
     "VectorMemtable",
     "FloDBMemtable",
-    "MEMTABLE_KINDS",
     "make_memtable",
 ]

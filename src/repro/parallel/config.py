@@ -11,9 +11,9 @@ requests are shaped (see :class:`ParallelConfig`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
-from repro.common.config_base import kwonly_dataclass
-from repro.errors import ConfigError
+from repro.common.config_base import at_least, kwonly_dataclass
 
 
 @kwonly_dataclass
@@ -50,30 +50,8 @@ class ParallelConfig:
             nearly every output block into a random write.
     """
 
-    max_subcompactions: int = 4
-    min_subcompaction_blocks: int = 8
-    merge_readahead_blocks: int = 8
-    scan_readahead_blocks: int = 8
-    write_buffer_blocks: int = 8
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Check value ranges; raises ConfigError."""
-        if self.max_subcompactions < 1:
-            raise ConfigError("max_subcompactions must be at least 1")
-        if self.min_subcompaction_blocks < 1:
-            raise ConfigError("min_subcompaction_blocks must be at least 1")
-        if self.merge_readahead_blocks < 1:
-            raise ConfigError("merge_readahead_blocks must be at least 1")
-        if self.scan_readahead_blocks < 1:
-            raise ConfigError("scan_readahead_blocks must be at least 1")
-        if self.write_buffer_blocks < 1:
-            raise ConfigError("write_buffer_blocks must be at least 1")
-
-    def replace(self, **changes) -> "ParallelConfig":
-        """A copy with some fields changed (convenience for sweeps)."""
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)
+    max_subcompactions: Annotated[int, at_least(1)] = 4
+    min_subcompaction_blocks: Annotated[int, at_least(1)] = 8
+    merge_readahead_blocks: Annotated[int, at_least(1)] = 8
+    scan_readahead_blocks: Annotated[int, at_least(1)] = 8
+    write_buffer_blocks: Annotated[int, at_least(1)] = 8

@@ -10,9 +10,12 @@ per-tenant QoS contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Annotated, Dict, Optional
 
-from repro.common.config_base import kwonly_dataclass
+from repro.common.config_base import (
+    NON_EMPTY, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, at_least, check_fields, in_range,
+    kwonly_dataclass,
+)
 from repro.errors import ConfigError
 from repro.server.protocol import DEFAULT_MAX_PAYLOAD
 
@@ -76,74 +79,32 @@ class ServerConfig:
     """
 
     host: str = "127.0.0.1"
-    port: int = 0
-    max_connections: int = 64
-    max_payload_bytes: int = DEFAULT_MAX_PAYLOAD
-    recv_bytes: int = 64 << 10
-    idle_poll_s: float = 0.05
-    drain_timeout_s: float = 5.0
-    default_tenant: str = "default"
-    tenant_ops_per_second: Optional[float] = None
-    tenant_burst_ops: Optional[float] = None
-    tenant_weights: Optional[Dict[str, float]] = None
-    scan_limit_max: int = 10_000
-    trace_sampling: Optional[float] = None
-    trace_capacity: int = 512
-    slow_op_threshold_s: Optional[float] = 0.25
-    slow_op_capacity: int = 128
-    stats_interval_s: float = 1.0
-    history_capacity: int = 240
-    dedup_capacity: int = 4096
-    overload_in_flight: Optional[int] = None
-    brownout_in_flight: Optional[int] = None
-    brownout_scan_limit: int = 256
+    port: Annotated[int, in_range(0, 65535)] = 0
+    max_connections: Annotated[int, at_least(1)] = 64
+    max_payload_bytes: Annotated[int, at_least(1 << 10)] = DEFAULT_MAX_PAYLOAD
+    recv_bytes: Annotated[int, POSITIVE] = 64 << 10
+    idle_poll_s: Annotated[float, POSITIVE] = 0.05
+    drain_timeout_s: Annotated[float, POSITIVE] = 5.0
+    default_tenant: Annotated[str, NON_EMPTY] = "default"
+    tenant_ops_per_second: Annotated[Optional[float], POSITIVE] = None
+    tenant_burst_ops: Annotated[Optional[float], POSITIVE] = None
+    tenant_weights: Annotated[Optional[Dict[str, float]], POSITIVE] = None
+    scan_limit_max: Annotated[int, at_least(1)] = 10_000
+    trace_sampling: Annotated[Optional[float], UNIT_INTERVAL] = None
+    trace_capacity: Annotated[int, at_least(1)] = 512
+    slow_op_threshold_s: Annotated[Optional[float], NON_NEGATIVE] = 0.25
+    slow_op_capacity: Annotated[int, at_least(1)] = 128
+    stats_interval_s: Annotated[float, NON_NEGATIVE] = 1.0
+    history_capacity: Annotated[int, at_least(1)] = 240
+    dedup_capacity: Annotated[int, NON_NEGATIVE] = 4096
+    overload_in_flight: Annotated[Optional[int], at_least(1)] = None
+    brownout_in_flight: Annotated[Optional[int], at_least(1)] = None
+    brownout_scan_limit: Annotated[int, at_least(1)] = 256
     shed_on_backpressure_stop: bool = True
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
-        if self.port < 0 or self.port > 65535:
-            raise ConfigError("port must be in [0, 65535]")
-        if self.max_connections < 1:
-            raise ConfigError("max_connections must be at least 1")
-        if self.max_payload_bytes < 1 << 10:
-            raise ConfigError("max_payload_bytes must be at least 1 KiB")
-        if self.recv_bytes < 1:
-            raise ConfigError("recv_bytes must be positive")
-        if self.idle_poll_s <= 0:
-            raise ConfigError("idle_poll_s must be positive")
-        if self.drain_timeout_s <= 0:
-            raise ConfigError("drain_timeout_s must be positive")
-        if not self.default_tenant:
-            raise ConfigError("default_tenant must be non-empty")
-        if self.tenant_ops_per_second is not None and self.tenant_ops_per_second <= 0:
-            raise ConfigError("tenant_ops_per_second must be positive")
-        if self.tenant_burst_ops is not None and self.tenant_burst_ops <= 0:
-            raise ConfigError("tenant_burst_ops must be positive")
-        for tenant, weight in (self.tenant_weights or {}).items():
-            if weight <= 0:
-                raise ConfigError(f"tenant {tenant!r} weight must be positive")
-        if self.scan_limit_max < 1:
-            raise ConfigError("scan_limit_max must be at least 1")
-        if self.trace_sampling is not None and not 0.0 <= self.trace_sampling <= 1.0:
-            raise ConfigError("trace_sampling must be in [0, 1]")
-        if self.trace_capacity < 1:
-            raise ConfigError("trace_capacity must be at least 1")
-        if self.slow_op_threshold_s is not None and self.slow_op_threshold_s < 0:
-            raise ConfigError("slow_op_threshold_s must be non-negative")
-        if self.slow_op_capacity < 1:
-            raise ConfigError("slow_op_capacity must be at least 1")
-        if self.stats_interval_s < 0:
-            raise ConfigError("stats_interval_s must be non-negative")
-        if self.history_capacity < 1:
-            raise ConfigError("history_capacity must be at least 1")
-        if self.dedup_capacity < 0:
-            raise ConfigError("dedup_capacity must be non-negative")
-        if self.overload_in_flight is not None and self.overload_in_flight < 1:
-            raise ConfigError("overload_in_flight must be at least 1")
-        if self.brownout_in_flight is not None and self.brownout_in_flight < 1:
-            raise ConfigError("brownout_in_flight must be at least 1")
+        """Check every field, then the brownout/overload order; raises ConfigError."""
+        check_fields(self)
         if (
             self.overload_in_flight is not None
             and self.brownout_in_flight is not None
@@ -152,5 +113,3 @@ class ServerConfig:
             raise ConfigError(
                 "brownout_in_flight must not exceed overload_in_flight"
             )
-        if self.brownout_scan_limit < 1:
-            raise ConfigError("brownout_scan_limit must be at least 1")

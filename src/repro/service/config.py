@@ -9,9 +9,11 @@ compaction design-space work isolates as first-class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Optional
 
-from repro.common.config_base import kwonly_dataclass
+from repro.common.config_base import (
+    NON_NEGATIVE, POSITIVE, at_least, check_fields, kwonly_dataclass,
+)
 from repro.errors import ConfigError
 
 
@@ -56,45 +58,27 @@ class ServiceConfig:
             lazily create a private pool on first parallel merge.
     """
 
-    max_batch: int = 64
-    max_batch_wait_s: float = 0.002
-    num_workers: int = 2
-    compaction_rate_bytes: Optional[float] = None
-    compaction_burst_bytes: Optional[float] = None
-    l0_slowdown_runs: int = 8
+    max_batch: Annotated[int, at_least(1)] = 64
+    max_batch_wait_s: Annotated[float, NON_NEGATIVE] = 0.002
+    num_workers: Annotated[int, at_least(1)] = 2
+    compaction_rate_bytes: Annotated[Optional[float], POSITIVE] = None
+    compaction_burst_bytes: Annotated[Optional[float], POSITIVE] = None
+    l0_slowdown_runs: Annotated[int, at_least(1)] = 8
     l0_stop_runs: int = 16
-    debt_slowdown: Optional[float] = None
-    debt_stop: Optional[float] = None
-    slowdown_delay_s: float = 0.001
-    stop_timeout_s: float = 10.0
-    subcompaction_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        self.validate()
+    debt_slowdown: Annotated[Optional[float], NON_NEGATIVE] = None
+    debt_stop: Annotated[Optional[float], NON_NEGATIVE] = None
+    slowdown_delay_s: Annotated[float, NON_NEGATIVE] = 0.001
+    stop_timeout_s: Annotated[float, POSITIVE] = 10.0
+    subcompaction_workers: Annotated[Optional[int], at_least(1)] = None
 
     def validate(self) -> None:
-        if self.max_batch < 1:
-            raise ConfigError("max_batch must be at least 1")
-        if self.max_batch_wait_s < 0:
-            raise ConfigError("max_batch_wait_s must be non-negative")
-        if self.num_workers < 1:
-            raise ConfigError("num_workers must be at least 1")
-        if self.compaction_rate_bytes is not None and self.compaction_rate_bytes <= 0:
-            raise ConfigError("compaction_rate_bytes must be positive")
-        if self.l0_slowdown_runs < 1:
-            raise ConfigError("l0_slowdown_runs must be at least 1")
+        """Check every field, then the stall thresholds' order; raises ConfigError."""
+        check_fields(self)
         if self.l0_stop_runs < self.l0_slowdown_runs:
             raise ConfigError("l0_stop_runs must be >= l0_slowdown_runs")
-        if self.debt_slowdown is not None and self.debt_slowdown < 0:
-            raise ConfigError("debt_slowdown must be non-negative")
-        if self.debt_stop is not None:
-            if self.debt_stop < 0:
-                raise ConfigError("debt_stop must be non-negative")
-            if self.debt_slowdown is not None and self.debt_stop < self.debt_slowdown:
-                raise ConfigError("debt_stop must be >= debt_slowdown")
-        if self.slowdown_delay_s < 0:
-            raise ConfigError("slowdown_delay_s must be non-negative")
-        if self.stop_timeout_s <= 0:
-            raise ConfigError("stop_timeout_s must be positive")
-        if self.subcompaction_workers is not None and self.subcompaction_workers < 1:
-            raise ConfigError("subcompaction_workers must be at least 1")
+        if (
+            self.debt_stop is not None
+            and self.debt_slowdown is not None
+            and self.debt_stop < self.debt_slowdown
+        ):
+            raise ConfigError("debt_stop must be >= debt_slowdown")

@@ -6,6 +6,7 @@ from repro.cache.block_cache import BlockCache
 from repro.cache.leaper import LeaperPrefetcher
 from repro.cache.policies import ClockPolicy, LFUPolicy, LRUPolicy, make_policy
 from repro.common.entry import Entry
+from repro.errors import ConfigError
 from repro.storage.block_device import BlockDevice
 from repro.storage.sstable import SSTableBuilder
 
@@ -57,7 +58,7 @@ class TestPolicies:
 
     def test_registry(self):
         assert isinstance(make_policy("lru"), LRUPolicy)
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             make_policy("arc")
 
 

@@ -4,13 +4,14 @@ import pytest
 
 from repro.common.entry import Entry
 from repro.compaction.layout import LayoutPolicy
-from repro.compaction.picker import make_picker, PICKERS
+from repro.compaction.picker import make_picker
 from repro.compaction.trigger import (
     CompositeTrigger,
     LevelState,
     RunCountTrigger,
     SaturationTrigger,
 )
+from repro.core.design_space import DESIGN_SPACE
 from repro.errors import ConfigError
 from repro.storage.sstable import SSTableBuilder
 
@@ -102,10 +103,10 @@ def build_table(device, lo, hi, tombstones=0, value=b"v" * 30):
 
 class TestPickers:
     def test_registry_complete(self):
-        assert set(PICKERS) == {
+        assert set(DESIGN_SPACE["picker"].choices) == {
             "round_robin", "least_overlap", "coldest", "most_tombstones", "oldest"
         }
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError):
             make_picker("bogus")
 
     def test_least_overlap_prefers_gap_file(self, device):

@@ -4,6 +4,7 @@ ElasticBF management, Leaper prefetch, range-filtered scans, hash indexes."""
 import pytest
 
 from repro import encode_uint_key
+from repro.core.design_space import DESIGN_SPACE
 from tests.conftest import make_tree
 
 
@@ -81,9 +82,7 @@ class TestPartialCompaction:
             picker=picker,
         )
 
-    @pytest.mark.parametrize(
-        "picker", ["round_robin", "least_overlap", "coldest", "most_tombstones", "oldest"]
-    )
+    @pytest.mark.parametrize("picker", list(DESIGN_SPACE["picker"].choices))
     def test_correct_under_all_pickers(self, picker):
         tree = self.make(picker)
         expected = {}
@@ -210,7 +209,7 @@ class TestRangeFilteredScans:
         assert scan_reads("snarf") < scan_reads("none")
 
     def test_scans_stay_correct_with_range_filters(self):
-        for kind in ("prefix_bloom", "surf", "rosetta", "snarf"):
+        for kind in DESIGN_SPACE["range_filter"].choices:
             tree = make_tree(range_filter=kind, buffer_bytes=1 << 10)
             for i in range(300):
                 tree.put(encode_uint_key(i * 10), b"v%d" % i)
@@ -220,7 +219,7 @@ class TestRangeFilteredScans:
 
 
 class TestAlternativeComponents:
-    @pytest.mark.parametrize("memtable", ["skiplist", "vector", "flodb"])
+    @pytest.mark.parametrize("memtable", list(DESIGN_SPACE["memtable"].choices))
     def test_memtable_kinds(self, memtable):
         tree = make_tree(memtable=memtable)
         for i in range(500):
@@ -228,17 +227,14 @@ class TestAlternativeComponents:
         for i in range(100):
             assert tree.get(encode_uint_key(i)).found
 
-    @pytest.mark.parametrize("index", ["fence", "hash", "rmi", "pgm", "radix_spline"])
+    @pytest.mark.parametrize("index", list(DESIGN_SPACE["index"].choices))
     def test_index_kinds(self, index):
         tree = make_tree(index=index)
         load(tree, 2000, keyspace=700)
         for i in range(0, 700, 13):
             assert tree.get(encode_uint_key(i)).found
 
-    @pytest.mark.parametrize(
-        "filter_kind",
-        ["none", "bloom", "blocked_bloom", "partitioned", "cuckoo", "xor", "quotient"],
-    )
+    @pytest.mark.parametrize("filter_kind", list(DESIGN_SPACE["filter_kind"].choices))
     def test_filter_kinds(self, filter_kind):
         tree = make_tree(filter_kind=filter_kind)
         load(tree, 2000, keyspace=700)

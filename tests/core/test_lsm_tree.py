@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from repro import LSMTree, encode_uint_key
 from repro.errors import ClosedError
-from tests.conftest import make_config, make_tree
+from tests.conftest import legal_configs, make_config, make_tree
 
 
 class TestDictEquivalence:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(
         ops=st.lists(
             st.tuples(
@@ -21,10 +21,10 @@ class TestDictEquivalence:
             ),
             max_size=300,
         ),
-        layout=st.sampled_from(["leveling", "tiering", "lazy_leveling"]),
+        config=legal_configs(buffer_bytes=1 << 10),
     )
-    def test_random_churn_matches_dict(self, ops, layout):
-        tree = make_tree(buffer_bytes=1 << 10, layout=layout)
+    def test_random_churn_matches_dict(self, ops, config):
+        tree = LSMTree(config)
         model = {}
         for kind, raw_key, value in ops:
             key = encode_uint_key(raw_key)

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.encoding import encode_uint_key
-from repro.indexes import INDEX_KINDS, make_index_factory
+from repro.core.design_space import DESIGN_SPACE
+from repro.errors import ConfigError
+from repro.indexes import make_index_factory
 from repro.indexes.fence import FencePointers
 from repro.indexes.hash_index import HashIndex
 from repro.indexes.learned.pgm import PGMIndex
 from repro.indexes.learned.radix_spline import RadixSplineIndex
 from repro.indexes.learned.rmi import RMIIndex
 
-ALL_KINDS = sorted(INDEX_KINDS)
+ALL_KINDS = sorted(kind for kind, build in DESIGN_SPACE["index"].choices.items() if build)
 
 
 def keyset(n, entries_per_block=10, skew=False):
@@ -59,7 +61,7 @@ class TestLocateContract:
 
 
 def test_unknown_kind():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         make_index_factory("btree")
 
 

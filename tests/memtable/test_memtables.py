@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.entry import Entry, EntryKind
-from repro.memtable import MEMTABLE_KINDS, make_memtable
+from repro.core.design_space import DESIGN_SPACE
+from repro.errors import ConfigError
+from repro.memtable import make_memtable
 from repro.memtable.flodb import FloDBMemtable
 from repro.memtable.skiplist import SkipList
 
-ALL_KINDS = sorted(MEMTABLE_KINDS)
+ALL_KINDS = sorted(DESIGN_SPACE["memtable"].choices)
 
 
 def put(table, key, value, seqno):
@@ -91,7 +93,7 @@ class TestContract:
 
 
 def test_unknown_kind_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         make_memtable("btree")
 
 

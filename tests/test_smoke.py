@@ -3,6 +3,7 @@
 import pytest
 
 from repro import LSMConfig, LSMTree, encode_uint_key
+from repro.core.design_space import DESIGN_SPACE
 
 
 def small_config(**overrides):
@@ -11,7 +12,7 @@ def small_config(**overrides):
     return LSMConfig(**base)
 
 
-@pytest.mark.parametrize("layout", ["leveling", "tiering", "lazy_leveling"])
+@pytest.mark.parametrize("layout", list(DESIGN_SPACE["layout"].choices))
 def test_put_get_roundtrip_across_layouts(layout):
     tree = LSMTree(small_config(layout=layout))
     expected = {}
