@@ -76,8 +76,8 @@ class BlockCache:
     Args:
         capacity_bytes: uncompressed-tier charge budget; 0 disables that
             tier entirely (every lookup is a miss and nothing is retained).
-        policy: eviction policy instance or registry name ('lru', 'lfu',
-            'clock'); defaults to LRU like RocksDB's default block cache.
+        policy: eviction policy instance or a ``DESIGN_SPACE["cache_policy"]``
+            choice; defaults to LRU like RocksDB's default block cache.
         compressed_capacity_bytes: compressed-tier budget; 0 (the default)
             disables the tier, reducing the cache to the classic single-tier
             behavior.
