@@ -41,11 +41,13 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Annotated, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.config_base import (
+    NON_NEGATIVE, POSITIVE, UNIT_INTERVAL, at_least, kwonly_dataclass,
+)
 from repro.common.entry import GetResult
 from repro.errors import (
-    ConfigError,
     ConflictError,
     ConnectionLostError,
     DeadlineExceededError,
@@ -85,9 +87,12 @@ from repro.server.protocol import (
 RETRYABLE_CODES = ("overloaded", "busy", "shutting_down", "throttled")
 
 
+@kwonly_dataclass
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard an :class:`LSMClient` fights for each request.
+    """How hard an :class:`LSMClient` fights for each request (keyword-only;
+    each field's bound is declared with it, so a NaN, a fraction of an
+    attempt or a wrong type is a :class:`~repro.errors.ConfigError`).
 
     Attributes:
         max_attempts: total tries per operation (1 = no retries).
@@ -112,24 +117,14 @@ class RetryPolicy:
             harness); None draws from the process RNG.
     """
 
-    max_attempts: int = 4
-    backoff_base_s: float = 0.02
-    backoff_cap_s: float = 0.5
-    jitter: float = 0.5
-    deadline_s: float = 5.0
-    retry_codes: Tuple[str, ...] = RETRYABLE_CODES
+    max_attempts: Annotated[int, at_least(1)] = 4
+    backoff_base_s: Annotated[float, NON_NEGATIVE] = 0.02
+    backoff_cap_s: Annotated[float, NON_NEGATIVE] = 0.5
+    jitter: Annotated[float, UNIT_INTERVAL] = 0.5
+    deadline_s: Annotated[float, POSITIVE] = 5.0
+    retry_codes: Sequence[str] = RETRYABLE_CODES
     reconnect: bool = True
     seed: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be at least 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ConfigError("backoff values must be non-negative")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError("jitter must be in [0, 1]")
-        if self.deadline_s <= 0:
-            raise ConfigError("deadline_s must be positive")
 
     def backoff_s(self, attempt: int, rng: random.Random) -> float:
         """Sleep before retry number ``attempt`` (1-based)."""
