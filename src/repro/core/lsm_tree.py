@@ -130,7 +130,8 @@ class LSMTree:
         )
         # Files no version needs any more, waiting for _drain.
         self._retired: "deque[int]" = deque()
-        self._level_set = LevelSet(self._retire_table)
+        #: The runs on storage; concurrent readers walk the views it publishes.
+        self.level_set = LevelSet(self._retire_table)
         #: The read machinery; the service and snapshots read through it too.
         self.reads = ReadPath(
             self.cache, self._values, self._merge_registry,
@@ -154,7 +155,7 @@ class LSMTree:
     @property
     def _levels(self) -> List[List[Run]]:
         """Read-only view for tests and experiments (the level set owns it)."""
-        return self._level_set.levels
+        return self.level_set.levels
 
     # ------------------------------------------------------------------ writes
 
@@ -423,7 +424,7 @@ class LSMTree:
             self.device.crash_hook("flush_install")
             self.stats.flushes += 1
             if run is not None:
-                self._level_set.apply(LevelEdit(1, add=run.tables))
+                self.level_set.apply(LevelEdit(1, add=run.tables))
                 self._note_event(
                     CompactionEvent("flush", 0, 1, 0, run.size_bytes, self.stats.flushes)
                 )
@@ -481,7 +482,7 @@ class LSMTree:
         self._check_open()
         tracer = self.tracer
         if tracer is None and self.observer is None:
-            return self.reads.get(key, self.memory_chain(key), self._level_set.levels)
+            return self.reads.get(key, self.memory_chain(key), self.level_set.levels)
         # maybe_start inherits the request's active trace context when one is
         # installed (server/service path) and only rolls the sampling dice
         # itself when this get *is* the outermost span — the decision is made
@@ -491,7 +492,7 @@ class LSMTree:
         chain = self.memory_chain(key)
         if trace is not None:
             trace.end_stage("memtable_probe")
-        result = self.reads.get(key, chain, self._level_set.levels, trace=trace)
+        result = self.reads.get(key, chain, self.level_set.levels, trace=trace)
         if span is not None:
             tracer.finish(span, **trace.attrs)
         return result
@@ -574,7 +575,7 @@ class LSMTree:
         unique = sorted(set(keys))
         with self._mutex:
             chains = {key: self.memory_chain(key) for key in unique}
-        results = self.reads.multi_get(chains, self._level_set.levels, observer=self.observer)
+        results = self.reads.multi_get(chains, self.level_set.levels, observer=self.observer)
         if span is not None:
             tracer.finish(span, op="multi_get", keys=len(unique))
         return results
@@ -606,7 +607,7 @@ class LSMTree:
             raise ValueError("empty range: start > end")
         return sum(
             table.approximate_bytes(start, end)
-            for runs in self._level_set.levels
+            for runs in self.level_set.levels
             for run in runs
             for table in run.tables
         )
@@ -650,13 +651,13 @@ class LSMTree:
         # Deepest level t with no overlap at any level <= t (reads check
         # shallow levels first, so older overlapping data may only sit BELOW).
         target = 1
-        for idx, runs in enumerate(self._level_set.levels):
+        for idx, runs in enumerate(self.level_set.levels):
             if any(run.overlaps(lo, hi) for run in runs):
                 break
             target = idx + 2
         run = self._build_run(iter(entries), target)
         if run is not None:
-            self._level_set.apply(LevelEdit(target, add=run.tables))
+            self.level_set.apply(LevelEdit(target, add=run.tables))
             self.stats.bulk_ingested += len(entries)
             self._note_event(
                 CompactionEvent("ingest", 0, target, 0, run.size_bytes, self.stats.flushes)
@@ -704,30 +705,27 @@ class LSMTree:
         version so snapshot reads can fold them), a copy of the active
         buffer and the sealed ones by reference, and lookups return raw
         entries. Most callers want :meth:`snapshot` instead. With
-        ``memory=False`` only the on-storage runs are pinned: the service
-        read path collects :meth:`memory_chain` under the mutex, then walks
-        the pinned levels outside it — background installs can't delete a
-        pinned run's files.
+        ``memory=False`` only the on-storage runs are pinned.
         """
         return self._pin(None, None, memory)
 
     def _pin(
         self, start: Optional[bytes], end: Optional[bytes], memory: bool = True
     ) -> Version:
-        """Pin every live run and, with ``memory``, the buffers as
-        ``(keys, entries)`` pairs, newest first: a copy of the active
-        buffer's entries in ``[start, end]``, then the sealed buffers by
-        reference (they never change)."""
+        """Acquire the level set's current view and, with ``memory``, the
+        buffers as ``(keys, entries)`` pairs, newest first: a copy of the
+        active buffer's entries in ``[start, end]``, then the sealed buffers
+        by reference (they never change)."""
         self._check_open()
         buffers = []
         with self._mutex:
             if memory:
                 active = list(self._memtable.scan(start, end))
                 buffers = [(imm.keys, imm.entries) for imm in reversed(self._immutables)]
-            levels = self._level_set.pin_all()
+            view = self.level_set.acquire()
         if memory:
             buffers.insert(0, ([entry.key for entry in active], active))
-        return Version(buffers, levels, self._level_set.unpin)
+        return Version(buffers, view, self.level_set.release)
 
     # -------------------------------------------------------------- maintenance
 
@@ -745,7 +743,7 @@ class LSMTree:
         Reads bypass the cache so the device contents are what is verified.
         """
         self._check_open()
-        return self._level_set.scrub()
+        return self.level_set.scrub()
 
     def collect_value_garbage(self) -> int:
         """WiscKey-style value-log GC; returns the number of relocated values.
@@ -870,7 +868,7 @@ class LSMTree:
                     for file_id in file_ids
                 ]
                 self._register_tables(tables)
-                self._level_set.apply(LevelEdit(level_no, add=tables))
+                self.level_set.apply(LevelEdit(level_no, add=tables))
         if self._value_log is not None:
             self._value_log.adopt(data.vlog_files)
 
@@ -926,7 +924,7 @@ class LSMTree:
             name=self.config.name,
             wal_files=wal_files,
             vlog_files=self._value_log.live_files() if self._value_log is not None else [],
-            levels=self._level_set.file_ids(),
+            levels=self.level_set.file_ids(),
         )
 
     def _persist_structure(self) -> None:
@@ -964,11 +962,11 @@ class LSMTree:
     @property
     def num_levels(self) -> int:
         """Allocated storage levels (level 0, the memtable, not counted)."""
-        return len(self._level_set.levels)
+        return len(self.level_set.levels)
 
     @property
     def total_runs(self) -> int:
-        return sum(len(runs) for runs in self._level_set.levels)
+        return sum(len(runs) for runs in self.level_set.levels)
 
     @property
     def uptime_seconds(self) -> float:
@@ -1023,7 +1021,7 @@ class LSMTree:
                 "capacity": self.config.level_capacity(level),
                 "entries": sum(run.entry_count for run in runs),
             }
-            for level, runs in enumerate(self._level_set.levels, start=1)
+            for level, runs in enumerate(self.level_set.levels, start=1)
         ]
 
     @property
@@ -1044,7 +1042,7 @@ class LSMTree:
     @property
     def memory_footprint(self) -> int:
         """Bytes of in-memory structures: buffers + filters/indexes + cache."""
-        aux = sum(run.memory_bytes for runs in self._level_set.levels for run in runs)
+        aux = sum(run.memory_bytes for runs in self.level_set.levels for run in runs)
         sealed = sum(imm.size_bytes for imm in self._immutables)
         return self._memtable.size_bytes + sealed + aux + self.cache.used_bytes
 
@@ -1064,7 +1062,7 @@ class LSMTree:
         analog for this engine's shape (level 1 holds flush output).
         """
         with self._mutex:
-            levels = self._level_set.levels
+            levels = self.level_set.levels
             return (len(levels[0]) if levels else 0) + len(self._immutables)
 
     # ---------------------------------------------------------------- internals
@@ -1087,7 +1085,7 @@ class LSMTree:
     def _find_entry(self, key: bytes) -> Optional[Entry]:
         """The newest raw version of ``key`` (no value resolution, no stats)."""
         return lookup(
-            key, self.memory_chain(key), self._level_set.levels, self.cache, newest_only=True
+            key, self.memory_chain(key), self.level_set.levels, self.cache, newest_only=True
         )[0]
 
     def _apply(self, entry: Entry) -> None:
@@ -1176,11 +1174,11 @@ class LSMTree:
     def compaction_needed(self) -> bool:
         """True when any level's trigger currently fires (scheduler poll)."""
         with self._mutex:
-            return self._policy.needed(self._level_set.levels, self.stats.flushes)
+            return self._policy.needed(self.level_set.levels, self.stats.flushes)
 
     def compaction_debt(self) -> float:
         """How far past its shape bounds the tree is (``CompactionPolicy.debt``)."""
-        return self._policy.debt(self._level_set.levels, self.stats.flushes)
+        return self._policy.debt(self.level_set.levels, self.stats.flushes)
 
     def plan_compaction(self) -> Optional[CompactionPlan]:
         """Pick the next compaction under the mutex and pin its inputs.
@@ -1190,9 +1188,9 @@ class LSMTree:
         releases.
         """
         with self._mutex:
-            plan = self._policy.next_plan(self._level_set.levels, self.stats.flushes)
+            plan = self._policy.next_plan(self.level_set.levels, self.stats.flushes)
             if plan is not None:
-                self._level_set.pin(plan.tables)
+                self.level_set.pin(plan.tables)
             return plan
 
     def execute_compaction(self, plan: CompactionPlan) -> Optional[Run]:
@@ -1251,14 +1249,14 @@ class LSMTree:
                     # Before the inputs are invalidated: Leaper reads the
                     # old blocks' heat.
                     self._leaper.on_compaction(inputs, outputs)
-            self._level_set.apply(
+            self.level_set.apply(
                 LevelEdit(plan.dest, add=outputs, remove=inputs, join=plan.join)
             )
             self._note_event(event)
-            self._level_set.unpin(inputs)  # the plan's pins
+            self.level_set.unpin(inputs)  # the plan's pins
             if not plan.trivial and self._elastic is not None:
                 self._elastic.rebalance()
-            self._level_set.trim()
+            self.level_set.trim()
             if self._wal is not None and self._maintenance_cb is not None:
                 # Inline mode persists once per flush, after the whole
                 # cascade; a scheduler-run compaction retires its inputs on
@@ -1269,7 +1267,7 @@ class LSMTree:
     def abandon_compaction(self, plan: CompactionPlan) -> None:
         """Release a plan's pins without installing (scheduler shutdown)."""
         with self._mutex:
-            self._level_set.unpin(plan.tables)
+            self.level_set.unpin(plan.tables)
 
     def set_subcompaction_executor(self, executor) -> None:
         """Borrow an externally owned worker pool for subcompactions.

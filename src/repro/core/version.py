@@ -2,21 +2,22 @@
 
 The tutorial (§II-A.1): "a scan operates over a version (or snapshot) of the
 data — the collection of files that were active and live at the time the scan
-began." Runs are reference-counted; a compaction that obsoletes a run only
-deletes its files once every version holding it has been released, so an
+began." A version holds one acquire of the level set's current
+:class:`~repro.core.levels.LevelView`; a compaction that obsoletes a run only
+deletes its files once every view listing it has been released, so an
 in-flight scan keeps reading the files it pinned.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.common.entry import Entry, GetResult
 from repro.core.iterator import Chunk, merge_sorted
 from repro.core.read_path import lookup
+from repro.core.levels import LevelView
 from repro.errors import SnapshotError
-from repro.storage.run import Run
 
 
 class Version:
@@ -27,19 +28,21 @@ class Version:
     of the active buffer (a scan copies only its range), then the sealed
     buffers themselves, which never change. ``levels`` keeps the runs
     grouped by storage level (shallowest first) for the point-read walk;
-    ``runs`` is the same set flattened for scans. Call :meth:`close` (or use
-    as a context manager) to release the pinned runs.
+    ``runs`` is the same set flattened for scans; both are the acquired
+    view's. Call :meth:`close` (or use as a context manager) to release the
+    view.
     """
 
     def __init__(
         self,
         buffers: List[Chunk],
-        levels: Sequence[Sequence[Run]],
-        release: Callable[[List], None],
+        view: LevelView,
+        release: Callable[[LevelView], None],
     ) -> None:
         self.buffers = buffers
-        self.levels = levels
-        self.runs = [run for runs in self.levels for run in runs]
+        self.levels = view.levels
+        self.runs = view.runs
+        self._view = view
         self._release = release
         self._closed = False
 
@@ -49,12 +52,11 @@ class Version:
         return list(merge_sorted(entries for _, entries in self.buffers))
 
     def close(self) -> None:
-        """Release the pinned runs; idempotent."""
+        """Release the view; idempotent."""
         if self._closed:
             return
         self._closed = True
-        for run in self.runs:
-            self._release(run.tables)
+        self._release(self._view)
 
     def __enter__(self) -> "Version":
         return self

@@ -55,6 +55,7 @@ from repro.errors import (
 )
 from repro.observe import TraceRecorder
 from repro.server.protocol import (
+    TIMED_OUT,
     BatchRequest,
     DeleteRequest,
     ErrorResponse,
@@ -78,8 +79,9 @@ from repro.server.protocol import (
     StatsRequest,
     StatsResponse,
     TxnCommitRequest,
+    encode_frame,
     recv_message,
-    send_message,
+    set_kernel_timeout,
 )
 
 #: Error codes the server sends when retrying (after backoff) is the right
@@ -186,8 +188,8 @@ class LSMClient:
         self._registry = registry
         self._rng = random.Random(retry.seed if retry is not None else None)
         self._sock: Optional[socket.socket] = None
-        #: The timeout the live socket has, so an attempt sets it only when
-        #: it changes (a retry deadline clamps it); each connect resets it.
+        #: The per-call limit the live socket has, so an attempt sets it only
+        #: when it changes (a retry deadline clamps it); each connect resets it.
         self._sock_timeout: Optional[float] = None
         self._decoder: Optional[FrameDecoder] = None
         self._closed = False
@@ -206,6 +208,7 @@ class LSMClient:
     def _connect(self) -> None:
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        set_kernel_timeout(sock, self.timeout_s)
         if self.transport is not None:
             sock = self.transport.wrap(sock)
         kwargs = {}
@@ -215,7 +218,7 @@ class LSMClient:
         # connection must never leak into the new stream.
         self._decoder = FrameDecoder(**kwargs)
         self._sock = sock
-        self._sock_timeout = self.timeout_s  # create_connection set it
+        self._sock_timeout = self.timeout_s
 
     def _drop_connection(self) -> None:
         sock, self._sock, self._decoder = self._sock, None, None
@@ -282,6 +285,8 @@ class LSMClient:
                     ):
                         raise
                 else:
+                    if isinstance(response, expect):
+                        return response
                     if isinstance(response, ErrorResponse):
                         if response.code == "conflict":
                             # Surface optimistic-concurrency losses as the
@@ -296,13 +301,11 @@ class LSMClient:
                         ):
                             raise remote
                         last_error = remote
-                    elif not isinstance(response, expect):
+                    else:
                         raise ProtocolError(
                             f"expected {expect.__name__}, "
                             f"got {type(response).__name__}"
                         )
-                    else:
-                        return response
                 # A retry is due: back off (never past the deadline).
                 self.stats_retries += 1
                 counter = self._counter(
@@ -319,11 +322,13 @@ class LSMClient:
                 if sleep_s > 0:
                     time.sleep(min(sleep_s, remaining))
         finally:
-            total = time.perf_counter() - wall0
+            registry = self._registry
+            if registry is not None:
+                total = time.perf_counter() - wall0
             if span is not None:
                 recorder.finish(span, op=op, tenant=self.tenant or "default")
-            if self._registry is not None:
-                self._registry.histogram(
+            if registry is not None:
+                registry.histogram(
                     "client_op_wall_seconds",
                     "client-observed round-trip latency (includes retries)",
                     min_value=1e-6,
@@ -354,19 +359,20 @@ class LSMClient:
             if remaining <= 0:
                 raise DeadlineExceededError("deadline exhausted before send")
             timeout = min(timeout, remaining)
+        sock, decoder = self._sock, self._decoder
         try:
             if timeout != self._sock_timeout:
-                self._sock.settimeout(timeout)
+                set_kernel_timeout(sock, timeout)
                 self._sock_timeout = timeout
             send0 = time.perf_counter()
-            send_message(self._sock, request)
+            sock.sendall(encode_frame(request))
             sent = time.perf_counter()
             if span is not None:
                 span.add_stage("send", sent - send0)
-            response = recv_message(self._sock, self._decoder)
+            response = recv_message(sock, decoder)
             if span is not None:
                 span.add_stage("await_reply", time.perf_counter() - sent)
-        except socket.timeout:
+        except TIMED_OUT:
             # The reply may still arrive later and desynchronize the
             # request/response pairing — the connection is unusable.
             self._drop_connection()
@@ -380,7 +386,7 @@ class LSMClient:
         if response is None:
             self._drop_connection()
             raise ConnectionLostError("server closed the connection")
-        if self._decoder.next_message() is not None:
+        if decoder.next_message() is not None:
             # A stray extra frame (e.g. duplicated delivery) would pair the
             # wrong reply with the next request on this strictly
             # request/response stream. The reply in hand is still the right
@@ -418,7 +424,7 @@ class LSMClient:
         return json.loads(reply.payload_json)
 
     def get(self, key: bytes) -> GetResult:
-        reply = self._call(GetRequest(tenant=self.tenant, key=key), GetResponse)
+        reply = self._call(GetRequest._CODEC.build(self.tenant, key), GetResponse)
         result = GetResult()
         result.seqno = reply.seqno
         if reply.found:

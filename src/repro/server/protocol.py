@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import socket
 import struct
 import zlib
 from collections import deque
@@ -235,6 +236,9 @@ class _Codec(NamedTuple):
     frame: Callable[["Message"], bytes]
     #: ``decode(buf, pos, end)``: the message whose payload is ``buf[pos:end]``.
     decode: Callable[[bytes, int, int], "Message"]
+    #: ``build(*fields)``: the message from its field values in payload
+    #: order, defaults as declared — the dataclass ``__init__``'s result.
+    build: Callable[..., "Message"]
 
 
 class _Source:
@@ -491,12 +495,12 @@ def _write(src: _Source, kind: Kind, value: str, depth: int) -> None:
 
 
 def _compile(cls: Type["Message"]) -> _Codec:
-    """Generate ``cls``'s encoder and decoder from its field spec.
+    """Generate ``cls``'s encoder, decoder and builder from its field spec.
 
-    The decoder builds the instance as the frozen dataclass ``__init__``
-    would — every field set, then ``__post_init__`` — but writes the fields
-    into ``__dict__`` directly instead of through one ``object.__setattr__``
-    call each.
+    The decoder and the builder make the instance as the frozen dataclass
+    ``__init__`` would — every field set, then ``__post_init__`` — but write
+    the fields into ``__dict__`` directly instead of through one
+    ``object.__setattr__`` call each.
     """
     src = _Source()
     fields = dataclasses.fields(cls)
@@ -549,17 +553,29 @@ def _compile(cls: Type["Message"]) -> _Codec:
         1,
         "if pos != end:",
         "    raise ProtocolError(f'{end - pos} trailing byte(s) after payload decode')",
+    )
+    # The instance, from the ``field_<name>`` locals (shared by decode and build).
+    instance = [
         f"message = _new({src.const(cls)})",
         "state = message.__dict__",
         *(f"state[{f.name!r}] = field_{f.name}" for f in fields),
-    )
+    ]
     if hasattr(cls, "__post_init__"):
-        src.add(1, "message.__post_init__()")
-    src.add(1, "return message")
+        instance.append("message.__post_init__()")
+    instance.append("return message")
+    src.add(1, *instance)
+
+    params = ", ".join(
+        f"field_{f.name}" if f.default is dataclasses.MISSING
+        else f"field_{f.name}={src.const(f.default)}"
+        for f in fields
+    )
+    src.add(0, f"def build({params}):")
+    src.add(1, *instance)
 
     source = "\n".join(src.lines) + "\n"
     exec(compile(source, f"<wire codec {cls.__name__}>", "exec"), src.env)
-    return _Codec(src.env["frame"], src.env["decode"])
+    return _Codec(src.env["frame"], src.env["decode"], src.env["build"])
 
 
 # -- message classes ----------------------------------------------------------
@@ -596,8 +612,9 @@ class Message:
     :class:`Kind` (collected into ``WIRE``), and, for requests, ``OP`` — the
     name the server dispatches, meters, sheds and traces it under.
     ``MUTATING`` is derived: a request changes state exactly when its spec
-    carries the ``IDEM`` block. ``_CODEC`` holds the compiled encoder and
-    decoder.
+    carries the ``IDEM`` block. ``_CODEC`` holds the compiled encoder,
+    decoder and builder; the server and client build their hot request and
+    reply types through ``_CODEC.build``, a cheaper ``__init__``.
     """
 
     TYPE = -1
@@ -984,6 +1001,32 @@ class FrameDecoder:
 
 # -- socket adapters ----------------------------------------------------------
 
+#: What a send or recv that ran out of time raises: ``socket.timeout`` under a
+#: Python-level timeout, ``BlockingIOError`` (``EAGAIN``) under a kernel one.
+TIMED_OUT = (socket.timeout, BlockingIOError)
+
+_TIMEVAL = struct.Struct("@ll")
+
+
+def set_kernel_timeout(sock, seconds: float) -> None:
+    """Make ``seconds`` the per-call limit of every send and recv on ``sock``.
+
+    The socket runs in blocking mode with the limit in the kernel
+    (``SO_RCVTIMEO`` / ``SO_SNDTIMEO``), so each send or recv is one system
+    call; a Python-level timeout polls before every call. A call that runs
+    out of time raises ``BlockingIOError`` (see :data:`TIMED_OUT`). Where the
+    options are unavailable the Python-level timeout is used instead.
+    """
+    # A zero timeval means "no limit": the shortest limit is 1 us.
+    timeval = _TIMEVAL.pack(*divmod(max(1, round(seconds * 1e6)), 1_000_000))
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+    except (OSError, AttributeError):
+        sock.settimeout(seconds)
+    else:
+        sock.settimeout(None)
+
 
 def send_message(sock, message: Message) -> None:
     """Write one message as a frame to a blocking socket."""
@@ -1002,13 +1045,12 @@ def recv_message(
     Raises:
         ProtocolError: on EOF inside a frame or on a corrupt frame.
     """
-    while True:
-        queued = decoder.next_message()
-        if queued is not None:
-            return queued
+    ready = decoder._ready
+    while not ready:
         chunk = sock.recv(recv_bytes)
         if not chunk:
             if decoder.pending_bytes:
                 raise ProtocolError("connection closed mid-frame")
             return None
         decoder.feed(chunk)
+    return ready.popleft()

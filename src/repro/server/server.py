@@ -25,7 +25,7 @@ import json
 import socket
 import threading
 import time
-from typing import Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.common.entry import GetResult
 from repro.errors import ConflictError, ReproError
@@ -44,6 +44,7 @@ from repro.server.dedup import DedupTable
 from repro.server.overload import STATE_OK, STATE_SHED, OverloadGuard
 from repro.server.protocol import (
     REQUEST_TYPES,
+    TIMED_OUT,
     ErrorResponse,
     FrameDecoder,
     GetResponse,
@@ -57,9 +58,14 @@ from repro.server.protocol import (
     StatsResponse,
     encode_frame,
     send_message,
+    set_kernel_timeout,
 )
 from repro.server.tenancy import FairShareAdmission, prefix_range, tenant_prefix
 
+
+#: Distinct tenants a connection keeps validated; a connection cycling
+#: through more starts over (they are re-validated, never trusted unchecked).
+_TENANTS_PER_CONNECTION = 16
 
 #: The negative sampling decision, activated around every untraced request so
 #: the service and engine below inherit it instead of rolling their own dice.
@@ -130,6 +136,10 @@ class LSMServer:
         if cfg.trace_sampling is not None:
             recorder.sampling = cfg.trace_sampling
         self.recorder = recorder
+        # Activating the request's sampling decision matters only to a
+        # recorder something below reads: the service's (and its tree's),
+        # which the server then shares. A private recorder has no reader.
+        self._activates = recorder is getattr(service, "recorder", None)
         observer = getattr(service, "observer", None)
         self.journal = observer.journal if observer is not None else EventJournal()
         self.slow_ops: Optional[SlowOpLog] = None
@@ -343,15 +353,17 @@ class LSMServer:
 
     def _handle_connection(self, conn: socket.socket, addr) -> None:
         decoder = FrameDecoder(max_payload=self.config.max_payload_bytes)
-        conn.settimeout(self.config.idle_poll_s)
+        # Blocking reads that wake every idle_poll_s to check for shutdown.
+        set_kernel_timeout(conn, self.config.idle_poll_s)
         # Frame-decode CPU time accumulates here and is attributed to the
         # next request served — the "wire_decode" stage of its breakdown.
         decode_s = 0.0
+        prefixes: Dict[str, bytes] = {}  # this connection's validated tenants
         try:
             while True:
                 request = decoder.next_message()
                 if request is not None:
-                    self._serve_request(conn, request, wire_decode_s=decode_s)
+                    self._serve_request(conn, request, decode_s, prefixes)
                     decode_s = 0.0
                     continue
                 if self._stop.is_set():
@@ -377,7 +389,7 @@ class LSMServer:
                     return
                 try:
                     chunk = conn.recv(self.config.recv_bytes)
-                except socket.timeout:
+                except TIMED_OUT:
                     continue
                 except OSError:
                     return
@@ -413,7 +425,8 @@ class LSMServer:
     # -- request dispatch ------------------------------------------------------
 
     def _serve_request(
-        self, conn: socket.socket, request: Message, wire_decode_s: float = 0.0
+        self, conn: socket.socket, request: Message, wire_decode_s: float = 0.0,
+        prefixes: Optional[Dict[str, bytes]] = None,
     ) -> None:
         op = request.OP  # None for a response class: not something a client may send
         if op is None:
@@ -440,7 +453,11 @@ class LSMServer:
         if ctx is not None:
             if ctx.sampled:  # the client decided, positively or negatively
                 span = recorder.start(f"server:{op}", parent=ctx)
-        elif not self.overload.suppress_tracing(load_state) and recorder.should_sample():
+        elif (
+            recorder.sampling > 0.0
+            and not self.overload.suppress_tracing(load_state)
+            and recorder.should_sample()
+        ):
             # No client context — this request's outermost span is here, so
             # the server makes the root sampling decision, once. Brownout
             # sheds optional work first: no new root samples.
@@ -448,10 +465,12 @@ class LSMServer:
         # Activate the decision — positive or negative — so every
         # maybe_start() below (service, engine) inherits it rather than
         # rolling its own dice mid-request.
-        token = recorder.activate(span.context() if span is not None else _UNSAMPLED)
+        activates = self._activates
+        if activates:
+            token = recorder.activate(span.context() if span is not None else _UNSAMPLED)
         admitted: dict = {}  # fair-share admission: the one stage timed below this frame
         try:
-            response = self._execute(op, request, admitted, load_state)
+            response = self._execute(op, request, admitted, load_state, prefixes)
         except ProtocolError as exc:
             self._request_errors.inc()
             response = ErrorResponse(code="bad_request", message=str(exc))
@@ -476,7 +495,8 @@ class LSMServer:
         finally:
             with self._load_lock:
                 self._in_flight -= 1
-            recorder.deactivate(token)
+            if activates:
+                recorder.deactivate(token)
         executed = time.perf_counter()
         frame = encode_frame(response)
         encoded = time.perf_counter()
@@ -513,11 +533,22 @@ class LSMServer:
         except OSError:
             pass
 
-    def _resolve_tenant(self, request: Message) -> Tuple[str, bytes]:
-        """The request's tenant and its key prefix: the one validation of
-        the id per request (every key below is ``prefix + key``)."""
+    def _resolve_tenant(
+        self, request: Message, prefixes: Optional[Dict[str, bytes]] = None
+    ) -> Tuple[str, bytes]:
+        """The request's tenant and its key prefix (every key below is
+        ``prefix + key``). ``prefixes`` holds a connection's tenants already
+        validated, so an id is checked once per connection, not per request."""
         tenant = getattr(request, "tenant", "") or self.config.default_tenant
-        return tenant, tenant_prefix(tenant)
+        if prefixes is None:
+            return tenant, tenant_prefix(tenant)
+        prefix = prefixes.get(tenant)
+        if prefix is None:
+            prefix = tenant_prefix(tenant)  # a bad id raises, and is not kept
+            if len(prefixes) >= _TENANTS_PER_CONNECTION:
+                prefixes.clear()
+            prefixes[tenant] = prefix
+        return tenant, prefix
 
     def _admit(self, tenant: str, cost: int, stages: Optional[dict] = None) -> None:
         if self.admission is None:
@@ -545,9 +576,10 @@ class LSMServer:
     _ALWAYS_SERVED = frozenset({"ping", "stats", "stats_history"})
 
     def _execute(
-        self, op: str, request: Message, stages: dict, load_state: str = STATE_OK
+        self, op: str, request: Message, stages: dict, load_state: str = STATE_OK,
+        prefixes: Optional[Dict[str, bytes]] = None,
     ) -> Message:
-        tenant, prefix = self._resolve_tenant(request)
+        tenant, prefix = self._resolve_tenant(request, prefixes)
         if op not in self._ALWAYS_SERVED:
             if load_state == STATE_SHED:
                 self._shed_total.inc()
@@ -619,6 +651,10 @@ class LSMServer:
         stages: dict, load_state: str = STATE_OK,
     ) -> Message:
         service = self.service
+        if op == "get":
+            self._admit(tenant, 1, stages)
+            result = service.get(prefix + request.key)
+            return GetResponse._CODEC.build(result.found, result.value or b"", result.seqno)
         if op == "ping":
             info = service.ping() if hasattr(service, "ping") else {}
             return PongResponse(
@@ -631,13 +667,6 @@ class LSMServer:
             self.sampler.scrape()  # serve a fresh tail even between intervals
             payload = self.sampler.as_dict(last_n=request.last_n or None)
             return StatsHistoryResponse(payload_json=json.dumps(payload))
-        if op == "get":
-            self._admit(tenant, 1, stages)
-            result = service.get(prefix + request.key)
-            return GetResponse(
-                found=result.found, value=result.value or b"",
-                seqno=result.seqno,
-            )
         if op == "put":
             self._admit(tenant, 1, stages)
             service.put(

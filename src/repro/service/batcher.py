@@ -53,11 +53,14 @@ class WriteOp(NamedTuple):
 
 
 class _Request:
+    """One submitted write. ``done`` is the Event a follower sleeps on; a
+    request whose submitter leads its own group never waits, so it has none."""
+
     __slots__ = ("op", "done", "error")
 
     def __init__(self, op: WriteOp) -> None:
         self.op = op
-        self.done = threading.Event()
+        self.done: Optional[threading.Event] = None
         self.error: Optional[BaseException] = None
 
 
@@ -135,8 +138,12 @@ class WriteBatcher:
                 raise ClosedError("submit on a closed WriteBatcher")
             self._queue.append(request)
             leader = len(self._queue) == 1
-            if not leader and len(self._queue) >= self._max_batch:
-                self._cond.notify_all()  # wake the leader early: batch is full
+            if not leader:
+                # Made before the lock is let go, so the leader that drains
+                # this request always finds an Event to set.
+                request.done = threading.Event()
+                if len(self._queue) >= self._max_batch:
+                    self._cond.notify_all()  # wake the leader early: batch is full
             # This thread's previous write has returned, so if it also made
             # the last submit and nobody else is mid-submit (a woken follower
             # that has not run yet counts), nobody else is writing: commit
@@ -179,13 +186,15 @@ class WriteBatcher:
         except BaseException as exc:  # propagate to every follower, then re-raise
             for request in batch:
                 request.error = exc
-                request.done.set()
+                if request.done is not None:
+                    request.done.set()
             raise
         if errors is not None:
             for request, error in zip(batch, errors):
                 request.error = error
         for request in batch:
-            request.done.set()
+            if request.done is not None:
+                request.done.set()
 
     def close(self) -> None:
         """Reject new submissions; in-flight batches complete normally."""

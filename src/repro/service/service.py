@@ -10,9 +10,9 @@ write path. This facade restores the shape production stores actually have:
 * a :class:`BackpressureController` delays or blocks writers when
   maintenance falls behind (RocksDB-style slowdown/stop);
 * reads collect a key's in-memory versions under the tree mutex, then run
-  the tree's one point-read walk (:mod:`repro.core.read_path`) over a pinned
-  :class:`~repro.core.version.Version` outside it, so background installs
-  never invalidate an in-flight lookup.
+  the tree's one point-read walk (:mod:`repro.core.read_path`) over an
+  acquired :class:`~repro.core.levels.LevelView` outside it, so background
+  installs never invalidate an in-flight lookup.
 """
 
 from __future__ import annotations
@@ -299,13 +299,13 @@ class DBService:
     # -- reads --------------------------------------------------------------
 
     def get(self, key: bytes) -> GetResult:
-        """Point lookup against pinned runs.
+        """Point lookup against an acquired view of the runs.
 
         The key's in-memory versions (active + sealed memtables) are
         collected under the tree mutex; when they do not decide the key the
-        storage runs are pinned there too and walked outside it, so a
-        concurrent compaction can retire — but never delete — the files
-        this lookup is reading. The walk itself is the tree's
+        level set's current view is acquired there too and walked outside
+        it, so a concurrent compaction can retire — but never delete — the
+        files this lookup is reading. The walk itself is the tree's
         (:meth:`ReadPath.get`): same counters, same per-level accounting.
         """
         self._check_open()
@@ -316,20 +316,21 @@ class DBService:
             wall0 = time.perf_counter()
         tree = self.tree
         trace = tree.read_trace(span)
+        views = tree.level_set
         with tree.mutex:
             chain = tree.memory_chain(key)
-            version = tree.pin_version(memory=False) if chain_is_open(chain) else None
+            view = views.acquire() if chain_is_open(chain) else None
         if trace is not None:
             trace.end_stage("memtable_probe")
-        try:
-            result = tree.reads.get(
-                key, chain, version.levels if version is not None else (), trace=trace
-            )
-        finally:
-            if version is not None:
-                version.close()
+        if view is None:
+            result = tree.reads.get(key, chain, (), trace=trace)
+        else:
+            try:
+                result = tree.reads.get(key, chain, view.levels, trace=trace)
+            finally:
+                views.release(view)
         if span is not None:
-            recorder.finish(span, from_memtable=version is None, **trace.attrs)
+            recorder.finish(span, from_memtable=view is None, **trace.attrs)
         if histogram is not None:
             histogram.record(time.perf_counter() - wall0)
         return result
@@ -345,7 +346,7 @@ class DBService:
         """Batched point lookups over one view, in sorted key order.
 
         Every key's in-memory versions are collected and, when any of them
-        leaves its key open, the storage runs pinned in one critical
+        leaves its key open, the level set's view acquired in one critical
         section; the batch is then walked outside the mutex
         (:meth:`ReadPath.multi_get`). A write that commits meanwhile is
         invisible to the whole batch. A sampled batch is one
@@ -356,18 +357,19 @@ class DBService:
         span = recorder.maybe_start("service:multi_get") if recorder is not None else None
         unique = sorted(set(keys))
         tree = self.tree
+        views = tree.level_set
         with tree.mutex:
             chains = {key: tree.memory_chain(key) for key in unique}
             open_chain = any(chain_is_open(chain) for chain in chains.values())
-            version = tree.pin_version(memory=False) if open_chain else None
+            view = views.acquire() if open_chain else None
         try:
             results = tree.reads.multi_get(
-                chains, version.levels if version is not None else (),
+                chains, view.levels if view is not None else (),
                 observer=tree.observer,
             )
         finally:
-            if version is not None:
-                version.close()
+            if view is not None:
+                views.release(view)
         if span is not None:
             recorder.finish(span, op="multi_get", keys=len(unique))
         return results

@@ -117,24 +117,46 @@ def test_a_scan_pins_before_its_first_next(kind):
 
 
 def test_an_unstarted_scan_releases_its_pins(kind):
-    """Closing or dropping a scan that never ran gives its runs back (a
-    leaked pin would keep obsolete files alive for good)."""
+    """Closing or dropping a scan that never ran gives its view back (a
+    leaked acquire would keep obsolete files alive for good). The scans
+    share each level set's current view, which pins nothing while it is
+    current; the flush that supersedes it pins its tables once, for the
+    scans still open, and the last release unpins them."""
     store = loaded(kind)
     try:
-        tables = [
-            table for tree in trees(store)
-            for runs in tree._levels for run in runs for table in run.tables
-        ]
+        level_sets = [tree.level_set for tree in trees(store)]
+
+        def live():
+            return {id(table) for level_set in level_sets for table in _tables(level_set)}
+
+        tables = [table for level_set in level_sets for table in _tables(level_set)]
         assert tables
-        refs = [table.refs for table in tables]
+        assert [table.refs for table in tables] == [1] * len(tables)  # level membership
         scans = [store.scan(), store.scan(START, END)]
-        assert [table.refs for table in tables] == [count + 2 for count in refs]
+        views = [level_set._view for level_set in level_sets]
+        assert [view.readers for view in views] == [2] * len(views)
+        assert [table.refs for table in tables] == [1] * len(tables)
+        for tree in trees(store):
+            tree.flush()  # an edit (and its merges): each view is superseded while read
+        members = live()
+        assert [table.refs for table in tables] == [
+            1 + (id(table) in members) for table in tables
+        ]
         scans[0].close()
-        assert [table.refs for table in tables] == [count + 1 for count in refs]
+        assert [view.readers for view in views] == [1] * len(views)
+        assert all(table.refs >= 1 for table in tables)
         del scans
-        assert [table.refs for table in tables] == refs
+        assert [view.readers for view in views] == [0] * len(views)
+        members = live()
+        assert [table.refs for table in tables] == [
+            int(id(table) in members) for table in tables
+        ]
     finally:
         store.close()
+
+
+def _tables(level_set):
+    return [table for runs in level_set.levels for run in runs for table in run.tables]
 
 
 def test_a_snapshot_scan_folds_a_chain_spread_over_buffers():

@@ -1,5 +1,6 @@
 """Wire protocol properties: round-trips, truncation, and corruption."""
 
+import dataclasses
 import struct
 import time
 import zlib
@@ -91,6 +92,20 @@ class TestRoundTrip:
         decoded, end = decode_frame(frame)
         assert decoded == message
         assert end == len(frame)
+
+    @given(_messages)
+    def test_the_builder_makes_what_init_makes(self, message):
+        """``_CODEC.build`` (the hot path's constructor) equals the dataclass
+        ``__init__``, field for field and byte for byte, and so does its
+        all-defaults form."""
+        values = [getattr(message, name) for name in type(message).WIRE]
+        built = type(message)._CODEC.build(*values)
+        assert built == message
+        assert encode_frame(built) == encode_frame(message)
+        defaults = [name for name, f in type(message).__dataclass_fields__.items()
+                    if f.default is not dataclasses.MISSING]
+        if len(defaults) == len(values):
+            assert type(message)._CODEC.build() == type(message)()
 
     @given(_messages, st.integers(min_value=1, max_value=7))
     def test_streaming_decoder_any_chunking(self, message, chunk):

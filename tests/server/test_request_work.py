@@ -1,8 +1,11 @@
 """Fixed per-request work on the wire path, counted rather than timed.
 
-A request validates its tenant id once, however many keys it carries, and
-a client sets its socket timeout only when the value changes.
+A connection validates a tenant id once, however many requests and keys it
+carries, and a client sets its socket timeout only when the value changes.
 """
+
+import socket
+import struct
 
 import pytest
 
@@ -35,8 +38,8 @@ def validations(monkeypatch):
     return calls
 
 
-class TestTenantCheckedOncePerRequest:
-    def test_get_batch_and_scan_each_validate_once(self, server, validations):
+class TestTenantCheckedOncePerConnection:
+    def test_a_connection_validates_each_tenant_once(self, server, validations):
         host, port = server.address
         with LSMClient(host, port, tenant="acme") as db:
             ops = [("put", b"k%04d" % i, b"v") for i in range(500)]
@@ -46,12 +49,13 @@ class TestTenantCheckedOncePerRequest:
 
             validations.clear()
             assert db.get(b"k0007").value == b"v"
-            assert validations == ["acme"]
-
-            validations.clear()
             items = db.scan(limit=1000)
             assert [key for key, _ in items] == [op[1] for op in ops]
-            assert validations == ["acme"]
+            assert validations == []
+        with LSMClient(host, port, tenant="acme") as db:
+            assert db.get(b"k0007").value == b"v"
+            assert db.get(b"k0008").value == b"v"
+        assert validations == ["acme"]
 
 
 class _CountingTransport:
@@ -65,6 +69,9 @@ class _CountingTransport:
 
 
 class _CountingSocket:
+    """Records each timeout set, whether as a Python-level timeout or as the
+    kernel's receive timeout (``SO_RCVTIMEO``); clearing one is not counted."""
+
     def __init__(self, transport, sock):
         self._transport = transport
         self._sock = sock
@@ -73,8 +80,15 @@ class _CountingSocket:
         return getattr(self._sock, name)
 
     def settimeout(self, value):
-        self._transport.timeouts.append(value)
+        if value is not None:
+            self._transport.timeouts.append(value)
         self._sock.settimeout(value)
+
+    def setsockopt(self, level, option, value):
+        if (level, option) == (socket.SOL_SOCKET, socket.SO_RCVTIMEO):
+            seconds, micros = struct.unpack("@ll", value)
+            self._transport.timeouts.append(seconds + micros / 1e6)
+        self._sock.setsockopt(level, option, value)
 
 
 class TestSocketTimeoutSetOnChange:

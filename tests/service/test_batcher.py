@@ -210,3 +210,44 @@ def test_delete_ops_flow_through():
     batcher = WriteBatcher(apply, max_batch=4, max_wait_s=0.001)
     batcher.submit(WriteOp("delete", b"k", None))
     assert batches == [[WriteOp("delete", b"k", None)]]
+
+
+def test_only_followers_get_an_event(monkeypatch):
+    """A commit leader never waits on its own write, so a lone writer makes
+    no ``threading.Event``; each follower makes one and is woken through it."""
+    from repro.service import batcher as batcher_mod
+
+    made = []
+
+    class CountingEvent(threading.Event):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(batcher_mod.threading, "Event", CountingEvent)
+    batches, apply = collect_batches()
+    batcher = WriteBatcher(apply, max_batch=64, max_wait_s=0.0)
+    for i in range(20):
+        batcher.submit(WriteOp("put", b"k%d" % i, b"v"))
+    assert made == []
+
+    lingering = WriteBatcher(apply, max_batch=64, max_wait_s=0.5)
+    gate = threading.Barrier(6)
+
+    def writer(i):
+        gate.wait()
+        lingering.submit(WriteOp("put", b"f%d" % i, b"v"))
+
+    monkeypatch.undo()  # threads make Events of their own: not counted
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(6)]
+    monkeypatch.setattr(batcher_mod.threading, "Event", CountingEvent)
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = lingering.stats
+    assert stats.records == 6
+    assert stats.batches < 6  # somebody followed
+    assert len(made) == stats.records - stats.batches
+    assert all(event.is_set() for event in made)
