@@ -263,10 +263,10 @@ class LSMClient:
             # back here via parent_id.
             span = recorder.start(f"client:{op}")
             request = dataclasses.replace(request, trace=span.context())
-        deadline = (
-            time.monotonic() + policy.deadline_s if policy is not None else None
-        )
-        max_attempts = policy.max_attempts if policy is not None else 1
+        if policy is None:
+            deadline, max_attempts = None, 1
+        else:
+            deadline, max_attempts = time.monotonic() + policy.deadline_s, policy.max_attempts
         wall0 = time.perf_counter()
         attempts = 0
         last_error: Optional[Exception] = None

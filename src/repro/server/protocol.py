@@ -1022,7 +1022,7 @@ def set_kernel_timeout(sock, seconds: float) -> None:
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
-    except (OSError, AttributeError):
+    except OSError:
         sock.settimeout(seconds)
     else:
         sock.settimeout(None)

@@ -359,21 +359,24 @@ class LSMServer:
         # next request served — the "wire_decode" stage of its breakdown.
         decode_s = 0.0
         prefixes: Dict[str, bytes] = {}  # this connection's validated tenants
+        # Bound once per connection: the loop runs once per request.
+        next_message, serve, stopping = decoder.next_message, self._serve_request, self._stop.is_set
+        recv, recv_bytes, clock = conn.recv, self.config.recv_bytes, time.perf_counter
         try:
             while True:
-                request = decoder.next_message()
+                request = next_message()
                 if request is not None:
-                    self._serve_request(conn, request, decode_s, prefixes)
+                    serve(conn, request, decode_s, prefixes)
                     decode_s = 0.0
                     continue
-                if self._stop.is_set():
+                if stopping():
                     # Drained: nothing buffered, nothing in flight. One last
                     # short read so a request racing the shutdown gets an
                     # explicit shutting_down refusal instead of a silent
                     # close (its client would otherwise only see a
                     # ConnectionLostError).
                     try:
-                        chunk = conn.recv(self.config.recv_bytes)
+                        chunk = recv(recv_bytes)
                         if chunk:
                             decoder.feed(chunk)
                     except (ProtocolError, OSError):
@@ -388,7 +391,7 @@ class LSMServer:
                         )
                     return
                 try:
-                    chunk = conn.recv(self.config.recv_bytes)
+                    chunk = recv(recv_bytes)
                 except TIMED_OUT:
                     continue
                 except OSError:
@@ -397,10 +400,10 @@ class LSMServer:
                     if decoder.pending_bytes:
                         self._protocol_errors.inc()
                     return
-                feed0 = time.perf_counter()
+                feed0 = clock()
                 try:
                     decoder.feed(chunk)
-                    decode_s += time.perf_counter() - feed0
+                    decode_s += clock() - feed0
                 except ProtocolError as exc:
                     self._protocol_errors.inc()
                     self._try_send(
@@ -448,7 +451,7 @@ class LSMServer:
         # the request that crosses the threshold is the one shed.
         load_state = self.overload.state(in_flight)
         recorder = self.recorder
-        ctx = getattr(request, "trace", None)
+        ctx = request.trace  # every request type carries the block
         span = None
         if ctx is not None:
             if ctx.sampled:  # the client decided, positively or negatively
@@ -539,7 +542,7 @@ class LSMServer:
         """The request's tenant and its key prefix (every key below is
         ``prefix + key``). ``prefixes`` holds a connection's tenants already
         validated, so an id is checked once per connection, not per request."""
-        tenant = getattr(request, "tenant", "") or self.config.default_tenant
+        tenant = request.tenant or self.config.default_tenant
         if prefixes is None:
             return tenant, tenant_prefix(tenant)
         prefix = prefixes.get(tenant)

@@ -39,7 +39,7 @@ def validations(monkeypatch):
 
 
 class TestTenantCheckedOncePerConnection:
-    def test_a_connection_validates_each_tenant_once(self, server, validations):
+    def test_tenant_validated_once(self, server, validations):
         host, port = server.address
         with LSMClient(host, port, tenant="acme") as db:
             ops = [("put", b"k%04d" % i, b"v") for i in range(500)]
