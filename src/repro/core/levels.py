@@ -54,7 +54,7 @@ class LevelView:
 
     def __init__(self, levels: Sequence[Sequence[Run]]) -> None:
         self.levels: Tuple[Tuple[Run, ...], ...] = tuple(tuple(runs) for runs in levels)
-        self.runs: List[Run] = [run for runs in self.levels for run in runs]
+        self.runs: Tuple[Run, ...] = tuple(run for runs in self.levels for run in runs)
         self.readers = 0
 
 

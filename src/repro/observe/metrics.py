@@ -225,11 +225,7 @@ class Histogram:
     def record(self, value: float) -> None:
         """Add one observation (negative values clamp to the underflow)."""
         value = float(value)
-        edges = self._edges
-        if value <= edges[-1]:
-            idx = bisect_left(edges, value) - 1  # _index, inlined: the hot case
-        else:
-            idx = self._index(value)
+        idx = self._index(value)
         with self._lock:
             self._buckets[idx] = self._buckets.get(idx, 0) + 1
             self.count += 1

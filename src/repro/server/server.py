@@ -428,8 +428,8 @@ class LSMServer:
     # -- request dispatch ------------------------------------------------------
 
     def _serve_request(
-        self, conn: socket.socket, request: Message, wire_decode_s: float = 0.0,
-        prefixes: Optional[Dict[str, bytes]] = None,
+        self, conn: socket.socket, request: Message, wire_decode_s: float,
+        prefixes: Dict[str, bytes],
     ) -> None:
         op = request.OP  # None for a response class: not something a client may send
         if op is None:
@@ -537,14 +537,12 @@ class LSMServer:
             pass
 
     def _resolve_tenant(
-        self, request: Message, prefixes: Optional[Dict[str, bytes]] = None
+        self, request: Message, prefixes: Dict[str, bytes]
     ) -> Tuple[str, bytes]:
         """The request's tenant and its key prefix (every key below is
         ``prefix + key``). ``prefixes`` holds a connection's tenants already
         validated, so an id is checked once per connection, not per request."""
         tenant = request.tenant or self.config.default_tenant
-        if prefixes is None:
-            return tenant, tenant_prefix(tenant)
         prefix = prefixes.get(tenant)
         if prefix is None:
             prefix = tenant_prefix(tenant)  # a bad id raises, and is not kept
@@ -579,8 +577,8 @@ class LSMServer:
     _ALWAYS_SERVED = frozenset({"ping", "stats", "stats_history"})
 
     def _execute(
-        self, op: str, request: Message, stages: dict, load_state: str = STATE_OK,
-        prefixes: Optional[Dict[str, bytes]] = None,
+        self, op: str, request: Message, stages: dict, load_state: str,
+        prefixes: Dict[str, bytes],
     ) -> Message:
         tenant, prefix = self._resolve_tenant(request, prefixes)
         if op not in self._ALWAYS_SERVED:

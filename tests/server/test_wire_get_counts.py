@@ -29,7 +29,7 @@ from repro.server.protocol import GetRequest, GetResponse, encode_frame
 
 #: Steady-state Python calls per wire get, layer by layer.
 CLIENT_CALLS = 12
-SERVER_CALLS = 17
+SERVER_CALLS = 18
 SERVICE_CALLS = 5
 
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
