@@ -322,12 +322,12 @@ class DBService:
             view = views.acquire() if chain_is_open(chain) else None
         if trace is not None:
             trace.end_stage("memtable_probe")
-        if view is None:
-            result = tree.reads.get(key, chain, (), trace=trace)
-        else:
-            try:
-                result = tree.reads.get(key, chain, view.levels, trace=trace)
-            finally:
+        try:
+            result = tree.reads.get(
+                key, chain, view.levels if view is not None else (), trace=trace
+            )
+        finally:
+            if view is not None:
                 views.release(view)
         if span is not None:
             recorder.finish(span, from_memtable=view is None, **trace.attrs)
