@@ -103,5 +103,5 @@ def test_shutdown_drains_an_idle_connection_at_the_idle_poll():
         began = time.monotonic()
         server.shutdown()
         elapsed = time.monotonic() - began
-    assert elapsed < 5.0  # the idle poll woke the handler, not the drain budget
+    assert elapsed < 2.0  # two idle polls at most, far inside the 30 s drain budget
     assert not server._handlers
