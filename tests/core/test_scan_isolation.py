@@ -125,10 +125,6 @@ def test_an_unstarted_scan_releases_its_pins(kind):
     store = loaded(kind)
     try:
         level_sets = [tree.level_set for tree in trees(store)]
-
-        def live():
-            return {id(table) for level_set in level_sets for table in _tables(level_set)}
-
         tables = [table for level_set in level_sets for table in _tables(level_set)]
         assert tables
         assert [table.refs for table in tables] == [1] * len(tables)  # level membership
@@ -138,7 +134,7 @@ def test_an_unstarted_scan_releases_its_pins(kind):
         assert [table.refs for table in tables] == [1] * len(tables)
         for tree in trees(store):
             tree.flush()  # an edit (and its merges): each view is superseded while read
-        members = live()
+        members = {id(table) for level_set in level_sets for table in _tables(level_set)}
         assert [table.refs for table in tables] == [
             1 + (id(table) in members) for table in tables
         ]
@@ -147,7 +143,6 @@ def test_an_unstarted_scan_releases_its_pins(kind):
         assert all(table.refs >= 1 for table in tables)
         del scans
         assert [view.readers for view in views] == [0] * len(views)
-        members = live()
         assert [table.refs for table in tables] == [
             int(id(table) in members) for table in tables
         ]
