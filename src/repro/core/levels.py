@@ -96,14 +96,28 @@ class LevelSet:
             dead = self._unpin_locked(table for run in view.runs for table in run.tables)
         self._retire(dead)
 
-    def _supersede(self) -> None:
+    def _supersede(self) -> List[SSTable]:
         """The structure is about to change: retire the current view, pinning
-        its tables for the readers still walking it. Caller holds the lock."""
-        view, self._view = self._view, None
-        if view is not None and view.readers:
-            for run in view.runs:
-                for table in run.tables:
-                    table.refs += 1
+        its tables for the readers still walking it. Caller holds the lock
+        and retires the returned tables once it has let go of it.
+
+        The pins are taken under a reader of the edit's own, while the view
+        is still current: a release re-entered meanwhile (a scan iterator
+        finalized by the garbage collector on this thread) is then never the
+        one that unpins, and the last release comes only after every pin."""
+        view = self._view
+        if view is None or not view.readers:
+            self._view = None
+            return []
+        view.readers += 1
+        for run in view.runs:
+            for table in run.tables:
+                table.refs += 1
+        self._view = None
+        view.readers -= 1
+        if view.readers:
+            return []
+        return self._unpin_locked(table for run in view.runs for table in run.tables)
 
     # -- pins ----------------------------------------------------------------
 
@@ -136,8 +150,8 @@ class LevelSet:
         """Apply one edit. New runs are pinned before the runs they replace
         are released, so a surviving table never dips to zero mid-surgery."""
         with self._lock:
-            self._supersede()
-            dead = self._apply_locked(edit)
+            dead = self._supersede()
+            dead += self._apply_locked(edit)
         self._retire(dead)
 
     def _apply_locked(self, edit: LevelEdit) -> List[SSTable]:
@@ -176,11 +190,13 @@ class LevelSet:
 
     def trim(self) -> None:
         """Drop empty levels from the bottom."""
+        dead: List[SSTable] = []
         with self._lock:
             if self.levels and not self.levels[-1]:
-                self._supersede()
+                dead = self._supersede()
             while self.levels and not self.levels[-1]:
                 self.levels.pop()
+        self._retire(dead)
 
     def scrub(self) -> dict:
         """Re-read every live table from the device (``SSTable.scrub``);

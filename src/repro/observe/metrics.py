@@ -19,10 +19,8 @@ Design constraints (all load-bearing for the rest of ``repro.observe``):
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import threading
-from bisect import bisect_left
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: The quantiles every latency report prints, in order.
@@ -117,46 +115,6 @@ class Gauge(_Scalar):
             self._value = self.value + other.value
 
 
-#: Bucket edges are tabulated up to this value; a larger one (a latency over
-#: 2.7 hours, or an outlier count) takes the log formula instead.
-EDGE_TABLE_TOP = 1e4
-
-
-def log_bucket_index(value: float, min_value: float, growth: float, log_growth: float) -> int:
-    """The bucket of ``value``, by formula: ``ceil(log_g(v / min)) - 1``, the
-    bucket whose upper bound first reaches ``v`` (-1 is the underflow)."""
-    if value <= min_value:
-        return -1  # underflow bucket
-    # Guard against float noise putting v in the bucket above.
-    idx = int(math.ceil(math.log(value / min_value) / log_growth)) - 1
-    if idx >= 0 and value <= min_value * growth ** idx:
-        idx -= 1
-    return max(idx, -1)
-
-
-@functools.lru_cache(maxsize=None)
-def bucket_edges(growth: float, min_value: float) -> Tuple[float, ...]:
-    """``edges[k]``: the largest value :func:`log_bucket_index` puts in
-    bucket ``k - 1``, up to :data:`EDGE_TABLE_TOP`. Below the last edge,
-    ``bisect_left(edges, v) - 1`` is the formula's bucket, float noise and
-    all; each edge starts at ``min_value * growth**k`` and moves by ulps to
-    where the formula actually switches."""
-    log_growth = math.log(growth)
-    edges = []
-    k = 0
-    while not edges or edges[-1] < EDGE_TABLE_TOP:
-        edge = min_value * growth ** k
-        while log_bucket_index(edge, min_value, growth, log_growth) > k - 1:
-            edge = math.nextafter(edge, 0.0)
-        while log_bucket_index(
-            math.nextafter(edge, math.inf), min_value, growth, log_growth
-        ) <= k - 1:
-            edge = math.nextafter(edge, math.inf)
-        edges.append(edge)
-        k += 1
-    return tuple(edges)
-
-
 class Histogram:
     """A log-bucketed distribution with bounded memory and exact merges.
 
@@ -178,7 +136,7 @@ class Histogram:
 
     __slots__ = (
         "name", "help", "labels", "growth", "min_value",
-        "_log_growth", "_edges", "_buckets", "count", "total", "min", "max", "_lock",
+        "_log_growth", "_buckets", "count", "total", "min", "max", "_lock",
     )
 
     def __init__(
@@ -199,7 +157,6 @@ class Histogram:
         self.growth = growth
         self.min_value = min_value
         self._log_growth = math.log(growth)
-        self._edges = bucket_edges(growth, min_value)
         self._buckets: Dict[int, int] = {}  # bucket index -> count (sparse)
         self.count = 0
         self.total = 0.0
@@ -210,11 +167,14 @@ class Histogram:
     # -- recording -----------------------------------------------------------
 
     def _index(self, value: float) -> int:
-        """:func:`log_bucket_index`, by bisection below the table's top."""
-        edges = self._edges
-        if value <= edges[-1]:
-            return bisect_left(edges, value) - 1
-        return log_bucket_index(value, self.min_value, self.growth, self._log_growth)
+        if value <= self.min_value:
+            return -1  # underflow bucket
+        # ceil(log_g(v / min)) - 1: the bucket whose upper bound first
+        # reaches v. Guard against float noise putting v in the bucket above.
+        idx = int(math.ceil(math.log(value / self.min_value) / self._log_growth)) - 1
+        if idx >= 0 and value <= self.min_value * self.growth ** idx:
+            idx -= 1
+        return max(idx, -1)
 
     def bucket_upper_bound(self, index: int) -> float:
         """The inclusive upper edge of bucket ``index``."""

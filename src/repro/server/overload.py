@@ -87,8 +87,6 @@ class OverloadGuard:
             new = STATE_BROWNOUT
         else:
             new = STATE_OK
-        if new == self._state:
-            return new  # no transition: nothing to count or journal
         with self._lock:
             old = self._state
             if new != old:

@@ -13,7 +13,7 @@ import pytest
 
 from repro import DBService, ServiceConfig
 from repro.common.encoding import encode_uint_key
-from repro.core.levels import LevelSet
+from repro.core.levels import LevelEdit, LevelSet
 from repro.core.lsm_tree import LSMTree
 
 from tests.conftest import make_config, make_tree
@@ -215,3 +215,43 @@ def test_closing_a_version_twice_is_harmless():
     other.close()
     assert view.readers == 0
     table_refs_at_rest(tree)
+
+
+class _ReleasingTables(list):
+    """A run's table list whose first walk releases ``view`` before it
+    yields anything, as a scan iterator finalized by the garbage collector
+    in the middle of an edit would."""
+
+    def __init__(self, tables, level_set, view):
+        super().__init__(tables)
+        self.pending = (level_set, view)
+
+    def __iter__(self):
+        if self.pending is not None:
+            level_set, view = self.pending
+            self.pending = None
+            level_set.release(view)
+        return super().__iter__()
+
+
+def test_a_release_reentering_an_edit_retires_no_live_table(watched):
+    """The last reader lets go of the view while the edit superseding it is
+    pinning its tables: nothing live is unpinned, evicted or deleted, and
+    the view's tables end back at level membership."""
+    tree = make_tree()
+    for i in range(400):
+        tree.put(key(i), VALUE)
+    tree.flush()
+    retired = guard_retirements(tree, watched)
+    level_set = tree.level_set
+    view = level_set.acquire()
+    run = view.runs[0]
+    run.tables = _ReleasingTables(run.tables, level_set, view)
+    level_set.apply(LevelEdit(level=1))  # supersedes the view, changes nothing
+    assert run.tables.pending is None  # the release did re-enter
+    assert view.readers == 0
+    assert retired == []
+    live = [table for runs in level_set.levels for r in runs for table in r.tables]
+    assert all(tree.device.file_exists(table.file_id) for table in live)
+    table_refs_at_rest(tree, watched)
+    assert tree.get(key(7)).value == VALUE

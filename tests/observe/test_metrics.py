@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observe import Counter, Gauge, Histogram, MetricsRegistry, merge_registries
-from repro.observe.metrics import EDGE_TABLE_TOP, log_bucket_index
 
 
 def exact_quantile(samples, q):
@@ -120,39 +119,6 @@ class TestHistogramProperties:
         b = Histogram("lat", "help", growth=2.0)
         with pytest.raises(ValueError):
             a.merge(b)
-
-
-class TestBucketIndex:
-    """``record`` finds a bucket by bisection over tabulated edges; the
-    bucket is the log formula's, float noise included."""
-
-    # Every (growth, min_value) the engine, service and server declare.
-    LAYOUTS = [(1.2, 1e-9), (1.2, 1e-6), (1.5, 0.5), (2.0, 1.0), (1.1, 1e-3)]
-
-    @pytest.mark.parametrize("growth, min_value", LAYOUTS)
-    def test_bisection_matches_the_formula_at_every_edge(self, growth, min_value):
-        h = Histogram("lat", "help", growth=growth, min_value=min_value)
-        log_growth = math.log(growth)
-        k = 0
-        while min_value * growth ** (k - 1) <= EDGE_TABLE_TOP:
-            for edge in (min_value * growth ** k, h._edges[min(k, len(h._edges) - 1)]):
-                for value in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
-                    assert h._index(value) == log_bucket_index(
-                        value, min_value, growth, log_growth
-                    ), (k, value)
-            k += 1
-        assert h._edges[-1] >= EDGE_TABLE_TOP
-
-    def test_recorded_buckets_are_the_formulas(self):
-        h = Histogram("lat", "help", min_value=1e-6)
-        values = [0.0, -1.0, 1e-6, 3.3e-5, 0.25, 9999.0, 1e5, 3e7]
-        for value in values:
-            h.record(value)
-        expected = {}
-        for value in values:
-            index = log_bucket_index(value, 1e-6, 1.2, math.log(1.2))
-            expected[h.bucket_upper_bound(index)] = expected.get(h.bucket_upper_bound(index), 0) + 1
-        assert h.buckets() == sorted(expected.items())
 
 
 class TestRegistry:
