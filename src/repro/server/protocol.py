@@ -1014,18 +1014,14 @@ def set_kernel_timeout(sock, seconds: float) -> None:
     The socket runs in blocking mode with the limit in the kernel
     (``SO_RCVTIMEO`` / ``SO_SNDTIMEO``), so each send or recv is one system
     call; a Python-level timeout polls before every call. A call that runs
-    out of time raises ``BlockingIOError`` (see :data:`TIMED_OUT`). Where the
-    options are unavailable the Python-level timeout is used instead.
+    out of time raises ``BlockingIOError`` (see :data:`TIMED_OUT`). The
+    option value is a ``struct timeval``, as on Linux and macOS.
     """
     # A zero timeval means "no limit": the shortest limit is 1 us.
     timeval = _TIMEVAL.pack(*divmod(max(1, round(seconds * 1e6)), 1_000_000))
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
-    except OSError:
-        sock.settimeout(seconds)
-    else:
-        sock.settimeout(None)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+    sock.settimeout(None)
 
 
 def send_message(sock, message: Message) -> None:

@@ -25,7 +25,7 @@ import json
 import socket
 import threading
 import time
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.common.entry import GetResult
 from repro.errors import ConflictError, ReproError
@@ -62,10 +62,6 @@ from repro.server.protocol import (
 )
 from repro.server.tenancy import FairShareAdmission, prefix_range, tenant_prefix
 
-
-#: Distinct tenants a connection keeps validated; a connection cycling
-#: through more starts over (they are re-validated, never trusted unchecked).
-_TENANTS_PER_CONNECTION = 16
 
 #: The negative sampling decision, activated around every untraced request so
 #: the service and engine below inherit it instead of rolling their own dice.
@@ -136,10 +132,6 @@ class LSMServer:
         if cfg.trace_sampling is not None:
             recorder.sampling = cfg.trace_sampling
         self.recorder = recorder
-        # Activating the request's sampling decision matters only to a
-        # recorder something below reads: the service's (and its tree's),
-        # which the server then shares. A private recorder has no reader.
-        self._activates = recorder is getattr(service, "recorder", None)
         observer = getattr(service, "observer", None)
         self.journal = observer.journal if observer is not None else EventJournal()
         self.slow_ops: Optional[SlowOpLog] = None
@@ -358,25 +350,21 @@ class LSMServer:
         # Frame-decode CPU time accumulates here and is attributed to the
         # next request served — the "wire_decode" stage of its breakdown.
         decode_s = 0.0
-        prefixes: Dict[str, bytes] = {}  # this connection's validated tenants
-        # Bound once per connection: the loop runs once per request.
-        next_message, serve, stopping = decoder.next_message, self._serve_request, self._stop.is_set
-        recv, recv_bytes, clock = conn.recv, self.config.recv_bytes, time.perf_counter
         try:
             while True:
-                request = next_message()
+                request = decoder.next_message()
                 if request is not None:
-                    serve(conn, request, decode_s, prefixes)
+                    self._serve_request(conn, request, wire_decode_s=decode_s)
                     decode_s = 0.0
                     continue
-                if stopping():
+                if self._stop.is_set():
                     # Drained: nothing buffered, nothing in flight. One last
                     # short read so a request racing the shutdown gets an
                     # explicit shutting_down refusal instead of a silent
                     # close (its client would otherwise only see a
                     # ConnectionLostError).
                     try:
-                        chunk = recv(recv_bytes)
+                        chunk = conn.recv(self.config.recv_bytes)
                         if chunk:
                             decoder.feed(chunk)
                     except (ProtocolError, OSError):
@@ -391,7 +379,7 @@ class LSMServer:
                         )
                     return
                 try:
-                    chunk = recv(recv_bytes)
+                    chunk = conn.recv(self.config.recv_bytes)
                 except TIMED_OUT:
                     continue
                 except OSError:
@@ -400,10 +388,10 @@ class LSMServer:
                     if decoder.pending_bytes:
                         self._protocol_errors.inc()
                     return
-                feed0 = clock()
+                feed0 = time.perf_counter()
                 try:
                     decoder.feed(chunk)
-                    decode_s += clock() - feed0
+                    decode_s += time.perf_counter() - feed0
                 except ProtocolError as exc:
                     self._protocol_errors.inc()
                     self._try_send(
@@ -428,8 +416,7 @@ class LSMServer:
     # -- request dispatch ------------------------------------------------------
 
     def _serve_request(
-        self, conn: socket.socket, request: Message, wire_decode_s: float,
-        prefixes: Dict[str, bytes],
+        self, conn: socket.socket, request: Message, wire_decode_s: float = 0.0
     ) -> None:
         op = request.OP  # None for a response class: not something a client may send
         if op is None:
@@ -456,11 +443,7 @@ class LSMServer:
         if ctx is not None:
             if ctx.sampled:  # the client decided, positively or negatively
                 span = recorder.start(f"server:{op}", parent=ctx)
-        elif (
-            recorder.sampling > 0.0
-            and not self.overload.suppress_tracing(load_state)
-            and recorder.should_sample()
-        ):
+        elif not self.overload.suppress_tracing(load_state) and recorder.should_sample():
             # No client context — this request's outermost span is here, so
             # the server makes the root sampling decision, once. Brownout
             # sheds optional work first: no new root samples.
@@ -468,12 +451,10 @@ class LSMServer:
         # Activate the decision — positive or negative — so every
         # maybe_start() below (service, engine) inherits it rather than
         # rolling its own dice mid-request.
-        activates = self._activates
-        if activates:
-            token = recorder.activate(span.context() if span is not None else _UNSAMPLED)
+        token = recorder.activate(span.context() if span is not None else _UNSAMPLED)
         admitted: dict = {}  # fair-share admission: the one stage timed below this frame
         try:
-            response = self._execute(op, request, admitted, load_state, prefixes)
+            response = self._execute(op, request, admitted, load_state)
         except ProtocolError as exc:
             self._request_errors.inc()
             response = ErrorResponse(code="bad_request", message=str(exc))
@@ -498,8 +479,7 @@ class LSMServer:
         finally:
             with self._load_lock:
                 self._in_flight -= 1
-            if activates:
-                recorder.deactivate(token)
+            recorder.deactivate(token)
         executed = time.perf_counter()
         frame = encode_frame(response)
         encoded = time.perf_counter()
@@ -536,20 +516,11 @@ class LSMServer:
         except OSError:
             pass
 
-    def _resolve_tenant(
-        self, request: Message, prefixes: Dict[str, bytes]
-    ) -> Tuple[str, bytes]:
+    def _resolve_tenant(self, request: Message) -> Tuple[str, bytes]:
         """The request's tenant and its key prefix (every key below is
-        ``prefix + key``). ``prefixes`` holds a connection's tenants already
-        validated, so an id is checked once per connection, not per request."""
+        ``prefix + key``); ``tenant_prefix`` validates an id once."""
         tenant = request.tenant or self.config.default_tenant
-        prefix = prefixes.get(tenant)
-        if prefix is None:
-            prefix = tenant_prefix(tenant)  # a bad id raises, and is not kept
-            if len(prefixes) >= _TENANTS_PER_CONNECTION:
-                prefixes.clear()
-            prefixes[tenant] = prefix
-        return tenant, prefix
+        return tenant, tenant_prefix(tenant)
 
     def _admit(self, tenant: str, cost: int, stages: Optional[dict] = None) -> None:
         if self.admission is None:
@@ -577,10 +548,9 @@ class LSMServer:
     _ALWAYS_SERVED = frozenset({"ping", "stats", "stats_history"})
 
     def _execute(
-        self, op: str, request: Message, stages: dict, load_state: str,
-        prefixes: Dict[str, bytes],
+        self, op: str, request: Message, stages: dict, load_state: str = STATE_OK
     ) -> Message:
-        tenant, prefix = self._resolve_tenant(request, prefixes)
+        tenant, prefix = self._resolve_tenant(request)
         if op not in self._ALWAYS_SERVED:
             if load_state == STATE_SHED:
                 self._shed_total.inc()

@@ -24,6 +24,7 @@ survey, §server-side concerns):
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 import time
@@ -57,8 +58,11 @@ def validate_tenant(tenant: str) -> bytes:
     return tenant.encode("ascii")
 
 
+@functools.lru_cache(maxsize=1024)
 def tenant_prefix(tenant: str) -> bytes:
-    """The storage prefix every key of ``tenant`` carries."""
+    """The storage prefix every key of ``tenant`` carries. Remembered for
+    the most recent ids, so a server validates a tenant once rather than per
+    request; an invalid id raises and is never remembered."""
     return validate_tenant(tenant) + TENANT_SEP
 
 

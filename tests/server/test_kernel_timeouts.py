@@ -50,6 +50,15 @@ def test_a_tiny_limit_is_still_a_limit():
         assert kernel_timeout(a) > 0
 
 
+def test_a_socket_refusing_the_option_raises():
+    """There is no second timeout path: a refused option is an error."""
+    a, b = socket.socketpair()
+    b.close()
+    a.close()
+    with pytest.raises(OSError):
+        set_kernel_timeout(a, 0.5)
+
+
 class _SilentServer:
     """Accepts connections and never answers."""
 

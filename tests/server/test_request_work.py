@@ -1,7 +1,8 @@
 """Fixed per-request work on the wire path, counted rather than timed.
 
-A connection validates a tenant id once, however many requests and keys it
-carries, and a client sets its socket timeout only when the value changes.
+A request validates its tenant id at most once, however many keys it
+carries, and an id once validated is remembered across requests; a client
+sets its socket timeout only when the value changes.
 """
 
 import socket
@@ -11,7 +12,7 @@ import pytest
 
 import repro
 from repro import LSMConfig
-from repro.server import LSMClient, LSMServer, RetryPolicy, ServerConfig
+from repro.server import LSMClient, LSMServer, RemoteError, RetryPolicy, ServerConfig
 from repro.server import tenancy
 
 
@@ -35,27 +36,37 @@ def validations(monkeypatch):
         return original(tenant)
 
     monkeypatch.setattr(tenancy, "validate_tenant", counting)
-    return calls
+    tenancy.tenant_prefix.cache_clear()
+    yield calls
+    tenancy.tenant_prefix.cache_clear()
 
 
-class TestTenantCheckedOncePerConnection:
-    def test_tenant_validated_once(self, server, validations):
+class TestTenantCheckedOncePerRequest:
+    def test_get_batch_and_scan_each_validate_once(self, server, validations):
         host, port = server.address
+        ops = [("put", b"k%04d" % i, b"v") for i in range(500)]
+        requests = [
+            lambda db: db.batch(ops) == 500,
+            lambda db: db.get(b"k0007").value == b"v",
+            lambda db: [key for key, _ in db.scan(limit=1000)] == [op[1] for op in ops],
+        ]
         with LSMClient(host, port, tenant="acme") as db:
-            ops = [("put", b"k%04d" % i, b"v") for i in range(500)]
-            validations.clear()
-            assert db.batch(ops) == 500
-            assert validations == ["acme"]
+            for request in requests:
+                tenancy.tenant_prefix.cache_clear()
+                validations.clear()
+                assert request(db)
+                assert validations == ["acme"]
+        with LSMClient(host, port, tenant="acme") as db:
+            assert all(request(db) for request in requests)
+        assert validations == ["acme"]  # remembered since the last clear
 
-            validations.clear()
-            assert db.get(b"k0007").value == b"v"
-            items = db.scan(limit=1000)
-            assert [key for key, _ in items] == [op[1] for op in ops]
-            assert validations == []
-        with LSMClient(host, port, tenant="acme") as db:
-            assert db.get(b"k0007").value == b"v"
-            assert db.get(b"k0008").value == b"v"
-        assert validations == ["acme"]
+    def test_an_invalid_tenant_is_refused_on_every_request(self, server, validations):
+        host, port = server.address
+        with LSMClient(host, port, tenant="no spaces") as db:
+            for _ in range(2):
+                with pytest.raises(RemoteError, match="invalid tenant id"):
+                    db.get(b"k")
+        assert validations == ["no spaces", "no spaces"]
 
 
 class _CountingTransport:

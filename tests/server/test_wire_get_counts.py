@@ -29,7 +29,7 @@ from repro.server.protocol import GetRequest, GetResponse, encode_frame
 
 #: Steady-state Python calls per wire get, layer by layer.
 CLIENT_CALLS = 12
-SERVER_CALLS = 18
+SERVER_CALLS = 22
 SERVICE_CALLS = 5
 
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
@@ -117,7 +117,7 @@ def test_server_calls_per_get_beside_the_service(service):
         server._handle_connection(conn, ("fake", 0))
         assert len(conn.sent) == requests
 
-    serve(2)  # warm: the view is built, the histogram edges tabulated
+    serve(2)  # warm: the view is built
     one = count_calls(serve, 1, skip=DBService.get.__code__)
     two = count_calls(serve, 2, skip=DBService.get.__code__)
     assert two - one == SERVER_CALLS
