@@ -9,7 +9,7 @@ writes brand-new files; installing the result is the tree's job.
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.common.entry import (
     DELETE,
@@ -25,7 +25,7 @@ from repro.compaction.granularity import CompactionPlan
 from repro.parallel.subcompaction import run_subcompactions, split_key_ranges
 from repro.storage.sstable import SSTable
 
-Fold = Callable[[List[Entry]], Optional[Entry]]
+Fold = Callable[[Sequence[Entry]], Optional[Entry]]
 
 
 class CompactionExecutor:
@@ -105,7 +105,8 @@ class CompactionExecutor:
         tombstone purging, merge-operand folding, TTL reclamation, the
         compaction filter.
 
-        The returned callable takes one key's versions newest-first and
+        The returned callable takes one key's versions newest-first (the
+        merge hands it the newest alone unless that is a merge operand) and
         returns the entry the output keeps, or None. It is a pure function of
         ``(group, purge, now)`` and ranges never split a group, so serial and
         parallel executions produce bit-identical entry sequences. Workers
@@ -127,7 +128,7 @@ class CompactionExecutor:
             with stats_lock:
                 stats.filtered_by_compaction += 1
 
-        def fold(group: List[Entry]) -> Optional[Entry]:
+        def fold(group: Sequence[Entry]) -> Optional[Entry]:
             newest = group[0]
             kind = newest.kind
             if kind is not MERGE:

@@ -14,7 +14,7 @@ import bisect
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.common.entry import Entry, GetResult
-from repro.core.iterator import Chunk, merge_sorted
+from repro.core.iterator import merge_sorted
 from repro.core.read_path import lookup
 from repro.core.levels import LevelView
 from repro.errors import SnapshotError
@@ -35,7 +35,7 @@ class Version:
 
     def __init__(
         self,
-        buffers: List[Chunk],
+        buffers: "List[Tuple[List[bytes], List[Entry]]]",
         view: LevelView,
         release: Callable[[LevelView], None],
     ) -> None:

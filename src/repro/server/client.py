@@ -433,19 +433,14 @@ class LSMClient:
         return result
 
     def put(self, key: bytes, value: bytes, ttl: Optional[float] = None) -> None:
-        self._call(PutRequest(tenant=self.tenant, key=key, value=value, ttl=ttl), OkResponse)
+        self._call(PutRequest._CODEC.build(self.tenant, key, value, ttl), OkResponse)
 
     def merge(self, key: bytes, operand: bytes, operator: str = "counter") -> None:
         """Queue a merge operand for a server-registered operator."""
-        self._call(
-            MergeRequest(
-                tenant=self.tenant, key=key, operand=operand, operator=operator
-            ),
-            OkResponse,
-        )
+        self._call(MergeRequest._CODEC.build(self.tenant, key, operand, operator), OkResponse)
 
     def delete(self, key: bytes) -> None:
-        self._call(DeleteRequest(tenant=self.tenant, key=key), OkResponse)
+        self._call(DeleteRequest._CODEC.build(self.tenant, key), OkResponse)
 
     def multi_get(self, keys: Sequence[bytes]) -> Dict[bytes, GetResult]:
         """Batched lookup over the distinct keys, in sorted key order (the

@@ -644,18 +644,18 @@ class LSMServer:
                 prefix + request.key, request.value,
                 ttl=request.ttl,
             )
-            return OkResponse(count=1)
+            return OkResponse._CODEC.build(1)
         if op == "merge":
             self._admit(tenant, 1, stages)
             service.merge(
                 prefix + request.key, request.operand,
                 operator=request.operator,
             )
-            return OkResponse(count=1)
+            return OkResponse._CODEC.build(1)
         if op == "delete":
             self._admit(tenant, 1, stages)
             service.delete(prefix + request.key)
-            return OkResponse(count=1)
+            return OkResponse._CODEC.build(1)
         if op == "multi_get":
             self._admit(tenant, len(request.keys), stages)
             stored = [prefix + key for key in request.keys]

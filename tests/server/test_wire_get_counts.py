@@ -1,13 +1,13 @@
-"""How many Python function calls one wire get makes, layer by layer.
+"""How many Python function calls one wire get or put makes, layer by layer.
 
 Wall-clock gains on the wire path drown in this machine's noise; a count
 of calls does not. Each layer is counted with ``sys.setprofile`` in steady
 state, on fakes where a socket would be:
 
-* the client: one ``LSMClient.get`` against a socket that answers with a
-  canned reply frame;
+* the client: one ``LSMClient.get`` (``put``) against a socket that answers
+  with a canned reply frame;
 * the server: one more request frame on a connection, from its recv to its
-  reply, not counting what ``DBService.get`` runs;
+  reply, not counting what ``DBService.get`` (``put``) runs;
 * the service: ``DBService.get`` minus ``LSMTree.get`` on the same stored
   key (a key the memtables leave open, so the runs are walked).
 
@@ -25,12 +25,15 @@ from repro.common.encoding import encode_uint_key
 from repro.server import LSMServer, ServerConfig
 from repro.server import client as client_mod
 from repro.server.client import LSMClient
-from repro.server.protocol import GetRequest, GetResponse, encode_frame
+from repro.server.protocol import GetRequest, GetResponse, OkResponse, PutRequest, encode_frame
 
 #: Steady-state Python calls per wire get, layer by layer.
 CLIENT_CALLS = 12
 SERVER_CALLS = 22
 SERVICE_CALLS = 5
+#: Steady-state Python calls per wire put, beside the get counts.
+CLIENT_PUT_CALLS = 11
+SERVER_PUT_CALLS = 25
 
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
 
@@ -130,3 +133,27 @@ def test_service_calls_per_get_beside_the_tree(service):
     assert tree.memory_chain(key) == ()  # the runs are walked
     beside = count_calls(service.get, key) - count_calls(tree.get, key)
     assert beside == SERVICE_CALLS
+
+
+def test_client_calls_per_put(monkeypatch):
+    fake = FakeSocket(reply=encode_frame(OkResponse(count=1)))
+    monkeypatch.setattr(client_mod.socket, "create_connection", lambda *a, **k: fake)
+    with LSMClient("fake", 1, tenant="t") as db:
+        db.put(b"key", b"v" * 40)
+        assert count_calls(db.put, b"key", b"v" * 40) == CLIENT_PUT_CALLS
+        assert fake.sent[-1] == encode_frame(PutRequest(tenant="t", key=b"key", value=b"v" * 40))
+
+
+def test_server_calls_per_put_beside_the_service(service):
+    server = LSMServer(service, ServerConfig(stats_interval_s=0))
+    frame = encode_frame(PutRequest(tenant="t", key=encode_uint_key(5), value=b"w" * 40))
+
+    def serve(requests):
+        conn = FakeSocket(chunks=[frame] * requests)
+        server._handle_connection(conn, ("fake", 0))
+        assert conn.sent == [encode_frame(OkResponse(count=1))] * requests
+
+    serve(2)  # warm
+    one = count_calls(serve, 1, skip=DBService.put.__code__)
+    two = count_calls(serve, 2, skip=DBService.put.__code__)
+    assert two - one == SERVER_PUT_CALLS

@@ -101,3 +101,61 @@ class TestSurgery:
         assert not partitioned_run.may_contain_range(b"c", b"d")
         # a range overlapping an unfiltered table must answer "maybe"
         assert partitioned_run.may_contain_range(b"n", b"q")
+
+
+class TestBoundedReadsBisect:
+    """A bounded scan of a partitioned run inspects O(log files) tables
+    beyond the ones it reads: the first by bisection, the walk stopped at
+    the first table past the range."""
+
+    @pytest.fixture
+    def wide_run(self, device):
+        tables = [
+            build_table(device, [b"%06d" % (2 * i), b"%06d" % (2 * i + 1)]) for i in range(256)
+        ]
+        return Run(tables)
+
+    def count_inspected(self, monkeypatch, wide_run, read):
+        """Run ``read(run)`` and return the tables whose key range it read."""
+        from repro.storage.sstable import SSTable
+
+        inspected = set()
+        for name in ("min_key", "max_key"):
+            prop = getattr(SSTable, name)
+
+            def counted(table, _get=prop.fget):
+                inspected.add(table.file_id)
+                return _get(table)
+
+            monkeypatch.setattr(SSTable, name, property(counted))
+        result = read(wide_run)
+        monkeypatch.undo()
+        return inspected, result
+
+    def test_a_bounded_scan_inspects_few_tables(self, monkeypatch, wide_run):
+        lo, hi = b"%06d" % 301, b"%06d" % 306  # tables 150..153
+        inspected, keys = self.count_inspected(
+            monkeypatch, wide_run,
+            lambda run: [key for chunk in run.iter_chunks(lo, hi) for key in chunk[0]],
+        )
+        assert keys == [b"%06d" % i for i in range(301, 307)]
+        assert len(inspected) <= 4 + 1  # the four it reads and the one past it
+
+    def test_range_checks_inspect_few_tables(self, monkeypatch, wide_run):
+        lo, hi = b"%06d" % 400, b"%06d" % 403
+        inspected, overlapping = self.count_inspected(
+            monkeypatch, wide_run, lambda run: run.tables_overlapping(lo, hi)
+        )
+        assert [table.min_key for table in overlapping] == [b"%06d" % 400, b"%06d" % 402]
+        assert len(inspected) <= 2 + 1
+        inspected, maybe = self.count_inspected(
+            monkeypatch, wide_run, lambda run: run.may_contain_range(lo, hi)
+        )
+        assert maybe and len(inspected) <= 2 + 1
+
+    def test_bounds_outside_and_between_tables(self, wide_run):
+        assert wide_run.tables_overlapping(b"9", b"99") == []
+        assert wide_run.tables_overlapping(b"", b"0") == []
+        between = wide_run.tables_overlapping(b"%06d" % 1 + b"x", b"%06d" % 2)
+        assert [table.min_key for table in between] == [b"%06d" % 2]
+        assert list(wide_run.iter_entries(b"%06d" % 511, None))[0].key == b"%06d" % 511
