@@ -48,6 +48,9 @@ PUT = EntryKind.PUT
 DELETE = EntryKind.DELETE
 MERGE = EntryKind.MERGE
 PUT_TTL = EntryKind.PUT_TTL
+#: Each kind by its value: ``KINDS[byte]`` is the member a stored kind byte
+#: names (block columns keep kinds as bytes).
+KINDS = tuple(EntryKind)
 
 _TTL_DEADLINE = struct.Struct(">d")
 TTL_DEADLINE_SIZE = _TTL_DEADLINE.size  # bytes a PUT_TTL value adds
