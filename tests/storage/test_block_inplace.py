@@ -452,3 +452,36 @@ def test_a_cold_coalesced_load_resolves_parse_block_through_the_module(parse_cal
         assert device.stats.blocks_read == reads and len(parse_calls) == 4
     else:
         assert device.stats.blocks_read == reads + 4 and len(parse_calls) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.integers(1, 300),
+    key_width=st.integers(0, 9),
+    value_widths=st.lists(st.integers(0, 20), min_size=1, max_size=3),
+    top_seqno=st.sampled_from([0, 200, 60_000, 1 << 20, 1 << 35, 1 << 45, 1 << 53, (1 << 64) - 1]),
+    data=st.data(),
+)
+def test_columns_are_the_entries_of_any_window(count, key_width, value_widths, top_seqno, data):
+    """Every window of a block, as columns, is its entries: for blocks of one
+    entry size (unpacked by struct, up to the widest cached window and
+    past it) and of mixed sizes, at every seqno width, before and after the
+    block is decoded."""
+    entries = []
+    for i in range(count):
+        key = i.to_bytes(4, "big") + bytes(key_width)
+        kind = EntryKind.DELETE if value_widths[i % len(value_widths)] == 0 else EntryKind.PUT
+        value = b"" if kind is EntryKind.DELETE else bytes([i % 251]) * value_widths[i % len(value_widths)]
+        entries.append(Entry(key, top_seqno - i if top_seqno >= i else i, kind, value))
+    block = parse_block(encode_block_v2(entries)[0])
+    lo = data.draw(st.integers(0, count - 1))
+    hi = data.draw(st.integers(lo + 1, count))
+    for _ in range(2):  # in place, then decoded
+        keys, kinds, values, seqnos = block.columns(lo, hi)
+        seqnos = seqnos() if callable(seqnos) else seqnos
+        window = entries[lo:hi]
+        assert list(keys) == [e.key for e in window]
+        assert list(kinds) == [e.kind for e in window]
+        assert list(values) == [e.value for e in window]
+        assert list(seqnos) == [e.seqno for e in window]
+        assert block.entries == entries
