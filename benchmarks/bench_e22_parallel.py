@@ -31,7 +31,7 @@ import time
 
 from repro import LSMConfig, LSMTree, encode_uint_key
 from repro.common.entry import Entry, EntryKind
-from repro.parallel import ParallelConfig, run_subcompactions, split_key_ranges
+from repro.parallel import ParallelConfig, per_key, run_subcompactions, split_key_ranges
 from repro.storage.block_device import BlockDevice
 from repro.storage.run import Run
 from repro.storage.sstable import SSTableBuilder
@@ -74,7 +74,7 @@ def _timed_merge(device, inputs, ranges, scale, readahead):
     device.wall_latency_scale = scale
     wall0 = time.perf_counter()
     tables = run_subcompactions(
-        inputs, ranges, _newest_live,
+        inputs, ranges, per_key(_newest_live),
         builder_factory=lambda: SSTableBuilder(device, write_buffer_blocks=8),
         file_limit=256 << 10, readahead=readahead,
     )

@@ -37,7 +37,7 @@ import time
 
 from repro import LSMConfig, LSMTree, encode_uint_key
 from repro.common.entry import Entry, EntryKind
-from repro.parallel import run_subcompactions, split_key_ranges
+from repro.parallel import per_key, run_subcompactions, split_key_ranges
 from repro.storage.block_device import BlockDevice
 from repro.storage.run import Run
 from repro.storage.sstable import SSTableBuilder
@@ -216,7 +216,7 @@ def _newest_live(group):
 
 def _merge_digest(device, inputs, ranges, codec):
     tables = run_subcompactions(
-        inputs, ranges, _newest_live,
+        inputs, ranges, per_key(_newest_live),
         builder_factory=lambda: SSTableBuilder(
             device, write_buffer_blocks=8,
             codec=None if codec == "none" else codec),

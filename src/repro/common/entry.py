@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Optional, Tuple
+from operator import add
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.common.encoding import get_length_prefixed, put_length_prefixed
 
@@ -51,6 +52,18 @@ PUT_TTL = EntryKind.PUT_TTL
 #: Each kind by its value: ``KINDS[byte]`` is the member a stored kind byte
 #: names (block columns keep kinds as bytes).
 KINDS = tuple(EntryKind)
+
+#: The bytes an entry is charged beyond its key and value where its size in
+#: a buffer is estimated (:attr:`Entry.approximate_size`,
+#: :func:`approximate_sizes`).
+_HEADER_SIZE = 16
+
+
+def approximate_sizes(keys: Iterable[bytes], values: Iterable[bytes]) -> Iterator[int]:
+    """The :attr:`Entry.approximate_size` of each row of a key and a value
+    column, by C-level passes (the file cuts of
+    :func:`~repro.storage.sstable.build_tables`)."""
+    return map(add, map(len, keys), map(_HEADER_SIZE.__add__, map(len, values)))
 
 _TTL_DEADLINE = struct.Struct(">d")
 TTL_DEADLINE_SIZE = _TTL_DEADLINE.size  # bytes a PUT_TTL value adds
@@ -168,7 +181,7 @@ class Entry:
     @property
     def approximate_size(self) -> int:
         """Bytes this entry occupies in a buffer (key + value + header)."""
-        return len(self.key) + len(self.value) + 16
+        return len(self.key) + len(self.value) + _HEADER_SIZE
 
 
 _set_key = Entry.key.__set__

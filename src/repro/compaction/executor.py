@@ -1,6 +1,6 @@
 """The compaction executor: the one merge every plan runs through.
 
-One fold decides what each key keeps; one call merges a plan's inputs
+One fold decides what each merge piece keeps; one call merges a plan's inputs
 through it over one key range or several
 (:mod:`repro.parallel.subcompaction`). The executor reads pinned tables and
 writes brand-new files; installing the result is the tree's job.
@@ -9,7 +9,7 @@ writes brand-new files; installing the result is the tree's job.
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.common.entry import (
     DELETE,
@@ -22,10 +22,11 @@ from repro.common.entry import (
     split_chain,
 )
 from repro.compaction.granularity import CompactionPlan
-from repro.parallel.subcompaction import run_subcompactions, split_key_ranges
+from repro.parallel.subcompaction import PieceFold, per_key, run_subcompactions, split_key_ranges
 from repro.storage.sstable import SSTable
 
-Fold = Callable[[Sequence[Entry]], Optional[Entry]]
+_PUTS = bytes((PUT,))
+_PUTS_AND_TOMBSTONES = bytes((PUT, DELETE))
 
 
 class CompactionExecutor:
@@ -100,19 +101,23 @@ class CompactionExecutor:
                 self._stats.subcompactions += len(ranges)
         return tables
 
-    def fold(self, purge: bool, now: float) -> Fold:
-        """Build the per-key fold every compaction output flows through:
-        tombstone purging, merge-operand folding, TTL reclamation, the
-        compaction filter.
+    def fold(self, purge: bool, now: float) -> PieceFold:
+        """Build the fold every compaction output flows through: tombstone
+        purging, merge-operand folding, TTL reclamation, the compaction
+        filter.
 
-        The returned callable takes one key's versions newest-first (the
-        merge hands it the newest alone unless that is a merge operand) and
-        returns the entry the output keeps, or None. It is a pure function of
-        ``(group, purge, now)`` and ranges never split a group, so serial and
-        parallel executions produce bit-identical entry sequences. Workers
-        call it concurrently: shared counters go through the stats lock, and
-        folded values are stored inline (never appended to the single-writer
-        value log).
+        The returned callable takes a merge piece and returns the columns
+        the output keeps. Without a compaction filter, a piece of PUTs (and
+        of tombstones, unless purging) with no merge chain is kept as it is;
+        any other goes key by key through the rules below
+        (:func:`~repro.parallel.subcompaction.per_key`), each getting its
+        key's versions newest-first (the newest alone unless that is a merge
+        operand) and returning the entry to keep, or None. It is a pure
+        function of ``(piece, purge, now)`` and ranges never split a key's
+        versions, so serial and parallel executions produce bit-identical
+        entry sequences. Workers call it concurrently: shared counters go
+        through the stats lock, and folded values are stored inline (never
+        appended to the single-writer value log).
         """
         keep = self._config.compaction_filter
         operators = self._operators
@@ -166,4 +171,6 @@ class CompactionExecutor:
                 return None
             return Entry(key=newest.key, seqno=newest.seqno, kind=PUT, value=stored)
 
-        return fold
+        if keep is not None:
+            return per_key(fold)
+        return per_key(fold, _PUTS if purge else _PUTS_AND_TOMBSTONES)

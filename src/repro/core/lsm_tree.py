@@ -38,6 +38,7 @@ from repro.core.write_path import build, fold_operand, op_of, stage, validate
 from repro.errors import ClosedError, ConflictError
 from repro.filters.elastic import ElasticBloomFilter, ElasticFilterManager
 from repro.memtable import ImmutableMemtable, make_memtable
+from repro.storage.block import Columns, columns_of
 from repro.storage.block_device import BlockDevice
 from repro.storage.run import Run
 from repro.storage.sstable import SSTable, build_tables, rebuild_sstable
@@ -402,7 +403,7 @@ class LSMTree:
         if obs is not None:
             wall0 = time.perf_counter()
         self.device.crash_hook("flush_build")
-        run = self._build_run(iter(sealed.entries), level=1)
+        run = self._build_run(columns_of(sealed.keys, sealed.entries), level=1)
         if obs is not None:
             obs.record_flush_build(time.perf_counter() - wall0)
         return run
@@ -655,7 +656,7 @@ class LSMTree:
             if any(run.overlaps(lo, hi) for run in runs):
                 break
             target = idx + 2
-        run = self._build_run(iter(entries), target)
+        run = self._build_run(columns_of([entry.key for entry in entries], entries), target)
         if run is not None:
             self.level_set.apply(LevelEdit(target, add=run.tables))
             self.stats.bulk_ingested += len(entries)
@@ -1127,10 +1128,10 @@ class LSMTree:
 
     # -- run construction and retirement --
 
-    def _build_run(self, entries: Iterator[Entry], level: int) -> Optional[Run]:
-        """Write sorted unique-key entries as one run of table files."""
+    def _build_run(self, columns: Columns, level: int) -> Optional[Run]:
+        """Write sorted unique-key columns as one run of table files."""
         tables = build_tables(
-            entries, self._factory.table_builder(self.device, level), self.config.file_bytes
+            (columns,), self._factory.table_builder(self.device, level), self.config.file_bytes
         )
         self._register_tables(tables)
         return Run(tables) if tables else None

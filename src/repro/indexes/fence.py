@@ -8,7 +8,10 @@ I/O per point lookup — the baseline every other index is compared against.
 from __future__ import annotations
 
 import bisect
-from typing import List, Sequence
+from functools import partial
+from itertools import islice
+from operator import sub
+from typing import Sequence
 
 
 class FencePointers:
@@ -29,23 +32,21 @@ class FencePointers:
     ) -> None:
         if len(keys) != len(block_of_key):
             raise ValueError("keys and block_of_key must have equal length")
-        first_keys: List[bytes] = []
-        prev_last: List[bytes] = []
-        last_block = -1
-        for key, block in zip(keys, block_of_key):
-            if block != last_block:
-                if block != last_block + 1:
-                    raise ValueError("block numbers must be contiguous and sorted")
-                first_keys.append(key)
-                prev_last.append(key)  # placeholder; fixed below
-                last_block = block
-            prev_last[-1] = key  # tracks the last key of the current block
-        self._num_blocks = last_block + 1
+        blocks = block_of_key[-1] + 1 if block_of_key else 0
+        # Block numbers start at 0 and step by 0 or 1: the block starts are
+        # then one bisect per block, and no key is visited.
+        if block_of_key and (
+            block_of_key[0] != 0
+            or not set(map(sub, islice(block_of_key, 1, None), block_of_key)) <= {0, 1}
+        ):
+            raise ValueError("block numbers must be contiguous and sorted")
+        starts = list(map(partial(bisect.bisect_left, block_of_key), range(blocks)))
+        first_keys = list(map(keys.__getitem__, starts))
+        self._num_blocks = blocks
         if shorten and first_keys:
-            self._first_keys = [first_keys[0]] + [
-                _shortest_separator(prev_last[i - 1], first_keys[i])
-                for i in range(1, len(first_keys))
-            ]
+            # The last key of each block but the last: the key before the next start.
+            prev_last = map(keys.__getitem__, map((-1).__add__, starts[1:]))
+            self._first_keys = [first_keys[0], *map(_shortest_separator, prev_last, first_keys[1:])]
         else:
             self._first_keys = first_keys
 

@@ -21,6 +21,7 @@ from repro.parallel.coalesce import FrameSource
 from repro.parallel.subcompaction import (
     SubcompactionError,
     merge_range,
+    per_key,
     run_subcompactions,
     split_key_ranges,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "FrameSource",
     "SubcompactionError",
     "merge_range",
+    "per_key",
     "run_subcompactions",
     "split_key_ranges",
 ]

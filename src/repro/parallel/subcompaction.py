@@ -15,7 +15,7 @@ fence-count quantiles balances *blocks read* per worker — the unit the
 device actually charges — not key counts.
 
 The module is deliberately engine-agnostic: :func:`run_subcompactions` sees
-input runs, a builder factory, and the per-key fold. A serial merge is the
+input runs, a builder factory, and the fold. A serial merge is the
 one-range case of the same call, so there is one merge loop and one build
 loop (:func:`~repro.storage.sstable.build_tables`) whatever the
 parallelism. The tree stays the only place that touches levels, pins,
@@ -26,17 +26,23 @@ from __future__ import annotations
 
 import concurrent.futures
 from bisect import bisect_left
-from itertools import chain
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.entry import KINDS, Entry
 from repro.core.iterator import merge_columns
 from repro.errors import SimulatedCrashError
+from repro.storage.block import Columns, columns_of
 from repro.storage.run import Run
 from repro.storage.sstable import SSTable, SSTableBuilder, build_tables
 
 #: A half-open key range ``[lo, hi)``; None means unbounded on that side.
 KeyRange = Tuple[Optional[bytes], Optional[bytes]]
+#: The per-key compaction policy: one key's versions, newest first, to the
+#: entry the output keeps (None: drop the key).
+KeyFold = Callable[[Sequence[Entry]], Optional[Entry]]
+#: The compaction policy over a merge piece ``(keys, kinds, values, seqnos,
+#: chains)`` (:data:`~repro.core.iterator.Piece`): the columns it keeps.
+PieceFold = Callable[..., Columns]
 
 
 def split_key_ranges(
@@ -91,53 +97,72 @@ def merge_range(
     inputs: Sequence[Run],
     lo: Optional[bytes],
     hi: Optional[bytes],
-    fold: Callable[[Sequence[Entry]], Optional[Entry]],
+    fold: PieceFold,
     readahead: int = 1,
-) -> Iterator[Entry]:
-    """Merge one half-open range ``[lo, hi)`` of every input run.
+) -> Iterator[Columns]:
+    """Merge one half-open range ``[lo, hi)`` of every input run into the
+    :data:`~repro.storage.block.Columns` pieces the output keeps.
 
     ``hi`` is passed to the input iterators as an *inclusive* cap (fence
     pruning needs an inclusive bound), and keys equal to ``hi`` are dropped
     here — they belong to the next range.
 
-    Every key's versions, newest first, are handed to ``fold`` (the per-key
-    policy: tombstone purging, merge-operand folding, TTL reclamation,
-    compaction filter), which returns the one entry to keep or None. The
-    merge (:func:`~repro.core.iterator.merge_columns`) keeps only a key's
-    newest version unless it is a merge operand, and a newer version
-    shadows every older one, so ``fold`` sees one entry per key — the one
-    entry built for it — or a merge chain. Keys never straddle a range
-    boundary, so folding per range matches folding the whole key space.
+    Each piece of the merge (:func:`~repro.core.iterator.merge_columns`,
+    which keeps only a key's newest version unless it is a merge operand)
+    is handed to ``fold`` (the compaction policy, see :func:`per_key`),
+    which returns the columns to keep. A piece is folded when the consumer
+    asks for it, so builds and merge reads interleave as they would entry by
+    entry. Keys never straddle a range boundary, so folding per range
+    matches folding the whole key space.
     """
     streams = [
         run.iter_chunks(start=lo, end=hi, readahead=readahead) for run in inputs
     ]
-    return chain.from_iterable(_folded(merge_columns(streams, seqnos=True), hi, fold))
-
-
-def _folded(pieces, hi, fold) -> Iterator[Iterator[Entry]]:
-    """Each piece's kept entries, lazily: a key is folded when the consumer
-    reaches it, so builds and merge reads interleave as they would entry by
-    entry."""
-    for keys, kinds, values, seqnos, chains in pieces:
+    for piece in merge_columns(streams, seqnos=True):
+        keys = piece[0]
         past = hi is not None and keys[-1] >= hi
         if past:
             cut = bisect_left(keys, hi)
-            keys, kinds, values, seqnos = keys[:cut], kinds[:cut], values[:cut], seqnos[:cut]
+            if not cut:
+                return
+            keys, kinds, values, seqnos, chains = piece
+            piece = keys[:cut], kinds[:cut], values[:cut], seqnos[:cut], chains
+        kept = fold(*piece)
+        if kept[0]:
+            yield kept
+        if past:
+            return
+
+
+def per_key(fold: KeyFold, passes: bytes = b"") -> PieceFold:
+    """A piece-level fold from a per-key one.
+
+    ``fold`` takes one key's versions, newest first — the newest alone (a
+    1-tuple) unless it is a merge operand, whose chain comes whole — and
+    returns the entry to keep or None. A piece without a merge chain whose
+    kinds are all in ``passes`` is kept as it is, building nothing; any
+    other has one :class:`Entry` built per key and its survivors come back
+    as columns.
+    """
+
+    def fold_piece(keys, kinds, values, seqnos, chains) -> Columns:
+        if chains is None and not kinds.translate(None, passes):
+            return keys, kinds, values, seqnos
         entries = map(Entry, keys, seqnos, map(KINDS.__getitem__, kinds), values)
         if chains is None:
             groups = zip(entries)  # one version per key
         else:
             groups = [chains.get(entry.key) or (entry,) for entry in entries]
-        yield filter(None, map(fold, groups))
-        if past:
-            return
+        kept = list(filter(None, map(fold, groups)))
+        return columns_of([entry.key for entry in kept], kept)
+
+    return fold_piece
 
 
 def run_subcompactions(
     inputs: Sequence[Run],
     ranges: Sequence[KeyRange],
-    fold: Callable[[Sequence[Entry]], Optional[Entry]],
+    fold: PieceFold,
     builder_factory: Callable[[], SSTableBuilder],
     file_limit: Optional[int],
     readahead: int = 1,

@@ -27,7 +27,7 @@ from array import array
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import add, attrgetter, le, lshift, or_, rshift, sub
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.encoding import decode_varint, encode_varint
 from repro.common.entry import KINDS, Entry
@@ -413,47 +413,82 @@ def block_layout(count: int, data: int, longest_key: int, seqno_width: int) -> "
 def encode_block_v2(
     entries: Sequence[Entry], codec: Optional[Codec] = None
 ) -> "tuple[bytes, int, int]":
-    """Serialize non-empty entries into a v2 payload (the layout at the top
-    of this module), compressed and framed when a codec is given and the
-    frame comes out smaller than the raw payload. A table's entries are
-    sorted by key; a log's are in append order and may repeat a key.
+    """Serialize non-empty entries into a v2 payload: :func:`encode_columns`
+    over their columns (the WAL's and the value log's way in)."""
+    if len(entries) == 1:  # one record (a WAL that syncs every put)
+        entry = entries[0]
+        return encode_columns(
+            (entry.key,), bytes((entry.kind,)), (entry.value,), (entry.seqno,), codec
+        )
+    return encode_columns(
+        [entry.key for entry in entries], bytes(map(_kind_of, entries)),
+        list(map(_value_of, entries)), list(map(_seqno_of, entries)), codec,
+    )
+
+
+def encode_columns(
+    keys: Sequence[bytes],
+    kinds: bytes,
+    values: Sequence[bytes],
+    seqnos: Sequence[int],
+    codec: Optional[Codec] = None,
+) -> "tuple[bytes, int, int]":
+    """Serialize non-empty columns (:data:`Columns`, the seqnos decoded) into
+    a v2 payload (the layout at the top of this module), compressed and
+    framed when a codec is given and the frame comes out smaller than the
+    raw payload: the one block encoder. A table's entries are sorted by key;
+    a log's are in append order and may repeat a key.
 
     Every column is built by C-level passes over the whole block (``array``,
-    ``map``, ``accumulate``, ``join``), not a loop per entry.
+    ``map``, ``accumulate``, ``join``), not a loop per entry. When every key
+    has one length and every value another, the offset column is the cached
+    progression :func:`parse_block` compares it with, and a one-kind block's
+    ``kk`` column is one repeated byte.
 
     Returns:
         ``(payload, uncompressed_size, stored_size)``: the raw payload's size
         and ``len(payload)`` — the compression-ratio counters' inputs.
     """
-    count = len(entries)
-    if count == 1:  # one record (a WAL that syncs every put): no column passes
-        entry = entries[0]
-        key, seqno = entry.key, entry.seqno
+    count = len(keys)
+    if count == 1:  # one record: no column passes
+        key, value, seqno = keys[0], values[0], seqnos[0]
         seqno_width = (seqno.bit_length() + 7) // 8
-        head, offset_width, data_start = block_layout(1, len(key) + len(entry.value), len(key), seqno_width)
-        cell = (len(key) << 2 | entry.kind).to_bytes(_KK_WIDTHS[head >> 5 & 3], "little")
+        head, offset_width, data_start = block_layout(1, len(key) + len(value), len(key), seqno_width)
+        cell = (len(key) << 2 | kinds[0]).to_bytes(_KK_WIDTHS[head >> 5 & 3], "little")
         columns = (data_start.to_bytes(offset_width, "little"), cell, seqno.to_bytes(seqno_width, "little"))
-        body = b"".join((bytes((head,)), *columns, key, entry.value))
+        body = b"".join((bytes((head,)), *columns, key, value))
+    elif not count:
+        raise ValueError("a block holds at least one entry")
     else:
-        keys = [entry.key for entry in entries]
-        seqnos = [entry.seqno for entry in entries]
-        kinds = bytes([entry.kind for entry in entries])
         klens = list(map(len, keys))
         data = [b""] * (2 * count)
         data[::2] = keys
-        data[1::2] = [entry.value for entry in entries]
+        data[1::2] = values
         joined = b"".join(data)
+        klen = klens[0]
+        one_klen = klens.count(klen) == count
         seqno_width = (max(seqnos).bit_length() + 7) // 8
-        head, offset_width, data_start = block_layout(count, len(joined), max(klens), seqno_width)
+        head, offset_width, data_start = block_layout(
+            count, len(joined), klen if one_klen else max(klens), seqno_width
+        )
         kk_width = _KK_WIDTHS[head >> 5 & 3]
-        if kk_width == 1:  # the common case: every kk cell is one byte
+        step, uneven = divmod(len(joined), count)
+        if one_klen and step and not uneven and (
+            list(map(len, values)).count(step - klen) == count
+        ):  # one key length, one value length
+            offsets = _progression(data_start, step, count, offset_width)
+        else:
+            # Entry starts: every other running total of the key and value lengths.
+            offsets = _le_column(list(accumulate(map(len, data), initial=data_start))[:-1:2], offset_width)
+        kind = kinds[0]
+        if kk_width == 1 and one_klen and kinds.count(kind) == count:
+            kk = bytes((klen << 2 | kind,)) * count
+        elif kk_width == 1:  # every kk cell is one byte
             cells = int.from_bytes(bytes(klens).translate(_KK_OF_KLEN), "little")
             kk = (cells | int.from_bytes(kinds, "little")).to_bytes(count, "little")
         else:
             kk = _le_column(map(or_, map(lshift, klens, repeat(2)), kinds), kk_width)
-        # Entry starts: every other running total of the key and value lengths.
-        offsets = list(accumulate(map(len, data), initial=data_start))[:-1:2]
-        columns = (_le_column(offsets, offset_width), kk, _le_column(seqnos, seqno_width))
+        columns = (offsets, kk, _le_column(seqnos, seqno_width))
         body = b"".join((bytes((head,)), *columns, joined))
     uncompressed_size = len(body) + 4
     if codec is not None and codec.codec_id != 0:
@@ -654,6 +689,8 @@ def _open_columns(body: bytes, end: int, hash_index: bool) -> DataBlock:
 #: of ``kk`` cell each) plus head, CRC and prefix (at most 8) take at most
 #: 12 x n; elsewhere the value log also checks a frame's exact size.
 ENTRY_OVERHEAD = 12
+#: What a table block's fill budgets once for the block itself: its head byte.
+_BLOCK_HEAD_BUDGET = 1
 #: The most a one-entry block adds to its key and value: the head, a 4-byte
 #: offset, a 4-byte ``kk`` cell, an 8-byte seqno and the CRC.
 _WIDEST_ONE_ENTRY = 1 + 4 + 4 + 8 + 4
@@ -666,6 +703,25 @@ def budget(count: int, data: int) -> int:
     ``data`` bytes. A packer fills a block by it; it is not a size
     (:func:`block_bytes` is), so a packer also checks what it writes."""
     return data + count * ENTRY_OVERHEAD
+
+
+def running_budget(data: Iterable[int]) -> List[int]:
+    """The packing budget of every prefix of entries whose keys and values
+    take ``data`` bytes each: ``[0, budget(1, data[0]), budget(2, data[0] +
+    data[1]), ...]``, what :func:`fill_end` bisects."""
+    return list(accumulate(map(add, data, repeat(ENTRY_OVERHEAD)), initial=0))
+
+
+def fill_end(running: Sequence[int], start: int, held: int, block_size: int) -> int:
+    """The table builder's fill rule. Entries ``start, start + 1, ...``
+    (``running`` is their :func:`running_budget`) join a block whose entries
+    so far budget ``held`` bytes (0: none yet) while the block's budget, its
+    head byte counted once, stays within ``block_size``; a block with no
+    entry takes the next one whatever its budget. Returns the end of the
+    entries that join — ``start`` when none does — by one bisect."""
+    limit = running[start] + block_size - _BLOCK_HEAD_BUDGET - held
+    end = bisect.bisect_right(running, limit, start + 1) - 1
+    return start + 1 if end == start and not held else end
 
 
 def block_bytes(count: int, data: int, longest_key: int, seqno: int) -> int:

@@ -29,19 +29,20 @@ import struct
 import sys
 import zlib
 from dataclasses import dataclass
-from itertools import chain, starmap
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from itertools import accumulate, chain, islice, starmap
+from operator import add, lt
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.common.entry import DELETE, Entry
+from repro.common.entry import DELETE, Entry, approximate_sizes
 from repro.errors import CorruptionError, ReproError, SimulatedCrashError, StorageError
 from repro.storage.block import (
-    Columns, DataBlock, budget, encode_block_v2, framed, parse_block, raw_size,
+    Columns, DataBlock, budget, columns_of, encode_block_v2, encode_columns, fill_end,
+    framed, parse_block, raw_size, running_budget,
 )
 from repro.storage.block_device import BlockDevice
 from repro.storage.compression import Codec, get_codec
 
 BLOCK_FORMAT_V2 = 2  # the data-block format a table footer records
-_BLOCK_HEAD_SIZE = 1  # the fill policy budgets a block's head byte once
 
 
 # One is built per point read: slotted where dataclasses can (3.10+).
@@ -620,8 +621,10 @@ class SSTableBuilder:
         self._write_buffer: List[bytes] = []
 
         self._file_id = device.create_file()
-        self._pending: List[Entry] = []
-        self._pending_size = _BLOCK_HEAD_SIZE
+        # The pending block: the columns of the entries that joined it and
+        # their packing budget.
+        self._pending: Columns = ([], bytearray(), [], [])
+        self._held = 0
         self._keys: List[bytes] = []
         self._block_of_key: List[int] = []
         self._block_first_keys: List[bytes] = []
@@ -631,37 +634,65 @@ class SSTableBuilder:
         self._finished = False
 
     def add(self, entry: Entry) -> None:
-        """Append the next entry; keys must arrive in strictly increasing order.
+        """Append the next entry; keys must arrive in strictly increasing
+        order. A one-row :meth:`add_columns`."""
+        self.add_columns((entry.key,), bytes((entry.kind,)), (entry.value,), (entry.seqno,))
 
-        Only order, size and the pending block are touched per entry; the
-        key list, block numbers and counts are settled a block at a time in
-        :meth:`_flush_block`.
+    def add_all(self, entries) -> None:
+        """Append every entry of an iterable, as one :meth:`add_columns` piece."""
+        entries = list(entries)
+        if entries:
+            self.add_columns(*columns_of([entry.key for entry in entries], entries))
+
+    def add_columns(
+        self, keys: Sequence[bytes], kinds: bytes, values: Sequence[bytes], seqnos: Sequence[int]
+    ) -> None:
+        """Append a sorted piece: :data:`~repro.storage.block.Columns` (the
+        seqnos decoded) whose keys strictly increase and follow every key
+        added before. The one packing loop.
+
+        The block module's fill rule (:func:`~repro.storage.block.fill_end`)
+        places the entries: one running budget over the piece, one bisect
+        per block. Each block it closes is written at once, so a build's
+        writes keep their place among the reads of the merge that feeds it;
+        the block the piece leaves open stays pending for the next piece.
+        No entry is built.
         """
         if self._finished:
             raise RuntimeError("builder already finished")
-        key = entry.key
+        if not keys:
+            return
         last_key = self._last_key
-        if last_key is not None and key <= last_key:
+        if (last_key is not None and keys[0] <= last_key) or not all(
+            map(lt, keys, islice(keys, 1, None))
+        ):
+            after = [last_key, *keys] if last_key is not None else list(keys)
+            bad = next(i for i in range(1, len(after)) if after[i] <= after[i - 1])
             raise ValueError(
                 f"entries must be added in strictly increasing key order "
-                f"({key!r} after {last_key!r})"
+                f"({after[bad]!r} after {after[bad - 1]!r})"
             )
-        self._last_key = key
-
-        size = budget(1, len(key) + len(entry.value))
-        while self._pending and self._pending_size + size > self._block_size:
-            self._flush_block()
-        self._pending.append(entry)
-        self._pending_size += size
-
-    def add_all(self, entries) -> None:
-        """Convenience: add every entry from an iterable."""
-        for entry in entries:
-            self.add(entry)
+        self._last_key = keys[-1]
+        running = running_budget(map(add, map(len, keys), map(len, values)))
+        block_size = self._block_size
+        count = len(keys)
+        start = 0
+        while True:
+            end = fill_end(running, start, self._held, block_size)
+            held_keys, held_kinds, held_values, held_seqnos = self._pending
+            held_keys += keys[start:end]
+            held_kinds += kinds[start:end]
+            held_values += values[start:end]
+            held_seqnos += seqnos[start:end]
+            if end == count:
+                self._held += running[count] - running[start]
+                return
+            self._flush_block()  # the block closes before entry ``end``
+            start = end
 
     @property
     def entry_count(self) -> int:
-        return len(self._keys) + len(self._pending)
+        return len(self._keys) + len(self._pending[0])
 
     def finish(self) -> SSTable:
         """Seal the file and return the readable table.
@@ -675,7 +706,7 @@ class SSTableBuilder:
         if not self.entry_count:
             self._device.delete_file(self._file_id)
             raise ValueError("cannot build an empty SSTable")
-        while self._pending:
+        while self._pending[0]:
             self._flush_block()
         self._drain_writes()
         self._finished = True
@@ -722,20 +753,35 @@ class SSTableBuilder:
     # -- internals -----------------------------------------------------------
 
     def _flush_block(self) -> None:
-        """Write the pending entries as one block. Where the budget
-        under-counts them (wide seqnos, offsets or ``kk`` cells), the block
-        closes before its last entry, which stays pending for the next."""
-        pending = self._pending
-        carried: List[Entry] = []
-        payload, uncompressed, stored = encode_block_v2(pending, self._codec)
+        """Write the pending entries as one block; those it could not take
+        stay pending, with their budget."""
+        keys, kinds, values, seqnos = self._pending
+        written = self._write_block(keys, kinds, values, seqnos)
+        if written == len(keys):
+            self._pending = ([], bytearray(), [], [])
+            self._held = 0
+        else:
+            del keys[:written], kinds[:written], values[:written], seqnos[:written]
+            self._held = budget(len(keys), sum(map(len, keys)) + sum(map(len, values)))
+
+    def _write_block(self, keys, kinds, values, seqnos) -> int:
+        """Write the longest head of these columns that encodes within the
+        block size as one block and return how many entries it holds: all of
+        them, unless the budget under-counts them (wide seqnos, offsets or
+        ``kk`` cells) and the block closes before its last entries."""
+        count = len(keys)
+        codec = self._codec
+        payload, uncompressed, stored = encode_columns(keys, kinds, values, seqnos, codec)
         while stored > self._block_size:
-            if len(pending) == 1:
+            if count == 1:
                 raise ValueError(
-                    f"an entry of {len(pending[0].key) + len(pending[0].value)} bytes "
+                    f"an entry of {len(keys[0]) + len(values[0])} bytes "
                     f"encodes to {stored} bytes, over the {self._block_size}-byte block size"
                 )
-            carried.append(pending.pop())
-            payload, uncompressed, stored = encode_block_v2(pending, self._codec)
+            count -= 1
+            payload, uncompressed, stored = encode_columns(
+                keys[:count], kinds[:count], values[:count], seqnos[:count], codec
+            )
         self._uncompressed_bytes += uncompressed
         self._stored_bytes += stored
         if self._write_buffer_blocks > 1:
@@ -744,17 +790,14 @@ class SSTableBuilder:
                 self._drain_writes()
         else:
             self._device.append_block(self._file_id, payload)
-        keys = [entry.key for entry in self._pending]
-        self._block_of_key += [len(self._block_first_keys)] * len(keys)
+        if count < len(keys):
+            keys, kinds = keys[:count], kinds[:count]
+        self._block_of_key += [len(self._block_first_keys)] * count
         self._keys += keys
         self._block_first_keys.append(keys[0])
         self._block_last_keys.append(keys[-1])
-        self._tombstones += [entry.kind for entry in self._pending].count(DELETE)
-        carried.reverse()
-        self._pending = carried
-        self._pending_size = _BLOCK_HEAD_SIZE
-        for entry in carried:
-            self._pending_size += budget(1, len(entry.key) + len(entry.value))
+        self._tombstones += kinds.count(DELETE)
+        return count
 
     def _drain_writes(self) -> None:
         if self._write_buffer:
@@ -792,31 +835,48 @@ class SSTableBuilder:
 
 
 def build_tables(
-    entries: Iterator[Entry],
+    pieces: Iterable[Columns],
     new_builder: Callable[[], "SSTableBuilder"],
     file_limit: Optional[int],
 ) -> List[SSTable]:
-    """Write sorted unique-key entries into one or more table files — the one
+    """Write sorted unique-key :data:`~repro.storage.block.Columns` (the
+    seqnos decoded), piece by piece, into one or more table files — the one
     build loop flushes, serial merges and every subcompaction range run.
 
     A new file starts whenever ``file_limit`` approximate bytes have been
-    written (None keeps one file). On failure every output, finished or
-    partial, is deleted before the error propagates — except for a simulated
-    crash, which freezes the device as-is so recovery has real orphans.
+    written (:func:`~repro.common.entry.approximate_sizes`, what
+    :attr:`Entry.approximate_size <repro.common.entry.Entry.approximate_size>`
+    counts; None keeps one file): the entry that reaches it is the file's
+    last, found by one bisect of the piece's running total. On failure every
+    output, finished or partial, is deleted before the error propagates —
+    except for a simulated crash, which freezes the device as-is so recovery
+    has real orphans.
     """
     tables: List[SSTable] = []
     builder: Optional[SSTableBuilder] = None
     written = 0
     try:
-        for entry in entries:
-            if builder is None:
-                builder = new_builder()
-                written = 0
-            builder.add(entry)
-            written += entry.approximate_size
-            if file_limit is not None and written >= file_limit:
-                tables.append(builder.finish())
-                builder = None
+        for keys, kinds, values, seqnos in pieces:
+            count = len(keys)
+            if file_limit is not None:
+                running = list(accumulate(approximate_sizes(keys, values), initial=0))
+            start = 0
+            while start < count:
+                if builder is None:
+                    builder = new_builder()
+                    written = 0
+                stop = count
+                if file_limit is not None:
+                    goal = file_limit - written + running[start]
+                    stop = min(bisect.bisect_left(running, goal, start + 1), count)
+                    written += running[stop] - running[start]
+                builder.add_columns(
+                    keys[start:stop], kinds[start:stop], values[start:stop], seqnos[start:stop]
+                )
+                if file_limit is not None and written >= file_limit:
+                    tables.append(builder.finish())
+                    builder = None
+                start = stop
         if builder is not None:
             tables.append(builder.finish())
             builder = None

@@ -16,6 +16,7 @@ import pytest
 from repro.storage import sstable
 
 from tests.core.test_identity_goldens import CASES, run_workload
+from tests.storage.test_block_v2 import written_entries
 from tests.storage.v1_tables import encode_block_v1
 
 # The pins before v2: blocks_read, blocks_written, seeks, compactions,
@@ -44,15 +45,17 @@ def v1_sizes(monkeypatch):
     """Every table built reports its v1-encoded size as ``size_bytes``."""
     sizes = {}
     builder = sstable.SSTableBuilder
-    init, flush, aux = builder.__init__, builder._flush_block, builder._write_aux_blocks
+    init, write, aux = builder.__init__, builder._write_block, builder._write_aux_blocks
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         sizes[self._file_id] = 0
 
-    def counting_flush(self):
-        sizes[self._file_id] += len(encode_block_v1(self._pending, self._codec)[0])
-        flush(self)
+    def counting_write(self, keys, kinds, values, seqnos):
+        count = write(self, keys, kinds, values, seqnos)
+        block = written_entries(keys, kinds, values, seqnos, count)
+        sizes[self._file_id] += len(encode_block_v1(block, self._codec)[0])
+        return count
 
     def counting_aux(self, *args):
         before = self._device.file_size(self._file_id)
@@ -61,7 +64,7 @@ def v1_sizes(monkeypatch):
         return blocks
 
     monkeypatch.setattr(builder, "__init__", counting_init)
-    monkeypatch.setattr(builder, "_flush_block", counting_flush)
+    monkeypatch.setattr(builder, "_write_block", counting_write)
     monkeypatch.setattr(builder, "_write_aux_blocks", counting_aux)
     monkeypatch.setattr(sstable.SSTable, "size_bytes", property(lambda t: sizes[t.file_id]))
 

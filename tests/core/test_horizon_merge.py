@@ -21,11 +21,13 @@ from repro.common.encoding import encode_uint_key
 from repro.common.entry import Entry, EntryKind, encode_merge_value
 from repro.core.iterator import merge_columns, merge_entry_versions
 from repro.errors import TransientIOError
-from repro.parallel import SubcompactionError, merge_range, run_subcompactions
+from repro.parallel import SubcompactionError, merge_range, per_key, run_subcompactions
 from repro.storage.block import columns_of
 from repro.storage.block_device import BlockDevice
 from repro.storage.run import Run
 from repro.storage.sstable import SSTableBuilder
+
+from tests.parallel.test_subcompaction import as_entries
 
 KINDS = [EntryKind.PUT, EntryKind.PUT, EntryKind.DELETE, EntryKind.MERGE]
 
@@ -294,8 +296,7 @@ def layered_runs(device, n_runs=3, keys_per_run=150):
     return runs
 
 
-def newest(group):
-    return group[0]
+newest = per_key(lambda group: group[0])
 
 
 class TestRangeCuts:
@@ -303,7 +304,7 @@ class TestRangeCuts:
         """[lo, hi) over real runs: bounds on keys, between keys, outside."""
         device = BlockDevice(block_size=256)
         runs = layered_runs(device, keys_per_run=60)
-        whole = list(merge_range(runs, None, None, newest))
+        whole = as_entries(merge_range(runs, None, None, newest))
         assert [e.key for e in whole] == sorted({e.key for run in runs for e in run.iter_entries()})
         bounds = [None] + [encode_uint_key(v) for v in range(0, 310, 7)] + [
             encode_uint_key(5) + b"\x00",  # strictly between two keys
@@ -317,17 +318,17 @@ class TestRangeCuts:
                     e for e in whole
                     if (lo is None or e.key >= lo) and (hi is None or e.key < hi)
                 ]
-                got = list(merge_range(runs, lo, hi, newest))
+                got = as_entries(merge_range(runs, lo, hi, newest))
                 assert ident(got) == ident(expected), (lo, hi)
 
     def test_concatenated_ranges_are_the_serial_merge(self):
         device = BlockDevice(block_size=256)
         runs = layered_runs(device)
-        whole = list(merge_range(runs, None, None, newest))
+        whole = as_entries(merge_range(runs, None, None, newest))
         cuts = [None, encode_uint_key(40), encode_uint_key(41), encode_uint_key(300), None]
         pieces = []
         for lo, hi in zip(cuts, cuts[1:]):
-            pieces.extend(merge_range(runs, lo, hi, newest))
+            pieces.extend(as_entries(merge_range(runs, lo, hi, newest)))
         assert ident(pieces) == ident(whole)
 
 
@@ -414,7 +415,7 @@ class TestFaultsDuringTheMerge:
                 device.arm()
             return group[0]
 
-        return fold
+        return per_key(fold)
 
     def test_serial_merge_raises_the_read_error_and_cleans_up(self):
         device = FaultyBlockDevice(block_size=512, faults=FaultConfig(seed=3, read_error_prob=1.0))

@@ -1,5 +1,8 @@
 """Fence separator shortening: exactness preserved, memory reduced."""
 
+import bisect
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,3 +77,59 @@ def test_engine_with_shortened_fences():
     tree.flush()
     for i in range(0, 500, 11):
         assert tree.get(encode_uint_key(i)).found
+
+
+def per_key_fences(keys, block_of_key, shorten):
+    """The fences as first built, by a walk over every key: a reference for
+    the construction from block starts."""
+    if len(keys) != len(block_of_key):
+        raise ValueError("keys and block_of_key must have equal length")
+    first_keys, prev_last = [], []
+    last_block = -1
+    for key, block in zip(keys, block_of_key):
+        if block != last_block:
+            if block != last_block + 1:
+                raise ValueError("block numbers must be contiguous and sorted")
+            first_keys.append(key)
+            prev_last.append(key)
+            last_block = block
+        prev_last[-1] = key
+    if shorten and first_keys:
+        first_keys = [first_keys[0]] + [
+            _shortest_separator(prev_last[i - 1], first_keys[i]) for i in range(1, len(first_keys))
+        ]
+    return first_keys, last_block + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(st.binary(max_size=6), max_size=60, unique=True).map(sorted),
+    steps=st.lists(st.sampled_from([0, 0, 1]), max_size=60),
+    shorten=st.booleans(),
+)
+def test_fences_from_block_starts_match_the_per_key_walk(keys, steps, shorten):
+    blocks = [0] * len(keys)
+    for i in range(1, len(keys)):
+        blocks[i] = blocks[i - 1] + (steps[i] if i < len(steps) else 0)
+    fences = FencePointers(keys, blocks, shorten=shorten)
+    first_keys, num_blocks = per_key_fences(keys, blocks, shorten)
+    assert fences._first_keys == first_keys
+    assert fences.num_blocks == num_blocks
+    assert fences.size_bytes == sum(map(len, first_keys)) + 8 * len(first_keys)
+    for key in keys + [key + b"\x00" for key in keys] + [b"", b"\xff" * 7]:
+        block = bisect.bisect_right(first_keys, key) - 1
+        expected = (0, -1) if not first_keys or key < first_keys[0] else (block, block)
+        assert fences.locate(key) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+def test_block_numbers_refused_as_the_per_key_walk_refuses_them(blocks):
+    keys = [b"%03d" % i for i in range(len(blocks))]
+    try:
+        per_key_fences(keys, blocks, False)
+    except ValueError:
+        with pytest.raises(ValueError, match="contiguous and sorted"):
+            FencePointers(keys, blocks)
+    else:
+        assert FencePointers(keys, blocks).num_blocks == blocks[-1] + 1

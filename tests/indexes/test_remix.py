@@ -86,18 +86,23 @@ class TestEquivalence:
 
 
 class TestCPUClaim:
-    def test_remix_scan_not_slower_than_heap_merge(self):
+    def test_remix_scan_not_slower_than_tree_scan(self):
         import time
 
         tree = loaded_tree(n=6000, keyspace=3000)
-        with tree.snapshot() as snapshot:
-            view = RemixView(snapshot.runs, cache=tree.cache)
-            start = time.perf_counter()
-            remix_count = sum(1 for _ in view.scan())
-            remix_time = time.perf_counter() - start
-        start = time.perf_counter()
-        merge_count = sum(1 for _ in tree.scan())
-        merge_time = time.perf_counter() - start
-        assert remix_count == merge_count
+
+        # Each side's best of 5 runs, taken alternately, so one slow phase of
+        # the machine does not land on a single timing. The view is built
+        # outside the timing, as a store keeps it between scans.
+        best = {"remix": float("inf"), "tree": float("inf")}
+        counts = {}
+        for _ in range(5):
+            with tree.snapshot() as snapshot:
+                view = RemixView(snapshot.runs, cache=tree.cache)
+                for side, scan in (("remix", view.scan), ("tree", tree.scan)):
+                    start = time.perf_counter()
+                    counts[side] = sum(1 for _ in scan())
+                    best[side] = min(best[side], time.perf_counter() - start)
+        assert counts["remix"] == counts["tree"]
         # The claim is CPU reduction; allow generous slack for timing noise.
-        assert remix_time < merge_time * 2.0
+        assert best["remix"] < best["tree"] * 2.0

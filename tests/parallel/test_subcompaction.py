@@ -8,6 +8,7 @@ from repro.errors import SimulatedCrashError
 from repro.parallel import (
     SubcompactionError,
     merge_range,
+    per_key,
     run_subcompactions,
     split_key_ranges,
 )
@@ -42,7 +43,8 @@ def overlapping_runs(device, n_runs=3, keys_per_run=120):
 
 
 def newest_wins(purge=False, keep=None, dropped=None):
-    """A per-key fold: newest version, tombstones per ``purge``, then ``keep``."""
+    """A fold run key by key: newest version, tombstones per ``purge``, then
+    ``keep``."""
 
     def fold(group):
         entry = group[0]
@@ -54,7 +56,16 @@ def newest_wins(purge=False, keep=None, dropped=None):
             return None
         return entry
 
-    return fold
+    return per_key(fold)
+
+
+def as_entries(pieces):
+    """``merge_range``'s column pieces as entries."""
+    return [
+        Entry(key, seqno, EntryKind(kind), value)
+        for keys, kinds, values, seqnos in pieces
+        for key, kind, value, seqno in zip(keys, kinds, values, seqnos)
+    ]
 
 
 def entry_tuples(entries):
@@ -94,19 +105,19 @@ class TestSplitKeyRanges:
 class TestMergeRange:
     def test_ranges_cover_exactly_the_serial_merge(self, device):
         runs = overlapping_runs(device)
-        serial = list(merge_range(runs, None, None, newest_wins()))
+        serial = as_entries(merge_range(runs, None, None, newest_wins()))
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         pieces = []
         for lo, hi in ranges:
-            pieces.extend(merge_range(runs, lo, hi, newest_wins()))
+            pieces.extend(as_entries(merge_range(runs, lo, hi, newest_wins())))
         assert entry_tuples(pieces) == entry_tuples(serial)
 
     def test_boundary_key_belongs_to_next_range(self, device):
         runs = overlapping_runs(device)
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         boundary = ranges[0][1]
-        left = list(merge_range(runs, None, boundary, newest_wins()))
-        right = list(merge_range(runs, boundary, None, newest_wins()))
+        left = as_entries(merge_range(runs, None, boundary, newest_wins()))
+        right = as_entries(merge_range(runs, boundary, None, newest_wins()))
         assert all(e.key < boundary for e in left)
         assert right[0].key == boundary
 
@@ -115,7 +126,7 @@ class TestRunSubcompactions:
     @pytest.mark.parametrize("purge", [False, True])
     def test_identical_to_serial_merge(self, device, purge):
         runs = overlapping_runs(device)
-        serial = list(merge_range(runs, None, None, newest_wins(purge)))
+        serial = as_entries(merge_range(runs, None, None, newest_wins(purge)))
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         assert len(ranges) > 1
         tables = run_subcompactions(
@@ -135,7 +146,7 @@ class TestRunSubcompactions:
         ranges = split_key_ranges(runs, max_subcompactions=4, min_blocks=2)
         keep = lambda key, value: not value.endswith(b"3")
         serial_dropped, parallel_dropped = [], []
-        serial = list(
+        serial = as_entries(
             merge_range(runs, None, None, newest_wins(True, keep, serial_dropped))
         )
         tables = run_subcompactions(

@@ -91,6 +91,12 @@ def test_design_point_budget_and_boundaries(codec):
         assert len(encode_block_v2(block, codec)[0]) <= BUDGET * len(encode_block_v1(block, codec)[0])
 
 
+def written_entries(keys, kinds, values, seqnos, count):
+    """The first ``count`` rows of a block's columns: the entries it holds."""
+    rows = zip(keys, seqnos, map(EntryKind, kinds), values)
+    return [Entry(*row) for row in rows][:count]
+
+
 class BlockLedger:
     """Wraps ``SSTableBuilder`` to total each block it writes beside the v1
     encoding of the same entries, and to check each table it finishes
@@ -100,18 +106,19 @@ class BlockLedger:
         self.blocks = 0
         self.tables = 0
         self.v1_bytes = self.v2_bytes = 0
-        flush, finish = SSTableBuilder._flush_block, SSTableBuilder.finish
+        write, finish = SSTableBuilder._write_block, SSTableBuilder.finish
         ledger = self
 
-        def checked_flush(builder):
-            pending = list(builder._pending)
-            builder.__dict__.setdefault("_stream", []).extend(pending)
-            v1 = len(encode_block_v1(pending, builder._codec)[0])
-            v2 = len(encode_block_v2(pending, builder._codec)[0])
+        def checked_write(builder, keys, kinds, values, seqnos):
+            count = write(builder, keys, kinds, values, seqnos)
+            block = written_entries(keys, kinds, values, seqnos, count)
+            builder.__dict__.setdefault("_stream", []).extend(block)
+            v1 = len(encode_block_v1(block, builder._codec)[0])
+            v2 = len(encode_block_v2(block, builder._codec)[0])
             ledger.blocks += 1
             ledger.v1_bytes += v1
             ledger.v2_bytes += v2
-            flush(builder)
+            return count
 
         def checked_finish(builder):
             table = finish(builder)
@@ -119,7 +126,7 @@ class BlockLedger:
             ledger.tables += 1
             return table
 
-        monkeypatch.setattr(SSTableBuilder, "_flush_block", checked_flush)
+        monkeypatch.setattr(SSTableBuilder, "_write_block", checked_write)
         monkeypatch.setattr(SSTableBuilder, "finish", checked_finish)
 
 
